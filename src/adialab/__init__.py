@@ -29,7 +29,6 @@ from .evolution import (
     distance_phase_invariant,
     evolve_adaptive,
     evolve_discrete,
-    step_unitary,
 )
 from .hamiltonians import (
     HermitianOperator,
@@ -55,7 +54,6 @@ from .proofcheck import (
     CheckEntry,
     ProofCheckConfig,
     ProofReport,
-    error_vector,
     error_vectors,
     geometric_sum_norm,
     geometric_sum_norm_detailed,
@@ -64,9 +62,7 @@ from .proofcheck import (
 )
 from .spectral import (
     EigenPath,
-    EigenSystem,
     GapReport,
-    decompose,
     gauge_residual,
     path_derivatives,
     spectral_gap,

@@ -3,26 +3,39 @@
 Everything here is batch-oriented: a trailing (d, d) matrix shape with an
 arbitrary leading batch axis, so step unitaries and grid scans can be
 vectorized in chunks.
+
+Every chunked loop in the package takes its batches from ``chunk_ranges``:
+max(64, 2**21 // d^2) matrices, i.e. 2**21 entries (32 MiB of complex128).
+Each batch is copied several times through evaluation, eigendecomposition
+and exponentiation, so this budget bounds peak memory while leaving every
+numpy call enough matrices to amortize Python overhead.  For power-of-two
+d the batch size is a power of two, so a pairwise product split at batch
+boundaries reproduces the unsplit product tree exactly.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import NumericalError
-
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+# Second-order finite-difference stencils: (offset, weight) pairs, summed in
+# the listed order and divided by 2h (first derivative) or h^2 (second).
+# "left"/"right" are the one-sided stencils for the lower/upper end.
+_STENCILS = {
+    (1, "central"): ((1, 1.0), (-1, -1.0)),
+    (1, "left"): ((0, -3.0), (1, 4.0), (2, -1.0)),
+    (1, "right"): ((0, 3.0), (-1, -4.0), (-2, 1.0)),
+    (2, "central"): ((1, 1.0), (0, -2.0), (-1, 1.0)),
+    (2, "left"): ((0, 2.0), (1, -5.0), (2, 4.0), (3, -1.0)),
+    (2, "right"): ((0, 2.0), (-1, -5.0), (-2, 4.0), (-3, -1.0)),
+}
 
 
 def dagger(mats: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(mats, -1, -2))
-
-
-def hermiticity_defect(mats: np.ndarray) -> float:
-    """Largest absolute entry of A - A^dagger over the whole batch."""
-    return float(np.abs(mats - dagger(mats)).max(initial=0.0))
 
 
 def opnorm_hermitian(mats: np.ndarray) -> np.ndarray:
@@ -94,14 +107,33 @@ def ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-def unitarity_defect(u: np.ndarray) -> float:
-    eye = np.eye(u.shape[-1])
-    return float(np.abs(dagger(u) @ u - eye).max())
+def chunk_ranges(lo: int, hi: int, dim: int) -> Iterator[tuple[int, int]]:
+    """Consecutive (start, stop) batches of dim x dim matrices covering lo..hi-1."""
+    step = max(64, 2**21 // (dim * dim))
+    for start in range(lo, hi, step):
+        yield start, min(start + step, hi)
 
 
-def check_finite(mats: np.ndarray, what: str) -> None:
-    if not np.isfinite(mats).all():
-        raise NumericalError(f"{what} contains non-finite entries")
+def fd_combine(sample: Callable[[int], np.ndarray], order: int, side: str, h: float):
+    """Finite difference of ``order`` from ``sample(k)`` = f(x + k*h).
+
+    ``side`` is "central", or "left"/"right" near the lower/upper end.
+    """
+    (k0, w0), *rest = _STENCILS[order, side]
+    total = w0 * sample(k0)
+    for k, w in rest:
+        total = total + w * sample(k)
+    return total / (2 * h if order == 1 else h**2)
+
+
+def grid_derivative(values: np.ndarray, h: float, order: int) -> np.ndarray:
+    """First or second derivative along axis 0 of samples with spacing h."""
+    n = values.shape[0]
+    out = np.empty_like(values)
+    out[1:-1] = fd_combine(lambda k: values[1 + k : n - 1 + k], order, "central", h)
+    out[0] = fd_combine(lambda k: values[k], order, "left", h)
+    out[-1] = fd_combine(lambda k: values[n - 1 + k], order, "right", h)
+    return out
 
 
 def golden_section_max(

@@ -2,7 +2,9 @@
 
 Subcommands: verify, sweep, gap-scan, proof-check, simulate.  Runs are
 described by a JSON config file; unknown fields are rejected with the
-offending field named, and syntax errors carry line/column positions.
+offending field named, every field is type-checked (an integer is accepted
+where a number is expected, never a string or a boolean), and syntax errors
+carry line/column positions.
 
 Exit codes: 0 = pass, 1 = claim failed, 2 = configuration error,
 3 = numerical or feasibility error.
@@ -36,6 +38,8 @@ EXIT_PASS = 0
 EXIT_CLAIM_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+_NUMBER = (int, float)
 
 _NUMERICAL_ERRORS = (
     FeasibilityError,
@@ -94,14 +98,15 @@ def _load_config(path: str, command: str) -> dict:
     return data
 
 
-def _expect(data: dict, key: str, kinds, default=None, where: str = "config"):
+def _expect(data: dict, key: str, kinds, default=None):
     if key not in data:
         return default
     value = data[key]
+    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
     if not isinstance(value, kinds) or isinstance(value, bool):
         raise ConfigError(
-            f"{where}: field {key!r} has type {type(value).__name__}, "
-            f"expected {kinds if isinstance(kinds, type) else '/'.join(k.__name__ for k in kinds)}"
+            f"field {key!r} has type {type(value).__name__}, "
+            f"expected {'/'.join(k.__name__ for k in kinds)}"
         )
     return value
 
@@ -157,12 +162,8 @@ def cmd_verify(args) -> int:
     spec = _build_instance(data, args.seed)
     verdict = verify(
         spec.build(),
-        delta=float(_expect(data, "delta", (int, float))),
-        case=_expect(data, "case", str, "general"),
-        T_override=_expect(data, "T_override", (int, float)),
-        grid_size=int(_expect(data, "grid_size", int, 1025)),
-        disc_tol=_expect(data, "disc_tol", (int, float)),
-        step_ceiling=int(_expect(data, "step_ceiling", int, 2**30)),
+        T_override=_expect(data, "T_override", _NUMBER),
+        **_verify_options(data),
     )
     payload = verdict.to_dict()
     payload["config"] = data
@@ -170,17 +171,19 @@ def cmd_verify(args) -> int:
     return EXIT_PASS if verdict.passed else EXIT_CLAIM_FAILED
 
 
-def _sweep_point(spec: InstanceSpec, data: dict, t_value: float):
-    verdict = verify(
-        spec.build(),
-        delta=float(data["delta"]),
-        case=data.get("case", "general"),
-        T_override=t_value,
-        grid_size=int(data.get("grid_size", 1025)),
-        disc_tol=data.get("disc_tol"),
-        step_ceiling=int(data.get("step_ceiling", 2**30)),
-    )
-    return verdict
+def _verify_options(data: dict) -> dict:
+    """The `verify` keyword arguments that verify and sweep configs share."""
+    return {
+        "delta": float(_expect(data, "delta", _NUMBER)),
+        "case": _expect(data, "case", str, "general"),
+        "grid_size": _expect(data, "grid_size", int, 1025),
+        "disc_tol": _expect(data, "disc_tol", _NUMBER),
+        "step_ceiling": _expect(data, "step_ceiling", int, 2**30),
+    }
+
+
+def _sweep_point(spec: InstanceSpec, options: dict, t_value: float):
+    return verify(spec.build(), T_override=t_value, **options)
 
 
 def cmd_sweep(args) -> int:
@@ -191,16 +194,16 @@ def cmd_sweep(args) -> int:
     for i, value in enumerate(t_values):
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"field 'T_values[{i}]' must be a number")
-    _expect(data, "delta", (int, float))
+    options = _verify_options(data)
     spec = _build_instance(data, args.seed)
 
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
             verdicts = list(
-                pool.map(lambda t: _sweep_point(spec, data, float(t)), t_values)
+                pool.map(lambda t: _sweep_point(spec, options, float(t)), t_values)
             )
     else:
-        verdicts = [_sweep_point(spec, data, float(t)) for t in t_values]
+        verdicts = [_sweep_point(spec, options, float(t)) for t in t_values]
 
     if args.format == "json":
         payload = {
@@ -230,7 +233,7 @@ def cmd_gap_scan(args) -> int:
     data = _load_config(args.config, "gap-scan")
     spec = _build_instance(data, args.seed)
     h = spec.build()
-    grid_size = int(_expect(data, "grid_size", int, 1025))
+    grid_size = _expect(data, "grid_size", int, 1025)
     path = track_eigenpath(h, grid_size)
     report = spectral_gap(h, path)
     if args.format == "json":
@@ -241,7 +244,9 @@ def cmd_gap_scan(args) -> int:
     else:
         rows = [
             f"{s!r},{g!r},{gap!r}"
-            for s, g, gap in zip(path.grid, path.gammas, report.gap_values)
+            for s, g, gap in zip(
+                path.grid.tolist(), path.gammas.tolist(), report.gap_values.tolist()
+            )
         ]
         _write(args.out, _csv("s,gamma,gap", rows))
     return EXIT_PASS
@@ -252,10 +257,10 @@ def cmd_proof_check(args) -> int:
     spec = _build_instance(data, args.seed)
     report = run_proofcheck(
         spec.build(),
-        L=int(data["L"]),
-        delta=float(data["delta"]),
-        total_time=_expect(data, "T", (int, float)),
-        norm_grid=int(_expect(data, "grid_size", int, 1025)),
+        L=_expect(data, "L", int),
+        delta=float(_expect(data, "delta", _NUMBER)),
+        total_time=_expect(data, "T", _NUMBER),
+        norm_grid=_expect(data, "grid_size", int, 1025),
         k_max=_expect(data, "k_max", int),
     )
     payload = report.to_dict()
@@ -278,10 +283,10 @@ def cmd_simulate(args) -> int:
         raise ConfigError("simulate emits CSV snapshots; use --format csv")
     spec = _build_instance(data, args.seed)
     h = spec.build()
-    total_time = float(data["T"])
-    steps = int(data["L"])
-    stride = int(_expect(data, "snapshot_stride", int, max(1, steps // 100)))
-    grid_size = int(_expect(data, "grid_size", int, 1025))
+    total_time = float(_expect(data, "T", _NUMBER))
+    steps = _expect(data, "L", int)
+    stride = _expect(data, "snapshot_stride", int, max(1, steps // 100))
+    grid_size = _expect(data, "grid_size", int, 1025)
     sign = _expect(data, "sign_convention", str, "paper_plus")
 
     path = track_eigenpath(h, grid_size)
@@ -292,7 +297,7 @@ def cmd_simulate(args) -> int:
         s = step / steps
         idx = int(round(s * (grid_size - 1)))
         dist = distance_phase_invariant(state, path.states[idx])
-        rows.append(f"{step},{s!r},{dist!r},{path.gammas[idx]!r}")
+        rows.append(f"{step},{s!r},{dist!r},{float(path.gammas[idx])!r}")
     _write(args.out, _csv("step,s,distance_to_path,gamma", rows))
     return EXIT_PASS
 

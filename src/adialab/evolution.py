@@ -5,7 +5,8 @@ ordered product U_{L-1} ... U_1 U_0 of step unitaries
 U_j = exp(sign * i * (T/L) * H(j/L)); convergence is certified by doubling
 L until successive final states agree.  Step unitaries are exact spectral
 exponentials, so the only error under study is the O(1/L) discretization
-error itself.
+error itself.  ``_step_batch`` is the one place that computes them; the
+proof instrumentation draws its U_j from it too.
 
 The default sign convention is ``paper_plus`` (+i in the exponent); the
 ``physics_minus`` flag gives exp(-i ...).  All reported distances are
@@ -19,23 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import expm_i_hermitian, ordered_product, unitarity_defect
-from .errors import (
-    DomainError,
-    NonConvergenceError,
-    NumericalError,
-    NumericalInstabilityError,
-)
-from .hamiltonians import (
-    TimeDependentHamiltonian,
-    eval_at,
-    eval_batch,
-    norm_bundle,
-)
+from ._linalg import chunk_ranges, expm_i_hermitian, ordered_product
+from .errors import DomainError, NonConvergenceError, NumericalInstabilityError
+from .hamiltonians import TimeDependentHamiltonian, eval_batch, norm_bundle
 
 SIGN_CONVENTIONS = {"paper_plus": 1.0, "physics_minus": -1.0}
 NORM_DRIFT_GUARD = 1e-10
-UNITARITY_TOL = 1e-10
 DEFAULT_STEP_CEILING = 2**30
 
 
@@ -87,27 +77,10 @@ def _signed_epsilon(cfg: EvolutionConfig) -> float:
     return SIGN_CONVENTIONS[cfg.sign_convention] * cfg.epsilon
 
 
-def step_unitary(
-    h: TimeDependentHamiltonian, j: int, cfg: EvolutionConfig
-) -> np.ndarray:
-    """U_j = exp(sign * i * (T/L) * H(j/L)), exact up to eigensolver precision."""
-    if not (0 <= j < cfg.steps):
-        raise DomainError(f"step index {j} outside [0, {cfg.steps})")
-    mat = eval_at(h, j / cfg.steps).entries
-    u = expm_i_hermitian(mat, _signed_epsilon(cfg))
-    defect = unitarity_defect(u)
-    if defect > UNITARITY_TOL:
-        raise NumericalError(f"step unitary defect {defect:.3e} exceeds tolerance")
-    return u
-
-
-def _chunk_points(dim: int) -> int:
-    return max(256, int(2**22 // (dim * dim)))
-
-
 def _step_batch(
     h: TimeDependentHamiltonian, lo: int, hi: int, cfg: EvolutionConfig
 ) -> np.ndarray:
+    """U_j = exp(sign * i * (T/L) * H(j/L)) for j = lo..hi-1."""
     s_values = np.arange(lo, hi, dtype=float) / cfg.steps
     mats = eval_batch(h, s_values)
     return expm_i_hermitian(mats, _signed_epsilon(cfg))
@@ -125,14 +98,12 @@ def evolve_discrete(
     """
     psi = _check_state(psi0, h.dim)
     L = cfg.steps
-    chunk = _chunk_points(h.dim)
 
     if cfg.snapshot_stride is not None:
         stride = cfg.snapshot_stride
         snapshots = [(0, psi.copy())]
         done = 0
-        for lo in range(0, L, chunk):
-            hi = min(lo + chunk, L)
+        for lo, hi in chunk_ranges(0, L, h.dim):
             unitaries = _step_batch(h, lo, hi, cfg)
             for u in unitaries:
                 psi = u @ psi
@@ -151,8 +122,7 @@ def evolve_discrete(
         return EvolutionResult(psi, L, tuple(snapshots))
 
     product: np.ndarray | None = None
-    for lo in range(0, L, chunk):
-        hi = min(lo + chunk, L)
+    for lo, hi in chunk_ranges(0, L, h.dim):
         partial = ordered_product(_step_batch(h, lo, hi, cfg))
         product = partial if product is None else partial @ product
     psi = product @ psi
@@ -243,7 +213,6 @@ def distance_l2(psi: np.ndarray, phi: np.ndarray) -> float:
 __all__ = [
     "EvolutionConfig",
     "EvolutionResult",
-    "step_unitary",
     "evolve_discrete",
     "evolve_adaptive",
     "distance_phase_invariant",

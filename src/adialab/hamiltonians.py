@@ -6,9 +6,11 @@ or second-order finite differences with one-sided stencils at the interval
 ends) and the sup-norm quantities max_s ||H(s)||, max_s ||H'(s)||,
 max_s ||H''(s)|| consumed by the runtime bound.
 
-Sup norms are approximated on a uniform grid (default 1025 points) followed
-by one golden-section refinement around the grid argmax.  Matrices failing
-the Hermiticity check are rejected rather than symmetrized, so instance
+Sup norms are approximated on a uniform grid (default 1025 points), sampled
+in batches by ``eval_batch`` and ``derivative_batch``, followed by one
+golden-section refinement around the grid argmax.  Every sample passes one
+Hermiticity check (``_check_hermitian``, relative to each matrix's largest
+entry); failing matrices are rejected rather than symmetrized, so instance
 bugs fail loudly.
 """
 
@@ -20,12 +22,13 @@ from typing import Callable
 import numpy as np
 
 from ._linalg import (
-    check_finite,
+    chunk_ranges,
+    dagger,
+    fd_combine,
     golden_section_max,
-    hermiticity_defect,
     opnorm_hermitian,
 )
-from .errors import DomainError, IntegrityError
+from .errors import DomainError, IntegrityError, NumericalError
 
 HERMITICITY_RTOL = 1e-12
 DEFAULT_NORM_GRID = 1025
@@ -33,6 +36,24 @@ DEFAULT_FD_STEP = 1e-5
 
 Evaluator = Callable[[float], np.ndarray]
 BatchEvaluator = Callable[[np.ndarray], np.ndarray]
+
+
+def _check_hermitian(mats: np.ndarray, what: str) -> None:
+    """Reject non-finite entries, and any matrix of the batch whose defect
+    |A - A^dagger| exceeds HERMITICITY_RTOL times its own largest entry."""
+    batch = mats.reshape(-1, *mats.shape[-2:])
+    for lo, hi in chunk_ranges(0, batch.shape[0], batch.shape[-1]):
+        part = batch[lo:hi]
+        scales = np.abs(part).max(axis=(1, 2))
+        if not np.isfinite(scales).all():
+            raise NumericalError(f"{what} contains non-finite entries")
+        defects = np.abs(part - dagger(part)).max(axis=(1, 2))
+        bad = np.flatnonzero(defects > HERMITICITY_RTOL * scales)
+        if bad.size:
+            raise IntegrityError(
+                f"{what} is not Hermitian: defect {defects[bad[0]]:.3e} exceeds "
+                f"{HERMITICITY_RTOL:.0e} * {scales[bad[0]]:.3e}"
+            )
 
 
 @dataclass(frozen=True)
@@ -47,14 +68,7 @@ class HermitianOperator:
             raise DomainError(f"expected a square matrix, got shape {entries.shape}")
         if entries.shape[0] < 2:
             raise DomainError("matrix dimension must be at least 2")
-        check_finite(entries, "matrix")
-        scale = float(np.abs(entries).max())
-        defect = hermiticity_defect(entries)
-        if defect > HERMITICITY_RTOL * scale:
-            raise IntegrityError(
-                f"matrix is not Hermitian: defect {defect:.3e} exceeds "
-                f"{HERMITICITY_RTOL:.0e} * {scale:.3e}"
-            )
+        _check_hermitian(entries, "matrix")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
@@ -109,6 +123,18 @@ def _check_s(s: float) -> float:
     return s
 
 
+def _check_s_values(s_values: np.ndarray) -> np.ndarray:
+    s_values = np.asarray(s_values, dtype=float)
+    if s_values.size and (s_values.min() < 0.0 or s_values.max() > 1.0):
+        raise DomainError("s values must lie in [0, 1]")
+    return s_values
+
+
+def _check_order(order: int) -> None:
+    if order not in (1, 2):
+        raise DomainError(f"derivative order must be 1 or 2, got {order}")
+
+
 def _raw(h: TimeDependentHamiltonian, s: float) -> np.ndarray:
     mat = np.asarray(h.evaluator(s), dtype=complex)
     if mat.shape != (h.dim, h.dim):
@@ -128,12 +154,10 @@ def eval_batch(
 ) -> np.ndarray:
     """Evaluate H on an array of s values; returns shape (n, dim, dim).
 
-    Validation checks the Hermiticity of the whole batch in one pass
-    (relative to the batch's largest entry).
+    Validation checks every matrix of the batch for Hermiticity in one
+    vectorized pass.
     """
-    s_values = np.asarray(s_values, dtype=float)
-    if s_values.size and (s_values.min() < 0.0 or s_values.max() > 1.0):
-        raise DomainError("s values must lie in [0, 1]")
+    s_values = _check_s_values(s_values)
     if h.evaluator_batch is not None:
         mats = np.asarray(h.evaluator_batch(s_values), dtype=complex)
         if mats.shape != (s_values.size, h.dim, h.dim):
@@ -144,34 +168,34 @@ def eval_batch(
     else:
         mats = np.stack([_raw(h, float(s)) for s in s_values])
     if validate:
-        scale = float(np.abs(mats).max(initial=0.0))
-        defect = hermiticity_defect(mats)
-        if defect > HERMITICITY_RTOL * scale:
-            raise IntegrityError(
-                f"evaluator output not Hermitian: defect {defect:.3e} "
-                f"(scale {scale:.3e})"
-            )
+        _check_hermitian(mats, "evaluator output")
     return mats
 
 
 def _fd_matrix(h: TimeDependentHamiltonian, s: float, order: int) -> np.ndarray:
     step = h.fd_step
-    f = lambda x: _raw(h, x)  # noqa: E731 - local shorthand
-    if order == 1:
-        if s - step < 0.0:
-            return (-3.0 * f(s) + 4.0 * f(s + step) - f(s + 2 * step)) / (2 * step)
-        if s + step > 1.0:
-            return (3.0 * f(s) - 4.0 * f(s - step) + f(s - 2 * step)) / (2 * step)
-        return (f(s + step) - f(s - step)) / (2 * step)
     if s - step < 0.0:
-        return (
-            2.0 * f(s) - 5.0 * f(s + step) + 4.0 * f(s + 2 * step) - f(s + 3 * step)
-        ) / step**2
-    if s + step > 1.0:
-        return (
-            2.0 * f(s) - 5.0 * f(s - step) + 4.0 * f(s - 2 * step) - f(s - 3 * step)
-        ) / step**2
-    return (f(s + step) - 2.0 * f(s) + f(s - step)) / step**2
+        side = "left"
+    elif s + step > 1.0:
+        side = "right"
+    else:
+        side = "central"
+    return fd_combine(lambda k: _raw(h, s + k * step), order, side, step)
+
+
+def _derivative_matrix(
+    h: TimeDependentHamiltonian, s: float, order: int
+) -> np.ndarray:
+    if h.derivative_mode == "analytic":
+        fn = h.d1 if order == 1 else h.d2
+        mat = np.asarray(fn(s), dtype=complex)  # type: ignore[misc]
+        if mat.shape != (h.dim, h.dim):
+            raise IntegrityError(
+                f"analytic derivative returned shape {mat.shape}, "
+                f"expected {(h.dim, h.dim)}"
+            )
+        return mat
+    return _fd_matrix(h, s, order)
 
 
 def derivative(
@@ -184,18 +208,21 @@ def derivative(
     stencil point ever leaves [0, 1].
     """
     s = _check_s(s)
-    if order not in (1, 2):
-        raise DomainError(f"derivative order must be 1 or 2, got {order}")
-    if h.derivative_mode == "analytic":
-        fn = h.d1 if order == 1 else h.d2
-        mat = np.asarray(fn(s), dtype=complex)  # type: ignore[misc]
-        if mat.shape != (h.dim, h.dim):
-            raise IntegrityError(
-                f"analytic derivative returned shape {mat.shape}, "
-                f"expected {(h.dim, h.dim)}"
-            )
-        return HermitianOperator(mat)
-    return HermitianOperator(_fd_matrix(h, s, order))
+    _check_order(order)
+    return HermitianOperator(_derivative_matrix(h, s, order))
+
+
+def derivative_batch(
+    h: TimeDependentHamiltonian, s_values: np.ndarray, order: int
+) -> np.ndarray:
+    """``derivative`` on an array of s values; returns shape (n, dim, dim)."""
+    s_values = _check_s_values(s_values)
+    _check_order(order)
+    mats = np.empty((s_values.size, h.dim, h.dim), dtype=complex)
+    for i, s in enumerate(s_values):
+        mats[i] = _derivative_matrix(h, float(s), order)
+    _check_hermitian(mats, f"order-{order} derivative")
+    return mats
 
 
 @dataclass(frozen=True)
@@ -253,19 +280,13 @@ def norm_bundle(
 
     out = [norm_h]
     for order in (1, 2):
-        stacked = np.stack([derivative(h, float(s), order).entries for s in grid])
-        vals = opnorm_hermitian(stacked)
+        vals = opnorm_hermitian(derivative_batch(h, grid, order))
         out.append(
             _refined_max(
                 vals, grid, lambda s: operator_norm(derivative(h, s, order))
             )
         )
     return NormBundle(out[0], out[1], out[2], grid_size)
-
-
-def hermitian(entries: np.ndarray) -> HermitianOperator:
-    """Convenience constructor used heavily by the instance library."""
-    return HermitianOperator(np.asarray(entries, dtype=complex))
 
 
 __all__ = [
@@ -275,9 +296,9 @@ __all__ = [
     "eval_at",
     "eval_batch",
     "derivative",
+    "derivative_batch",
     "operator_norm",
     "norm_bundle",
-    "hermitian",
     "DEFAULT_NORM_GRID",
     "DEFAULT_FD_STEP",
     "HERMITICITY_RTOL",

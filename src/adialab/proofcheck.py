@@ -25,14 +25,10 @@ from typing import Iterator
 
 import numpy as np
 
-from ._linalg import expm_i_hermitian, opnorm
+from ._linalg import chunk_ranges, grid_derivative, opnorm
 from .errors import DomainError, FeasibilityError, IntegrityError, NumericalError
-from .hamiltonians import (
-    NormBundle,
-    TimeDependentHamiltonian,
-    eval_batch,
-    norm_bundle,
-)
+from .evolution import EvolutionConfig, _step_batch
+from .hamiltonians import NormBundle, TimeDependentHamiltonian, norm_bundle
 from .spectral import EigenPath, gauge_residual, path_derivatives, track_eigenpath
 from .theorem import TheoremInputs, _shift_and_measure, required_time_special
 
@@ -180,45 +176,34 @@ def error_vectors(path: EigenPath) -> np.ndarray:
     return g[:-1] - overlaps[:, None] * g[1:]
 
 
-def error_vector(path: EigenPath, j: int) -> np.ndarray:
-    """Single w_j; requires 1 <= j <= L where the path has L+1 points."""
-    L = path.npoints - 1
-    if not (1 <= j <= L):
-        raise DomainError(f"index j={j} outside [1, {L}]")
-    g_prev, g_cur = path.states[j - 1], path.states[j]
-    return g_prev - np.vdot(g_cur, g_prev) * g_cur
-
-
 # ---------------------------------------------------------------------------
 # step-unitary provider
 
 
 class _StepUnitaries:
-    """U_j = exp(i (T/L) H(j/L)) for j = 0..L-1, cached when small."""
+    """U_j = exp(i (T/L) H(j/L)) for j = 0..L-1, cached when small.
+
+    The unitaries come from evolution's ``_step_batch``; this class only
+    caches them and hands them out in batches.
+    """
 
     CACHE_BYTES = 192 * 2**20
 
     def __init__(self, h: TimeDependentHamiltonian, total_time: float, L: int):
         self.h = h
-        self.T = total_time
         self.L = L
-        self.chunk = max(256, int(2**21 // (h.dim * h.dim)))
+        self._cfg = EvolutionConfig(total_time, L)
         self._cache: np.ndarray | None = None
         if L * h.dim * h.dim * 16 <= self.CACHE_BYTES:
             self._cache = np.concatenate(
-                [self._compute(lo, hi) for lo, hi in self._ranges(0, L)], axis=0
+                [self._compute(a, b) for a, b in chunk_ranges(0, L, h.dim)], axis=0
             )
 
-    def _ranges(self, lo: int, hi: int):
-        return [(a, min(a + self.chunk, hi)) for a in range(lo, hi, self.chunk)]
-
     def _compute(self, lo: int, hi: int) -> np.ndarray:
-        s_values = np.arange(lo, hi, dtype=float) / self.L
-        mats = eval_batch(self.h, s_values)
-        return expm_i_hermitian(mats, self.T / self.L)
+        return _step_batch(self.h, lo, hi, self._cfg)
 
     def iter_batches(self, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
-        for a, b in self._ranges(lo, hi):
+        for a, b in chunk_ranges(lo, hi, self.h.dim):
             if self._cache is not None:
                 yield a, self._cache[a:b]
             else:
@@ -475,9 +460,7 @@ def geometric_sum_norm_detailed(
         return GeometricSumEval(direct, direct, math.nan, True, theta)
 
     total = 0.0 + 0.0j
-    chunk = 2**22
-    for lo in range(0, delta_terms, chunk):
-        hi = min(lo + chunk, delta_terms)
+    for lo, hi in chunk_ranges(0, delta_terms, 1):
         total += np.exp(1j * theta * np.arange(lo, hi)).sum()
     direct = float(abs(total))
     denominator = _abs_sin(theta / 2.0)
@@ -622,21 +605,6 @@ def check_total_error_norm(
 # eigenvalue derivative bounds
 
 
-def _scalar_derivative(grid: np.ndarray, values: np.ndarray, order: int) -> np.ndarray:
-    h = float(grid[1] - grid[0])
-    v = values
-    out = np.empty_like(v)
-    if order == 1:
-        out[1:-1] = (v[2:] - v[:-2]) / (2 * h)
-        out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2 * h)
-        out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2 * h)
-    else:
-        out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
-        out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h**2
-        out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h**2
-    return out
-
-
 def check_eigenvalue_derivative_bounds(
     path: EigenPath, norms: NormBundle, lam: float
 ) -> list[CheckEntry]:
@@ -647,8 +615,9 @@ def check_eigenvalue_derivative_bounds(
     """
     if path.npoints < 5:
         raise DomainError("need at least 5 grid points for derivative bounds")
-    d1 = float(np.abs(_scalar_derivative(path.grid, path.gammas, 1)).max())
-    d2 = float(np.abs(_scalar_derivative(path.grid, path.gammas, 2)).max())
+    spacing = float(path.grid[1] - path.grid[0])
+    d1 = float(np.abs(grid_derivative(path.gammas, spacing, 1)).max())
+    d2 = float(np.abs(grid_derivative(path.gammas, spacing, 2)).max())
     bound1 = norms.norm_H1
     bound2 = norms.norm_H2 + 4.0 * norms.norm_H1**2 / lam
     return [
@@ -757,7 +726,6 @@ __all__ = [
     "ProofReport",
     "ProofCheckConfig",
     "GeometricSumEval",
-    "error_vector",
     "error_vectors",
     "expected_block_length",
     "geometric_sum_norm",

@@ -1,4 +1,4 @@
-"""Eigendecomposition and gauge-fixed eigenpath tracking.
+"""Gauge-fixed eigenpath tracking, spectral gaps and path derivatives.
 
 A branch selected at s = 0 is continued across the grid by maximum-overlap
 matching against the previous state, which stays robust when non-tracked
@@ -6,6 +6,9 @@ branches cross.  Each matched state is then phase-rotated so that the
 overlap with its predecessor is real and nonnegative — the discrete form
 of the parallel-transport gauge <Psi'(s), Psi(s)> = 0.  ``gauge_residual``
 certifies the gauge numerically from finite differences of the states.
+``eigen_residuals`` measures how well sampled states solve the eigenvalue
+equation of a Hamiltonian; the gap scan and the zero-eigenvalue shift both
+gate on it.
 """
 
 from __future__ import annotations
@@ -14,42 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    GapCollapseError,
-    NumericalError,
-    UnderResolvedGridError,
-)
-from .hamiltonians import HermitianOperator, TimeDependentHamiltonian, eval_batch
+from ._linalg import chunk_ranges, grid_derivative
+from .errors import DomainError, GapCollapseError, UnderResolvedGridError
+from .hamiltonians import TimeDependentHamiltonian, eval_batch
 
 DEGENERACY_RTOL = 1e-8
 MIN_BRANCH_OVERLAP = 0.5
 DEFAULT_GRID = 1025
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Full spectral decomposition with eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # orthonormal columns
-
-    def coefficients(self, vector: np.ndarray) -> np.ndarray:
-        """Expansion coefficients of ``vector`` in the eigenbasis."""
-        return self.eigenvectors.conj().T @ np.asarray(vector, dtype=complex)
-
-
-def decompose(a: HermitianOperator) -> EigenSystem:
-    """Eigendecomposition of a Hermitian operator."""
-    try:
-        eigenvalues, eigenvectors = np.linalg.eigh(a.entries)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - very rare
-        scale = float(np.abs(a.entries).max())
-        raise NumericalError(
-            f"eigendecomposition failed for a {a.dim}x{a.dim} matrix "
-            f"(entry scale {scale:.3e}): {exc}"
-        ) from exc
-    return EigenSystem(eigenvalues, eigenvectors.astype(complex))
 
 
 @dataclass(frozen=True)
@@ -86,10 +60,6 @@ class EigenPath:
             "gammas": self.gammas.tolist(),
             "gap": self.gap,
         }
-
-
-def _chunk_size(dim: int) -> int:
-    return max(64, int(2**21 // (dim * dim)))
 
 
 def track_eigenpath(
@@ -129,9 +99,7 @@ def track_eigenpath(
 
     gap = np.inf
     previous: np.ndarray | None = None
-    chunk = _chunk_size(dim)
-    for lo in range(0, grid_size, chunk):
-        hi = min(lo + chunk, grid_size)
+    for lo, hi in chunk_ranges(0, grid_size, dim):
         mats = eval_batch(h, grid[lo:hi])
         evals, evecs = np.linalg.eigh(mats)
         evecs = evecs.astype(complex, copy=False)
@@ -209,6 +177,23 @@ class GapReport:
         }
 
 
+def eigen_residuals(
+    h: TimeDependentHamiltonian,
+    grid: np.ndarray,
+    states: np.ndarray,
+    values: np.ndarray,
+) -> np.ndarray:
+    """||H(s_j) psi_j - c_j psi_j|| for every grid point s_j."""
+    residuals = np.empty(grid.size)
+    for lo, hi in chunk_ranges(0, grid.size, h.dim):
+        mats = eval_batch(h, grid[lo:hi])
+        applied = np.einsum("nij,nj->ni", mats, states[lo:hi])
+        residuals[lo:hi] = np.linalg.norm(
+            applied - values[lo:hi, None] * states[lo:hi], axis=1
+        )
+    return residuals
+
+
 def spectral_gap(h: TimeDependentHamiltonian, path: EigenPath) -> GapReport:
     """Measure min_s min_{k != tracked} |lambda_k(s) - gamma(s)|.
 
@@ -216,21 +201,16 @@ def spectral_gap(h: TimeDependentHamiltonian, path: EigenPath) -> GapReport:
     be eigenvectors of H(s_j) within residual 1e-8 * ||H(s_j)||.
     """
     point_norms = np.abs(path.eigenvalues).max(axis=1)
-    chunk = _chunk_size(h.dim)
-    for lo in range(0, path.npoints, chunk):
-        hi = min(lo + chunk, path.npoints)
-        mats = eval_batch(h, path.grid[lo:hi])
-        applied = np.einsum("nij,nj->ni", mats, path.states[lo:hi])
-        residual = np.linalg.norm(
-            applied - path.gammas[lo:hi, None] * path.states[lo:hi], axis=1
+    residual = eigen_residuals(h, path.grid, path.states, path.gammas)
+    bad = np.flatnonzero(
+        residual > DEGENERACY_RTOL * np.maximum(point_norms, 1e-300)
+    )
+    if bad.size:
+        j = bad[0]
+        raise DomainError(
+            f"path inconsistent with Hamiltonian at s={path.grid[j]:.6g}: "
+            f"eigen-residual {residual[j]:.3e}"
         )
-        bad = residual > DEGENERACY_RTOL * np.maximum(point_norms[lo:hi], 1e-300)
-        if bad.any():
-            j = lo + int(np.argmax(bad))
-            raise DomainError(
-                f"path inconsistent with Hamiltonian at s={path.grid[j]:.6g}: "
-                f"eigen-residual {residual[int(np.argmax(bad))]:.3e}"
-            )
 
     mask = np.ones_like(path.eigenvalues, dtype=bool)
     mask[np.arange(path.npoints), path.tracked_index] = False
@@ -268,18 +248,7 @@ def path_derivatives(path: EigenPath, order: int) -> np.ndarray:
         raise DomainError(f"derivative order must be 1 or 2, got {order}")
     if path.npoints < 5:
         raise DomainError("path too coarse: need at least 5 grid points")
-    h = _check_uniform(path.grid)
-    g = path.states
-    out = np.empty_like(g)
-    if order == 1:
-        out[1:-1] = (g[2:] - g[:-2]) / (2 * h)
-        out[0] = (-3.0 * g[0] + 4.0 * g[1] - g[2]) / (2 * h)
-        out[-1] = (3.0 * g[-1] - 4.0 * g[-2] + g[-3]) / (2 * h)
-    else:
-        out[1:-1] = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / h**2
-        out[0] = (2.0 * g[0] - 5.0 * g[1] + 4.0 * g[2] - g[3]) / h**2
-        out[-1] = (2.0 * g[-1] - 5.0 * g[-2] + 4.0 * g[-3] - g[-4]) / h**2
-    return out
+    return grid_derivative(path.states, _check_uniform(path.grid), order)
 
 
 def gauge_residual(path: EigenPath) -> float:
@@ -290,11 +259,10 @@ def gauge_residual(path: EigenPath) -> float:
 
 
 __all__ = [
-    "EigenSystem",
     "EigenPath",
     "GapReport",
-    "decompose",
     "track_eigenpath",
+    "eigen_residuals",
     "spectral_gap",
     "path_derivatives",
     "gauge_residual",

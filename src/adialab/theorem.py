@@ -33,13 +33,14 @@ from .evolution import (
     distance_phase_invariant,
     evolve_adaptive,
 )
-from .hamiltonians import (
-    NormBundle,
-    TimeDependentHamiltonian,
-    eval_batch,
-    norm_bundle,
+from .hamiltonians import NormBundle, TimeDependentHamiltonian, norm_bundle
+from .spectral import (
+    DEFAULT_GRID,
+    DEGENERACY_RTOL,
+    EigenPath,
+    eigen_residuals,
+    track_eigenpath,
 )
-from .spectral import DEFAULT_GRID, DEGENERACY_RTOL, EigenPath, track_eigenpath
 
 GENERAL_CONSTANT = 1.0e5
 SPECIAL_CONSTANT = 1000.0
@@ -141,19 +142,15 @@ def _shift_and_measure(
 
     if validate:
         point_norms = np.maximum(np.abs(path.eigenvalues).max(axis=1), 1e-300)
-        chunk = max(64, int(2**21 // (h.dim * h.dim)))
-        for lo in range(0, path.npoints, chunk):
-            hi = min(lo + chunk, path.npoints)
-            mats = eval_batch(shifted, path.grid[lo:hi])
-            applied = np.einsum("nij,nj->ni", mats, path.states[lo:hi])
-            residual = np.linalg.norm(applied, axis=1)
-            bad = residual > DEGENERACY_RTOL * point_norms[lo:hi]
-            if bad.any():
-                j = lo + int(np.argmax(bad))
-                raise IntegrityError(
-                    f"shifted Hamiltonian does not annihilate the tracked "
-                    f"state at s={path.grid[j]:.6g}"
-                )
+        residual = eigen_residuals(
+            shifted, path.grid, path.states, np.zeros(path.npoints)
+        )
+        bad = np.flatnonzero(residual > DEGENERACY_RTOL * point_norms)
+        if bad.size:
+            raise IntegrityError(
+                f"shifted Hamiltonian does not annihilate the tracked "
+                f"state at s={path.grid[bad[0]]:.6g}"
+            )
         if base_norms is not None and lam is not None:
             slack = 1.0 + SHIFT_NORM_SLACK
             bound_h1 = 2.0 * base_norms.norm_H1

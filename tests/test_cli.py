@@ -1,0 +1,107 @@
+import json
+from pathlib import Path
+
+import jsonschema
+import pytest
+
+from adialab import cli
+
+SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+LZ = {"kind": "landau_zener"}
+
+
+def _schema(name: str) -> dict:
+    return json.loads((SCHEMAS / f"{name}.schema.json").read_text())
+
+
+def _run(tmp_path, capsys, command: str, config: dict, *flags: str):
+    path = tmp_path / f"{command}.json"
+    path.write_text(json.dumps(config))
+    code = cli.main([command, "--config", str(path), *flags])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _csv_rows(text: str) -> tuple[str, list[list[float]]]:
+    header, *rows = text.strip().splitlines()
+    return header, [[float(cell) for cell in row.split(",")] for row in rows]
+
+
+def test_verify_output_matches_schema(tmp_path, capsys):
+    config = {"instance": LZ, "delta": 1, "case": "special", "T_override": 50.0,
+              "grid_size": 129}
+    code, out, _ = _run(tmp_path, capsys, "verify", config)
+    payload = json.loads(out)
+    jsonschema.validate(payload, _schema("verdict"))
+    assert code == cli.EXIT_PASS and payload["passed"]
+    assert payload["config"] == config
+
+
+def test_sweep_output_matches_schema_with_and_without_threads(tmp_path, capsys):
+    config = {"instance": LZ, "delta": 1, "case": "special", "T_values": [5, 20.0],
+              "grid_size": 129}
+    code, out, _ = _run(tmp_path, capsys, "sweep", config, "--format", "json")
+    payload = json.loads(out)
+    jsonschema.validate(payload, _schema("sweep"))
+    assert code == cli.EXIT_PASS
+    assert [row["T"] for row in payload["rows"]] == [5.0, 20.0]
+    _, threaded, _ = _run(
+        tmp_path, capsys, "sweep", config, "--format", "json", "--threads", "2"
+    )
+    assert json.loads(threaded) == payload
+
+
+def test_gap_scan_json_and_csv(tmp_path, capsys):
+    config = {"instance": {"kind": "grover", "params": {"n": 2}}, "grid_size": 129}
+    code, out, _ = _run(tmp_path, capsys, "gap-scan", config, "--format", "json")
+    payload = json.loads(out)
+    jsonschema.validate(payload, _schema("gap_scan"))
+    assert code == cli.EXIT_PASS
+    assert payload["lambda_min"] == pytest.approx(0.5, abs=1e-9)
+    _, csv_text, _ = _run(tmp_path, capsys, "gap-scan", config)
+    header, rows = _csv_rows(csv_text)
+    assert header == "s,gamma,gap"
+    assert [row[2] for row in rows] == payload["gap_values"]
+
+
+def test_proof_check_output_matches_schema(tmp_path, capsys):
+    config = {"instance": LZ, "delta": 1, "L": 256, "T": 100.0}
+    code, out, _ = _run(tmp_path, capsys, "proof-check", config)
+    payload = json.loads(out)
+    jsonschema.validate(payload, _schema("proof_report"))
+    assert code == (cli.EXIT_PASS if payload["passed"] else cli.EXIT_CLAIM_FAILED)
+    assert payload["metadata"]["L"] == 256
+
+
+def test_simulate_csv_snapshots(tmp_path, capsys):
+    config = {"instance": LZ, "T": 10.0, "L": 200, "grid_size": 201,
+              "snapshot_stride": 50}
+    code, out, _ = _run(tmp_path, capsys, "simulate", config)
+    assert code == cli.EXIT_PASS
+    header, rows = _csv_rows(out)
+    assert header == "step,s,distance_to_path,gamma"
+    assert [int(row[0]) for row in rows] == [0, 50, 100, 150, 200]
+    assert rows[0][2] == 0.0 and rows[0][3] == pytest.approx(-1.0)
+
+
+@pytest.mark.parametrize(
+    "command, config, field",
+    [
+        ("simulate", {"instance": LZ, "T": "ten", "L": 200}, "T"),
+        ("sweep", {"instance": LZ, "delta": 1, "T_values": [5.0], "disc_tol": "x"},
+         "disc_tol"),
+        ("proof-check", {"instance": LZ, "delta": 1, "L": "4096"}, "L"),
+        ("sweep", {"instance": LZ, "delta": 1, "T_values": [5.0], "grid_size": "129"},
+         "grid_size"),
+        ("sweep", {"instance": LZ, "delta": 1, "T_values": [5.0], "grid_size": 129.9},
+         "grid_size"),
+        ("verify", {"instance": LZ, "delta": True}, "delta"),
+        ("verify", {"instance": LZ, "delta": 1, "case": 5}, "case"),
+    ],
+)
+def test_mistyped_field_is_a_config_error(tmp_path, capsys, command, config, field):
+    code, out, err = _run(tmp_path, capsys, command, config)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert f"field {field!r} has type" in err
+    assert "<class" not in err

@@ -6,24 +6,29 @@ import pytest
 import adialab as al
 from adialab._linalg import expm_i_hermitian
 from adialab.errors import DomainError, NonConvergenceError
+from adialab.evolution import _step_batch
 from adialab.problems import PAULI_Z
 
 from conftest import rotating_two_level
 
 
 def _ground(h, s=0.0):
-    return al.decompose(al.eval_at(h, s)).eigenvectors[:, 0]
+    return np.linalg.eigh(al.eval_at(h, s).entries)[1][:, 0].astype(complex)
+
+
+def _step(h, j, cfg):
+    return _step_batch(h, j, j + 1, cfg)[0]
 
 
 class TestStepUnitary:
     def test_zero_hamiltonian_identity(self):
         zero = al.affine_hamiltonian(np.zeros((2, 2)), np.zeros((2, 2)), name="zero")
-        u = al.step_unitary(zero, 0, al.EvolutionConfig(1.0, 4))
+        u = _step(zero, 0, al.EvolutionConfig(1.0, 4))
         assert np.allclose(u, np.eye(2))
 
     def test_pauli_z_at_pi(self):
         inst = al.constant((1.0, -1.0))  # H = Z
-        u = al.step_unitary(inst, 0, al.EvolutionConfig(np.pi, 1))
+        u = _step(inst, 0, al.EvolutionConfig(np.pi, 1))
         assert np.allclose(u, -np.eye(2), atol=1e-12)
 
     def test_unitarity_random_8x8(self):
@@ -31,17 +36,14 @@ class TestStepUnitary:
         raw = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         mat = 0.5 * (raw + raw.conj().T)
         inst = al.affine_hamiltonian(mat, mat)
-        u = al.step_unitary(inst, 3, al.EvolutionConfig(7.3, 11))
-        assert np.abs(u.conj().T @ u - np.eye(8)).max() <= 1e-10
+        unitaries = _step_batch(inst, 0, 11, al.EvolutionConfig(7.3, 11))
+        for u in unitaries:
+            assert np.abs(u.conj().T @ u - np.eye(8)).max() <= 1e-10
 
     def test_sign_conventions_are_adjoint(self, lz):
-        plus = al.step_unitary(lz, 2, al.EvolutionConfig(3.0, 8, "paper_plus"))
-        minus = al.step_unitary(lz, 2, al.EvolutionConfig(3.0, 8, "physics_minus"))
+        plus = _step(lz, 2, al.EvolutionConfig(3.0, 8, "paper_plus"))
+        minus = _step(lz, 2, al.EvolutionConfig(3.0, 8, "physics_minus"))
         assert np.allclose(plus, minus.conj().T, atol=1e-13)
-
-    def test_index_domain(self, lz):
-        with pytest.raises(DomainError):
-            al.step_unitary(lz, 8, al.EvolutionConfig(1.0, 8))
 
     def test_two_level_closed_form_matches_eigh(self):
         # dual route: the analytic 2x2 exponential against the generic
@@ -78,16 +80,21 @@ class TestEvolveDiscrete:
         for step, state in result.snapshots:
             rebuilt = psi0.copy()
             for j in range(step):
-                rebuilt = al.step_unitary(rand4, j, cfg) @ rebuilt
+                rebuilt = _step(rand4, j, cfg) @ rebuilt
             assert np.linalg.norm(state - rebuilt) < 1e-9
 
     def test_fast_path_equals_sequential(self, grover2):
-        psi0 = _ground(grover2)
-        fast = al.evolve_discrete(grover2, psi0, al.EvolutionConfig(4.0, 256))
-        slow = al.evolve_discrete(
-            grover2, psi0, al.EvolutionConfig(4.0, 256, snapshot_stride=256)
-        )
-        assert np.linalg.norm(fast.final_state - slow.final_state) < 1e-11
+        # 10,000 steps at d = 16 span two batches of 8,192
+        cases = ((grover2, 4.0, 256), (al.random_interpolation(16, 7), 20.0, 10_000))
+        for inst, total_time, steps in cases:
+            psi0 = _ground(inst)
+            fast = al.evolve_discrete(inst, psi0, al.EvolutionConfig(total_time, steps))
+            slow = al.evolve_discrete(
+                inst,
+                psi0,
+                al.EvolutionConfig(total_time, steps, snapshot_stride=steps),
+            )
+            assert np.linalg.norm(fast.final_state - slow.final_state) < 1e-11
 
     def test_sign_convention_equivalence(self, lz):
         # paper_plus under H equals physics_minus under -H

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import adialab as al
-from adialab.errors import DomainError, IntegrityError
-from adialab.hamiltonians import eval_batch, hermitian
+from adialab.errors import DomainError, IntegrityError, NumericalError
+from adialab.hamiltonians import HermitianOperator, derivative_batch, eval_batch
 from adialab.problems import PAULI_X, PAULI_Z
 
 from conftest import rotating_two_level
@@ -11,26 +11,26 @@ from conftest import rotating_two_level
 
 class TestHermitianOperator:
     def test_accepts_hermitian(self):
-        op = hermitian([[1.0, 1j], [-1j, 2.0]])
+        op = HermitianOperator([[1.0, 1j], [-1j, 2.0]])
         assert op.dim == 2
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(IntegrityError):
-            hermitian([[0.0, 1.0], [0.5, 0.0]])
+            HermitianOperator([[0.0, 1.0], [0.5, 0.0]])
 
     def test_rejects_tiny_asymmetry_relative_to_scale(self):
         mat = np.array([[1e6, 1.0], [1.0 + 1e-5, 1e6]], dtype=complex)
         with pytest.raises(IntegrityError):
-            hermitian(mat)
+            HermitianOperator(mat)
 
     def test_rejects_dim_one_and_nonsquare(self):
         with pytest.raises(DomainError):
-            hermitian([[1.0]])
+            HermitianOperator([[1.0]])
         with pytest.raises(DomainError):
-            hermitian(np.ones((2, 3)))
+            HermitianOperator(np.ones((2, 3)))
 
     def test_entries_immutable(self):
-        op = hermitian(PAULI_X)
+        op = HermitianOperator(PAULI_X)
         with pytest.raises(ValueError):
             op.entries[0, 0] = 5.0
 
@@ -56,12 +56,35 @@ class TestEval:
         )
         with pytest.raises(IntegrityError):
             al.eval_at(bad, 0.5)
+        # each matrix of a batch is judged against its own scale: a 1e-9
+        # asymmetry in an O(1) matrix fails even beside an O(1e6) one
+        mixed = al.TimeDependentHamiltonian(
+            dim=2,
+            evaluator=lambda s: np.array([[1e6, 0.0], [0.0, 1e6]])
+            if s == 0.0
+            else np.array([[1.0, 1.0], [1.0 + 1e-9, 1.0]]),
+        )
+        with pytest.raises(IntegrityError):
+            eval_batch(mixed, np.array([0.0, 1.0]))
+
+    def test_non_finite_batch_is_numerical_error(self):
+        bad = al.TimeDependentHamiltonian(
+            dim=2, evaluator=lambda s: np.array([[np.nan, 0.0], [0.0, 1.0]])
+        )
+        with pytest.raises(NumericalError):
+            eval_batch(bad, np.array([0.0, 0.5]))
 
     def test_batch_matches_pointwise(self, grover2):
         grid = np.linspace(0.0, 1.0, 17)
         mats = eval_batch(grover2, grid)
         for s, mat in zip(grid, mats):
             assert np.allclose(mat, al.eval_at(grover2, float(s)).entries)
+        fd = al.TimeDependentHamiltonian(
+            dim=2, evaluator=rotating_two_level(np.pi).evaluator, fd_step=1e-4
+        )
+        for order in (1, 2):
+            for s, mat in zip(grid, derivative_batch(fd, grid, order)):
+                assert np.array_equal(mat, al.derivative(fd, float(s), order).entries)
 
 
 class TestDerivative:
@@ -128,14 +151,14 @@ class TestDerivative:
 
 class TestOperatorNorm:
     def test_zero_matrix(self):
-        assert al.operator_norm(hermitian(np.zeros((2, 2)))) == 0.0
+        assert al.operator_norm(HermitianOperator(np.zeros((2, 2)))) == 0.0
 
     def test_pauli_x(self):
-        assert al.operator_norm(hermitian(PAULI_X)) == pytest.approx(1.0)
+        assert al.operator_norm(HermitianOperator(PAULI_X)) == pytest.approx(1.0)
 
     def test_x_minus_z_closed_form(self):
         # 2x2 eigenvalues of X - Z are +/- sqrt(2)
-        assert al.operator_norm(hermitian(PAULI_X - PAULI_Z)) == pytest.approx(
+        assert al.operator_norm(HermitianOperator(PAULI_X - PAULI_Z)) == pytest.approx(
             np.sqrt(2.0)
         )
 

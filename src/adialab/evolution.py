@@ -2,11 +2,14 @@
 
 The continuous evolution is represented only as the large-L limit of the
 ordered product U_{L-1} ... U_1 U_0 of step unitaries
-U_j = exp(sign * i * (T/L) * H(j/L)); convergence is certified by doubling
-L until successive final states agree.  Step unitaries are exact spectral
-exponentials, so the only error under study is the O(1/L) discretization
-error itself.  ``_step_batch`` is the one place that computes them; the
-proof instrumentation draws its U_j from it too.
+U_j = exp(sign * i * (T/L) * H(j/L)); convergence is certified by step
+doubling: the L/2-step product on the same grid must agree with the
+L-step product, and L is doubled until it does.  The L/2-step product
+comes at no extra exponential, because its step j is
+exp(sign * i * (2T/L) * H(2j/L)) = U_{2j}^2.  Step unitaries are exact
+spectral exponentials, so the only error under study is the O(1/L)
+discretization error itself.  ``_step_batch`` is the one place that
+computes them; the proof instrumentation draws its U_j from it too.
 
 The default sign convention is ``paper_plus`` (+i in the exponent); the
 ``physics_minus`` flag gives exp(-i ...).  All reported distances are
@@ -58,9 +61,13 @@ class EvolutionConfig:
 
 @dataclass(frozen=True)
 class EvolutionResult:
+    """Final state after L_used steps; ``half_state`` is the L_used/2-step
+    final state on the same grid (streamed runs with even L only)."""
+
     final_state: np.ndarray
     L_used: int
     snapshots: tuple | None = None
+    half_state: np.ndarray | None = None
 
 
 def _check_state(psi: np.ndarray, dim: int) -> np.ndarray:
@@ -71,6 +78,26 @@ def _check_state(psi: np.ndarray, dim: int) -> np.ndarray:
     if abs(nrm - 1.0) > 1e-8:
         raise DomainError(f"state is not unit norm: ||psi|| = {nrm:.12f}")
     return psi
+
+
+def _guarded(psi: np.ndarray, L: int) -> np.ndarray:
+    """psi renormalized, after checking the aggregate drift of L steps."""
+    nrm = float(np.linalg.norm(psi))
+    # aggregate of L per-step allowances: benign roundoff grows with L,
+    # a non-unitary step would overshoot this by many orders
+    guard = max(NORM_DRIFT_GUARD, 64.0 * np.finfo(float).eps * L)
+    if abs(nrm - 1.0) >= guard:
+        raise NumericalInstabilityError(
+            f"accumulated norm drift {abs(nrm - 1.0):.3e} over {L} steps "
+            f"exceeds the {guard:.1e} guard"
+        )
+    return psi / nrm
+
+
+def _initial_steps(total_time: float, norm_H: float) -> int:
+    """ceil(8 T ||H||), at least 1, rounded up to even: the first L tried."""
+    steps = max(1, math.ceil(8.0 * total_time * norm_H))
+    return steps + steps % 2
 
 
 def _signed_epsilon(cfg: EvolutionConfig) -> float:
@@ -94,7 +121,9 @@ def evolve_discrete(
     With ``snapshot_stride`` set, the state is advanced step by step with a
     per-step renormalization guard and intermediate states are recorded.
     Without snapshots the step unitaries are combined by pairwise products
-    in vectorized chunks, which is numerically equivalent and much faster.
+    in vectorized chunks, which is numerically equivalent and much faster;
+    for even L the same pass also multiplies the squared even-index
+    unitaries U_{2j}^2 into ``half_state``, the L/2-step final state.
     """
     psi = _check_state(psi0, h.dim)
     L = cfg.steps
@@ -121,21 +150,18 @@ def evolve_discrete(
             snapshots.append((L, psi.copy()))
         return EvolutionResult(psi, L, tuple(snapshots))
 
-    product: np.ndarray | None = None
+    product = half = None
     for lo, hi in chunk_ranges(0, L, h.dim):
-        partial = ordered_product(_step_batch(h, lo, hi, cfg))
+        unitaries = _step_batch(h, lo, hi, cfg)
+        partial = ordered_product(unitaries)
         product = partial if product is None else partial @ product
-    psi = product @ psi
-    nrm = float(np.linalg.norm(psi))
-    # aggregate of L per-step allowances: benign roundoff grows with L,
-    # a non-unitary step would overshoot this by many orders
-    guard = max(NORM_DRIFT_GUARD, 64.0 * np.finfo(float).eps * L)
-    if abs(nrm - 1.0) >= guard:
-        raise NumericalInstabilityError(
-            f"accumulated norm drift {abs(nrm - 1.0):.3e} over {L} steps "
-            f"exceeds the {guard:.1e} guard"
-        )
-    return EvolutionResult(psi / nrm, L, None)
+        # a chunk may start at an odd index, and then hold no even one
+        even = unitaries[lo % 2 :: 2]
+        if L % 2 == 0 and len(even):
+            partial = ordered_product(even @ even)
+            half = partial if half is None else partial @ half
+    half_state = _guarded(half @ psi, L) if L % 2 == 0 else None
+    return EvolutionResult(_guarded(product @ psi, L), L, half_state=half_state)
 
 
 def evolve_adaptive(
@@ -148,11 +174,13 @@ def evolve_adaptive(
     step_ceiling: int = DEFAULT_STEP_CEILING,
     norm_H: float | None = None,
 ) -> EvolutionResult:
-    """Double L from ceil(8 T ||H||) until successive finals agree.
+    """Double L from ceil(8 T ||H||), rounded up to even, until it converges.
 
-    Terminates when the phase-invariant distance between the L-step and
-    2L-step final states drops below ``disc_tol`` and returns the finer
-    result.  Raises NonConvergenceError at the step ceiling.
+    Each level runs one ``evolve_discrete`` pass at L, which also yields the
+    L/2-step final state on the same grid.  The first L at which the
+    phase-invariant distance between the L/2-step and the L-step final
+    states drops below ``disc_tol`` is returned, with its L-step result.
+    Raises NonConvergenceError once L would exceed the step ceiling.
     """
     if not disc_tol > 0.0:
         raise DomainError("disc_tol must be positive")
@@ -160,27 +188,18 @@ def evolve_adaptive(
         raise DomainError("total_time must be positive")
     if norm_H is None:
         norm_H = norm_bundle(h).norm_H
-    L = max(1, math.ceil(8.0 * total_time * norm_H))
-    if L > step_ceiling:
-        raise NonConvergenceError(
-            f"initial step count {L} already exceeds the ceiling {step_ceiling}"
-        )
-    previous = evolve_discrete(
-        h, psi0, EvolutionConfig(total_time, L, sign_convention)
-    ).final_state
-    while True:
-        L *= 2
-        if L > step_ceiling:
-            raise NonConvergenceError(
-                f"step count {L} exceeds the ceiling {step_ceiling} before "
-                f"reaching disc_tol={disc_tol:g}"
-            )
-        current = evolve_discrete(
+    L = _initial_steps(total_time, norm_H)
+    while L <= step_ceiling:
+        result = evolve_discrete(
             h, psi0, EvolutionConfig(total_time, L, sign_convention)
-        ).final_state
-        if distance_phase_invariant(previous, current) < disc_tol:
-            return EvolutionResult(current, L, None)
-        previous = current
+        )
+        if distance_phase_invariant(result.half_state, result.final_state) < disc_tol:
+            return result
+        L *= 2
+    raise NonConvergenceError(
+        f"step count {L} exceeds the ceiling {step_ceiling} before "
+        f"reaching disc_tol={disc_tol:g}"
+    )
 
 
 def distance_phase_invariant(psi: np.ndarray, phi: np.ndarray) -> float:

@@ -96,6 +96,31 @@ class TestEvolveDiscrete:
             )
             assert np.linalg.norm(fast.final_state - slow.final_state) < 1e-11
 
+    def test_half_state_equals_half_grid_evolution(self, lz, grover3):
+        # d = 7 batches hold 42,799 steps, so later batches start at odd
+        # indices; the last batch of 128,398 steps holds only step 128,397
+        cases = (
+            (lz, 300.0, 4096),
+            (grover3, 200.0, 30_000),
+            (al.random_interpolation(7, 3), 50.0, 128_398),
+        )
+        for inst, total_time, steps in cases:
+            psi0 = _ground(inst)
+            fine = al.evolve_discrete(inst, psi0, al.EvolutionConfig(total_time, steps))
+            coarse = al.evolve_discrete(
+                inst, psi0, al.EvolutionConfig(total_time, steps // 2)
+            )
+            assert np.linalg.norm(fine.half_state - coarse.final_state) < 1e-11
+
+    def test_half_state_only_for_even_streamed_runs(self, lz):
+        psi0 = _ground(lz)
+        odd = al.evolve_discrete(lz, psi0, al.EvolutionConfig(3.0, 127))
+        snapshots = al.evolve_discrete(
+            lz, psi0, al.EvolutionConfig(3.0, 128, snapshot_stride=16)
+        )
+        assert odd.half_state is None
+        assert snapshots.half_state is None
+
     def test_sign_convention_equivalence(self, lz):
         # paper_plus under H equals physics_minus under -H
         neg = al.affine_hamiltonian(
@@ -118,7 +143,9 @@ class TestEvolveAdaptive:
         zero = al.affine_hamiltonian(np.zeros((2, 2)), np.zeros((2, 2)))
         psi0 = np.array([1.0, 0.0], dtype=complex)
         result = al.evolve_adaptive(zero, psi0, 10.0, 1e-6)
-        assert result.L_used == 2  # first doubling comparison already agrees
+        # L_start = 1 rounds up to 2, and the 1-step vs 2-step comparison
+        # inside that one pass already agrees
+        assert result.L_used == 2
         assert np.allclose(result.final_state, psi0)
 
     def test_constant_hamiltonian_first_comparison(self, const_instance):
@@ -130,6 +157,17 @@ class TestEvolveAdaptive:
         psi0 = _ground(lz)
         result = al.evolve_adaptive(lz, psi0, 1000.0, 1e-4)
         assert result.L_used <= 2**22
+
+    def test_returned_state_is_within_tolerance_of_finer_grid(self, lz, grover3):
+        disc_tol = 1e-3
+        for inst, total_time in ((lz, 1000.0), (grover3, 2000.0)):
+            psi0 = _ground(inst)
+            result = al.evolve_adaptive(inst, psi0, total_time, disc_tol)
+            finer = al.evolve_discrete(
+                inst, psi0, al.EvolutionConfig(total_time, 4 * result.L_used)
+            )
+            distance = al.distance_phase_invariant(result.final_state, finer.final_state)
+            assert distance < disc_tol
 
     def test_ceiling_raises(self, lz):
         psi0 = _ground(lz)

@@ -4,8 +4,8 @@ The continuous evolution is represented only as the large-L limit of the
 ordered product U_{L-1} ... U_1 U_0 of step unitaries
 U_j = exp(sign * i * (T/L) * H(j/L)); convergence is certified by step
 doubling: the L/2-step product on the same grid must agree with the
-L-step product, and L is doubled until it does.  The L/2-step product
-comes at no extra exponential, because its step j is
+L-step product, and L grows by powers of two until it does.  The L/2-step
+product comes at no extra exponential, because its step j is
 exp(sign * i * (2T/L) * H(2j/L)) = U_{2j}^2.  Step unitaries are exact
 spectral exponentials, so the only error under study is the O(1/L)
 discretization error itself.  ``_step_batch`` is the one place that
@@ -174,13 +174,16 @@ def evolve_adaptive(
     step_ceiling: int = DEFAULT_STEP_CEILING,
     norm_H: float | None = None,
 ) -> EvolutionResult:
-    """Double L from ceil(8 T ||H||), rounded up to even, until it converges.
+    """Raise L from ceil(8 T ||H||), rounded up to even, until it converges.
 
     Each level runs one ``evolve_discrete`` pass at L, which also yields the
     L/2-step final state on the same grid.  The first L at which the
-    phase-invariant distance between the L/2-step and the L-step final
+    phase-invariant distance d between the L/2-step and the L-step final
     states drops below ``disc_tol`` is returned, with its L-step result.
-    Raises NonConvergenceError once L would exceed the step ceiling.
+    d is an O(1/L) estimate, so a failed level predicts the jump: L grows
+    by the smallest power of two k >= 2 with d/k < disc_tol, clamped to the
+    largest power-of-two multiple of L within the step ceiling.  Raises
+    NonConvergenceError once even 2L would exceed the ceiling.
     """
     if not disc_tol > 0.0:
         raise DomainError("disc_tol must be positive")
@@ -193,9 +196,13 @@ def evolve_adaptive(
         result = evolve_discrete(
             h, psi0, EvolutionConfig(total_time, L, sign_convention)
         )
-        if distance_phase_invariant(result.half_state, result.final_state) < disc_tol:
+        distance = distance_phase_invariant(result.half_state, result.final_state)
+        if distance < disc_tol:
             return result
-        L *= 2
+        k = 2
+        while distance / k >= disc_tol and 2 * k * L <= step_ceiling:
+            k *= 2
+        L *= k
     raise NonConvergenceError(
         f"step count {L} exceeds the ceiling {step_ceiling} before "
         f"reaching disc_tol={disc_tol:g}"

@@ -261,21 +261,16 @@ def _taylor_residual(path: EigenPath) -> float:
     return float(np.linalg.norm(w + d1[1:] / L, axis=1).max())
 
 
-def check_error_vector_taylor(
-    h: TimeDependentHamiltonian,
-    selector,
-    path: EigenPath,
-    fit_lengths=DEFAULT_FIT_LENGTHS,
-) -> CheckEntry:
+def check_error_vector_taylor(path: EigenPath, fit_paths) -> CheckEntry:
     """w_{j+1} = -Psi'((j+1)/L)/L up to an O(1/L^2) remainder.
 
-    The remainder's decay exponent is fitted over step-count doublings;
-    anything >= 1.7 certifies the quadratic falloff.
+    The remainder's decay exponent is fitted over ``fit_paths``, the same
+    branch tracked at doubling step counts L = npoints - 1; anything >= 1.7
+    certifies the quadratic falloff.
     """
-    residuals = [
-        _taylor_residual(track_eigenpath(h, n + 1, selector)) for n in fit_lengths
-    ]
-    exponent = _fit_exponent(fit_lengths, residuals)
+    exponent = _fit_exponent(
+        [p.npoints - 1 for p in fit_paths], [_taylor_residual(p) for p in fit_paths]
+    )
     target_residual = _taylor_residual(path)
     return CheckEntry(
         name="error_vector_taylor_exponent",
@@ -289,24 +284,14 @@ def check_error_vector_taylor(
 
 
 def check_error_vector_norm(
-    path: EigenPath,
-    cfg: ProofCheckConfig,
-    h: TimeDependentHamiltonian,
-    selector,
-    fit_lengths=DEFAULT_FIT_LENGTHS,
+    path: EigenPath, cfg: ProofCheckConfig, fit_paths
 ) -> CheckEntry:
-    """max_j ||w_j|| <= ||H'|| / (lambda L), with fitted 1/L^2 remainder."""
+    """max_j ||w_j|| <= ||H'|| / (lambda L), with a 1/L^2 remainder fitted
+    over ``fit_paths`` (as in ``check_error_vector_taylor``)."""
     measured = float(np.linalg.norm(error_vectors(path), axis=1).max())
     bound = cfg.norm_h1 / (cfg.lam * cfg.L)
-    values = [
-        float(
-            np.linalg.norm(
-                error_vectors(track_eigenpath(h, n + 1, selector)), axis=1
-            ).max()
-        )
-        for n in fit_lengths
-    ]
-    _, c2 = _fit_remainder(fit_lengths, values, (1.0, 2.0))
+    values = [float(np.linalg.norm(error_vectors(p), axis=1).max()) for p in fit_paths]
+    _, c2 = _fit_remainder([p.npoints - 1 for p in fit_paths], values, (1.0, 2.0))
     remainder = max(float(c2), 0.0) / cfg.L**2
     return CheckEntry(
         name="error_vector_norm",
@@ -695,9 +680,11 @@ def run_proofcheck(
     provider = _StepUnitaries(shifted, total_time, L)
     w = error_vectors(path)
 
+    fit_paths = [track_eigenpath(h, n + 1, selector) for n in fit_lengths]
     entries: list[CheckEntry] = [check_gauge_residual(path)]
-    entries.append(check_error_vector_taylor(h, selector, path, fit_lengths))
-    entries.append(check_error_vector_norm(path, cfg, h, selector, fit_lengths))
+    entries.append(check_error_vector_taylor(path, fit_paths))
+    entries.append(check_error_vector_norm(path, cfg, fit_paths))
+    del fit_paths  # keep them out of the block checks' peak memory
     entries.extend(check_error_vector_drift(path, cfg, norms_shifted, k_max))
     entries.append(check_step_unitary_drift(shifted, cfg, norms_shifted, fit_lengths))
     for start in cfg.block_starts:

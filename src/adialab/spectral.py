@@ -2,10 +2,14 @@
 
 A branch selected at s = 0 is continued across the grid by maximum-overlap
 matching against the previous state, which stays robust when non-tracked
-branches cross.  Each matched state is then phase-rotated so that the
-overlap with its predecessor is real and nonnegative — the discrete form
-of the parallel-transport gauge <Psi'(s), Psi(s)> = 0.  ``gauge_residual``
-certifies the gauge numerically from finite differences of the states.
+branches cross.  Matching runs per batch of grid points in constant-rank
+segments: one batched overlap computation assumes the branch keeps its
+sorted index and ends at the first point that picks another.  Each matched
+state is then phase-rotated so that the overlap with its predecessor is
+real and nonnegative — the discrete form of the parallel-transport gauge
+<Psi'(s), Psi(s)> = 0; the rotations are one cumulative product of the
+raw overlaps' phases.  ``gauge_residual`` certifies the gauge numerically
+from finite differences of the states.
 ``eigen_residuals`` measures how well sampled states solve the eigenvalue
 equation of a Hamiltonian; the gap scan and the zero-eigenvalue shift both
 gate on it.
@@ -73,7 +77,14 @@ def track_eigenpath(
     vector, in which case the branch with the largest initial overlap is
     taken.  Raises GapCollapseError if the tracked eigenvalue comes within
     1e-8 * ||H(s)|| of another branch, and UnderResolvedGridError if two
-    consecutive states overlap by less than 0.5 in magnitude.
+    consecutive states overlap by less than 0.5 in magnitude; the first
+    failing point raises, its overlap check before its margin check.
+
+    Each batch is matched in segments of constant sorted index, so the
+    number of batched overlap computations is 1 + the index switches in it.
+    With m_j = <v_{idx_j}(s_j), v_{idx_{j-1}}(s_{j-1})> on the raw
+    eigenvectors, state j is v_{idx_j}(s_j) R_j with R_j = R_{j-1} m_j/|m_j|,
+    and ``gauge_phase`` is the running sum of angle(R_j).
     """
     if grid_size < 2:
         raise DomainError("grid_size must be at least 2")
@@ -95,58 +106,76 @@ def track_eigenpath(
     gammas = np.empty(grid_size)
     spectra = np.empty((grid_size, dim))
     tracked = np.empty(grid_size, dtype=np.intp)
-    gauge_phase = np.zeros(grid_size)
 
+    rotation = np.ones(grid_size, dtype=complex)
     gap = np.inf
-    previous: np.ndarray | None = None
+    previous = current = None
     for lo, hi in chunk_ranges(0, grid_size, dim):
-        mats = eval_batch(h, grid[lo:hi])
-        evals, evecs = np.linalg.eigh(mats)
+        evals, evecs = np.linalg.eigh(eval_batch(h, grid[lo:hi]))
         evecs = evecs.astype(complex, copy=False)
-        for offset in range(hi - lo):
-            j = lo + offset
-            w = evals[offset]
-            v = evecs[offset]
-            if j == 0:
-                if match_vector is None:
-                    idx = 0
-                else:
-                    idx = int(np.argmax(np.abs(v.conj().T @ match_vector)))
-                state = v[:, idx]
-            else:
-                overlaps = v.conj().T @ previous
-                idx = int(np.argmax(np.abs(overlaps)))
-                overlap = overlaps[idx]
-                magnitude = abs(overlap)
-                if magnitude < MIN_BRANCH_OVERLAP:
-                    raise UnderResolvedGridError(
-                        f"consecutive overlap {magnitude:.3f} < "
-                        f"{MIN_BRANCH_OVERLAP} at s={grid[j]:.6g}; "
-                        "refine the grid"
-                    )
-                # overlaps[idx] = <v_idx, previous>, so multiplying the
-                # candidate by overlap/|overlap| makes <previous, state>
-                # real and nonnegative
-                rotation = overlap / magnitude
-                state = v[:, idx] * rotation
-                gauge_phase[j] = gauge_phase[j - 1] + float(np.angle(rotation))
+        rows = np.arange(hi - lo)
+        picks = np.empty(hi - lo, dtype=np.intp)
+        overlap = np.ones(hi - lo, dtype=complex)
+        start = 0
+        if lo == 0:
+            current = 0 if match_vector is None else int(
+                np.argmax(np.abs(evecs[0].conj().T @ match_vector))
+            )
+            picks[0], previous, start = current, evecs[0, :, current], 1
+        # Constant-rank segments: assume the branch keeps index `current`,
+        # compare every remaining point with its predecessor's raw column
+        # (|overlap| ignores the phase), and restart after the first point
+        # whose argmax differs.  Conjugating the (n, d) side instead of the
+        # (n, d, d) batch saves a copy; the einsum gives conj(<v_k, back>).
+        while start < hi - lo:
+            back = np.concatenate([previous[None], evecs[start:-1, :, current]])
+            conj_overlaps = np.einsum("nik,ni->nk", evecs[start:], back.conj())
+            best = np.argmax(np.abs(conj_overlaps), axis=1)
+            switched = np.flatnonzero(best != current)
+            stop = hi - lo if switched.size == 0 else start + int(switched[0]) + 1
+            seg = slice(start, stop)
+            picks[seg] = best[: stop - start]
+            overlap[seg] = conj_overlaps[rows[: stop - start], picks[seg]].conj()
+            current = int(picks[stop - 1])
+            previous, start = evecs[stop - 1, :, current].copy(), stop
+        del back, conj_overlaps, best  # batch-sized; free before the checks
 
-            point_norm = float(np.abs(w).max())
-            others = np.abs(np.delete(w, idx) - w[idx])
-            margin = float(others.min()) if others.size else np.inf
-            if margin <= DEGENERACY_RTOL * point_norm or point_norm == 0.0:
-                raise GapCollapseError(
-                    f"tracked eigenvalue degenerate at s={grid[j]:.6g}: "
-                    f"nearest branch at distance {margin:.3e} "
-                    f"(tolerance {DEGENERACY_RTOL:.0e} * {point_norm:.3e})"
-                )
-            gap = min(gap, margin)
+        magnitude = np.abs(overlap)
+        point_norm = np.abs(evals).max(axis=1)
+        gammas[lo:hi] = evals[rows, picks]
+        distance = np.abs(evals - gammas[lo:hi, None])
+        distance[rows, picks] = np.inf
+        margin = distance.min(axis=1)
+        low = np.flatnonzero(magnitude < MIN_BRANCH_OVERLAP)
+        degenerate = np.flatnonzero(
+            (margin <= DEGENERACY_RTOL * point_norm) | (point_norm == 0.0)
+        )
+        # the earliest failing point raises; at one point, overlap before margin
+        if low.size and (not degenerate.size or low[0] <= degenerate[0]):
+            r = low[0]
+            raise UnderResolvedGridError(
+                f"consecutive overlap {magnitude[r]:.3f} < "
+                f"{MIN_BRANCH_OVERLAP} at s={grid[lo + r]:.6g}; refine the grid"
+            )
+        if degenerate.size:
+            r = degenerate[0]
+            raise GapCollapseError(
+                f"tracked eigenvalue degenerate at s={grid[lo + r]:.6g}: "
+                f"nearest branch at distance {margin[r]:.3e} "
+                f"(tolerance {DEGENERACY_RTOL:.0e} * {point_norm[r]:.3e})"
+            )
+        gap = min(gap, float(margin.min()))
 
-            states[j] = state
-            gammas[j] = w[idx]
-            spectra[j] = w
-            tracked[j] = idx
-            previous = state
+        # R_j = R_{j-1} m_j/|m_j| makes <state_{j-1}, state_j> real and
+        # nonnegative; the cumulative product is renormalized to modulus 1
+        # (rotation[lo - 1] is the carried R, and still 1 when lo = 0)
+        phases = rotation[lo - 1] * np.cumprod(overlap / magnitude)
+        rotation[lo:hi] = phases / np.abs(phases)
+        np.multiply(evecs[rows, :, picks], rotation[lo:hi, None], out=states[lo:hi])
+        spectra[lo:hi] = evals
+        tracked[lo:hi] = picks
+
+    gauge_phase = np.cumsum(np.angle(rotation))
 
     return EigenPath(
         grid=grid,

@@ -169,6 +169,30 @@ class TestEvolveAdaptive:
             distance = al.distance_phase_invariant(result.final_state, finer.final_state)
             assert distance < disc_tol
 
+    def test_failed_level_jumps_to_predicted_step_count(self, lz, monkeypatch):
+        # landau_zener at T = 1000 starts at L = 8,000 with d = 5.56e-5, and
+        # d halves with every doubling: blind doubling needs 7 passes to
+        # reach 512,000, the predicted jump d/k < 1e-6 (k = 64) needs 2
+        levels = []
+        evolve = al.evolution.evolve_discrete
+
+        def counted(h, psi0, cfg):
+            levels.append(cfg.steps)
+            return evolve(h, psi0, cfg)
+
+        monkeypatch.setattr(al.evolution, "evolve_discrete", counted)
+        psi0 = _ground(lz)
+        result = al.evolve_adaptive(lz, psi0, 1000.0, 1e-6)
+        assert result.L_used == 512_000
+        assert levels == [8_000, 512_000]
+
+        # the jump is clamped to the largest power-of-two multiple of L
+        # within the ceiling; failing there, the next doubling exceeds it
+        levels.clear()
+        with pytest.raises(NonConvergenceError, match="128000"):
+            al.evolve_adaptive(lz, psi0, 1000.0, 1e-6, step_ceiling=100_000)
+        assert levels == [8_000, 64_000]
+
     def test_ceiling_raises(self, lz):
         psi0 = _ground(lz)
         with pytest.raises(NonConvergenceError):

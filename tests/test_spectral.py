@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 import adialab as al
-from adialab._linalg import eigh_batch
+from adialab._linalg import chunk_ranges, eigh_batch
 from adialab.errors import DomainError, GapCollapseError, UnderResolvedGridError
-from adialab.hamiltonians import HermitianOperator
+from adialab.hamiltonians import HermitianOperator, eval_batch
 from adialab.problems import (
     PAULI_X,
     PAULI_Z,
     grover_gap,
     landau_zener_eigenvalue,
 )
+from adialab.spectral import DEGENERACY_RTOL, MIN_BRANCH_OVERLAP
 
 from conftest import rotating_two_level
 
@@ -51,6 +52,105 @@ class TestDecompose:
         assert np.allclose(v @ coeffs, vec)
 
 
+def sequential_track(h, grid_size, selector="ground"):
+    """Per-point maximum-overlap walk: the oracle for ``track_eigenpath``.
+
+    Same chunks, evaluation and eigh calls as the library, then one point
+    at a time: match against the previous gauge-fixed state, rotate the
+    overlap to be real and nonnegative, check overlap, then margin.
+    Returns (states, gammas, eigenvalues, tracked_index, gauge_phase, gap).
+    """
+    match_vector = None if isinstance(selector, str) else np.asarray(selector, complex)
+    grid = np.linspace(0.0, 1.0, grid_size)
+    states = np.empty((grid_size, h.dim), dtype=complex)
+    gammas = np.empty(grid_size)
+    spectra = np.empty((grid_size, h.dim))
+    tracked = np.empty(grid_size, dtype=np.intp)
+    gauge_phase = np.zeros(grid_size)
+    gap = np.inf
+    previous = None
+    for lo, hi in chunk_ranges(0, grid_size, h.dim):
+        evals, evecs = np.linalg.eigh(eval_batch(h, grid[lo:hi]))
+        evecs = evecs.astype(complex, copy=False)
+        for offset in range(hi - lo):
+            j = lo + offset
+            w, v = evals[offset], evecs[offset]
+            if j == 0:
+                idx = 0
+                if match_vector is not None:
+                    idx = int(np.argmax(np.abs(v.conj().T @ match_vector)))
+                state = v[:, idx]
+            else:
+                overlaps = v.conj().T @ previous
+                idx = int(np.argmax(np.abs(overlaps)))
+                magnitude = abs(overlaps[idx])
+                if magnitude < MIN_BRANCH_OVERLAP:
+                    raise UnderResolvedGridError(
+                        f"consecutive overlap {magnitude:.3f} < "
+                        f"{MIN_BRANCH_OVERLAP} at s={grid[j]:.6g}; "
+                        "refine the grid"
+                    )
+                rotation = overlaps[idx] / magnitude
+                state = v[:, idx] * rotation
+                gauge_phase[j] = gauge_phase[j - 1] + float(np.angle(rotation))
+            point_norm = float(np.abs(w).max())
+            others = np.abs(np.delete(w, idx) - w[idx])
+            margin = float(others.min()) if others.size else np.inf
+            if margin <= DEGENERACY_RTOL * point_norm or point_norm == 0.0:
+                raise GapCollapseError(
+                    f"tracked eigenvalue degenerate at s={grid[j]:.6g}: "
+                    f"nearest branch at distance {margin:.3e} "
+                    f"(tolerance {DEGENERACY_RTOL:.0e} * {point_norm:.3e})"
+                )
+            gap = min(gap, margin)
+            states[j], gammas[j], spectra[j], tracked[j] = state, w[idx], w, idx
+            previous = state
+    return states, gammas, spectra, tracked, gauge_phase, gap
+
+
+def dft(d):
+    return np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / np.sqrt(d)
+
+
+def level_crossing(d, crossing):
+    """diag(0, s - crossing, 2, 3, ..., d - 1): the initial ground branch
+    crosses the zero level at s = crossing, so maximum-overlap matching
+    moves it from sorted index 0 to 1."""
+    h0 = np.diag([0.0, -crossing, *range(2, d)])
+    h1 = np.diag([0.0, 1.0 - crossing, *range(2, d)])
+    return al.affine_hamiltonian(h0, h1)
+
+
+def three_point(mats):
+    """H(0), H(1/2), H(1) = mats; meant for a three-point grid."""
+    return al.TimeDependentHamiltonian(
+        dim=mats[0].shape[0], evaluator=lambda s: mats[round(2.0 * s)]
+    )
+
+
+def assert_matches_oracle(h, grid_size, selector="ground"):
+    states, gammas, spectra, tracked, phase, gap = sequential_track(
+        h, grid_size, selector
+    )
+    path = al.track_eigenpath(h, grid_size, selector)
+    assert np.array_equal(path.gammas, gammas)
+    assert np.array_equal(path.eigenvalues, spectra)
+    assert np.array_equal(path.tracked_index, tracked)
+    assert path.gap == gap
+    assert np.abs(path.states - states).max() <= 1e-12
+    assert np.abs(path.gauge_phase - phase).max() <= 1e-9
+    return path
+
+
+def assert_same_error_as_oracle(h, grid_size, error, where):
+    """Same class and message as the oracle; ``where`` locates the point."""
+    with pytest.raises(error) as expected:
+        sequential_track(h, grid_size)
+    with pytest.raises(error, match=where) as got:
+        al.track_eigenpath(h, grid_size)
+    assert str(got.value) == str(expected.value)
+
+
 class TestTrackEigenpath:
     def test_constant_hamiltonian_constant_path(self, const_instance):
         path = al.track_eigenpath(const_instance, 65)
@@ -83,20 +183,17 @@ class TestTrackEigenpath:
         assert np.allclose(path.gammas, 2.0)
 
     def test_degenerate_instance_collapses(self):
-        with pytest.raises(GapCollapseError, match="s="):
-            al.track_eigenpath(al.transverse_ising(2), 257)
+        assert_same_error_as_oracle(
+            al.transverse_ising(2), 257, GapCollapseError, "s=1:"
+        )
 
     def test_under_resolved_grid(self):
         # endpoints diagonal in mutually unbiased bases: with only two grid
         # points every candidate overlap is 1/sqrt(8) < 0.5
         d = 8
         diag = np.diag(np.arange(d, dtype=float))
-        dft = np.exp(
-            2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d
-        ) / np.sqrt(d)
-        inst = al.affine_hamiltonian(diag, dft @ diag @ dft.conj().T)
-        with pytest.raises(UnderResolvedGridError, match="refine"):
-            al.track_eigenpath(inst, 2)
+        inst = al.affine_hamiltonian(diag, dft(d) @ diag @ dft(d).conj().T)
+        assert_same_error_as_oracle(inst, 2, UnderResolvedGridError, "refine")
         al.track_eigenpath(inst, 1025)  # fine grid succeeds
 
     def test_grid_validation(self, lz):
@@ -104,6 +201,53 @@ class TestTrackEigenpath:
             al.track_eigenpath(lz, 1)
         with pytest.raises(DomainError):
             al.track_eigenpath(lz, 9, selector="excited")
+
+
+class TestTrackerMatchesSequentialWalk:
+    def test_suite_and_match_selector(self, suite, rand4):
+        for inst in suite:
+            assert_matches_oracle(inst, 1025)
+        vector = np.random.default_rng(3).standard_normal(4).astype(complex)
+        path = assert_matches_oracle(rand4, 1025, vector)
+        assert path.tracked_index[0] != 0  # a branch other than the ground
+
+    def test_chunks_carry_the_previous_vector(self):
+        # 4,097 points at d = 32 are three batches of 2,048, 2,048 and 1;
+        # the complex random instance also carries the gauge rotation
+        assert_matches_oracle(al.grover(5), 4097)
+        assert_matches_oracle(al.random_interpolation(32, seed=1), 2049)
+
+    def test_branch_switch_at_crossing(self):
+        crossing = al.affine_hamiltonian(np.diag([0.0, -1.0]), np.diag([0.0, 1.0]))
+        for grid_size, j in ((1024, 511), (4096, 2047)):
+            path = assert_matches_oracle(crossing, grid_size)
+            assert np.flatnonzero(np.diff(path.tracked_index)).tolist() == [j]
+
+    def test_branch_switch_at_chunk_boundary(self):
+        # d = 32, 4,097 points: batches start at 2,048 and 4,096.  Crossings
+        # just before point 2,048 (first point of a batch) and before 2,047
+        # (last point of a batch) restart a segment at either end.
+        for j in (2048, 2047):
+            h = level_crossing(32, (j - 0.5) / 4096)
+            path = assert_matches_oracle(h, 4097)
+            assert np.flatnonzero(np.diff(path.tracked_index)).tolist() == [j - 1]
+
+    def test_earlier_failure_wins(self):
+        # d = 16 in the DFT basis: every column overlaps the standard basis
+        # by 1/4 < 0.5, and pairing the eigenvalues leaves every column with
+        # a partner at distance 0 (a pair's span overlaps e_0 by <= 0.354)
+        d = 16
+        f = dft(d)
+        distinct = np.diag(np.arange(d, dtype=float))
+        paired = np.diag(np.repeat(np.arange(0, d, 2), 2).astype(float))
+        low_overlap, both = f @ distinct @ f.conj().T, f @ paired @ f.conj().T
+        cases = (
+            ((distinct, low_overlap, both), UnderResolvedGridError, "s=0.5;"),
+            ((distinct, paired, low_overlap), GapCollapseError, "s=0.5:"),
+            ((distinct, both, distinct), UnderResolvedGridError, "s=0.5;"),
+        )
+        for mats, error, where in cases:
+            assert_same_error_as_oracle(three_point(mats), 3, error, where)
 
 
 class TestSpectralGap:

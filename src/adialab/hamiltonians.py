@@ -6,12 +6,16 @@ or second-order finite differences with one-sided stencils at the interval
 ends) and the sup-norm quantities max_s ||H(s)||, max_s ||H'(s)||,
 max_s ||H''(s)|| consumed by the runtime bound.
 
-Sup norms are approximated on a uniform grid (default 1025 points), sampled
-in batches by ``eval_batch`` and ``derivative_batch``, followed by one
-golden-section refinement around the grid argmax.  Every sample passes one
-Hermiticity check (``_check_hermitian``, relative to each matrix's largest
-entry); failing matrices are rejected rather than symmetrized, so instance
-bugs fail loudly.
+Sup norms are approximated on a uniform grid (default 1025 points):
+``norm_spectra`` takes the eigenvalues of H, H' and H'' at every grid point,
+sampled by ``eval_batch`` and ``derivative_batch`` in ``chunk_ranges``
+batches, and ``norm_bundle`` takes each grid max from them followed by one
+golden-section refinement around the grid argmax, evaluated point by point.
+A caller that already holds a spectrum on the grid (a tracked path's, or a
+translated copy for H(s) - c(s) I) passes it in instead of sampling again.
+Every sample passes one Hermiticity check (``_check_hermitian``, relative
+to each matrix's largest entry); failing matrices are rejected rather than
+symmetrized, so instance bugs fail loudly.
 """
 
 from __future__ import annotations
@@ -172,15 +176,33 @@ def eval_batch(
     return mats
 
 
+def _fd_side(s: float, step: float) -> str:
+    """Stencil side at s: one-sided wherever a central stencil leaves [0, 1]."""
+    if s - step < 0.0:
+        return "left"
+    if s + step > 1.0:
+        return "right"
+    return "central"
+
+
 def _fd_matrix(h: TimeDependentHamiltonian, s: float, order: int) -> np.ndarray:
     step = h.fd_step
-    if s - step < 0.0:
-        side = "left"
-    elif s + step > 1.0:
-        side = "right"
-    else:
-        side = "central"
-    return fd_combine(lambda k: _raw(h, s + k * step), order, side, step)
+    return fd_combine(lambda k: _raw(h, s + k * step), order, _fd_side(s, step), step)
+
+
+def _fd_scalar(
+    f: Callable[[np.ndarray], np.ndarray], s_values: np.ndarray, order: int, step: float
+) -> np.ndarray:
+    """The finite difference ``_fd_matrix`` takes, of a vectorized scalar f."""
+    s_values = np.asarray(s_values, dtype=float)
+    sides = np.array([_fd_side(s, step) for s in s_values])
+    out = np.empty(s_values.size)
+    for side in ("left", "central", "right"):
+        mask = sides == side
+        if mask.any():
+            at = s_values[mask]
+            out[mask] = fd_combine(lambda k: f(at + k * step), order, side, step)
+    return out
 
 
 def _derivative_matrix(
@@ -266,26 +288,59 @@ def _refined_max(
     return best
 
 
-def norm_bundle(
-    h: TimeDependentHamiltonian, grid_size: int = DEFAULT_NORM_GRID
-) -> NormBundle:
-    """Measure the sup norms of H, H' and H'' on a uniform grid."""
+def norm_spectra(
+    h: TimeDependentHamiltonian,
+    grid_size: int = DEFAULT_NORM_GRID,
+    h_eigenvalues: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues of H, H' and H'' on ``norm_bundle``'s grid, (grid_size, dim) each.
+
+    Samples are taken in ``chunk_ranges`` batches, so one batch of matrices
+    is alive at a time.  ``h_eigenvalues``, when given, is H's spectrum on
+    the same grid (a path tracked on it holds one), and H is not sampled.
+    """
     if grid_size < 2:
         raise DomainError("grid_size must be at least 2")
     grid = np.linspace(0.0, 1.0, grid_size)
+    orders = (0, 1, 2) if h_eigenvalues is None else (1, 2)
+    spectra = {order: np.empty((grid_size, h.dim)) for order in orders}
+    for lo, hi in chunk_ranges(0, grid_size, h.dim):
+        for order in orders:
+            if order == 0:
+                mats = eval_batch(h, grid[lo:hi])
+            else:
+                mats = derivative_batch(h, grid[lo:hi], order)
+            spectra[order][lo:hi] = np.linalg.eigvalsh(mats)
+            del mats  # one batch alive at a time
+    return spectra.get(0, h_eigenvalues), spectra[1], spectra[2]
 
-    mats = eval_batch(h, grid)
-    vals_h = opnorm_hermitian(mats)
-    norm_h = _refined_max(vals_h, grid, lambda s: operator_norm(eval_at(h, s)))
 
-    out = [norm_h]
-    for order in (1, 2):
-        vals = opnorm_hermitian(derivative_batch(h, grid, order))
-        out.append(
-            _refined_max(
-                vals, grid, lambda s: operator_norm(derivative(h, s, order))
-            )
-        )
+def norm_bundle(
+    h: TimeDependentHamiltonian,
+    grid_size: int = DEFAULT_NORM_GRID,
+    *,
+    spectra: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> NormBundle:
+    """Measure the sup norms of H, H' and H'' on a uniform grid.
+
+    ``spectra`` are the eigenvalues of H, H' and H'' at the grid points, as
+    ``norm_spectra`` returns them; when omitted they are computed.  The
+    refinement around each grid argmax evaluates ``h`` point by point.
+    """
+    if spectra is None:
+        spectra = norm_spectra(h, grid_size)
+    elif any(np.shape(spec) != (grid_size, h.dim) for spec in spectra):
+        raise DomainError(f"spectra must have shape {(grid_size, h.dim)} each")
+    grid = np.linspace(0.0, 1.0, grid_size)
+    point_fns = (
+        lambda s: operator_norm(eval_at(h, s)),
+        lambda s: operator_norm(derivative(h, s, 1)),
+        lambda s: operator_norm(derivative(h, s, 2)),
+    )
+    out = [
+        _refined_max(np.abs(spec).max(axis=1), grid, point_fn)
+        for spec, point_fn in zip(spectra, point_fns)
+    ]
     return NormBundle(out[0], out[1], out[2], grid_size)
 
 
@@ -299,6 +354,7 @@ __all__ = [
     "derivative_batch",
     "operator_norm",
     "norm_bundle",
+    "norm_spectra",
     "DEFAULT_NORM_GRID",
     "DEFAULT_FD_STEP",
     "HERMITICITY_RTOL",

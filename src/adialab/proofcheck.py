@@ -28,7 +28,12 @@ import numpy as np
 from ._linalg import chunk_ranges, grid_derivative, opnorm
 from .errors import DomainError, FeasibilityError, IntegrityError, NumericalError
 from .evolution import EvolutionConfig, _step_batch
-from .hamiltonians import NormBundle, TimeDependentHamiltonian, norm_bundle
+from .hamiltonians import (
+    NormBundle,
+    TimeDependentHamiltonian,
+    norm_bundle,
+    norm_spectra,
+)
 from .spectral import EigenPath, gauge_residual, path_derivatives, track_eigenpath
 from .theorem import TheoremInputs, _shift_and_measure, required_time_special
 
@@ -656,10 +661,9 @@ def run_proofcheck(
 
     path = track_eigenpath(h, L + 1, selector)
     lam = path.gap
-    norms = norm_bundle(h, norm_grid)
-    shifted, norms_shifted = _shift_and_measure(
-        h, path, norms, lam, norm_grid=norm_grid
-    )
+    spectra = norm_spectra(h, norm_grid)
+    norms = norm_bundle(h, norm_grid, spectra=spectra)
+    shifted, norms_shifted = _shift_and_measure(h, path, spectra, norms, lam)
 
     if total_time is None:
         total_time = required_time_special(

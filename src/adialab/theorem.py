@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -34,7 +35,13 @@ from .evolution import (
     distance_phase_invariant,
     evolve_adaptive,
 )
-from .hamiltonians import NormBundle, TimeDependentHamiltonian, norm_bundle
+from .hamiltonians import (
+    NormBundle,
+    TimeDependentHamiltonian,
+    _fd_scalar,
+    norm_bundle,
+    norm_spectra,
+)
 from .spectral import (
     DEFAULT_GRID,
     DEGENERACY_RTOL,
@@ -86,23 +93,15 @@ def required_time_special(inputs: TheoremInputs) -> float:
     return SPECIAL_CONSTANT / inputs.delta**2 * _bound_kernel(inputs.norms, inputs.lam)
 
 
-def _shift_and_measure(
-    h: TimeDependentHamiltonian,
-    path: EigenPath,
-    base_norms: NormBundle | None = None,
-    lam: float | None = None,
-    *,
-    norm_grid: int = DEFAULT_GRID,
-    validate: bool = True,
-) -> tuple[TimeDependentHamiltonian, NormBundle]:
-    """Build H~(s) = H(s) - gamma(s) I and measure its norm bundle.
+def _shifted_frame(
+    h: TimeDependentHamiltonian, path: EigenPath
+) -> tuple[TimeDependentHamiltonian, tuple[Callable, Callable, Callable]]:
+    """H~(s) = H(s) - gamma(s) I, and gamma, gamma', gamma'' on s arrays.
 
     gamma between grid points is interpolated by a cubic spline (a C^2
-    interpolant keeps the ||H~''|| estimate stable).  The postconditions
-    checked when ``validate`` is set: the tracked states are null vectors
-    of H~ at every grid point, and the shifted norms obey
-    ||H~'|| <= 2||H'|| and ||H~''|| <= 2||H''|| + 4||H'||^2/lambda within
-    5% slack.
+    interpolant keeps the ||H~''|| estimate stable).  The two derivatives
+    follow the rule H~ itself uses: the spline's in analytic mode, H's
+    finite-difference stencil over spline values otherwise.
     """
     spline = CubicSpline(path.grid, path.gammas)
     dspline = spline.derivative(1)
@@ -124,9 +123,15 @@ def _shift_and_measure(
         d1 = lambda s: base.d1(s) - float(dspline(s)) * eye  # noqa: E731
         d2 = lambda s: base.d2(s) - float(d2spline(s)) * eye  # noqa: E731
         mode = "analytic"
+        shift_rules = (spline, dspline, d2spline)
     else:
         d1 = d2 = None
         mode = "finite_difference"
+        shift_rules = (
+            spline,
+            lambda s: _fd_scalar(spline, s, 1, base.fd_step),
+            lambda s: _fd_scalar(spline, s, 2, base.fd_step),
+        )
 
     shifted = TimeDependentHamiltonian(
         dim=base.dim,
@@ -139,41 +144,77 @@ def _shift_and_measure(
         params={**base.params, "shifted_by": "tracked_eigenvalue"},
         evaluator_batch=batch,
     )
-    shifted_norms = norm_bundle(shifted, norm_grid)
+    return shifted, shift_rules
 
-    if validate:
-        point_norms = np.maximum(np.abs(path.eigenvalues).max(axis=1), 1e-300)
-        residual = eigen_residuals(
-            shifted, path.grid, path.states, np.zeros(path.npoints)
+
+def _check_null_states(shifted: TimeDependentHamiltonian, path: EigenPath) -> None:
+    """The tracked states must be null vectors of H~ at every grid point."""
+    point_norms = np.maximum(np.abs(path.eigenvalues).max(axis=1), 1e-300)
+    residual = eigen_residuals(shifted, path.grid, path.states, np.zeros(path.npoints))
+    bad = np.flatnonzero(residual > DEGENERACY_RTOL * point_norms)
+    if bad.size:
+        raise IntegrityError(
+            f"shifted Hamiltonian does not annihilate the tracked "
+            f"state at s={path.grid[bad[0]]:.6g}"
         )
-        bad = np.flatnonzero(residual > DEGENERACY_RTOL * point_norms)
-        if bad.size:
-            raise IntegrityError(
-                f"shifted Hamiltonian does not annihilate the tracked "
-                f"state at s={path.grid[bad[0]]:.6g}"
-            )
-        if base_norms is not None and lam is not None:
-            slack = 1.0 + SHIFT_NORM_SLACK
-            bound_h1 = 2.0 * base_norms.norm_H1
-            bound_h2 = 2.0 * base_norms.norm_H2 + 4.0 * base_norms.norm_H1**2 / lam
-            if shifted_norms.norm_H1 > bound_h1 * slack + 1e-12:
-                raise IntegrityError(
-                    f"shifted ||H'|| = {shifted_norms.norm_H1:.6g} exceeds "
-                    f"2||H'|| = {bound_h1:.6g} beyond 5% slack"
-                )
-            if shifted_norms.norm_H2 > bound_h2 * slack + 1e-12:
-                raise IntegrityError(
-                    f"shifted ||H''|| = {shifted_norms.norm_H2:.6g} exceeds "
-                    f"2||H''|| + 4||H'||^2/lambda = {bound_h2:.6g} beyond 5% slack"
-                )
+
+
+def _shift_and_measure(
+    h: TimeDependentHamiltonian,
+    path: EigenPath,
+    spectra: tuple[np.ndarray, np.ndarray, np.ndarray],
+    base_norms: NormBundle,
+    lam: float,
+) -> tuple[TimeDependentHamiltonian, NormBundle]:
+    """Build H~(s) = H(s) - gamma(s) I and measure its norm bundle.
+
+    ``spectra`` are the eigenvalues of H, H' and H'' on the norm grid, as
+    ``norm_spectra`` returns them.  Subtracting a real scalar times I only
+    translates a spectrum, so the grid spectra of H~, H~' and H~'' are
+    those minus gamma, gamma' and gamma'' at each grid point, taken by the
+    rule H~ uses for its own derivatives; no shifted matrix is sampled on
+    the grid.  The golden-section refinement around each grid argmax still
+    evaluates H~ point by point.  Postconditions: the tracked states are
+    null vectors of H~ at every path grid point, and the shifted norms obey
+    ||H~'|| <= 2||H'|| and ||H~''|| <= 2||H''|| + 4||H'||^2/lambda within
+    5% slack.
+    """
+    shifted, shift_rules = _shifted_frame(h, path)
+    norm_grid = spectra[0].shape[0]
+    grid = np.linspace(0.0, 1.0, norm_grid)
+    translated = tuple(
+        spec - rule(grid)[:, None] for spec, rule in zip(spectra, shift_rules)
+    )
+    shifted_norms = norm_bundle(shifted, norm_grid, spectra=translated)
+
+    _check_null_states(shifted, path)
+    slack = 1.0 + SHIFT_NORM_SLACK
+    bound_h1 = 2.0 * base_norms.norm_H1
+    bound_h2 = 2.0 * base_norms.norm_H2 + 4.0 * base_norms.norm_H1**2 / lam
+    if shifted_norms.norm_H1 > bound_h1 * slack + 1e-12:
+        raise IntegrityError(
+            f"shifted ||H'|| = {shifted_norms.norm_H1:.6g} exceeds "
+            f"2||H'|| = {bound_h1:.6g} beyond 5% slack"
+        )
+    if shifted_norms.norm_H2 > bound_h2 * slack + 1e-12:
+        raise IntegrityError(
+            f"shifted ||H''|| = {shifted_norms.norm_H2:.6g} exceeds "
+            f"2||H''|| + 4||H'||^2/lambda = {bound_h2:.6g} beyond 5% slack"
+        )
     return shifted, shifted_norms
 
 
 def shift_to_zero_eigenvalue(
     h: TimeDependentHamiltonian, path: EigenPath, *, validate: bool = True
 ) -> TimeDependentHamiltonian:
-    """Subtract the tracked eigenvalue: H~(s) = H(s) - gamma(s) I."""
-    shifted, _ = _shift_and_measure(h, path, validate=validate)
+    """Subtract the tracked eigenvalue: H~(s) = H(s) - gamma(s) I.
+
+    With ``validate`` set, the tracked states must be null vectors of H~
+    at every grid point (``IntegrityError`` otherwise).
+    """
+    shifted, _ = _shifted_frame(h, path)
+    if validate:
+        _check_null_states(shifted, path)
     return shifted
 
 
@@ -247,10 +288,9 @@ def verify(
 
     path = track_eigenpath(h, grid_size, selector)
     lam = path.gap
-    norms = norm_bundle(h, grid_size)
-    shifted, norms_shifted = _shift_and_measure(
-        h, path, norms, lam, norm_grid=grid_size
-    )
+    spectra = norm_spectra(h, grid_size, path.eigenvalues)
+    norms = norm_bundle(h, grid_size, spectra=spectra)
+    shifted, norms_shifted = _shift_and_measure(h, path, spectra, norms, lam)
 
     if case == "general":
         t_required = required_time_general(TheoremInputs(delta, norms, lam, "general"))

@@ -3,7 +3,14 @@ import pytest
 
 import adialab as al
 from adialab.errors import DomainError, IntegrityError, NumericalError
-from adialab.hamiltonians import HermitianOperator, derivative_batch, eval_batch
+from adialab import hamiltonians
+from adialab.hamiltonians import (
+    HermitianOperator,
+    _fd_scalar,
+    derivative_batch,
+    eval_batch,
+    norm_spectra,
+)
 from adialab.problems import PAULI_X, PAULI_Z
 
 from conftest import rotating_two_level
@@ -149,6 +156,28 @@ class TestDerivative:
                 assert np.abs(got - want).max() < 1e-4
 
 
+    def test_scalar_stencil_matches_matrix_stencil(self):
+        # _fd_scalar picks the side and weights of _fd_matrix: on
+        # H(s) = diag(f(s), 0) the two agree to rounding, at the ends too,
+        # where a wrong side would differ by its stencil error O(step**2)
+        step = 1e-4
+
+        def f(s):
+            return s * s * s * s * s - 0.5 * s * s
+
+        fd = al.TimeDependentHamiltonian(
+            dim=2, evaluator=lambda s: np.diag([f(s), 0.0]), fd_step=step
+        )
+        s_values = np.concatenate(
+            [[0.0, 0.4 * step, step, 1.0 - step, 1.0 - 0.4 * step, 1.0],
+             np.linspace(0.0, 1.0, 33)]
+        )
+        for order in (1, 2):
+            want = derivative_batch(fd, s_values, order)[:, 0, 0].real
+            got = _fd_scalar(f, s_values, order, step)
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-18)
+
+
 class TestOperatorNorm:
     def test_zero_matrix(self):
         assert al.operator_norm(HermitianOperator(np.zeros((2, 2)))) == 0.0
@@ -195,6 +224,27 @@ class TestNormBundle:
     def test_grid_size_validation(self, lz):
         with pytest.raises(DomainError):
             al.norm_bundle(lz, 1)
+        with pytest.raises(DomainError, match="shape"):
+            al.norm_bundle(lz, 65, spectra=norm_spectra(lz, 33))
+
+    def test_spectra_match_whole_grid_batches(self, monkeypatch):
+        # 2,049 points at d = 32 span two chunk_ranges batches; eigvalsh
+        # works matrix by matrix, so batching changes no bit
+        inst = al.random_interpolation(32, seed=1)
+        grid = np.linspace(0.0, 1.0, 2049)
+        spectra = norm_spectra(inst, grid.size)
+        assert np.array_equal(spectra[0], np.linalg.eigvalsh(eval_batch(inst, grid)))
+        for order in (1, 2):
+            want = np.linalg.eigvalsh(derivative_batch(inst, grid, order))
+            assert np.array_equal(spectra[order], want)
+        # a spectrum handed in is used as it is, and H is not sampled again
+        calls = []
+        monkeypatch.setattr(
+            hamiltonians, "eval_batch", lambda *a, **k: calls.append(a) or eval_batch(*a, **k)
+        )
+        again = norm_spectra(inst, grid.size, spectra[0])
+        assert again[0] is spectra[0] and not calls
+        assert np.array_equal(again[2], spectra[2])
 
     def test_outputs_stay_hermitian_on_samples(self):
         inst = rotating_two_level(2.0)

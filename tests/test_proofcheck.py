@@ -399,6 +399,26 @@ class TestRunProofcheck:
         assert rows[0] == "name,measured,bound,slack,direction,passed,note"
         assert len(rows) == len(report.entries) + 1
 
+    def test_shifted_norms_match_per_matrix_path(self, lz, grover2):
+        # norms_shifted come from translated spectra; the per-matrix oracle
+        # is norm_bundle on the shifted Hamiltonian, and Delta follows it
+        # (grover(2)'s bound time needs more steps, so it runs at T = 2000)
+        L, delta = 8192, 1.0
+        for inst, total_time in ((lz, None), (grover2, 2000.0)):
+            report = al.run_proofcheck(inst, L=L, delta=delta, total_time=total_time)
+            path = al.track_eigenpath(inst, L + 1)
+            want = al.norm_bundle(al.shift_to_zero_eigenvalue(inst, path), 1025)
+            got = report.metadata["norms_shifted"]
+            for key in ("norm_H", "norm_H1", "norm_H2"):
+                assert got[key] == pytest.approx(getattr(want, key), rel=1e-12, abs=0.0)
+            if total_time is None:
+                total_time = required_time_special(
+                    TheoremInputs(delta, want, path.gap, "special")
+                )
+            assert report.metadata["T"] == pytest.approx(total_time, rel=1e-12)
+            cfg = ProofCheckConfig.from_bound(L, total_time, delta, want.norm_H1, path.gap)
+            assert report.metadata["Delta"] == cfg.Delta
+
     def test_small_angle_regime_enforced(self, lz):
         with pytest.raises(FeasibilityError, match="pi/2"):
             al.run_proofcheck(lz, L=1024, delta=1.0, total_time=3.3e5)

@@ -4,14 +4,33 @@ import numpy as np
 import pytest
 
 import adialab as al
-from adialab.errors import DomainError, FeasibilityError
-from adialab.hamiltonians import NormBundle
+from adialab import hamiltonians
+from adialab.errors import DomainError, FeasibilityError, IntegrityError
+from adialab.hamiltonians import NormBundle, derivative_batch, norm_spectra
 from adialab.problems import landau_zener_eigenvalue
-from adialab.theorem import TheoremInputs
+from adialab.theorem import TheoremInputs, _shifted_frame
+
+from conftest import rotating_two_level
 
 
 def _inputs(delta, h1, h2, lam, case):
     return TheoremInputs(delta, NormBundle(1.0, h1, h2, 2), lam, case)
+
+
+def _assert_bundles_close(got, want, rtol):
+    for key in ("norm_H", "norm_H1", "norm_H2"):
+        assert getattr(got, key) == pytest.approx(getattr(want, key), rel=rtol, abs=0.0)
+
+
+def _moving_fd_instance():
+    """rotating_two_level plus diag(s^2, sin(3s)/2), in finite-difference
+    mode: the tracked eigenvalue moves, so gamma' and gamma'' are nonzero."""
+    base = rotating_two_level()
+    return al.TimeDependentHamiltonian(
+        dim=2,
+        evaluator=lambda s: base.evaluator(s) + np.diag([s * s, 0.5 * np.sin(3.0 * s)]),
+        name="moving_rotation",
+    )
 
 
 class TestRequiredTime:
@@ -98,6 +117,23 @@ class TestShift:
             bound = 2.0 * norms.norm_H2 + 4.0 * norms.norm_H1**2 / path.gap
             assert shifted_norms.norm_H2 <= bound + 1e-6
 
+    def test_shift_measures_no_norms(self, lz, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            hamiltonians,
+            "derivative_batch",
+            lambda *args: calls.append(args) or derivative_batch(*args),
+        )
+        al.shift_to_zero_eigenvalue(lz, al.track_eigenpath(lz, 257))
+        assert not calls
+
+    def test_foreign_path_is_rejected(self, lz, const_instance):
+        # the postcondition: H~ must annihilate the tracked states
+        path = al.track_eigenpath(const_instance, 65)
+        with pytest.raises(IntegrityError, match="annihilate"):
+            al.shift_to_zero_eigenvalue(lz, path)
+        al.shift_to_zero_eigenvalue(lz, path, validate=False)
+
     def test_shift_invariance_of_evolution(self, suite):
         # identity shifts commute away: same evolution up to global phase
         for inst in suite:
@@ -108,6 +144,63 @@ class TestShift:
             a = al.evolve_discrete(inst, psi0, cfg).final_state
             b = al.evolve_discrete(shifted, psi0, cfg).final_state
             assert al.distance_phase_invariant(a, b) <= 1e-8
+
+
+class TestVerifyNorms:
+    """verify takes H~'s grid spectra from H's, translated by gamma, gamma'
+    and gamma''; norm_bundle on the shifted Hamiltonian is the per-matrix
+    oracle."""
+
+    def test_analytic_instances_match_per_matrix_oracle(self, suite):
+        for inst in [*suite, al.grover(5), al.random_interpolation(32, seed=1)]:
+            verdict = al.verify(inst, delta=1.0, case="special", T_override=0.0)
+            path = al.track_eigenpath(inst, 1025)
+            shifted = al.shift_to_zero_eigenvalue(inst, path)
+            oracle = norm_spectra(shifted, 1025)  # what norm_bundle(shifted) samples
+            _assert_bundles_close(verdict.norms, al.norm_bundle(inst, 1025), 1e-12)
+            _assert_bundles_close(
+                verdict.norms_shifted, al.norm_bundle(shifted, 1025, spectra=oracle), 1e-12
+            )
+            # the grid values too, which the refinement can mask in a bundle
+            _, rules = _shifted_frame(inst, path)
+            base = norm_spectra(inst, 1025, path.eigenvalues)
+            for order in range(3):
+                translated = base[order] - rules[order](path.grid)[:, None]
+                scale = np.abs(oracle[order]).max()
+                assert np.abs(translated - oracle[order]).max() <= 1e-12 * scale
+
+    def test_finite_difference_instance_matches_per_matrix_oracle(self):
+        inst = _moving_fd_instance()
+        path = al.track_eigenpath(inst, 1025)
+        _, rules = _shifted_frame(inst, path)
+        for order in (1, 2):
+            assert np.abs(rules[order](path.grid)).max() > 0.5
+        verdict = al.verify(inst, delta=1.0, case="special", T_override=0.0)
+        shifted = al.shift_to_zero_eigenvalue(inst, path)
+        _assert_bundles_close(verdict.norms, al.norm_bundle(inst, 1025), 1e-12)
+        _assert_bundles_close(verdict.norms_shifted, al.norm_bundle(shifted, 1025), 1e-9)
+
+    def test_non_hermitian_derivative_is_integrity_error(self, lz):
+        # non-Hermitian at s = 1/2 only, far from the refinement around the
+        # argmax at s = 0: the grid batch of H' is the only check that sees it
+        def d1(s):
+            return lz.d1(s) + (np.array([[0.0, 1.0], [0.0, 0.0]]) if s == 0.5 else 0.0)
+
+        bad = al.TimeDependentHamiltonian(
+            dim=2, evaluator=lz.evaluator, derivative_mode="analytic", d1=d1, d2=lz.d2
+        )
+        with pytest.raises(IntegrityError, match="order-1 derivative"):
+            al.verify(bad, delta=1.0, T_override=0.0, grid_size=65)
+
+    def test_non_hermitian_evaluator_is_integrity_error(self, lz):
+        def evaluator(s):
+            return lz.evaluator(s) + (np.array([[0.0, 1.0], [0.0, 0.0]]) if s == 0.5 else 0.0)
+
+        bad = al.TimeDependentHamiltonian(
+            dim=2, evaluator=evaluator, derivative_mode="analytic", d1=lz.d1, d2=lz.d2
+        )
+        with pytest.raises(IntegrityError, match="evaluator output"):
+            al.verify(bad, delta=1.0, T_override=0.0, grid_size=65)
 
 
 class TestVerify:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .errors import (
@@ -28,10 +27,16 @@ from .errors import (
     NumericalError,
     UnderResolvedGridError,
 )
-from .evolution import EvolutionConfig, distance_phase_invariant, evolve_discrete
+from .evolution import (
+    DEFAULT_STEP_CEILING,
+    EvolutionConfig,
+    distance_phase_invariant,
+    evolve_discrete,
+)
+from .hamiltonians import DEFAULT_NORM_GRID
 from .problems import InstanceSpec
 from .proofcheck import run_proofcheck
-from .spectral import spectral_gap, track_eigenpath
+from .spectral import DEFAULT_GRID, spectral_gap, track_eigenpath
 from .theorem import verify
 
 EXIT_PASS = 0
@@ -176,14 +181,10 @@ def _verify_options(data: dict) -> dict:
     return {
         "delta": float(_expect(data, "delta", _NUMBER)),
         "case": _expect(data, "case", str, "general"),
-        "grid_size": _expect(data, "grid_size", int, 1025),
+        "grid_size": _expect(data, "grid_size", int, DEFAULT_GRID),
         "disc_tol": _expect(data, "disc_tol", _NUMBER),
-        "step_ceiling": _expect(data, "step_ceiling", int, 2**30),
+        "step_ceiling": _expect(data, "step_ceiling", int, DEFAULT_STEP_CEILING),
     }
-
-
-def _sweep_point(spec: InstanceSpec, options: dict, t_value: float):
-    return verify(spec.build(), T_override=t_value, **options)
 
 
 def cmd_sweep(args) -> int:
@@ -195,15 +196,8 @@ def cmd_sweep(args) -> int:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"field 'T_values[{i}]' must be a number")
     options = _verify_options(data)
-    spec = _build_instance(data, args.seed)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            verdicts = list(
-                pool.map(lambda t: _sweep_point(spec, options, float(t)), t_values)
-            )
-    else:
-        verdicts = [_sweep_point(spec, options, float(t)) for t in t_values]
+    h = _build_instance(data, args.seed).build()
+    verdicts = [verify(h, T_override=float(t), **options) for t in t_values]
 
     if args.format == "json":
         payload = {
@@ -233,7 +227,7 @@ def cmd_gap_scan(args) -> int:
     data = _load_config(args.config, "gap-scan")
     spec = _build_instance(data, args.seed)
     h = spec.build()
-    grid_size = _expect(data, "grid_size", int, 1025)
+    grid_size = _expect(data, "grid_size", int, DEFAULT_GRID)
     path = track_eigenpath(h, grid_size)
     report = spectral_gap(h, path)
     if args.format == "json":
@@ -260,7 +254,7 @@ def cmd_proof_check(args) -> int:
         L=_expect(data, "L", int),
         delta=float(_expect(data, "delta", _NUMBER)),
         total_time=_expect(data, "T", _NUMBER),
-        norm_grid=_expect(data, "grid_size", int, 1025),
+        norm_grid=_expect(data, "grid_size", int, DEFAULT_NORM_GRID),
         k_max=_expect(data, "k_max", int),
     )
     payload = report.to_dict()
@@ -286,7 +280,7 @@ def cmd_simulate(args) -> int:
     total_time = float(_expect(data, "T", _NUMBER))
     steps = _expect(data, "L", int)
     stride = _expect(data, "snapshot_stride", int, max(1, steps // 100))
-    grid_size = _expect(data, "grid_size", int, 1025)
+    grid_size = _expect(data, "grid_size", int, DEFAULT_GRID)
     sign = _expect(data, "sign_convention", str, "paper_plus")
 
     path = track_eigenpath(h, grid_size)
@@ -330,7 +324,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--seed", type=int, default=None)
     return parser
 
@@ -339,9 +332,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     if args.format is None:
         args.format = _DEFAULT_FORMAT[args.command]
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

@@ -18,7 +18,8 @@ class NumericalError(AdialabError):
 
 
 class NumericalInstabilityError(NumericalError):
-    """State-norm drift exceeded the per-step renormalization guard."""
+    """State-norm drift exceeded its guard: per step on the snapshot path,
+    aggregated over all L steps on the streamed path."""
 
 
 class GapCollapseError(NumericalError):

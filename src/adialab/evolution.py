@@ -170,7 +170,6 @@ def evolve_adaptive(
     total_time: float,
     disc_tol: float,
     *,
-    sign_convention: str = "paper_plus",
     step_ceiling: int = DEFAULT_STEP_CEILING,
     norm_H: float | None = None,
 ) -> EvolutionResult:
@@ -193,9 +192,7 @@ def evolve_adaptive(
         norm_H = norm_bundle(h).norm_H
     L = _initial_steps(total_time, norm_H)
     while L <= step_ceiling:
-        result = evolve_discrete(
-            h, psi0, EvolutionConfig(total_time, L, sign_convention)
-        )
+        result = evolve_discrete(h, psi0, EvolutionConfig(total_time, L))
         distance = distance_phase_invariant(result.half_state, result.final_state)
         if distance < disc_tol:
             return result

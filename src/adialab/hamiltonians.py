@@ -1,10 +1,12 @@
 """Time-dependent Hermitian Hamiltonians H(s), s in [0, 1].
 
 Each sample is a dense complex Hermitian matrix.  A TimeDependentHamiltonian
-bundles the evaluator with first and second derivatives (analytic callables
-or second-order finite differences with one-sided stencils at the interval
-ends) and the sup-norm quantities max_s ||H(s)||, max_s ||H'(s)||,
-max_s ||H''(s)|| consumed by the runtime bound.
+bundles the evaluator with analytic first and second derivatives and the
+sup-norm quantities max_s ||H(s)||, max_s ||H'(s)||, max_s ||H''(s)||
+consumed by the runtime bound.  The derivatives are always supplied by the
+instance: the bound needs sup ||H''|| as an upper bound, and a finite
+difference of H carries roundoff of order eps ||H|| / h^2 that can push
+the measured value below the true one.
 
 Sup norms are approximated on a uniform grid (default 1025 points):
 ``norm_spectra`` takes the eigenvalues of H, H' and H'' at every grid point,
@@ -28,7 +30,6 @@ import numpy as np
 from ._linalg import (
     chunk_ranges,
     dagger,
-    fd_combine,
     golden_section_max,
     opnorm_hermitian,
 )
@@ -36,7 +37,6 @@ from .errors import DomainError, IntegrityError, NumericalError
 
 HERMITICITY_RTOL = 1e-12
 DEFAULT_NORM_GRID = 1025
-DEFAULT_FD_STEP = 1e-5
 
 Evaluator = Callable[[float], np.ndarray]
 BatchEvaluator = Callable[[np.ndarray], np.ndarray]
@@ -88,20 +88,19 @@ def operator_norm(a: HermitianOperator) -> float:
 
 @dataclass(frozen=True)
 class TimeDependentHamiltonian:
-    """Sampler for H(s) with derivative access and instance metadata.
+    """Sampler for H(s) and its analytic derivatives, with instance metadata.
 
-    ``evaluator`` must be a pure function of s; all values are immutable
-    after construction, so instances are safe to share across threads.
-    ``evaluator_batch``, when provided, evaluates a whole array of s values
-    at once (shape (n, dim, dim)) and is used by the hot evolution loops.
+    ``evaluator``, ``d1`` and ``d2`` return H(s), H'(s) and H''(s) and must
+    be pure functions of s; all values are immutable after construction,
+    so instances are safe to share across threads.  ``evaluator_batch``,
+    when provided, evaluates a whole array of s values at once (shape
+    (n, dim, dim)) and is used by the hot evolution loops.
     """
 
     dim: int
     evaluator: Evaluator
-    derivative_mode: str = "finite_difference"
-    d1: Evaluator | None = None
-    d2: Evaluator | None = None
-    fd_step: float = DEFAULT_FD_STEP
+    d1: Evaluator
+    d2: Evaluator
     name: str = ""
     params: dict = field(default_factory=dict)
     evaluator_batch: BatchEvaluator | None = None
@@ -109,15 +108,6 @@ class TimeDependentHamiltonian:
     def __post_init__(self) -> None:
         if self.dim < 2:
             raise DomainError("Hamiltonian dimension must be at least 2")
-        if self.derivative_mode not in ("analytic", "finite_difference"):
-            raise DomainError(
-                f"unknown derivative_mode {self.derivative_mode!r}; "
-                "expected 'analytic' or 'finite_difference'"
-            )
-        if self.derivative_mode == "analytic" and (self.d1 is None or self.d2 is None):
-            raise DomainError("analytic mode requires both d1 and d2 callables")
-        if not (0.0 < self.fd_step <= 0.1):
-            raise DomainError("fd_step must lie in (0, 0.1]")
 
 
 def _check_s(s: float) -> float:
@@ -129,8 +119,10 @@ def _check_s(s: float) -> float:
 
 def _check_s_values(s_values: np.ndarray) -> np.ndarray:
     s_values = np.asarray(s_values, dtype=float)
-    if s_values.size and (s_values.min() < 0.0 or s_values.max() > 1.0):
-        raise DomainError("s values must lie in [0, 1]")
+    # written so that NaN, which fails every comparison, is rejected too
+    outside = ~((s_values >= 0.0) & (s_values <= 1.0))
+    if outside.any():
+        raise DomainError(f"s={s_values[outside].flat[0]} lies outside [0, 1]")
     return s_values
 
 
@@ -139,27 +131,27 @@ def _check_order(order: int) -> None:
         raise DomainError(f"derivative order must be 1 or 2, got {order}")
 
 
-def _raw(h: TimeDependentHamiltonian, s: float) -> np.ndarray:
-    mat = np.asarray(h.evaluator(s), dtype=complex)
+def _sample(h: TimeDependentHamiltonian, s: float, order: int = 0) -> np.ndarray:
+    """H(s), H'(s) or H''(s) for order 0, 1 or 2, checked for shape only."""
+    mat = np.asarray((h.evaluator, h.d1, h.d2)[order](s), dtype=complex)
     if mat.shape != (h.dim, h.dim):
+        source = "evaluator" if order == 0 else f"order-{order} derivative"
         raise IntegrityError(
-            f"evaluator returned shape {mat.shape}, expected {(h.dim, h.dim)}"
+            f"{source} returned shape {mat.shape}, expected {(h.dim, h.dim)}"
         )
     return mat
 
 
 def eval_at(h: TimeDependentHamiltonian, s: float) -> HermitianOperator:
     """Evaluate H(s), certifying the result Hermitian."""
-    return HermitianOperator(_raw(h, _check_s(s)))
+    return HermitianOperator(_sample(h, _check_s(s)))
 
 
-def eval_batch(
-    h: TimeDependentHamiltonian, s_values: np.ndarray, validate: bool = True
-) -> np.ndarray:
+def eval_batch(h: TimeDependentHamiltonian, s_values: np.ndarray) -> np.ndarray:
     """Evaluate H on an array of s values; returns shape (n, dim, dim).
 
-    Validation checks every matrix of the batch for Hermiticity in one
-    vectorized pass.
+    Every matrix of the batch is checked for Hermiticity in one vectorized
+    pass.
     """
     s_values = _check_s_values(s_values)
     if h.evaluator_batch is not None:
@@ -170,68 +162,18 @@ def eval_batch(
                 f"{(s_values.size, h.dim, h.dim)}"
             )
     else:
-        mats = np.stack([_raw(h, float(s)) for s in s_values])
-    if validate:
-        _check_hermitian(mats, "evaluator output")
+        mats = np.stack([_sample(h, float(s)) for s in s_values])
+    _check_hermitian(mats, "evaluator output")
     return mats
-
-
-def _fd_side(s: float, step: float) -> str:
-    """Stencil side at s: one-sided wherever a central stencil leaves [0, 1]."""
-    if s - step < 0.0:
-        return "left"
-    if s + step > 1.0:
-        return "right"
-    return "central"
-
-
-def _fd_matrix(h: TimeDependentHamiltonian, s: float, order: int) -> np.ndarray:
-    step = h.fd_step
-    return fd_combine(lambda k: _raw(h, s + k * step), order, _fd_side(s, step), step)
-
-
-def _fd_scalar(
-    f: Callable[[np.ndarray], np.ndarray], s_values: np.ndarray, order: int, step: float
-) -> np.ndarray:
-    """The finite difference ``_fd_matrix`` takes, of a vectorized scalar f."""
-    s_values = np.asarray(s_values, dtype=float)
-    sides = np.array([_fd_side(s, step) for s in s_values])
-    out = np.empty(s_values.size)
-    for side in ("left", "central", "right"):
-        mask = sides == side
-        if mask.any():
-            at = s_values[mask]
-            out[mask] = fd_combine(lambda k: f(at + k * step), order, side, step)
-    return out
-
-
-def _derivative_matrix(
-    h: TimeDependentHamiltonian, s: float, order: int
-) -> np.ndarray:
-    if h.derivative_mode == "analytic":
-        fn = h.d1 if order == 1 else h.d2
-        mat = np.asarray(fn(s), dtype=complex)  # type: ignore[misc]
-        if mat.shape != (h.dim, h.dim):
-            raise IntegrityError(
-                f"analytic derivative returned shape {mat.shape}, "
-                f"expected {(h.dim, h.dim)}"
-            )
-        return mat
-    return _fd_matrix(h, s, order)
 
 
 def derivative(
     h: TimeDependentHamiltonian, s: float, order: int
 ) -> HermitianOperator:
-    """H'(s) or H''(s): supplied analytically or by finite differences.
-
-    Finite differences are second-order central stencils in the interior
-    and second-order one-sided stencils near s = 0 and s = 1, so no
-    stencil point ever leaves [0, 1].
-    """
+    """H'(s) or H''(s) from the instance's analytic ``d1`` or ``d2``."""
     s = _check_s(s)
     _check_order(order)
-    return HermitianOperator(_derivative_matrix(h, s, order))
+    return HermitianOperator(_sample(h, s, order))
 
 
 def derivative_batch(
@@ -242,7 +184,7 @@ def derivative_batch(
     _check_order(order)
     mats = np.empty((s_values.size, h.dim, h.dim), dtype=complex)
     for i, s in enumerate(s_values):
-        mats[i] = _derivative_matrix(h, float(s), order)
+        mats[i] = _sample(h, float(s), order)
     _check_hermitian(mats, f"order-{order} derivative")
     return mats
 
@@ -356,6 +298,5 @@ __all__ = [
     "norm_bundle",
     "norm_spectra",
     "DEFAULT_NORM_GRID",
-    "DEFAULT_FD_STEP",
     "HERMITICITY_RTOL",
 ]

@@ -49,7 +49,6 @@ def affine_hamiltonian(
     return TimeDependentHamiltonian(
         dim=h0.shape[0],
         evaluator=evaluate,
-        derivative_mode="analytic",
         d1=lambda s: diff,
         d2=lambda s: zero,
         name=name,

@@ -29,6 +29,7 @@ from ._linalg import chunk_ranges, grid_derivative, opnorm
 from .errors import DomainError, FeasibilityError, IntegrityError, NumericalError
 from .evolution import EvolutionConfig, _step_batch
 from .hamiltonians import (
+    DEFAULT_NORM_GRID,
     NormBundle,
     TimeDependentHamiltonian,
     norm_bundle,
@@ -639,7 +640,7 @@ def run_proofcheck(
     total_time: float | None = None,
     *,
     selector="ground",
-    norm_grid: int = 1025,
+    norm_grid: int = DEFAULT_NORM_GRID,
     k_max: int | None = None,
     fit_lengths=DEFAULT_FIT_LENGTHS,
 ) -> ProofReport:

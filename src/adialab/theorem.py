@@ -38,7 +38,6 @@ from .evolution import (
 from .hamiltonians import (
     NormBundle,
     TimeDependentHamiltonian,
-    _fd_scalar,
     norm_bundle,
     norm_spectra,
 )
@@ -99,9 +98,8 @@ def _shifted_frame(
     """H~(s) = H(s) - gamma(s) I, and gamma, gamma', gamma'' on s arrays.
 
     gamma between grid points is interpolated by a cubic spline (a C^2
-    interpolant keeps the ||H~''|| estimate stable).  The two derivatives
-    follow the rule H~ itself uses: the spline's in analytic mode, H's
-    finite-difference stencil over spline values otherwise.
+    interpolant keeps the ||H~''|| estimate stable), and H~'s analytic
+    derivatives subtract the spline's first and second derivatives.
     """
     spline = CubicSpline(path.grid, path.gammas)
     dspline = spline.derivative(1)
@@ -119,32 +117,16 @@ def _shifted_frame(
             shifts = np.asarray(spline(s_values), dtype=float)
             return base.evaluator_batch(s_values) - shifts[:, None, None] * eye
 
-    if base.derivative_mode == "analytic":
-        d1 = lambda s: base.d1(s) - float(dspline(s)) * eye  # noqa: E731
-        d2 = lambda s: base.d2(s) - float(d2spline(s)) * eye  # noqa: E731
-        mode = "analytic"
-        shift_rules = (spline, dspline, d2spline)
-    else:
-        d1 = d2 = None
-        mode = "finite_difference"
-        shift_rules = (
-            spline,
-            lambda s: _fd_scalar(spline, s, 1, base.fd_step),
-            lambda s: _fd_scalar(spline, s, 2, base.fd_step),
-        )
-
     shifted = TimeDependentHamiltonian(
         dim=base.dim,
         evaluator=evaluate,
-        derivative_mode=mode,
-        d1=d1,
-        d2=d2,
-        fd_step=base.fd_step,
+        d1=lambda s: base.d1(s) - float(dspline(s)) * eye,
+        d2=lambda s: base.d2(s) - float(d2spline(s)) * eye,
         name=(base.name + "_shifted") if base.name else "shifted",
         params={**base.params, "shifted_by": "tracked_eigenvalue"},
         evaluator_batch=batch,
     )
-    return shifted, shift_rules
+    return shifted, (spline, dspline, d2spline)
 
 
 def _check_null_states(shifted: TimeDependentHamiltonian, path: EigenPath) -> None:
@@ -171,9 +153,9 @@ def _shift_and_measure(
     ``spectra`` are the eigenvalues of H, H' and H'' on the norm grid, as
     ``norm_spectra`` returns them.  Subtracting a real scalar times I only
     translates a spectrum, so the grid spectra of H~, H~' and H~'' are
-    those minus gamma, gamma' and gamma'' at each grid point, taken by the
-    rule H~ uses for its own derivatives; no shifted matrix is sampled on
-    the grid.  The golden-section refinement around each grid argmax still
+    those minus gamma, gamma' and gamma'' at each grid point, taken from
+    the spline that H~'s own derivatives use; no shifted matrix is sampled
+    on the grid.  The golden-section refinement around each grid argmax still
     evaluates H~ point by point.  Postconditions: the tracked states are
     null vectors of H~ at every path grid point, and the shifted norms obey
     ||H~'|| <= 2||H'|| and ||H~''|| <= 2||H''|| + 4||H'||^2/lambda within
@@ -205,16 +187,15 @@ def _shift_and_measure(
 
 
 def shift_to_zero_eigenvalue(
-    h: TimeDependentHamiltonian, path: EigenPath, *, validate: bool = True
+    h: TimeDependentHamiltonian, path: EigenPath
 ) -> TimeDependentHamiltonian:
     """Subtract the tracked eigenvalue: H~(s) = H(s) - gamma(s) I.
 
-    With ``validate`` set, the tracked states must be null vectors of H~
-    at every grid point (``IntegrityError`` otherwise).
+    The tracked states must be null vectors of H~ at every grid point
+    (``IntegrityError`` otherwise).
     """
     shifted, _ = _shifted_frame(h, path)
-    if validate:
-        _check_null_states(shifted, path)
+    _check_null_states(shifted, path)
     return shifted
 
 
@@ -271,7 +252,6 @@ def verify(
     grid_size: int = DEFAULT_GRID,
     disc_tol: float | None = None,
     step_ceiling: int = DEFAULT_STEP_CEILING,
-    sign_convention: str = "paper_plus",
 ) -> TheoremVerdict:
     """Track, bound, evolve for the prescribed time, and compare.
 
@@ -322,7 +302,6 @@ def verify(
             psi0,
             t_used,
             disc_tol,
-            sign_convention=sign_convention,
             step_ceiling=step_ceiling,
             norm_H=norms_shifted.norm_H,
         )

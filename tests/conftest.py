@@ -36,13 +36,22 @@ def suite(lz, grover2, grover3, rand4):
     return [lz, grover2, grover3, rand4]
 
 
+def sampled_only(evaluator, dim: int = 2) -> al.TimeDependentHamiltonian:
+    """An instance for tests that only sample H(s): its d1 and d2 are zero,
+    which is wrong for any non-constant evaluator, so it must never be
+    differentiated."""
+    zero = np.zeros((dim, dim), dtype=complex)
+    return al.TimeDependentHamiltonian(
+        dim=dim, evaluator=evaluator, d1=lambda s: zero, d2=lambda s: zero
+    )
+
+
 def rotating_two_level(rate: float = np.pi) -> al.TimeDependentHamiltonian:
     """H(s) = -(cos(rate*s) Z + sin(rate*s) X); the ground state rotates
     in the real plane at constant speed rate/2 with a constant gap of 2."""
     return al.TimeDependentHamiltonian(
         dim=2,
         evaluator=lambda s: -(np.cos(rate * s) * PAULI_Z + np.sin(rate * s) * PAULI_X),
-        derivative_mode="analytic",
         d1=lambda s: rate * (np.sin(rate * s) * PAULI_Z - np.cos(rate * s) * PAULI_X),
         d2=lambda s: rate**2
         * (np.cos(rate * s) * PAULI_Z + np.sin(rate * s) * PAULI_X),

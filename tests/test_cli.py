@@ -37,7 +37,7 @@ def test_verify_output_matches_schema(tmp_path, capsys):
     assert payload["config"] == config
 
 
-def test_sweep_output_matches_schema_with_and_without_threads(tmp_path, capsys):
+def test_sweep_output_matches_schema(tmp_path, capsys):
     config = {"instance": LZ, "delta": 1, "case": "special", "T_values": [5, 20.0],
               "grid_size": 129}
     code, out, _ = _run(tmp_path, capsys, "sweep", config, "--format", "json")
@@ -45,10 +45,6 @@ def test_sweep_output_matches_schema_with_and_without_threads(tmp_path, capsys):
     jsonschema.validate(payload, _schema("sweep"))
     assert code == cli.EXIT_PASS
     assert [row["T"] for row in payload["rows"]] == [5.0, 20.0]
-    _, threaded, _ = _run(
-        tmp_path, capsys, "sweep", config, "--format", "json", "--threads", "2"
-    )
-    assert json.loads(threaded) == payload
 
 
 def test_gap_scan_json_and_csv(tmp_path, capsys):

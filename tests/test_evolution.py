@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import adialab as al
+from adialab import evolution
 from adialab._linalg import expm_i_hermitian
-from adialab.errors import DomainError, NonConvergenceError
+from adialab.errors import DomainError, NonConvergenceError, NumericalInstabilityError
 from adialab.evolution import _step_batch
 from adialab.problems import PAULI_Z
 
@@ -258,3 +259,21 @@ class TestUnitarityInvariant:
         result = al.evolve_discrete(inst, path.states[0], cfg)
         for _, state in result.snapshots:
             assert abs(np.linalg.norm(state) - 1.0) < 1e-10
+
+    def test_non_unitary_steps_trip_the_norm_drift_guard(self, lz, monkeypatch):
+        # steps scaled by 1 + 1e-6 drift the norm by about 1e-6 per step:
+        # the streamed path's aggregate guard (odd L checks the final state
+        # alone, even L the half state too) and the snapshot path's
+        # per-step guard must each raise
+        monkeypatch.setattr(
+            evolution,
+            "expm_i_hermitian",
+            lambda mats, t: (1.0 + 1e-6) * expm_i_hermitian(mats, t),
+        )
+        psi0 = _ground(lz)
+        for steps in (127, 128):
+            with pytest.raises(NumericalInstabilityError, match=f"over {steps} steps"):
+                al.evolve_discrete(lz, psi0, al.EvolutionConfig(3.0, steps))
+        snapshots = al.EvolutionConfig(3.0, 128, snapshot_stride=16)
+        with pytest.raises(NumericalInstabilityError, match="at step 0 "):
+            al.evolve_discrete(lz, psi0, snapshots)

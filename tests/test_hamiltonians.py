@@ -4,16 +4,16 @@ import pytest
 import adialab as al
 from adialab.errors import DomainError, IntegrityError, NumericalError
 from adialab import hamiltonians
+from adialab._linalg import grid_derivative
 from adialab.hamiltonians import (
     HermitianOperator,
-    _fd_scalar,
     derivative_batch,
     eval_batch,
     norm_spectra,
 )
 from adialab.problems import PAULI_X, PAULI_Z
 
-from conftest import rotating_two_level
+from conftest import rotating_two_level, sampled_only
 
 
 class TestHermitianOperator:
@@ -56,28 +56,27 @@ class TestEval:
         for s in (-0.01, 1.2, np.nan):
             with pytest.raises(DomainError):
                 al.eval_at(lz, s)
+            with pytest.raises(DomainError):
+                eval_batch(lz, np.array([0.5, s]))
+            with pytest.raises(DomainError):
+                derivative_batch(lz, np.array([s]), 1)
 
     def test_non_hermitian_evaluator_is_integrity_error(self):
-        bad = al.TimeDependentHamiltonian(
-            dim=2, evaluator=lambda s: np.array([[0.0, 1.0], [0.0, 0.0]])
-        )
+        bad = sampled_only(lambda s: np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(IntegrityError):
             al.eval_at(bad, 0.5)
         # each matrix of a batch is judged against its own scale: a 1e-9
         # asymmetry in an O(1) matrix fails even beside an O(1e6) one
-        mixed = al.TimeDependentHamiltonian(
-            dim=2,
-            evaluator=lambda s: np.array([[1e6, 0.0], [0.0, 1e6]])
+        mixed = sampled_only(
+            lambda s: np.array([[1e6, 0.0], [0.0, 1e6]])
             if s == 0.0
-            else np.array([[1.0, 1.0], [1.0 + 1e-9, 1.0]]),
+            else np.array([[1.0, 1.0], [1.0 + 1e-9, 1.0]])
         )
         with pytest.raises(IntegrityError):
             eval_batch(mixed, np.array([0.0, 1.0]))
 
     def test_non_finite_batch_is_numerical_error(self):
-        bad = al.TimeDependentHamiltonian(
-            dim=2, evaluator=lambda s: np.array([[np.nan, 0.0], [0.0, 1.0]])
-        )
+        bad = sampled_only(lambda s: np.array([[np.nan, 0.0], [0.0, 1.0]]))
         with pytest.raises(NumericalError):
             eval_batch(bad, np.array([0.0, 0.5]))
 
@@ -86,12 +85,12 @@ class TestEval:
         mats = eval_batch(grover2, grid)
         for s, mat in zip(grid, mats):
             assert np.allclose(mat, al.eval_at(grover2, float(s)).entries)
-        fd = al.TimeDependentHamiltonian(
-            dim=2, evaluator=rotating_two_level(np.pi).evaluator, fd_step=1e-4
-        )
+        rotating = rotating_two_level(np.pi)
         for order in (1, 2):
-            for s, mat in zip(grid, derivative_batch(fd, grid, order)):
-                assert np.array_equal(mat, al.derivative(fd, float(s), order).entries)
+            for s, mat in zip(grid, derivative_batch(rotating, grid, order)):
+                assert np.array_equal(
+                    mat, al.derivative(rotating, float(s), order).entries
+                )
 
 
 class TestDerivative:
@@ -107,75 +106,39 @@ class TestDerivative:
         with pytest.raises(DomainError):
             al.derivative(lz, 0.5, 3)
 
-    def test_trig_instance_analytic_vs_finite_difference(self):
-        # H(s) = cos(pi s) Z + sin(pi s) X; H'(0) = pi X
-        analytic = rotating_two_level(np.pi)
-        for step in (1e-4, 1e-5, 1e-6):
-            fd = al.TimeDependentHamiltonian(
-                dim=2,
-                evaluator=analytic.evaluator,
-                derivative_mode="finite_difference",
-                fd_step=step,
-            )
-            got = al.derivative(fd, 0.0, 1).entries
-            want = al.derivative(analytic, 0.0, 1).entries
-            assert np.allclose(got, want, atol=1e-4)
-        assert np.allclose(want, -np.pi * PAULI_X)  # d/ds of -sin is -pi X at 0
-
-    def test_fd_error_scales_quadratically(self):
-        analytic = rotating_two_level(np.pi)
-        steps = [2e-3, 1e-3, 5e-4, 2.5e-4]
-        errors = []
-        for step in steps:
-            fd = al.TimeDependentHamiltonian(
-                dim=2,
-                evaluator=analytic.evaluator,
-                derivative_mode="finite_difference",
-                fd_step=step,
-            )
-            diff = (
-                al.derivative(fd, 0.37, 1).entries
-                - al.derivative(analytic, 0.37, 1).entries
-            )
-            errors.append(np.abs(diff).max())
-        slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
-        assert 1.7 <= slope <= 2.3
-
     def test_one_sided_stencils_at_boundaries(self):
-        analytic = rotating_two_level(np.pi)
-        fd = al.TimeDependentHamiltonian(
-            dim=2,
-            evaluator=analytic.evaluator,
-            derivative_mode="finite_difference",
-            fd_step=1e-4,
-        )
-        for s in (0.0, 1.0):
-            for order in (1, 2):
-                got = al.derivative(fd, s, order).entries
-                want = al.derivative(analytic, s, order).entries
-                assert np.abs(got - want).max() < 1e-4
+        # f = (e^{2x}, sin(3x + 1)) sampled along axis 0, whose third and
+        # fourth derivatives vanish at neither end; the second-order
+        # stencils are exact on a quadratic, and their error falls as
+        # spacing**2 at the one-sided ends as well as in the interior
+        def f(x):
+            return np.stack([np.exp(2.0 * x), np.sin(3.0 * x + 1.0)], axis=1)
 
+        def exact(x, order):
+            if order == 1:
+                columns = [2.0 * np.exp(2.0 * x), 3.0 * np.cos(3.0 * x + 1.0)]
+            else:
+                columns = [4.0 * np.exp(2.0 * x), -9.0 * np.sin(3.0 * x + 1.0)]
+            return np.stack(columns, axis=1)
 
-    def test_scalar_stencil_matches_matrix_stencil(self):
-        # _fd_scalar picks the side and weights of _fd_matrix: on
-        # H(s) = diag(f(s), 0) the two agree to rounding, at the ends too,
-        # where a wrong side would differ by its stencil error O(step**2)
-        step = 1e-4
+        x = np.linspace(0.0, 1.0, 9)
+        quadratic = 1.0 + 2.0 * x - 3.0 * x**2
+        assert np.allclose(grid_derivative(quadratic, 1 / 8, 1), 2.0 - 6.0 * x)
+        assert np.allclose(grid_derivative(quadratic, 1 / 8, 2), -6.0)
 
-        def f(s):
-            return s * s * s * s * s - 0.5 * s * s
-
-        fd = al.TimeDependentHamiltonian(
-            dim=2, evaluator=lambda s: np.diag([f(s), 0.0]), fd_step=step
-        )
-        s_values = np.concatenate(
-            [[0.0, 0.4 * step, step, 1.0 - step, 1.0 - 0.4 * step, 1.0],
-             np.linspace(0.0, 1.0, 33)]
-        )
+        sizes = [33, 65, 129, 257]
         for order in (1, 2):
-            want = derivative_batch(fd, s_values, order)[:, 0, 0].real
-            got = _fd_scalar(f, s_values, order, step)
-            assert np.allclose(got, want, rtol=1e-13, atol=1e-18)
+            errors = {"left": [], "interior": [], "right": []}
+            for n in sizes:
+                x = np.linspace(0.0, 1.0, n)
+                got = grid_derivative(f(x), 1.0 / (n - 1), order)
+                err = np.abs(got - exact(x, order))
+                errors["left"].append(err[0].max())
+                errors["interior"].append(err[1:-1].max())
+                errors["right"].append(err[-1].max())
+            for where, errs in errors.items():
+                slope = np.polyfit(np.log(sizes), np.log(errs), 1)[0]
+                assert -2.2 <= slope <= -1.8, (order, where, slope)
 
 
 class TestOperatorNorm:

@@ -15,7 +15,7 @@ from adialab.problems import (
 )
 from adialab.spectral import DEGENERACY_RTOL, MIN_BRANCH_OVERLAP
 
-from conftest import rotating_two_level
+from conftest import rotating_two_level, sampled_only
 
 
 class TestDecompose:
@@ -123,9 +123,7 @@ def level_crossing(d, crossing):
 
 def three_point(mats):
     """H(0), H(1/2), H(1) = mats; meant for a three-point grid."""
-    return al.TimeDependentHamiltonian(
-        dim=mats[0].shape[0], evaluator=lambda s: mats[round(2.0 * s)]
-    )
+    return sampled_only(lambda s: mats[round(2.0 * s)], mats[0].shape[0])
 
 
 def assert_matches_oracle(h, grid_size, selector="ground"):

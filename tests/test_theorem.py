@@ -6,7 +6,8 @@ import pytest
 import adialab as al
 from adialab import hamiltonians
 from adialab.errors import DomainError, FeasibilityError, IntegrityError
-from adialab.hamiltonians import NormBundle, derivative_batch, norm_spectra
+from adialab._linalg import grid_derivative
+from adialab.hamiltonians import NormBundle, derivative_batch, eval_batch, norm_spectra
 from adialab.problems import landau_zener_eigenvalue
 from adialab.theorem import TheoremInputs, _shifted_frame
 
@@ -22,13 +23,15 @@ def _assert_bundles_close(got, want, rtol):
         assert getattr(got, key) == pytest.approx(getattr(want, key), rel=rtol, abs=0.0)
 
 
-def _moving_fd_instance():
-    """rotating_two_level plus diag(s^2, sin(3s)/2), in finite-difference
-    mode: the tracked eigenvalue moves, so gamma' and gamma'' are nonzero."""
+def _moving_rotation():
+    """rotating_two_level plus diag(s^2, sin(3s)/2): the tracked eigenvalue
+    moves, so gamma' and gamma'' are nonzero."""
     base = rotating_two_level()
     return al.TimeDependentHamiltonian(
         dim=2,
         evaluator=lambda s: base.evaluator(s) + np.diag([s * s, 0.5 * np.sin(3.0 * s)]),
+        d1=lambda s: base.d1(s) + np.diag([2.0 * s, 1.5 * np.cos(3.0 * s)]),
+        d2=lambda s: base.d2(s) + np.diag([2.0, -4.5 * np.sin(3.0 * s)]),
         name="moving_rotation",
     )
 
@@ -132,7 +135,6 @@ class TestShift:
         path = al.track_eigenpath(const_instance, 65)
         with pytest.raises(IntegrityError, match="annihilate"):
             al.shift_to_zero_eigenvalue(lz, path)
-        al.shift_to_zero_eigenvalue(lz, path, validate=False)
 
     def test_shift_invariance_of_evolution(self, suite):
         # identity shifts commute away: same evolution up to global phase
@@ -169,16 +171,22 @@ class TestVerifyNorms:
                 scale = np.abs(oracle[order]).max()
                 assert np.abs(translated - oracle[order]).max() <= 1e-12 * scale
 
-    def test_finite_difference_instance_matches_per_matrix_oracle(self):
-        inst = _moving_fd_instance()
+    def test_moving_eigenvalue_instance_matches_per_matrix_oracle(self):
+        inst = _moving_rotation()
         path = al.track_eigenpath(inst, 1025)
+        # the closed-form d1 and d2 are the derivatives of the evaluator
+        samples = eval_batch(inst, path.grid)
+        for order in (1, 2):
+            stencil = grid_derivative(samples, 1.0 / 1024, order)
+            closed_form = derivative_batch(inst, path.grid, order)
+            assert np.abs(stencil - closed_form).max() < 1e-3
         _, rules = _shifted_frame(inst, path)
         for order in (1, 2):
             assert np.abs(rules[order](path.grid)).max() > 0.5
         verdict = al.verify(inst, delta=1.0, case="special", T_override=0.0)
         shifted = al.shift_to_zero_eigenvalue(inst, path)
         _assert_bundles_close(verdict.norms, al.norm_bundle(inst, 1025), 1e-12)
-        _assert_bundles_close(verdict.norms_shifted, al.norm_bundle(shifted, 1025), 1e-9)
+        _assert_bundles_close(verdict.norms_shifted, al.norm_bundle(shifted, 1025), 1e-12)
 
     def test_non_hermitian_derivative_is_integrity_error(self, lz):
         # non-Hermitian at s = 1/2 only, far from the refinement around the
@@ -187,7 +195,7 @@ class TestVerifyNorms:
             return lz.d1(s) + (np.array([[0.0, 1.0], [0.0, 0.0]]) if s == 0.5 else 0.0)
 
         bad = al.TimeDependentHamiltonian(
-            dim=2, evaluator=lz.evaluator, derivative_mode="analytic", d1=d1, d2=lz.d2
+            dim=2, evaluator=lz.evaluator, d1=d1, d2=lz.d2
         )
         with pytest.raises(IntegrityError, match="order-1 derivative"):
             al.verify(bad, delta=1.0, T_override=0.0, grid_size=65)
@@ -197,7 +205,7 @@ class TestVerifyNorms:
             return lz.evaluator(s) + (np.array([[0.0, 1.0], [0.0, 0.0]]) if s == 0.5 else 0.0)
 
         bad = al.TimeDependentHamiltonian(
-            dim=2, evaluator=evaluator, derivative_mode="analytic", d1=lz.d1, d2=lz.d2
+            dim=2, evaluator=evaluator, d1=lz.d1, d2=lz.d2
         )
         with pytest.raises(IntegrityError, match="evaluator output"):
             al.verify(bad, delta=1.0, T_override=0.0, grid_size=65)

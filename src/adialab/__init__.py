@@ -55,8 +55,6 @@ from .proofcheck import (
     ProofCheckConfig,
     ProofReport,
     error_vectors,
-    geometric_sum_norm,
-    geometric_sum_norm_detailed,
     run_proofcheck,
     total_error_vector,
 )

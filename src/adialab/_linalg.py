@@ -4,8 +4,9 @@ Everything here is batch-oriented: a trailing (d, d) matrix shape with an
 arbitrary leading batch axis, so step unitaries and grid scans can be
 vectorized in chunks.
 
-Every chunked loop in the package takes its batches from ``chunk_ranges``:
-max(64, 2**21 // d^2) matrices, i.e. 2**21 entries (32 MiB of complex128).
+Every chunked loop in the package sizes its batches by ``chunk_size``, most
+of them through ``chunk_ranges``: max(64, 2**21 // d^2) matrices, i.e.
+2**21 entries (32 MiB of complex128).
 Each batch is copied several times through evaluation, eigendecomposition
 and exponentiation, so this budget bounds peak memory while leaving every
 numpy call enough matrices to amortize Python overhead.  For power-of-two
@@ -93,7 +94,12 @@ def expm_i_hermitian(mats: np.ndarray, t: float) -> np.ndarray:
 
 
 def ordered_product(mats: np.ndarray) -> np.ndarray:
-    """U_{n-1} @ ... @ U_1 @ U_0 by order-preserving pairwise reduction."""
+    """U_{n-1} @ ... @ U_1 @ U_0 by order-preserving pairwise reduction.
+
+    The product runs over axis 0; any axes between it and the trailing
+    matrix shape are batch axes, so (n, g, e, e) input gives the g products
+    of shape (e, e) in one reduction.
+    """
     if mats.shape[0] == 0:
         raise ValueError("empty product")
     while mats.shape[0] > 1:
@@ -107,32 +113,30 @@ def ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
+def chunk_size(dim: int) -> int:
+    """Matrices per batch of dim x dim matrices."""
+    return max(64, 2**21 // (dim * dim))
+
+
 def chunk_ranges(lo: int, hi: int, dim: int) -> Iterator[tuple[int, int]]:
     """Consecutive (start, stop) batches of dim x dim matrices covering lo..hi-1."""
-    step = max(64, 2**21 // (dim * dim))
+    step = chunk_size(dim)
     for start in range(lo, hi, step):
         yield start, min(start + step, hi)
-
-
-def fd_combine(sample: Callable[[int], np.ndarray], order: int, side: str, h: float):
-    """Finite difference of ``order`` from ``sample(k)`` = f(x + k*h).
-
-    ``side`` is "central", or "left"/"right" near the lower/upper end.
-    """
-    (k0, w0), *rest = _STENCILS[order, side]
-    total = w0 * sample(k0)
-    for k, w in rest:
-        total = total + w * sample(k)
-    return total / (2 * h if order == 1 else h**2)
 
 
 def grid_derivative(values: np.ndarray, h: float, order: int) -> np.ndarray:
     """First or second derivative along axis 0 of samples with spacing h."""
     n = values.shape[0]
     out = np.empty_like(values)
-    out[1:-1] = fd_combine(lambda k: values[1 + k : n - 1 + k], order, "central", h)
-    out[0] = fd_combine(lambda k: values[k], order, "left", h)
-    out[-1] = fd_combine(lambda k: values[n - 1 + k], order, "right", h)
+    for first, stop, side in (
+        (1, n - 1, "central"), (0, 1, "left"), (n - 1, n, "right")
+    ):
+        (k0, w0), *rest = _STENCILS[order, side]
+        total = w0 * values[first + k0 : stop + k0]
+        for k, w in rest:
+            total = total + w * values[first + k : stop + k]
+        out[first:stop] = total / (2 * h if order == 1 else h**2)
     return out
 
 

@@ -18,8 +18,8 @@ class NumericalError(AdialabError):
 
 
 class NumericalInstabilityError(NumericalError):
-    """State-norm drift exceeded its guard: per step on the snapshot path,
-    aggregated over all L steps on the streamed path."""
+    """State-norm drift exceeded its guard, aggregated over the steps to each
+    reported state: every snapshot, the final and the half-grid state."""
 
 
 class GapCollapseError(NumericalError):

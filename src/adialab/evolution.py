@@ -62,7 +62,7 @@ class EvolutionConfig:
 @dataclass(frozen=True)
 class EvolutionResult:
     """Final state after L_used steps; ``half_state`` is the L_used/2-step
-    final state on the same grid (streamed runs with even L only)."""
+    final state on the same grid (even L only)."""
 
     final_state: np.ndarray
     L_used: int
@@ -118,50 +118,39 @@ def evolve_discrete(
 ) -> EvolutionResult:
     """Apply U_0, then U_1, ..., then U_{L-1} to psi0.
 
-    With ``snapshot_stride`` set, the state is advanced step by step with a
-    per-step renormalization guard and intermediate states are recorded.
-    Without snapshots the step unitaries are combined by pairwise products
-    in vectorized chunks, which is numerically equivalent and much faster;
-    for even L the same pass also multiplies the squared even-index
-    unitaries U_{2j}^2 into ``half_state``, the L/2-step final state.
+    The step unitaries are combined by pairwise products in vectorized
+    chunks, and the running product is applied to psi0 where a state is
+    reported.  With ``snapshot_stride`` set, chunks are also cut at its
+    multiples and the state at each cut is recorded, with the initial and
+    final states.  Every reported state passes the aggregate norm-drift
+    guard of its step count.  For even L the same pass also multiplies the
+    squared even-index unitaries U_{2j}^2 into ``half_state``, the
+    L/2-step final state.
     """
     psi = _check_state(psi0, h.dim)
     L = cfg.steps
-
-    if cfg.snapshot_stride is not None:
-        stride = cfg.snapshot_stride
-        snapshots = [(0, psi.copy())]
-        done = 0
-        for lo, hi in chunk_ranges(0, L, h.dim):
-            unitaries = _step_batch(h, lo, hi, cfg)
-            for u in unitaries:
-                psi = u @ psi
-                nrm = float(np.linalg.norm(psi))
-                if abs(nrm - 1.0) >= NORM_DRIFT_GUARD:
-                    raise NumericalInstabilityError(
-                        f"norm drift {abs(nrm - 1.0):.3e} at step {done} "
-                        f"exceeds the {NORM_DRIFT_GUARD:.0e} guard"
-                    )
-                psi = psi / nrm
-                done += 1
-                if done % stride == 0:
-                    snapshots.append((done, psi.copy()))
-        if snapshots[-1][0] != L:
-            snapshots.append((L, psi.copy()))
-        return EvolutionResult(psi, L, tuple(snapshots))
+    stride = cfg.snapshot_stride or L
+    snapshots = [(0, psi.copy())]
 
     product = half = None
     for lo, hi in chunk_ranges(0, L, h.dim):
         unitaries = _step_batch(h, lo, hi, cfg)
-        partial = ordered_product(unitaries)
-        product = partial if product is None else partial @ product
+        start = lo
+        # cut at the multiples of the stride inside the chunk, then at its end
+        for stop in [*range(lo - lo % stride + stride, hi, stride), hi]:
+            partial = ordered_product(unitaries[start - lo : stop - lo])
+            product = partial if product is None else partial @ product
+            if stop % stride == 0 or stop == L:
+                snapshots.append((stop, _guarded(product @ psi, stop)))
+            start = stop
         # a chunk may start at an odd index, and then hold no even one
         even = unitaries[lo % 2 :: 2]
         if L % 2 == 0 and len(even):
             partial = ordered_product(even @ even)
             half = partial if half is None else partial @ half
     half_state = _guarded(half @ psi, L) if L % 2 == 0 else None
-    return EvolutionResult(_guarded(product @ psi, L), L, half_state=half_state)
+    recorded = tuple(snapshots) if cfg.snapshot_stride is not None else None
+    return EvolutionResult(snapshots[-1][1], L, recorded, half_state)
 
 
 def evolve_adaptive(

@@ -162,7 +162,9 @@ def eval_batch(h: TimeDependentHamiltonian, s_values: np.ndarray) -> np.ndarray:
                 f"{(s_values.size, h.dim, h.dim)}"
             )
     else:
-        mats = np.stack([_sample(h, float(s)) for s in s_values])
+        mats = np.empty((s_values.size, h.dim, h.dim), dtype=complex)
+        for i, s in enumerate(s_values):
+            mats[i] = _sample(h, float(s))
     _check_hermitian(mats, "evaluator output")
     return mats
 

@@ -11,6 +11,13 @@ blocks of Delta consecutive terms is what makes slow evolution work.
 Every intermediate inequality of that argument is turned here into a
 measured value, a bound, a slack factor, and a pass flag.
 
+The error sum is the affine fold S <- U_j S + w_{j+1}, and affine maps
+compose as matrices: with A_j = [[U_j, w_{j+1}], [0, 1]], the sum is
+column d of the ordered product A_{L-1} ... A_0.  ``fold_blocks`` forms
+that product block by block with ``ordered_product``, one extra column
+carrying each block's frozen-w sum, so the block checks and the total
+error vector come from one pass over the step unitaries.
+
 Asymptotic O(...) remainders carry unspecified constants, so each
 asymptotic claim is checked as a scaling-exponent fit over step-count
 doublings plus an absolute check that reuses the fitted constant - never
@@ -21,12 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
-from ._linalg import chunk_ranges, grid_derivative, opnorm
-from .errors import DomainError, FeasibilityError, IntegrityError, NumericalError
+from ._linalg import chunk_ranges, chunk_size, grid_derivative, opnorm, ordered_product
+from .errors import DomainError, FeasibilityError, IntegrityError
 from .evolution import EvolutionConfig, _step_batch
 from .hamiltonians import (
     DEFAULT_NORM_GRID,
@@ -183,45 +189,6 @@ def error_vectors(path: EigenPath) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# step-unitary provider
-
-
-class _StepUnitaries:
-    """U_j = exp(i (T/L) H(j/L)) for j = 0..L-1, cached when small.
-
-    The unitaries come from evolution's ``_step_batch``; this class only
-    caches them and hands them out in batches.
-    """
-
-    CACHE_BYTES = 192 * 2**20
-
-    def __init__(self, h: TimeDependentHamiltonian, total_time: float, L: int):
-        self.h = h
-        self.L = L
-        self._cfg = EvolutionConfig(total_time, L)
-        self._cache: np.ndarray | None = None
-        if L * h.dim * h.dim * 16 <= self.CACHE_BYTES:
-            self._cache = np.concatenate(
-                [self._compute(a, b) for a, b in chunk_ranges(0, L, h.dim)], axis=0
-            )
-
-    def _compute(self, lo: int, hi: int) -> np.ndarray:
-        return _step_batch(self.h, lo, hi, self._cfg)
-
-    def iter_batches(self, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
-        for a, b in chunk_ranges(lo, hi, self.h.dim):
-            if self._cache is not None:
-                yield a, self._cache[a:b]
-            else:
-                yield a, self._compute(a, b)
-
-    def single(self, j: int) -> np.ndarray:
-        if self._cache is not None:
-            return self._cache[j]
-        return self._compute(j, j + 1)[0]
-
-
-# ---------------------------------------------------------------------------
 # fits
 
 
@@ -363,10 +330,13 @@ def check_error_vector_drift(
     return entries
 
 
-def _max_step_drift(provider: _StepUnitaries) -> float:
+def _max_step_drift(h: TimeDependentHamiltonian, total_time: float, L: int) -> float:
+    """max_j ||U_{j+1} - U_j|| over the L step unitaries, streamed in batches."""
+    cfg = EvolutionConfig(total_time, L)
     worst = 0.0
     previous_last: np.ndarray | None = None
-    for lo, batch in provider.iter_batches(0, provider.L):
+    for lo, hi in chunk_ranges(0, L, h.dim):
+        batch = _step_batch(h, lo, hi, cfg)
         if previous_last is not None:
             worst = max(worst, float(opnorm(batch[0] - previous_last)))
         if batch.shape[0] > 1:
@@ -386,12 +356,12 @@ def check_step_unitary_drift(
     Coarse fit lengths where the drift saturates near 2 (two arbitrary
     unitaries) carry no information about the asymptote and are dropped.
     """
-    measured = _max_step_drift(_StepUnitaries(h_shifted, cfg.T, cfg.L))
+    measured = _max_step_drift(h_shifted, cfg.T, cfg.L)
     bound = cfg.T * norms_shifted.norm_H1 / cfg.L**2
 
     lengths, values = [], []
     for n in fit_lengths:
-        value = _max_step_drift(_StepUnitaries(h_shifted, cfg.T, n))
+        value = _max_step_drift(h_shifted, cfg.T, n)
         if value < 1.9:
             lengths.append(n)
             values.append(value)
@@ -413,165 +383,122 @@ def check_step_unitary_drift(
 
 
 # ---------------------------------------------------------------------------
-# geometric sums
-
-
-@dataclass(frozen=True)
-class GeometricSumEval:
-    value: float
-    direct: float
-    closed_form: float
-    resonant: bool
-    theta: float
-
-
-def _abs_sin(x: float) -> float:
-    # |sin| has period pi; IEEE remainder keeps the reduction exact enough
-    # for the 1e-10 cross-check even at large arguments.
-    return abs(math.sin(math.remainder(x, math.pi)))
-
-
-def geometric_sum_norm_detailed(
-    alpha: float, total_time: float, L: int, delta_terms: int
-) -> GeometricSumEval:
-    """|sum_{j=0}^{Delta-1} e^{i alpha j T / L}| evaluated two ways.
-
-    Direct summation and the closed-form ratio |e^{i theta Delta} - 1| /
-    |e^{i theta} - 1| must agree within 1e-10; if theta is within 1e-12 of
-    a multiple of 2 pi the closed form degenerates and the sum is exactly
-    the number of terms, flagged as resonant.
-    """
-    if total_time <= 0.0 or L < 1:
-        raise DomainError("total_time must be positive and L >= 1")
-    if delta_terms < 1:
-        raise DomainError("the sum needs at least one term")
-    theta = alpha * total_time / L
-    if abs(math.remainder(theta, 2.0 * math.pi)) < 1e-12:
-        direct = float(delta_terms)
-        return GeometricSumEval(direct, direct, math.nan, True, theta)
-
-    total = 0.0 + 0.0j
-    for lo, hi in chunk_ranges(0, delta_terms, 1):
-        total += np.exp(1j * theta * np.arange(lo, hi)).sum()
-    direct = float(abs(total))
-    denominator = _abs_sin(theta / 2.0)
-    closed = _abs_sin(delta_terms * theta / 2.0) / denominator
-    tolerance = 1e-10 * max(1.0, delta_terms * 1e-5)
-    if abs(direct - closed) > tolerance:
-        raise NumericalError(
-            f"geometric-sum evaluations disagree: direct {direct!r} vs "
-            f"closed form {closed!r} (theta={theta!r}, Delta={delta_terms})"
-        )
-    return GeometricSumEval(direct, direct, closed, False, theta)
-
-
-def geometric_sum_norm(
-    alpha: float, total_time: float, L: int, delta_terms: int
-) -> float:
-    return geometric_sum_norm_detailed(alpha, total_time, L, delta_terms).value
-
-
-# ---------------------------------------------------------------------------
 # block cancellation and the total error vector
 
 
-def check_block_cancellation(
-    path: EigenPath,
-    cfg: ProofCheckConfig,
-    provider: _StepUnitaries,
-    block_start: int,
-    w: np.ndarray | None = None,
-) -> list[CheckEntry]:
-    """All four bounds for one Delta-block of the error sum.
+def fold_blocks(
+    h_shifted: TimeDependentHamiltonian, cfg: ProofCheckConfig, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every Delta-block's augmented ordered product and pure power sum.
 
-    With K = block end, the block's own norm ||sum_j U_{K-1}..U_j w_j||
-    must stay below delta*Delta_b/L; freezing w_j -> w_k and then
-    U_j -> U_k each costs at most delta*Delta_b/(4L); and the remaining
-    pure power sum ||sum_m U_k^m w_k|| cancels down to delta*Delta_b/(2L).
-    A final short block is checked against proportionally scaled targets.
+    Step j = 0..L-1 becomes A_j = [[U_j, w_{j+1}, w_k], [0, I_2]], with k
+    the start of the block holding step j; block k covers steps k-1 ..
+    k+Delta-2.  As w_k enters in the column of step k-1, a block's product
+    holds the block total sum_j U_{K-1}..U_j w_j in column d and the fold
+    with w_j frozen at w_k in column d+1.  The blocks of a batch reduce
+    together on a (Delta, blocks, d+2, d+2) array; a block longer than one
+    batch composes its per-batch products, and a trimmed last block is
+    padded with identities.  The power sum sum_{m<n} U_k^m w_k of an
+    n-step block is column d of [[U_k, w_k], [0, 1]]^n.
+
+    Returns the (blocks, d+2, d+2) products and the (blocks, d) power sums.
     """
-    k = block_start
-    L = cfg.L
-    if not (1 <= k <= L):
-        raise DomainError(f"block start {k} outside [1, {L}]")
-    if w is None:
-        w = error_vectors(path)
-    block_len = min(cfg.Delta, L - k + 1)
-    end = k + block_len - 1  # inclusive last j in the block
-    trimmed = block_len < cfg.Delta
-    note = f"block j={k}..{end}" + ("; trimmed" if trimmed else "")
+    d, L, delta_blocks = h_shifted.dim, cfg.L, cfg.Delta
+    e = d + 2
+    n_blocks = len(cfg.block_starts)
+    step_cfg = EvolutionConfig(cfg.T, L)
+    products = np.empty((n_blocks, e, e), dtype=complex)
+    bases = np.zeros((n_blocks, d + 1, d + 1), dtype=complex)
+    bases[:, d, d] = 1.0
+    per_batch = max(1, chunk_size(e) // delta_blocks)
+    for b0 in range(0, n_blocks, per_batch):
+        b1 = min(b0 + per_batch, n_blocks)
+        w_k = w[b0 * delta_blocks : b1 * delta_blocks : delta_blocks]
+        product = None
+        for r0, r1 in chunk_ranges(0, delta_blocks, e):
+            lo, hi = b0 * delta_blocks + r0, min((b1 - 1) * delta_blocks + r1, L)
+            if lo >= hi:  # the trimmed last block ended in an earlier batch
+                break
+            # one block per row, so the flat view lists steps lo..hi-1 in order
+            aug = np.zeros((b1 - b0, r1 - r0, e, e), dtype=complex)
+            flat = aug.reshape(-1, e, e)
+            flat[: hi - lo, :d, :d] = _step_batch(h_shifted, lo, hi, step_cfg)
+            flat[: hi - lo, :d, d] = w[lo:hi]  # w[j] holds w_{j+1}
+            aug[:, :, :d, d + 1] = w_k[:, None]
+            flat[:, d, d] = flat[:, d + 1, d + 1] = 1.0
+            flat[hi - lo :] = np.eye(e)
+            if r0 == 0:
+                # U_k is the block's second step; the power sum of a
+                # one-step block is w_k, whatever stands in for U_k
+                bases[b0:b1, :d, :d] = aug[:, min(1, r1 - 1), :d, :d]
+                bases[b0:b1, :d, d] = w_k
+            partial = ordered_product(aug.swapaxes(0, 1))
+            product = partial if product is None else partial @ product
+        products[b0:b1] = product
 
-    w_k = w[k - 1]
-    total = w_k.copy()
-    frozen_w = w_k.copy()
-    for lo, batch in provider.iter_batches(k, end):
-        for offset in range(batch.shape[0]):
-            j = lo + offset
-            u = batch[offset]
-            total = u @ total + w[j]  # w[j] holds w_{j+1}
-            frozen_w = u @ frozen_w + w_k
+    lengths = np.minimum(delta_blocks, L + 1 - np.array(cfg.block_starts))
+    power_sums = np.empty((n_blocks, d), dtype=complex)
+    for n in np.unique(lengths):
+        chosen = lengths == n
+        power_sums[chosen] = np.linalg.matrix_power(bases[chosen], int(n))[:, :d, d]
+    return products, power_sums
 
-    u_k = provider.single(k)
-    power_sum = w_k.copy()
-    term = w_k
-    for _ in range(block_len - 1):
-        term = u_k @ term
-        power_sum = power_sum + term
 
-    scale = cfg.delta * block_len / L
-    checks = [
-        ("total", float(np.linalg.norm(total)), scale),
-        (
-            "freeze_w",
-            float(np.linalg.norm(total - frozen_w)),
-            scale / 4.0,
-        ),
-        (
-            "freeze_u",
-            float(np.linalg.norm(frozen_w - power_sum)),
-            scale / 4.0,
-        ),
-        ("power_sum", float(np.linalg.norm(power_sum)), scale / 2.0),
-    ]
-    return [
-        CheckEntry(
-            name=f"block[{k}]:{label}",
-            measured=value,
-            bound=target,
-            slack=BLOCK_SLACK,
-            passed=value <= target * (1.0 + BLOCK_SLACK),
-            note=note,
+def check_block_cancellation(
+    products: np.ndarray, power_sums: np.ndarray, cfg: ProofCheckConfig
+) -> list[CheckEntry]:
+    """All four bounds for every Delta-block, from ``fold_blocks`` output.
+
+    With K = block end, a block's own norm ||sum_j U_{K-1}..U_j w_j|| must
+    stay below delta*Delta_b/L; freezing w_j -> w_k and then U_j -> U_k
+    each costs at most delta*Delta_b/(4L); and the remaining pure power
+    sum ||sum_m U_k^m w_k|| cancels down to delta*Delta_b/(2L).  A final
+    short block is checked against proportionally scaled targets.
+    """
+    d = power_sums.shape[1]
+    total, frozen_w = products[:, :d, d], products[:, :d, d + 1]
+    values = np.linalg.norm(
+        [total, total - frozen_w, frozen_w - power_sums, power_sums], axis=-1
+    )
+    labels = ("total", "freeze_w", "freeze_u", "power_sum")
+    entries = []
+    for k, measured in zip(cfg.block_starts, values.T.tolist()):
+        block_len = min(cfg.Delta, cfg.L - k + 1)
+        note = f"block j={k}..{k + block_len - 1}"
+        note += "; trimmed" if block_len < cfg.Delta else ""
+        scale = cfg.delta * block_len / cfg.L
+        targets = (scale, scale / 4.0, scale / 4.0, scale / 2.0)
+        entries.extend(
+            CheckEntry(
+                name=f"block[{k}]:{label}",
+                measured=value,
+                bound=target,
+                slack=BLOCK_SLACK,
+                passed=value <= target * (1.0 + BLOCK_SLACK),
+                note=note,
+            )
+            for label, value, target in zip(labels, measured, targets)
         )
-        for label, value, target in checks
-    ]
+    return entries
 
 
-def total_error_vector(
-    path: EigenPath, cfg: ProofCheckConfig, provider: _StepUnitaries
-) -> np.ndarray:
-    """sum_{j=1}^L U_{L-1}...U_j w_j, by the right-fold S <- U_k S + w_{k+1}."""
-    if cfg.L > TOTAL_SUM_MAX_L or path.dim > TOTAL_SUM_MAX_DIM:
-        raise FeasibilityError(
-            f"total error sum limited to L <= {TOTAL_SUM_MAX_L} at "
-            f"dim <= {TOTAL_SUM_MAX_DIM}; got L={cfg.L}, dim={path.dim}"
-        )
-    w = error_vectors(path)
-    state = w[0].copy()
-    for lo, batch in provider.iter_batches(1, cfg.L):
-        for offset in range(batch.shape[0]):
-            state = batch[offset] @ state + w[lo + offset]
-    return state
+def total_error_vector(products: np.ndarray) -> np.ndarray:
+    """sum_{j=1}^L U_{L-1}...U_j w_j from the ``fold_blocks`` products.
+
+    The leading (d+1) x (d+1) corner of a block's product is the product
+    of its [[U_j, w_{j+1}], [0, 1]]; the ordered product of the blocks'
+    corners holds the whole sum in column d.
+    """
+    d = products.shape[-1] - 2
+    return ordered_product(products[:, : d + 1, : d + 1])[:d, d]
 
 
 def check_total_error_norm(
-    path: EigenPath,
-    cfg: ProofCheckConfig,
-    provider: _StepUnitaries,
-    norms_shifted: NormBundle,
+    products: np.ndarray, cfg: ProofCheckConfig, norms_shifted: NormBundle
 ) -> list[CheckEntry]:
     """The full error sum must land below delta and far below the
     triangle-inequality foil ||H'||/lambda that ignores cancellation."""
-    measured = float(np.linalg.norm(total_error_vector(path, cfg, provider)))
+    measured = float(np.linalg.norm(total_error_vector(products)))
     foil = norms_shifted.norm_H1 / cfg.lam
     return [
         CheckEntry(
@@ -682,7 +609,6 @@ def run_proofcheck(
         )
 
     cfg = ProofCheckConfig.from_bound(L, total_time, delta, norms_shifted.norm_H1, lam)
-    provider = _StepUnitaries(shifted, total_time, L)
     w = error_vectors(path)
 
     fit_paths = [track_eigenpath(h, n + 1, selector) for n in fit_lengths]
@@ -692,9 +618,9 @@ def run_proofcheck(
     del fit_paths  # keep them out of the block checks' peak memory
     entries.extend(check_error_vector_drift(path, cfg, norms_shifted, k_max))
     entries.append(check_step_unitary_drift(shifted, cfg, norms_shifted, fit_lengths))
-    for start in cfg.block_starts:
-        entries.extend(check_block_cancellation(path, cfg, provider, start, w))
-    entries.extend(check_total_error_norm(path, cfg, provider, norms_shifted))
+    products, power_sums = fold_blocks(shifted, cfg, w)
+    entries.extend(check_block_cancellation(products, power_sums, cfg))
+    entries.extend(check_total_error_norm(products, cfg, norms_shifted))
     entries.extend(check_eigenvalue_derivative_bounds(path, norms, lam))
 
     metadata = {
@@ -717,16 +643,14 @@ __all__ = [
     "CheckEntry",
     "ProofReport",
     "ProofCheckConfig",
-    "GeometricSumEval",
     "error_vectors",
     "expected_block_length",
-    "geometric_sum_norm",
-    "geometric_sum_norm_detailed",
     "check_gauge_residual",
     "check_error_vector_taylor",
     "check_error_vector_norm",
     "check_error_vector_drift",
     "check_step_unitary_drift",
+    "fold_blocks",
     "check_block_cancellation",
     "check_total_error_norm",
     "check_eigenvalue_derivative_bounds",

@@ -263,6 +263,8 @@ def verify(
     """
     if not (0.0 < delta <= MAX_DELTA + 1e-12):
         raise DomainError(f"delta must lie in (0, sqrt(2)], got {delta}")
+    if T_override is not None and not (0.0 <= T_override < math.inf):
+        raise DomainError(f"T_override must be finite and >= 0, got {T_override}")
     if disc_tol is None:
         disc_tol = delta / 100.0
 

@@ -1,10 +1,17 @@
 import json
+import math
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from adialab import cli
+from adialab import cli, landau_zener
+from test_proofcheck import (
+    BLOCK_LABELS,
+    ONE_STEP_BLOCK_L,
+    ONE_STEP_BLOCK_T,
+    one_step_block_oracle,
+)
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 LZ = {"kind": "landau_zener"}
@@ -67,6 +74,37 @@ def test_proof_check_output_matches_schema(tmp_path, capsys):
     jsonschema.validate(payload, _schema("proof_report"))
     assert code == (cli.EXIT_PASS if payload["passed"] else cli.EXIT_CLAIM_FAILED)
     assert payload["metadata"]["L"] == 256
+
+
+def test_proof_check_one_step_last_block(tmp_path, capsys):
+    # Delta = 64 divides L - 1, so the last block starts at k = L
+    config = {"instance": LZ, "delta": 0.5, "L": ONE_STEP_BLOCK_L,
+              "T": ONE_STEP_BLOCK_T}
+    code, out, _ = _run(tmp_path, capsys, "proof-check", config)
+    payload = json.loads(out)
+    jsonschema.validate(payload, _schema("proof_report"))
+    assert code == (cli.EXIT_PASS if payload["passed"] else cli.EXIT_CLAIM_FAILED)
+    assert payload["metadata"]["Delta"] == 64
+    last = [e for e in payload["entries"] if e["name"].startswith("block[1025]:")]
+    assert [e["name"].split(":")[1] for e in last] == list(BLOCK_LABELS)
+    oracle = one_step_block_oracle(landau_zener())
+    for entry in last:
+        want = oracle[entry["name"].split(":")[1]]
+        assert abs(entry["measured"] - want) <= 1e-12 * entry["bound"]
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("total_time", [math.nan, math.inf, -math.inf])
+def test_non_finite_time_is_a_config_error(tmp_path, capsys, command, total_time):
+    config = {"instance": LZ, "delta": 1, "case": "special", "grid_size": 129}
+    if command == "verify":
+        config["T_override"] = total_time
+    else:
+        config["T_values"] = [5.0, total_time]
+    code, out, err = _run(tmp_path, capsys, command, config)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert "T_override must be finite" in err
 
 
 def test_simulate_csv_snapshots(tmp_path, capsys):

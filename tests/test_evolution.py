@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,15 @@ def _ground(h, s=0.0):
 
 def _step(h, j, cfg):
     return _step_batch(h, j, j + 1, cfg)[0]
+
+
+def _per_step(h, psi0, cfg):
+    """Oracle: psi <- U_j psi one step at a time, renormalized each step."""
+    psi = psi0.copy()
+    for u in _step_batch(h, 0, cfg.steps, cfg):
+        psi = u @ psi
+        psi = psi / np.linalg.norm(psi)
+    return psi
 
 
 class TestStepUnitary:
@@ -85,17 +95,18 @@ class TestEvolveDiscrete:
             assert np.linalg.norm(state - rebuilt) < 1e-9
 
     def test_fast_path_equals_sequential(self, grover2):
-        # 10,000 steps at d = 16 span two batches of 8,192
+        # 10,000 steps at d = 16 span two batches of 8,192; the stride-L
+        # snapshot run must agree too
         cases = ((grover2, 4.0, 256), (al.random_interpolation(16, 7), 20.0, 10_000))
         for inst, total_time, steps in cases:
             psi0 = _ground(inst)
-            fast = al.evolve_discrete(inst, psi0, al.EvolutionConfig(total_time, steps))
-            slow = al.evolve_discrete(
-                inst,
-                psi0,
-                al.EvolutionConfig(total_time, steps, snapshot_stride=steps),
-            )
-            assert np.linalg.norm(fast.final_state - slow.final_state) < 1e-11
+            cfg = al.EvolutionConfig(total_time, steps)
+            slow = _per_step(inst, psi0, cfg)
+            for stride in (None, steps):
+                fast = al.evolve_discrete(
+                    inst, psi0, dataclasses.replace(cfg, snapshot_stride=stride)
+                )
+                assert np.linalg.norm(fast.final_state - slow) < 1e-11
 
     def test_half_state_equals_half_grid_evolution(self, lz, grover3):
         # d = 7 batches hold 42,799 steps, so later batches start at odd
@@ -114,13 +125,16 @@ class TestEvolveDiscrete:
             assert np.linalg.norm(fine.half_state - coarse.final_state) < 1e-11
 
     def test_half_state_only_for_even_streamed_runs(self, lz):
+        # odd L has no half grid; an even-L snapshot run forms its half
+        # state per chunk exactly as the streamed run does
         psi0 = _ground(lz)
         odd = al.evolve_discrete(lz, psi0, al.EvolutionConfig(3.0, 127))
+        streamed = al.evolve_discrete(lz, psi0, al.EvolutionConfig(3.0, 128))
         snapshots = al.evolve_discrete(
             lz, psi0, al.EvolutionConfig(3.0, 128, snapshot_stride=16)
         )
         assert odd.half_state is None
-        assert snapshots.half_state is None
+        assert np.array_equal(snapshots.half_state, streamed.half_state)
 
     def test_sign_convention_equivalence(self, lz):
         # paper_plus under H equals physics_minus under -H
@@ -262,9 +276,8 @@ class TestUnitarityInvariant:
 
     def test_non_unitary_steps_trip_the_norm_drift_guard(self, lz, monkeypatch):
         # steps scaled by 1 + 1e-6 drift the norm by about 1e-6 per step:
-        # the streamed path's aggregate guard (odd L checks the final state
-        # alone, even L the half state too) and the snapshot path's
-        # per-step guard must each raise
+        # the aggregate guard on the final state (odd L), the final and
+        # half states (even L) and the first snapshot must each raise
         monkeypatch.setattr(
             evolution,
             "expm_i_hermitian",
@@ -275,5 +288,5 @@ class TestUnitarityInvariant:
             with pytest.raises(NumericalInstabilityError, match=f"over {steps} steps"):
                 al.evolve_discrete(lz, psi0, al.EvolutionConfig(3.0, steps))
         snapshots = al.EvolutionConfig(3.0, 128, snapshot_stride=16)
-        with pytest.raises(NumericalInstabilityError, match="at step 0 "):
+        with pytest.raises(NumericalInstabilityError, match="over 16 steps"):
             al.evolve_discrete(lz, psi0, snapshots)

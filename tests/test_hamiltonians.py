@@ -91,6 +91,11 @@ class TestEval:
                 assert np.array_equal(
                     mat, al.derivative(rotating, float(s), order).entries
                 )
+        # an empty s array gives an empty batch on both evaluator paths
+        empty = np.array([])
+        for inst in (grover2, rotating):
+            assert eval_batch(inst, empty).shape == (0, inst.dim, inst.dim)
+        assert derivative_batch(rotating, empty, 1).shape == (0, 2, 2)
 
 
 class TestDerivative:

@@ -5,38 +5,106 @@ import numpy as np
 import pytest
 
 import adialab as al
+from adialab import _linalg, proofcheck
 from adialab.errors import DomainError, FeasibilityError, IntegrityError
+from adialab.evolution import _step_batch
 from adialab.problems import PAULI_X, PAULI_Z
 from adialab.proofcheck import (
     ProofCheckConfig,
-    _StepUnitaries,
+    _max_step_drift,
     check_block_cancellation,
     check_error_vector_drift,
     check_eigenvalue_derivative_bounds,
     check_gauge_residual,
     check_error_vector_taylor,
     expected_block_length,
-    geometric_sum_norm,
-    geometric_sum_norm_detailed,
+    fold_blocks,
     total_error_vector,
 )
 from adialab.theorem import TheoremInputs, required_time_special
 
+BLOCK_LABELS = ("total", "freeze_w", "freeze_u", "power_sum")
+# landau_zener at L = 1025 and this T has Delta = 64, which divides L - 1
+ONE_STEP_BLOCK_L = 1025
+ONE_STEP_BLOCK_T = 311.75641506315304
 
-def _shifted_context(inst, L, delta=1.0, total_time=None):
-    """Track at j/L, shift, and assemble the pieces checks need."""
+
+def _shifted_context(inst, L, delta=1.0, total_time=None, Delta=None):
+    """Track at j/L, shift, and assemble the pieces checks need.
+
+    With ``Delta`` given, T is chosen so that the block length is Delta.
+    """
     path = al.track_eigenpath(inst, L + 1)
     lam = path.gap
     norms = al.norm_bundle(inst)
     shifted = al.shift_to_zero_eigenvalue(inst, path)
     shifted_norms = al.norm_bundle(shifted)
+    if Delta is not None:
+        # ceil((8/delta) L ||H'|| / (T lambda^2)) = ceil(Delta - 1/2)
+        total_time = (8.0 / delta) * L * shifted_norms.norm_H1
+        total_time /= (Delta - 0.5) * lam**2
     if total_time is None:
         total_time = required_time_special(
             TheoremInputs(delta, shifted_norms, lam, "special")
         )
     cfg = ProofCheckConfig.from_bound(L, total_time, delta, shifted_norms.norm_H1, lam)
-    provider = _StepUnitaries(shifted, total_time, L)
-    return path, cfg, provider, shifted_norms, norms, lam
+    return path, cfg, shifted, shifted_norms, norms, lam
+
+
+def _fold(path, cfg, shifted):
+    return fold_blocks(shifted, cfg, al.error_vectors(path))
+
+
+def per_step_folds(shifted, cfg, w):
+    """Oracle: the block folds and the total error sum one step at a time.
+
+    Returns {block start: {label: measured}} for the four block checks and
+    the total error vector sum_{j=1}^L U_{L-1}...U_j w_j.
+    """
+    u = _step_batch(shifted, 0, cfg.L, al.EvolutionConfig(cfg.T, cfg.L))
+    blocks = {}
+    for k in cfg.block_starts:
+        block_len = min(cfg.Delta, cfg.L - k + 1)
+        w_k = w[k - 1]
+        total = w_k.copy()
+        frozen_w = w_k.copy()
+        for j in range(k, k + block_len - 1):
+            total = u[j] @ total + w[j]  # w[j] holds w_{j+1}
+            frozen_w = u[j] @ frozen_w + w_k
+        power_sum = w_k.copy()
+        term = w_k
+        for _ in range(block_len - 1):
+            term = u[k] @ term
+            power_sum = power_sum + term
+        values = (total, total - frozen_w, frozen_w - power_sum, power_sum)
+        blocks[k] = {
+            label: float(np.linalg.norm(v)) for label, v in zip(BLOCK_LABELS, values)
+        }
+    state = w[0].copy()
+    for j in range(1, cfg.L):
+        state = u[j] @ state + w[j]
+    return blocks, state
+
+
+def one_step_block_oracle(lz):
+    """The per-step oracle's values for block 1025 of the landau_zener
+    run at L = 1025, delta = 0.5 and T = ONE_STEP_BLOCK_T."""
+    L = ONE_STEP_BLOCK_L
+    path = al.track_eigenpath(lz, L + 1)
+    shifted = al.shift_to_zero_eigenvalue(lz, path)
+    norm_h1 = al.norm_bundle(shifted).norm_H1
+    cfg = ProofCheckConfig.from_bound(L, ONE_STEP_BLOCK_T, 0.5, norm_h1, path.gap)
+    blocks, _ = per_step_folds(shifted, cfg, al.error_vectors(path))
+    return blocks[L]
+
+
+def assert_blocks_match_oracle(entries, oracle_blocks):
+    """Every block entry within 1e-12 of its bound of the oracle's value."""
+    assert len(entries) == 4 * len(oracle_blocks)
+    for entry in entries:
+        start, label = entry.name[len("block[") :].split("]:")
+        want = oracle_blocks[int(start)][label]
+        assert abs(entry.measured - want) <= 1e-12 * entry.bound, entry.name
 
 
 class TestErrorVectors:
@@ -142,7 +210,7 @@ class TestTaylorForm:
 
 class TestDriftChecks:
     def test_constant_instance_zero_drift(self, const_instance):
-        path, cfg, provider, shifted_norms, norms, lam = _shifted_context(
+        path, cfg, shifted, shifted_norms, norms, lam = _shifted_context(
             const_instance, 512, total_time=100.0
         )
         entries = check_error_vector_drift(path, cfg, shifted_norms)
@@ -170,113 +238,113 @@ class TestDriftChecks:
 
 class TestStepUnitaryDrift:
     def test_constant_instance_zero(self, const_instance):
-        provider = _StepUnitaries(const_instance, 10.0, 256)
-        from adialab.proofcheck import _max_step_drift
-
-        assert _max_step_drift(provider) < 1e-14
+        assert _max_step_drift(const_instance, 10.0, 256) < 1e-14
 
     def test_linear_ramp_closed_form(self):
         # H(s) = s Z: U_{j+1} - U_j has operator norm |e^{i T/L^2} - 1|
         inst = al.affine_hamiltonian(np.zeros((2, 2)), PAULI_Z)
         T, L = 7.0, 64
-        provider = _StepUnitaries(inst, T, L)
-        from adialab.proofcheck import _max_step_drift
-
-        measured = _max_step_drift(provider)
+        measured = _max_step_drift(inst, T, L)
         expected = abs(np.exp(1j * T / L**2) - 1.0)
         assert measured == pytest.approx(expected, rel=1e-10)
         assert measured <= T * 1.0 / L**2  # bound with ||H'|| = 1
 
 
 class TestGeometricSums:
-    def test_quarter_period_cancels(self):
-        # theta = pi/2, 4 terms: 1 + i - 1 - i = 0
-        assert geometric_sum_norm(np.pi / 2.0, 1.0, 1, 4) == pytest.approx(0.0, abs=1e-12)
-
-    def test_half_period_three_terms(self):
-        # theta = pi: 1 - 1 + 1 = 1
-        assert geometric_sum_norm(np.pi, 1.0, 1, 3) == pytest.approx(1.0, abs=1e-12)
-
-    def test_dirichlet_kernel_value(self):
-        # theta = 0.01, 100 terms: |sin(0.5)/sin(0.005)| ~ 95.89, bound 4/theta = 400
-        value = geometric_sum_norm(0.01, 1.0, 1, 100)
-        assert value == pytest.approx(
-            abs(math.sin(0.5) / math.sin(0.005)), abs=1e-10
-        )
-        assert value <= 400.0
-
-    def test_resonance_flagged(self):
-        result = geometric_sum_norm_detailed(2.0 * np.pi, 1.0, 1, 7)
-        assert result.resonant
-        assert result.value == 7.0
-
     def test_small_angle_lower_bound(self):
         # |e^{i theta} - 1| >= |theta| / 2 for all |theta| <= pi/2
         thetas = np.linspace(-np.pi / 2.0, np.pi / 2.0, 20001)
         values = np.abs(np.exp(1j * thetas) - 1.0)
         assert (values >= np.abs(thetas) / 2.0 - 1e-15).all()
 
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            geometric_sum_norm(1.0, -1.0, 4, 4)
-        with pytest.raises(DomainError):
-            geometric_sum_norm(1.0, 1.0, 4, 0)
-
 
 class TestBlocks:
     def test_constant_instance_all_zero(self, const_instance):
-        path, cfg, provider, *_ = _shifted_context(
+        path, cfg, shifted, *_ = _shifted_context(
             const_instance, 512, total_time=100.0
         )
-        entries = check_block_cancellation(path, cfg, provider, 1)
+        entries = check_block_cancellation(*_fold(path, cfg, shifted), cfg)
+        assert len(entries) == 4 * len(cfg.block_starts)
         assert all(e.passed for e in entries)
         assert all(e.measured < 1e-13 for e in entries)
 
     def test_landau_zener_blocks_pass(self, lz):
-        path, cfg, provider, *_ = _shifted_context(lz, 4096, delta=1.0)
-        for start in cfg.block_starts[:3]:
-            entries = check_block_cancellation(path, cfg, provider, start)
-            assert all(e.passed for e in entries)
+        path, cfg, shifted, *_ = _shifted_context(lz, 4096, delta=1.0)
+        entries = check_block_cancellation(*_fold(path, cfg, shifted), cfg)
+        first_three = [f"block[{k}]:{label}" for k in cfg.block_starts[:3]
+                       for label in BLOCK_LABELS]
+        assert [e.name for e in entries[:12]] == first_three
+        assert all(e.passed for e in entries[:12])
 
     def test_trimmed_final_block_flagged(self, lz):
-        path, cfg, provider, *_ = _shifted_context(lz, 4096, delta=1.0)
+        path, cfg, shifted, *_ = _shifted_context(lz, 4096, delta=1.0)
         if (cfg.L - cfg.block_starts[-1] + 1) == cfg.Delta:
             pytest.skip("Delta divides L for this configuration")
-        entries = check_block_cancellation(path, cfg, provider, cfg.block_starts[-1])
-        assert all("trimmed" in e.note for e in entries)
+        entries = check_block_cancellation(*_fold(path, cfg, shifted), cfg)
+        assert all("trimmed" in e.note for e in entries[-4:])
+        assert not any("trimmed" in e.note for e in entries[:-4])
+
+    def test_folds_match_per_step_oracle(self, lz, grover2, rand4):
+        # L - 1 = 1024: Delta = 48 leaves a trimmed 17-step last block,
+        # Delta = 64 a one-step last block starting at k = L
+        L = 1025
+        for inst in (lz, grover2, rand4):
+            for Delta, last_len in ((48, 17), (64, 1)):
+                path, cfg, shifted, *_ = _shifted_context(inst, L, Delta=Delta)
+                assert cfg.Delta == Delta
+                assert cfg.L - cfg.block_starts[-1] + 1 == last_len
+                products, power_sums = _fold(path, cfg, shifted)
+                blocks, total = per_step_folds(shifted, cfg, al.error_vectors(path))
+                entries = check_block_cancellation(products, power_sums, cfg)
+                assert_blocks_match_oracle(entries, blocks)
+                assert np.linalg.norm(total_error_vector(products) - total) <= (
+                    1e-12 * cfg.delta
+                )
+
+    def test_batched_folds_match_per_step_oracle(self, lz, monkeypatch):
+        # with 64-matrix batches, Delta = 26 puts two blocks in each batch
+        # and pads the last batch's trimmed 11-step block with identities;
+        # Delta = 128 splits every block over two batches, and the
+        # one-step last block ends within its first
+        for module in (_linalg, proofcheck):
+            monkeypatch.setattr(module, "chunk_size", lambda dim: 64)
+        for Delta, last_len in ((26, 11), (128, 1)):
+            path, cfg, shifted, *_ = _shifted_context(lz, 1025, Delta=Delta)
+            assert cfg.L - cfg.block_starts[-1] + 1 == last_len
+            products, power_sums = _fold(path, cfg, shifted)
+            blocks, total = per_step_folds(shifted, cfg, al.error_vectors(path))
+            entries = check_block_cancellation(products, power_sums, cfg)
+            assert_blocks_match_oracle(entries, blocks)
+            assert np.linalg.norm(total_error_vector(products) - total) <= (
+                1e-12 * cfg.delta
+            )
 
     def test_block_decomposition_reassembles_total(self, lz):
-        # concatenating all block sums with their shared unitary prefixes
+        # concatenating all block sums with their shared unitary suffixes
         # reapplied must reproduce the total error vector
         L = 2048
-        path, cfg, provider, *_ = _shifted_context(lz, L, delta=1.0)
-        w = al.error_vectors(path)
-        total = total_error_vector(path, cfg, provider)
+        path, cfg, shifted, *_ = _shifted_context(lz, L, delta=1.0)
+        products, _ = _fold(path, cfg, shifted)
+        total = total_error_vector(products)
+        u = _step_batch(shifted, 0, L, al.EvolutionConfig(cfg.T, L))
 
         reassembled = np.zeros(path.dim, dtype=complex)
         suffix = np.eye(path.dim, dtype=complex)  # U_{L-1} ... U_{boundary}
         boundary = L
-        for start in reversed(cfg.block_starts):
+        for b, start in reversed(list(enumerate(cfg.block_starts))):
             end = min(start + cfg.Delta - 1, L)  # inclusive last j of the block
-            ascending = [
-                u for _, batch in provider.iter_batches(end, boundary) for u in batch
-            ]
-            for u in reversed(ascending):  # extend down to U_{end}
-                suffix = suffix @ u
-            block = w[start - 1].copy()
-            for lo, batch in provider.iter_batches(start, end):
-                for offset in range(batch.shape[0]):
-                    block = batch[offset] @ block + w[lo + offset]
-            reassembled = reassembled + suffix @ block
+            for j in reversed(range(end, boundary)):  # extend down to U_{end}
+                suffix = suffix @ u[j]
+            reassembled = reassembled + suffix @ products[b, : path.dim, path.dim]
             boundary = end
         assert np.linalg.norm(reassembled - total) < 1e-9
 
     def test_power_sum_matches_direct_power_application(self, lz):
-        path, cfg, provider, *_ = _shifted_context(lz, 1024, delta=1.0)
+        path, cfg, shifted, *_ = _shifted_context(lz, 1024, delta=1.0)
         k = cfg.block_starts[1]
-        entries = check_block_cancellation(path, cfg, provider, k)
-        named = {e.name.split(":")[1]: e for e in entries}
-        u_k = provider.single(k)
+        entries = check_block_cancellation(*_fold(path, cfg, shifted), cfg)
+        named = {e.name.split(":")[1]: e for e in entries[4:8]}
+        u_k = _step_batch(shifted, k, k + 1, al.EvolutionConfig(cfg.T, cfg.L))[0]
         w_k = al.error_vectors(path)[k - 1]
         block_len = min(cfg.Delta, cfg.L - k + 1)
         direct = sum(
@@ -289,18 +357,18 @@ class TestBlocks:
 
 class TestTotalError:
     def test_constant_instance_zero(self, const_instance):
-        path, cfg, provider, *_ = _shifted_context(
+        path, cfg, shifted, *_ = _shifted_context(
             const_instance, 512, total_time=100.0
         )
-        total = total_error_vector(path, cfg, provider)
+        total = total_error_vector(_fold(path, cfg, shifted)[0])
         assert np.linalg.norm(total) < 1e-13
 
     def test_landau_zener_below_delta_and_foil(self, lz):
         delta = 1.0
-        path, cfg, provider, shifted_norms, norms, lam = _shifted_context(
+        path, cfg, shifted, shifted_norms, norms, lam = _shifted_context(
             lz, 16384, delta=delta
         )
-        total = float(np.linalg.norm(total_error_vector(path, cfg, provider)))
+        total = float(np.linalg.norm(total_error_vector(_fold(path, cfg, shifted)[0])))
         foil = shifted_norms.norm_H1 / lam
         assert total <= delta
         assert total <= 0.1 * foil
@@ -309,13 +377,15 @@ class TestTotalError:
         # at T far below requirement the cancellation degrades and the
         # final distance (which the total sum tracks) grows toward O(1)
         delta = 1.0
-        path, cfg, provider, shifted_norms, norms, lam = _shifted_context(
+        path, cfg, shifted, *_ = _shifted_context(
             lz, 16384, delta=delta, total_time=12.0
         )
-        total_slow = float(np.linalg.norm(total_error_vector(path, cfg, provider)))
-        path2, cfg2, provider2, *_ = _shifted_context(lz, 16384, delta=delta)
+        total_slow = float(
+            np.linalg.norm(total_error_vector(_fold(path, cfg, shifted)[0]))
+        )
+        path2, cfg2, shifted2, *_ = _shifted_context(lz, 16384, delta=delta)
         total_adiabatic = float(
-            np.linalg.norm(total_error_vector(path2, cfg2, provider2))
+            np.linalg.norm(total_error_vector(_fold(path2, cfg2, shifted2)[0]))
         )
         assert total_slow > 10.0 * total_adiabatic
 
@@ -418,6 +488,18 @@ class TestRunProofcheck:
             assert report.metadata["T"] == pytest.approx(total_time, rel=1e-12)
             cfg = ProofCheckConfig.from_bound(L, total_time, delta, want.norm_H1, path.gap)
             assert report.metadata["Delta"] == cfg.Delta
+
+    def test_one_step_last_block(self, lz):
+        # Delta = 64 divides L - 1 = 1024, so the last block starts at k = L
+        # and holds the single term w_L
+        report = al.run_proofcheck(
+            lz, L=ONE_STEP_BLOCK_L, delta=0.5, total_time=ONE_STEP_BLOCK_T
+        )
+        assert report.metadata["Delta"] == 64
+        last = [e for e in report.entries if e.name.startswith("block[1025]:")]
+        assert [e.name.split(":")[1] for e in last] == list(BLOCK_LABELS)
+        assert all(e.note == "block j=1025..1025; trimmed" for e in last)
+        assert_blocks_match_oracle(last, {1025: one_step_block_oracle(lz)})
 
     def test_small_angle_regime_enforced(self, lz):
         with pytest.raises(FeasibilityError, match="pi/2"):

@@ -249,6 +249,11 @@ class TestVerify:
         with pytest.raises(DomainError):
             al.verify(lz, delta=1.5)
 
+    def test_time_validation(self, lz):
+        for total_time in (math.nan, math.inf, -math.inf, -1.0):
+            with pytest.raises(DomainError, match="T_override"):
+                al.verify(lz, delta=0.5, T_override=total_time, grid_size=65)
+
     def test_verdict_serialization_roundtrip(self, lz):
         verdict = al.verify(lz, delta=0.5, T_override=1.0, grid_size=257)
         payload = verdict.to_dict()

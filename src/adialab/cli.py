@@ -33,7 +33,7 @@ from .evolution import (
     distance_phase_invariant,
     evolve_discrete,
 )
-from .hamiltonians import DEFAULT_NORM_GRID
+from .hamiltonians import DEFAULT_NORM_GRID, TimeDependentHamiltonian
 from .problems import InstanceSpec
 from .proofcheck import run_proofcheck
 from .spectral import DEFAULT_GRID, spectral_gap, track_eigenpath
@@ -116,7 +116,7 @@ def _expect(data: dict, key: str, kinds, default=None):
     return value
 
 
-def _build_instance(data: dict, seed_override: int | None) -> InstanceSpec:
+def _build_instance(data: dict, seed_override: int | None) -> TimeDependentHamiltonian:
     raw = data["instance"]
     if not isinstance(raw, dict):
         raise ConfigError("field 'instance' must be an object")
@@ -136,12 +136,10 @@ def _build_instance(data: dict, seed_override: int | None) -> InstanceSpec:
                 f"not {raw['kind']!r}"
             )
         params["seed"] = seed_override
-    spec = InstanceSpec(raw["kind"], params)
     try:
-        spec.build()
+        return InstanceSpec(raw["kind"], params).build()
     except DomainError as exc:
         raise ConfigError(str(exc)) from None
-    return spec
 
 
 def _dump_json(payload: dict) -> str:
@@ -164,9 +162,8 @@ def cmd_verify(args) -> int:
     data = _load_config(args.config, "verify")
     if args.format == "csv":
         raise ConfigError("verify emits a JSON verdict; use --format json")
-    spec = _build_instance(data, args.seed)
     verdict = verify(
-        spec.build(),
+        _build_instance(data, args.seed),
         T_override=_expect(data, "T_override", _NUMBER),
         **_verify_options(data),
     )
@@ -196,7 +193,7 @@ def cmd_sweep(args) -> int:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"field 'T_values[{i}]' must be a number")
     options = _verify_options(data)
-    h = _build_instance(data, args.seed).build()
+    h = _build_instance(data, args.seed)
     verdicts = [verify(h, T_override=float(t), **options) for t in t_values]
 
     if args.format == "json":
@@ -225,8 +222,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_gap_scan(args) -> int:
     data = _load_config(args.config, "gap-scan")
-    spec = _build_instance(data, args.seed)
-    h = spec.build()
+    h = _build_instance(data, args.seed)
     grid_size = _expect(data, "grid_size", int, DEFAULT_GRID)
     path = track_eigenpath(h, grid_size)
     report = spectral_gap(h, path)
@@ -248,9 +244,8 @@ def cmd_gap_scan(args) -> int:
 
 def cmd_proof_check(args) -> int:
     data = _load_config(args.config, "proof-check")
-    spec = _build_instance(data, args.seed)
     report = run_proofcheck(
-        spec.build(),
+        _build_instance(data, args.seed),
         L=_expect(data, "L", int),
         delta=float(_expect(data, "delta", _NUMBER)),
         total_time=_expect(data, "T", _NUMBER),
@@ -275,8 +270,7 @@ def cmd_simulate(args) -> int:
     data = _load_config(args.config, "simulate")
     if args.format == "json":
         raise ConfigError("simulate emits CSV snapshots; use --format csv")
-    spec = _build_instance(data, args.seed)
-    h = spec.build()
+    h = _build_instance(data, args.seed)
     total_time = float(_expect(data, "T", _NUMBER))
     steps = _expect(data, "L", int)
     stride = _expect(data, "snapshot_stride", int, max(1, steps // 100))

@@ -18,43 +18,10 @@ from functools import reduce
 import numpy as np
 
 from .errors import DomainError
-from .hamiltonians import TimeDependentHamiltonian
+from .hamiltonians import TimeDependentHamiltonian, affine_hamiltonian
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-
-def affine_hamiltonian(
-    h0: np.ndarray, h1: np.ndarray, *, name: str = "", params: dict | None = None
-) -> TimeDependentHamiltonian:
-    """H(s) = (1-s) h0 + s h1 with exact analytic derivatives."""
-    h0 = np.asarray(h0, dtype=complex)
-    h1 = np.asarray(h1, dtype=complex)
-    if h0.shape != h1.shape or h0.ndim != 2 or h0.shape[0] != h0.shape[1]:
-        raise DomainError("endpoints must be square matrices of equal shape")
-    h0.setflags(write=False)
-    h1.setflags(write=False)
-    diff = h1 - h0
-    diff.setflags(write=False)
-    zero = np.zeros_like(h0)
-    zero.setflags(write=False)
-
-    def evaluate(s: float) -> np.ndarray:
-        return (1.0 - s) * h0 + s * h1
-
-    def evaluate_batch(s_values: np.ndarray) -> np.ndarray:
-        s_col = np.asarray(s_values, dtype=float)[:, None, None]
-        return (1.0 - s_col) * h0 + s_col * h1
-
-    return TimeDependentHamiltonian(
-        dim=h0.shape[0],
-        evaluator=evaluate,
-        d1=lambda s: diff,
-        d2=lambda s: zero,
-        name=name,
-        params=dict(params or {}),
-        evaluator_batch=evaluate_batch,
-    )
 
 
 def landau_zener() -> TimeDependentHamiltonian:

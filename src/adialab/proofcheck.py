@@ -34,13 +34,7 @@ import numpy as np
 from ._linalg import chunk_ranges, chunk_size, grid_derivative, opnorm, ordered_product
 from .errors import DomainError, FeasibilityError, IntegrityError
 from .evolution import EvolutionConfig, _step_batch
-from .hamiltonians import (
-    DEFAULT_NORM_GRID,
-    NormBundle,
-    TimeDependentHamiltonian,
-    norm_bundle,
-    norm_spectra,
-)
+from .hamiltonians import DEFAULT_NORM_GRID, NormBundle, TimeDependentHamiltonian
 from .spectral import EigenPath, gauge_residual, path_derivatives, track_eigenpath
 from .theorem import TheoremInputs, _shift_and_measure, required_time_special
 
@@ -589,9 +583,7 @@ def run_proofcheck(
 
     path = track_eigenpath(h, L + 1, selector)
     lam = path.gap
-    spectra = norm_spectra(h, norm_grid)
-    norms = norm_bundle(h, norm_grid, spectra=spectra)
-    shifted, norms_shifted = _shift_and_measure(h, path, spectra, norms, lam)
+    shifted, norms, norms_shifted = _shift_and_measure(h, path, norm_grid, lam)
 
     if total_time is None:
         total_time = required_time_special(

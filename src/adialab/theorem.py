@@ -38,8 +38,8 @@ from .evolution import (
 from .hamiltonians import (
     NormBundle,
     TimeDependentHamiltonian,
+    _shift_by,
     norm_bundle,
-    norm_spectra,
 )
 from .spectral import (
     DEFAULT_GRID,
@@ -102,31 +102,10 @@ def _shifted_frame(
     derivatives subtract the spline's first and second derivatives.
     """
     spline = CubicSpline(path.grid, path.gammas)
-    dspline = spline.derivative(1)
-    d2spline = spline.derivative(2)
-    eye = np.eye(h.dim, dtype=complex)
-    base = h
-
-    def evaluate(s: float) -> np.ndarray:
-        return base.evaluator(s) - float(spline(s)) * eye
-
-    batch = None
-    if base.evaluator_batch is not None:
-
-        def batch(s_values: np.ndarray) -> np.ndarray:
-            shifts = np.asarray(spline(s_values), dtype=float)
-            return base.evaluator_batch(s_values) - shifts[:, None, None] * eye
-
-    shifted = TimeDependentHamiltonian(
-        dim=base.dim,
-        evaluator=evaluate,
-        d1=lambda s: base.d1(s) - float(dspline(s)) * eye,
-        d2=lambda s: base.d2(s) - float(d2spline(s)) * eye,
-        name=(base.name + "_shifted") if base.name else "shifted",
-        params={**base.params, "shifted_by": "tracked_eigenvalue"},
-        evaluator_batch=batch,
-    )
-    return shifted, (spline, dspline, d2spline)
+    rules = (spline, spline.derivative(1), spline.derivative(2))
+    name = (h.name + "_shifted") if h.name else "shifted"
+    params = {**h.params, "shifted_by": "tracked_eigenvalue"}
+    return _shift_by(h, rules, name, params), rules
 
 
 def _check_null_states(shifted: TimeDependentHamiltonian, path: EigenPath) -> None:
@@ -142,32 +121,26 @@ def _check_null_states(shifted: TimeDependentHamiltonian, path: EigenPath) -> No
 
 
 def _shift_and_measure(
-    h: TimeDependentHamiltonian,
-    path: EigenPath,
-    spectra: tuple[np.ndarray, np.ndarray, np.ndarray],
-    base_norms: NormBundle,
-    lam: float,
-) -> tuple[TimeDependentHamiltonian, NormBundle]:
-    """Build H~(s) = H(s) - gamma(s) I and measure its norm bundle.
+    h: TimeDependentHamiltonian, path: EigenPath, norm_grid: int, lam: float
+) -> tuple[TimeDependentHamiltonian, NormBundle, NormBundle]:
+    """Build H~(s) = H(s) - gamma(s) I and measure the norms of H and H~.
 
-    ``spectra`` are the eigenvalues of H, H' and H'' on the norm grid, as
-    ``norm_spectra`` returns them.  Subtracting a real scalar times I only
-    translates a spectrum, so the grid spectra of H~, H~' and H~'' are
-    those minus gamma, gamma' and gamma'' at each grid point, taken from
-    the spline that H~'s own derivatives use; no shifted matrix is sampled
-    on the grid.  The golden-section refinement around each grid argmax still
-    evaluates H~ point by point.  Postconditions: the tracked states are
-    null vectors of H~ at every path grid point, and the shifted norms obey
-    ||H~'|| <= 2||H'|| and ||H~''|| <= 2||H''|| + 4||H'||^2/lambda within
-    5% slack.
+    Both bundles come from ``norm_bundle``.  For an affine instance they
+    are exact, apart from sup ||H~||: subtracting a real scalar times I only
+    translates a spectrum, so H~'s grid spectrum is H's minus gamma, taken
+    from the tracked path when it lies on the norm grid and sampled
+    otherwise.  No derivative matrix is sampled on that route.  Other
+    instances are sampled on the ``norm_grid``-point grid.  Postconditions:
+    the tracked states are null vectors of H~ at every path grid point, and
+    the shifted norms obey ||H~'|| <= 2||H'|| and
+    ||H~''|| <= 2||H''|| + 4||H'||^2/lambda within 5% slack.
     """
-    shifted, shift_rules = _shifted_frame(h, path)
-    norm_grid = spectra[0].shape[0]
-    grid = np.linspace(0.0, 1.0, norm_grid)
-    translated = tuple(
-        spec - rule(grid)[:, None] for spec, rule in zip(spectra, shift_rules)
-    )
-    shifted_norms = norm_bundle(shifted, norm_grid, spectra=translated)
+    shifted, rules = _shifted_frame(h, path)
+    spectrum = path.eigenvalues if path.npoints == norm_grid else None
+    base_norms = norm_bundle(h, norm_grid, spectrum=spectrum)
+    if spectrum is not None:
+        spectrum = spectrum - rules[0](path.grid)[:, None]
+    shifted_norms = norm_bundle(shifted, norm_grid, spectrum=spectrum)
 
     _check_null_states(shifted, path)
     slack = 1.0 + SHIFT_NORM_SLACK
@@ -183,7 +156,7 @@ def _shift_and_measure(
             f"shifted ||H''|| = {shifted_norms.norm_H2:.6g} exceeds "
             f"2||H''|| + 4||H'||^2/lambda = {bound_h2:.6g} beyond 5% slack"
         )
-    return shifted, shifted_norms
+    return shifted, base_norms, shifted_norms
 
 
 def shift_to_zero_eigenvalue(
@@ -255,11 +228,14 @@ def verify(
 ) -> TheoremVerdict:
     """Track, bound, evolve for the prescribed time, and compare.
 
-    The evolution runs in the shifted frame from the gauge-fixed initial
-    state with disc_tol = delta/100 unless overridden, so discretization
-    noise stays two orders below the claim under test.  If the required
-    step count exceeds ``step_ceiling`` the run refuses up front and
-    reports the largest feasible T instead of silently truncating.
+    The gap is the tracked path's grid minimum.  The norms of H and of the
+    zero-eigenvalue frame H~ come from ``_shift_and_measure``: exact for an
+    affine instance, sampled on the path's grid otherwise.  The evolution
+    runs in the shifted frame from the gauge-fixed initial state with
+    disc_tol = delta/100 unless overridden, so discretization noise stays
+    two orders below the claim under test.  If the required step count
+    exceeds ``step_ceiling`` the run refuses up front and reports the
+    largest feasible T instead of silently truncating.
     """
     if not (0.0 < delta <= MAX_DELTA + 1e-12):
         raise DomainError(f"delta must lie in (0, sqrt(2)], got {delta}")
@@ -270,9 +246,7 @@ def verify(
 
     path = track_eigenpath(h, grid_size, selector)
     lam = path.gap
-    spectra = norm_spectra(h, grid_size, path.eigenvalues)
-    norms = norm_bundle(h, grid_size, spectra=spectra)
-    shifted, norms_shifted = _shift_and_measure(h, path, spectra, norms, lam)
+    shifted, norms, norms_shifted = _shift_and_measure(h, path, grid_size, lam)
 
     if case == "general":
         t_required = required_time_general(TheoremInputs(delta, norms, lam, "general"))

@@ -46,6 +46,14 @@ def sampled_only(evaluator, dim: int = 2) -> al.TimeDependentHamiltonian:
     )
 
 
+def plain_copy(inst: al.TimeDependentHamiltonian) -> al.TimeDependentHamiltonian:
+    """``inst`` without its affine record: the same evaluator, d1 and d2,
+    which norm_bundle samples matrix by matrix and eval_batch checks."""
+    return al.TimeDependentHamiltonian(
+        dim=inst.dim, evaluator=inst.evaluator, d1=inst.d1, d2=inst.d2
+    )
+
+
 def rotating_two_level(rate: float = np.pi) -> al.TimeDependentHamiltonian:
     """H(s) = -(cos(rate*s) Z + sin(rate*s) X); the ground state rotates
     in the real plane at constant speed rate/2 with a constant gap of 2."""

@@ -6,6 +6,7 @@ import jsonschema
 import pytest
 
 from adialab import cli, landau_zener
+from adialab.problems import InstanceSpec
 from test_proofcheck import (
     BLOCK_LABELS,
     ONE_STEP_BLOCK_L,
@@ -116,6 +117,34 @@ def test_simulate_csv_snapshots(tmp_path, capsys):
     assert header == "step,s,distance_to_path,gamma"
     assert [int(row[0]) for row in rows] == [0, 50, 100, 150, 200]
     assert rows[0][2] == 0.0 and rows[0][3] == pytest.approx(-1.0)
+
+
+def test_each_command_builds_its_instance_once(tmp_path, capsys, monkeypatch):
+    builds = []
+    original = InstanceSpec.build
+    monkeypatch.setattr(
+        InstanceSpec, "build", lambda spec: builds.append(spec.kind) or original(spec)
+    )
+    configs = {
+        "verify": {"instance": LZ, "delta": 1, "T_override": 5.0, "grid_size": 129},
+        "sweep": {"instance": LZ, "delta": 1, "T_values": [5.0], "grid_size": 129},
+        "gap-scan": {"instance": LZ, "grid_size": 129},
+        "proof-check": {"instance": LZ, "delta": 1, "L": 256, "T": 100.0},
+        "simulate": {"instance": LZ, "T": 10.0, "L": 200, "grid_size": 201},
+    }
+    for command, config in configs.items():
+        builds.clear()
+        code, _, err = _run(tmp_path, capsys, command, config)
+        assert code in (cli.EXIT_PASS, cli.EXIT_CLAIM_FAILED), (command, err)
+        assert builds == ["landau_zener"], command
+
+
+def test_invalid_instance_is_a_config_error(tmp_path, capsys):
+    config = {"instance": {"kind": "grover", "params": {"n": 0}}, "grid_size": 129}
+    code, out, err = _run(tmp_path, capsys, "gap-scan", config)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert "grover requires" in err
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from adialab.hamiltonians import (
 )
 from adialab.problems import PAULI_X, PAULI_Z
 
-from conftest import rotating_two_level, sampled_only
+from conftest import plain_copy, rotating_two_level, sampled_only
 
 
 class TestHermitianOperator:
@@ -98,6 +98,69 @@ class TestEval:
         assert derivative_batch(rotating, empty, 1).shape == (0, 2, 2)
 
 
+class TestAffineRecord:
+    def test_non_hermitian_endpoint_is_integrity_error_at_construction(self):
+        upper = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(IntegrityError, match="endpoint h1"):
+            al.affine_hamiltonian(PAULI_Z, upper)
+        with pytest.raises(IntegrityError, match="endpoint h0"):
+            al.affine_hamiltonian(PAULI_Z + 1e-9 * upper, PAULI_X)
+        with pytest.raises(NumericalError):
+            al.affine_hamiltonian(np.diag([np.inf, 1.0]), PAULI_X)
+        with pytest.raises(DomainError, match="square"):
+            al.affine_hamiltonian(PAULI_Z, np.eye(3))
+
+    def test_library_endpoints_are_stored_bit_identical(self):
+        from adialab.problems import _random_hermitian
+
+        lz = al.landau_zener()
+        assert np.array_equal(lz.affine.h0, PAULI_Z)
+        assert np.array_equal(lz.affine.h1, PAULI_X)
+        rng = np.random.default_rng(5)
+        h0, h1 = _random_hermitian(rng, 8), _random_hermitian(rng, 8)
+        record = al.random_interpolation(8, seed=5).affine
+        assert np.array_equal(record.h0, h0) and np.array_equal(record.h1, h1)
+        assert np.array_equal(record.diff, h1 - h0)
+
+    def test_near_hermitian_endpoint_is_stored_as_its_hermitian_part(self):
+        # within tolerance, so accepted; every sample is then exactly Hermitian
+        skew = PAULI_Z + 1e-14 * np.array([[0.0, 1.0], [0.0, 0.0]])
+        inst = al.affine_hamiltonian(skew, PAULI_X)
+        assert np.array_equal(inst.affine.h0, inst.affine.h0.conj().T)
+        mats = eval_batch(inst, np.linspace(0.0, 1.0, 7))
+        assert np.array_equal(mats, np.conj(np.swapaxes(mats, 1, 2)))
+
+    def test_record_cannot_be_passed_to_the_constructor(self, lz):
+        with pytest.raises(TypeError):
+            al.TimeDependentHamiltonian(
+                dim=2, evaluator=lz.evaluator, d1=lz.d1, d2=lz.d2, affine=lz.affine
+            )
+
+    def test_only_affine_samples_skip_the_hermiticity_check(self, lz, monkeypatch):
+        shift = (np.sin, np.cos, lambda s: -np.sin(s))
+        shifted = hamiltonians._shift_by(lz, shift, "shifted", {})
+        assert shifted.affine.shift is shift
+        # a plain copy, and a shift of a shifted frame, are general instances
+        plain = plain_copy(lz)
+        twice = hamiltonians._shift_by(shifted, shift, "twice", {})
+        assert plain.affine is None and twice.affine is None
+
+        checked = []
+        original = hamiltonians._check_hermitian
+        monkeypatch.setattr(
+            hamiltonians,
+            "_check_hermitian",
+            lambda mats, what: checked.append(what) or original(mats, what),
+        )
+        grid = np.linspace(0.0, 1.0, 9)
+        for inst in (lz, shifted):
+            eval_batch(inst, grid)
+        assert not checked
+        for inst in (plain, twice):
+            eval_batch(inst, grid)
+        assert checked == ["evaluator output"] * 2
+
+
 class TestDerivative:
     def test_affine_first_derivative_exact(self, lz):
         expected = PAULI_X - PAULI_Z
@@ -179,7 +242,8 @@ class TestNormBundle:
         assert nb.norm_H1 == pytest.approx(np.sqrt(3.0) / 2.0, abs=1e-9)
 
     def test_monotone_under_grid_refinement(self, lz, rand4, grover2):
-        for inst in (lz, rand4, grover2):
+        # the exact affine route, and the sampled route on plain copies
+        for inst in (lz, rand4, grover2, *map(plain_copy, (lz, rand4, grover2))):
             previous = None
             for grid_size in (257, 513, 1025):
                 nb = al.norm_bundle(inst, grid_size)
@@ -193,7 +257,7 @@ class TestNormBundle:
         with pytest.raises(DomainError):
             al.norm_bundle(lz, 1)
         with pytest.raises(DomainError, match="shape"):
-            al.norm_bundle(lz, 65, spectra=norm_spectra(lz, 33))
+            al.norm_bundle(lz, 65, spectrum=norm_spectra(lz, 33)[0])
 
     def test_spectra_match_whole_grid_batches(self, monkeypatch):
         # 2,049 points at d = 32 span two chunk_ranges batches; eigvalsh
@@ -205,14 +269,17 @@ class TestNormBundle:
         for order in (1, 2):
             want = np.linalg.eigvalsh(derivative_batch(inst, grid, order))
             assert np.array_equal(spectra[order], want)
-        # a spectrum handed in is used as it is, and H is not sampled again
+        # without order 0 in the request, H is not sampled
         calls = []
         monkeypatch.setattr(
             hamiltonians, "eval_batch", lambda *a, **k: calls.append(a) or eval_batch(*a, **k)
         )
-        again = norm_spectra(inst, grid.size, spectra[0])
-        assert again[0] is spectra[0] and not calls
-        assert np.array_equal(again[2], spectra[2])
+        again = norm_spectra(inst, grid.size, (2,))
+        assert len(again) == 1 and not calls
+        assert np.array_equal(again[0], spectra[2])
+        # a spectrum handed to norm_bundle is used as it is
+        doubled = al.norm_bundle(plain_copy(inst), grid.size, spectrum=2.0 * spectra[0])
+        assert not calls and doubled.norm_H == 2.0 * np.abs(spectra[0]).max()
 
     def test_outputs_stay_hermitian_on_samples(self):
         inst = rotating_two_level(2.0)

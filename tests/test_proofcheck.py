@@ -23,6 +23,8 @@ from adialab.proofcheck import (
 )
 from adialab.theorem import TheoremInputs, required_time_special
 
+from conftest import plain_copy
+
 BLOCK_LABELS = ("total", "freeze_w", "freeze_u", "power_sum")
 # landau_zener at L = 1025 and this T has Delta = 64, which divides L - 1
 ONE_STEP_BLOCK_L = 1025
@@ -470,14 +472,16 @@ class TestRunProofcheck:
         assert len(rows) == len(report.entries) + 1
 
     def test_shifted_norms_match_per_matrix_path(self, lz, grover2):
-        # norms_shifted come from translated spectra; the per-matrix oracle
-        # is norm_bundle on the shifted Hamiltonian, and Delta follows it
-        # (grover(2)'s bound time needs more steps, so it runs at T = 2000)
+        # norms_shifted are exact for these affine instances; the per-matrix
+        # oracle is norm_bundle on the shifted frame of a plain copy without
+        # the affine record, and Delta follows it (grover(2)'s bound time
+        # needs more steps, so it runs at T = 2000)
         L, delta = 8192, 1.0
         for inst, total_time in ((lz, None), (grover2, 2000.0)):
             report = al.run_proofcheck(inst, L=L, delta=delta, total_time=total_time)
             path = al.track_eigenpath(inst, L + 1)
-            want = al.norm_bundle(al.shift_to_zero_eigenvalue(inst, path), 1025)
+            plain_shifted = al.shift_to_zero_eigenvalue(plain_copy(inst), path)
+            want = al.norm_bundle(plain_shifted, 1025)
             got = report.metadata["norms_shifted"]
             for key in ("norm_H", "norm_H1", "norm_H2"):
                 assert got[key] == pytest.approx(getattr(want, key), rel=1e-12, abs=0.0)

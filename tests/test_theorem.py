@@ -11,7 +11,7 @@ from adialab.hamiltonians import NormBundle, derivative_batch, eval_batch, norm_
 from adialab.problems import landau_zener_eigenvalue
 from adialab.theorem import TheoremInputs, _shifted_frame
 
-from conftest import rotating_two_level
+from conftest import plain_copy, rotating_two_level
 
 
 def _inputs(delta, h1, h2, lam, case):
@@ -122,12 +122,18 @@ class TestShift:
 
     def test_shift_measures_no_norms(self, lz, monkeypatch):
         calls = []
-        monkeypatch.setattr(
-            hamiltonians,
-            "derivative_batch",
-            lambda *args: calls.append(args) or derivative_batch(*args),
-        )
+        for name in ("derivative_batch", "derivative"):
+            original = getattr(hamiltonians, name)
+            monkeypatch.setattr(
+                hamiltonians,
+                name,
+                lambda *args, f=original: calls.append(args) or f(*args),
+            )
         al.shift_to_zero_eigenvalue(lz, al.track_eigenpath(lz, 257))
+        # verify and run_proofcheck measure an affine instance's norms, and
+        # its shifted frame's, without sampling a derivative matrix
+        al.verify(lz, delta=1.0, case="special", T_override=0.0, grid_size=257)
+        al.run_proofcheck(lz, L=1024, delta=1.0, total_time=100.0)
         assert not calls
 
     def test_foreign_path_is_rejected(self, lz, const_instance):
@@ -148,28 +154,70 @@ class TestShift:
             assert al.distance_phase_invariant(a, b) <= 1e-8
 
 
-class TestVerifyNorms:
-    """verify takes H~'s grid spectra from H's, translated by gamma, gamma'
-    and gamma''; norm_bundle on the shifted Hamiltonian is the per-matrix
-    oracle."""
+@pytest.fixture(scope="module")
+def library_verdicts():
+    """verify at T = 0 on every library instance it accepts."""
+    instances = [
+        al.landau_zener(),
+        *(al.grover(n) for n in range(2, 6)),
+        *(al.random_interpolation(dim, seed=1) for dim in (4, 8, 16, 32)),
+        al.constant((0.0, 2.0)),
+    ]
+    return [
+        (inst, al.verify(inst, delta=1.0, case="special", T_override=0.0))
+        for inst in instances
+    ]
 
-    def test_analytic_instances_match_per_matrix_oracle(self, suite):
-        for inst in [*suite, al.grover(5), al.random_interpolation(32, seed=1)]:
-            verdict = al.verify(inst, delta=1.0, case="special", T_override=0.0)
+
+class TestVerifyNorms:
+    """verify's norms of an affine instance and of its shifted frame are
+    exact; norm_bundle on a plain copy without the affine record, sampled
+    matrix by matrix, is the oracle."""
+
+    def test_analytic_instances_match_per_matrix_oracle(self, library_verdicts):
+        for inst, verdict in library_verdicts:
             path = al.track_eigenpath(inst, 1025)
-            shifted = al.shift_to_zero_eigenvalue(inst, path)
-            oracle = norm_spectra(shifted, 1025)  # what norm_bundle(shifted) samples
-            _assert_bundles_close(verdict.norms, al.norm_bundle(inst, 1025), 1e-12)
+            plain = plain_copy(inst)
+            plain_shifted, rules = _shifted_frame(plain, path)
+            assert plain_shifted.affine is None
+            _assert_bundles_close(verdict.norms, al.norm_bundle(plain, 1025), 1e-12)
             _assert_bundles_close(
-                verdict.norms_shifted, al.norm_bundle(shifted, 1025, spectra=oracle), 1e-12
+                verdict.norms_shifted, al.norm_bundle(plain_shifted, 1025), 1e-12
             )
-            # the grid values too, which the refinement can mask in a bundle
-            _, rules = _shifted_frame(inst, path)
-            base = norm_spectra(inst, 1025, path.eigenvalues)
-            for order in range(3):
-                translated = base[order] - rules[order](path.grid)[:, None]
-                scale = np.abs(oracle[order]).max()
-                assert np.abs(translated - oracle[order]).max() <= 1e-12 * scale
+            # the grid values too, which the refinement can mask in a bundle:
+            # H's spectrum translated by gamma, and the scalar curves
+            # max(lambda_max(D) - gamma', gamma' - lambda_min(D)) and |gamma''|
+            oracle = norm_spectra(plain_shifted, 1025)
+            d_min, d_max = np.linalg.eigvalsh(inst.affine.diff)[[0, -1]]
+            slope = rules[1](path.grid)
+            curves = (
+                np.abs(path.eigenvalues - rules[0](path.grid)[:, None]).max(axis=1),
+                np.maximum(d_max - slope, slope - d_min),
+                np.abs(rules[2](path.grid)),
+            )
+            for got, spec in zip(curves, oracle):
+                want = np.abs(spec).max(axis=1)
+                assert np.abs(got - want).max() <= 1e-12 * want.max(), inst.name
+
+    def test_off_grid_maximum_is_refined(self, lz):
+        # |gamma''| of landau_zener peaks at s = 1/2, a knot of the spline
+        # tracked at 1025 points but not a point of a 1024-point norm grid:
+        # the exact route's refinement must find it, as the oracle's does
+        path = al.track_eigenpath(lz, 1025)
+        shifted, rules = _shifted_frame(lz, path)
+        plain_shifted, _ = _shifted_frame(plain_copy(lz), path)
+        got = al.norm_bundle(shifted, 1024)
+        _assert_bundles_close(got, al.norm_bundle(plain_shifted, 1024), 1e-12)
+        grid = np.linspace(0.0, 1.0, 1024)
+        assert got.norm_H2 > np.abs(rules[2](grid)).max() * (1.0 + 1e-9)
+
+    def test_shifted_derivative_norm_within_spread(self, library_verdicts):
+        # Hellmann-Feynman: gamma' = <psi|D|psi> lies in [lambda_min(D),
+        # lambda_max(D)], so ||H~'|| <= spread(D) = lambda_max(D) - lambda_min(D)
+        for inst, verdict in library_verdicts:
+            d_eigenvalues = np.linalg.eigvalsh(inst.affine.diff)
+            spread = d_eigenvalues[-1] - d_eigenvalues[0]
+            assert verdict.norms_shifted.norm_H1 <= spread * (1.0 + 1e-9), inst.name
 
     def test_moving_eigenvalue_instance_matches_per_matrix_oracle(self):
         inst = _moving_rotation()

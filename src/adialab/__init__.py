@@ -46,7 +46,6 @@ from .problems import (
     constant,
     grover,
     landau_zener,
-    make_instance,
     random_interpolation,
     transverse_ising,
 )

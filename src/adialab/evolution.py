@@ -24,7 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import chunk_ranges, expm_i_hermitian, ordered_product
-from .errors import DomainError, NonConvergenceError, NumericalInstabilityError
+from .errors import (
+    DomainError,
+    FeasibilityError,
+    NonConvergenceError,
+    NumericalInstabilityError,
+)
 from .hamiltonians import TimeDependentHamiltonian, eval_batch, norm_bundle
 
 SIGN_CONVENTIONS = {"paper_plus": 1.0, "physics_minus": -1.0}
@@ -171,15 +176,26 @@ def evolve_adaptive(
     d is an O(1/L) estimate, so a failed level predicts the jump: L grows
     by the smallest power of two k >= 2 with d/k < disc_tol, clamped to the
     largest power-of-two multiple of L within the step ceiling.  Raises
-    NonConvergenceError once even 2L would exceed the ceiling.
+    FeasibilityError, naming the largest feasible T, if the first L already
+    exceeds the ceiling, and NonConvergenceError once even 2L would.
     """
     if not disc_tol > 0.0:
         raise DomainError("disc_tol must be positive")
     if not total_time > 0.0:
         raise DomainError("total_time must be positive")
+    if step_ceiling < 2:
+        raise DomainError("step_ceiling must be at least 2, the smallest level")
     if norm_H is None:
         norm_H = norm_bundle(h).norm_H
     L = _initial_steps(total_time, norm_H)
+    if L > step_ceiling:
+        # the largest T whose even-rounded initial step count fits
+        feasible = (step_ceiling - step_ceiling % 2) / (8.0 * norm_H)
+        raise FeasibilityError(
+            f"T={total_time:.6g} needs {L} initial steps, beyond the "
+            f"ceiling {step_ceiling}; largest feasible T is about "
+            f"{feasible:.6g}"
+        )
     while L <= step_ceiling:
         result = evolve_discrete(h, psi0, EvolutionConfig(total_time, L))
         distance = distance_phase_invariant(result.half_state, result.final_state)

@@ -156,10 +156,6 @@ class InstanceSpec:
         return factory(**self.params)
 
 
-def make_instance(kind: str, **params) -> TimeDependentHamiltonian:
-    return InstanceSpec(kind, params).build()
-
-
 __all__ = [
     "InstanceSpec",
     "affine_hamiltonian",
@@ -170,7 +166,6 @@ __all__ = [
     "landau_zener",
     "landau_zener_eigenvalue",
     "landau_zener_gap",
-    "make_instance",
     "random_interpolation",
     "transverse_ising",
     "PAULI_X",

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import chunk_ranges, chunk_size, grid_derivative, opnorm, ordered_product
-from .errors import DomainError, FeasibilityError, IntegrityError
+from .errors import DomainError, FeasibilityError
 from .evolution import EvolutionConfig, _step_batch
 from .hamiltonians import DEFAULT_NORM_GRID, NormBundle, TimeDependentHamiltonian
 from .spectral import EigenPath, gauge_residual, path_derivatives, track_eigenpath
@@ -108,57 +108,34 @@ class ProofReport:
 
 @dataclass(frozen=True)
 class ProofCheckConfig:
-    """Discretization parameters plus the block length Delta.
+    """Discretization parameters; the block length Delta follows from them.
 
-    Delta = ceil((8/delta) * L * ||H'|| / (T * lambda^2)) is recomputed and
-    cross-checked on construction; the block starts partition 1..L.
+    Delta = ceil((8/delta) * L * ||H'|| / (T * lambda^2)), at least 1, and
+    the block starts 1, 1 + Delta, ... partition 1..L.
     """
 
     L: int
     T: float
     delta: float
-    lam: float
     norm_h1: float
-    Delta: int
-    block_starts: tuple
+    lam: float
+    Delta: int = field(init=False)
+    block_starts: tuple = field(init=False)
 
     def __post_init__(self) -> None:
         if self.L < 1 or self.T <= 0.0 or self.delta <= 0.0 or self.lam <= 0.0:
             raise DomainError("L, T, delta and lambda must all be positive")
-        expected = expected_block_length(
+        delta_blocks = expected_block_length(
             self.L, self.T, self.delta, self.norm_h1, self.lam
         )
-        if self.Delta != expected:
-            raise IntegrityError(
-                f"Delta={self.Delta} inconsistent with its defining formula "
-                f"(expected {expected})"
-            )
-        if not (1 <= self.Delta <= self.L):
+        if delta_blocks > self.L:
             raise DomainError(
-                f"Delta={self.Delta} outside [1, L={self.L}]; "
-                "the evolution time is too small for this step count"
+                f"Delta={delta_blocks} exceeds L={self.L}: T={self.T:g} is too "
+                "small for block cancellation at this step count"
             )
-        if self.block_starts != tuple(range(1, self.L + 1, self.Delta)):
-            raise IntegrityError("block_starts do not partition 1..L by Delta")
-
-    @classmethod
-    def from_bound(
-        cls, L: int, T: float, delta: float, norm_h1: float, lam: float
-    ) -> "ProofCheckConfig":
-        delta_blocks = expected_block_length(L, T, delta, norm_h1, lam)
-        if delta_blocks > L:
-            raise DomainError(
-                f"Delta={delta_blocks} exceeds L={L}: T={T:g} is too small "
-                "for block cancellation at this step count"
-            )
-        return cls(
-            L=L,
-            T=T,
-            delta=delta,
-            lam=lam,
-            norm_h1=norm_h1,
-            Delta=delta_blocks,
-            block_starts=tuple(range(1, L + 1, delta_blocks)),
+        object.__setattr__(self, "Delta", delta_blocks)
+        object.__setattr__(
+            self, "block_starts", tuple(range(1, self.L + 1, delta_blocks))
         )
 
 
@@ -600,7 +577,7 @@ def run_proofcheck(
             f"least {needed} for T={total_time:.6g}"
         )
 
-    cfg = ProofCheckConfig.from_bound(L, total_time, delta, norms_shifted.norm_H1, lam)
+    cfg = ProofCheckConfig(L, total_time, delta, norms_shifted.norm_H1, lam)
     w = error_vectors(path)
 
     fit_paths = [track_eigenpath(h, n + 1, selector) for n in fit_lengths]

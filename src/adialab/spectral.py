@@ -1,12 +1,13 @@
 """Gauge-fixed eigenpath tracking, spectral gaps and path derivatives.
 
-A branch selected at s = 0 is continued across the grid by maximum-overlap
-matching against the previous state, which stays robust when non-tracked
-branches cross.  Matching runs per batch of grid points in constant-rank
-segments: one batched overlap computation assumes the branch keeps its
-sorted index and ends at the first point that picks another.  Each matched
-state is then phase-rotated so that the overlap with its predecessor is
-real and nonnegative — the discrete form of the parallel-transport gauge
+A branch selected at s = 0 keeps its sorted rank r over the whole grid:
+while its gap stays positive it cannot change rank, so a change of rank is
+a crossing and raises GapCollapseError.  Each point's eigenvectors are
+compared with the previous point's rank-r eigenvector, one batched overlap
+computation per batch; the best overlap must stay at rank r, which also
+holds when two untracked branches cross.  Each rank-r state is then
+phase-rotated so that the overlap with its predecessor is real and
+nonnegative — the discrete form of the parallel-transport gauge
 <Psi'(s), Psi(s)> = 0; the rotations are one cumulative product of the
 raw overlaps' phases.  ``gauge_residual`` certifies the gauge numerically
 from finite differences of the states.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import chunk_ranges, grid_derivative
+from ._linalg import chunk_ranges, eigh_batch, grid_derivative
 from .errors import DomainError, GapCollapseError, UnderResolvedGridError
 from .hamiltonians import TimeDependentHamiltonian, eval_batch
 
@@ -35,18 +36,18 @@ class EigenPath:
     """Gauge-fixed samples of one eigenvector branch over a grid.
 
     ``states[j]`` is the unit eigenvector at ``grid[j]``, ``gammas[j]`` its
-    eigenvalue, ``eigenvalues[j]`` the full spectrum at that point and
-    ``tracked_index[j]`` the branch position inside it.  ``gauge_phase``
-    accumulates the rotation applied by the discrete parallel transport.
-    ``gap`` is the smallest distance from the tracked eigenvalue to any
-    other eigenvalue over the whole grid.
+    eigenvalue and ``eigenvalues[j]`` the full sorted spectrum at that point;
+    ``tracked_index`` is the branch's sorted rank, the same at every point.
+    ``gauge_phase`` accumulates the rotation applied by the discrete
+    parallel transport.  ``gap`` is the smallest distance from the tracked
+    eigenvalue to any other eigenvalue over the whole grid.
     """
 
     grid: np.ndarray
     states: np.ndarray
     gammas: np.ndarray
     eigenvalues: np.ndarray
-    tracked_index: np.ndarray
+    tracked_index: int
     gauge_phase: np.ndarray
     gap: float
 
@@ -75,16 +76,18 @@ def track_eigenpath(
 
     ``selector`` is either ``"ground"`` (lowest eigenvalue at s = 0) or a
     vector, in which case the branch with the largest initial overlap is
-    taken.  Raises GapCollapseError if the tracked eigenvalue comes within
-    1e-8 * ||H(s)|| of another branch, and UnderResolvedGridError if two
-    consecutive states overlap by less than 0.5 in magnitude; the first
-    failing point raises, its overlap check before its margin check.
+    taken.  Its sorted rank r at s = 0 is kept for the whole grid.  At each
+    further point the raw eigenvectors are compared with the previous
+    point's rank-r eigenvector, and the first failing point raises:
+    UnderResolvedGridError if the best overlap is below 0.5 in magnitude;
+    GapCollapseError if the best overlap is at another rank (the branch
+    crosses a neighbour between the two points), or if a neighbouring rank
+    r +- 1 comes within 1e-8 * ||H(s)|| of the tracked eigenvalue.
 
-    Each batch is matched in segments of constant sorted index, so the
-    number of batched overlap computations is 1 + the index switches in it.
-    With m_j = <v_{idx_j}(s_j), v_{idx_{j-1}}(s_{j-1})> on the raw
-    eigenvectors, state j is v_{idx_j}(s_j) R_j with R_j = R_{j-1} m_j/|m_j|,
-    and ``gauge_phase`` is the running sum of angle(R_j).
+    One batched overlap computation covers each batch.  With
+    m_j = <v_r(s_j), v_r(s_{j-1})> on the raw eigenvectors, state j is
+    v_r(s_j) R_j with R_j = R_{j-1} m_j/|m_j|, and ``gauge_phase`` is the
+    running sum of angle(R_j).
     """
     if grid_size < 2:
         raise DomainError("grid_size must be at least 2")
@@ -105,62 +108,55 @@ def track_eigenpath(
     states = np.empty((grid_size, dim), dtype=complex)
     gammas = np.empty(grid_size)
     spectra = np.empty((grid_size, dim))
-    tracked = np.empty(grid_size, dtype=np.intp)
 
     rotation = np.ones(grid_size, dtype=complex)
     gap = np.inf
-    previous = current = None
+    rank = previous = None
     for lo, hi in chunk_ranges(0, grid_size, dim):
-        evals, evecs = np.linalg.eigh(eval_batch(h, grid[lo:hi]))
-        evecs = evecs.astype(complex, copy=False)
-        rows = np.arange(hi - lo)
-        picks = np.empty(hi - lo, dtype=np.intp)
-        overlap = np.ones(hi - lo, dtype=complex)
-        start = 0
+        evals, evecs = eigh_batch(eval_batch(h, grid[lo:hi]))
         if lo == 0:
-            current = 0 if match_vector is None else int(
+            rank = 0 if match_vector is None else int(
                 np.argmax(np.abs(evecs[0].conj().T @ match_vector))
             )
-            picks[0], previous, start = current, evecs[0, :, current], 1
-        # Constant-rank segments: assume the branch keeps index `current`,
-        # compare every remaining point with its predecessor's raw column
-        # (|overlap| ignores the phase), and restart after the first point
-        # whose argmax differs.  Conjugating the (n, d) side instead of the
-        # (n, d, d) batch saves a copy; the einsum gives conj(<v_k, back>).
-        while start < hi - lo:
-            back = np.concatenate([previous[None], evecs[start:-1, :, current]])
-            conj_overlaps = np.einsum("nik,ni->nk", evecs[start:], back.conj())
-            best = np.argmax(np.abs(conj_overlaps), axis=1)
-            switched = np.flatnonzero(best != current)
-            stop = hi - lo if switched.size == 0 else start + int(switched[0]) + 1
-            seg = slice(start, stop)
-            picks[seg] = best[: stop - start]
-            overlap[seg] = conj_overlaps[rows[: stop - start], picks[seg]].conj()
-            current = int(picks[stop - 1])
-            previous, start = evecs[stop - 1, :, current].copy(), stop
-        del back, conj_overlaps, best  # batch-sized; free before the checks
+            neighbours = [k for k in (rank - 1, rank + 1) if 0 <= k < dim]
+            # s = 0 is matched against itself: overlap |v|^2, so R_0 = 1
+            previous = evecs[0, :, rank]
+        column = evecs[:, :, rank]
+        # every point against its predecessor's rank-r column (|overlap|
+        # ignores the phase); conjugating the (n, d) side instead of the
+        # (n, d, d) batch saves a copy, and the einsum gives conj(<v_k, back>)
+        back = np.concatenate([previous[None], column[:-1]])
+        conj_overlaps = np.einsum("nik,ni->nk", evecs, back.conj())
+        magnitudes = np.abs(conj_overlaps)
+        best = magnitudes.argmax(axis=1)
+        overlap = conj_overlaps[:, rank].conj()
+        magnitude = magnitudes[:, rank]
 
-        magnitude = np.abs(overlap)
         point_norm = np.abs(evals).max(axis=1)
-        gammas[lo:hi] = evals[rows, picks]
-        distance = np.abs(evals - gammas[lo:hi, None])
-        distance[rows, picks] = np.inf
-        margin = distance.min(axis=1)
-        low = np.flatnonzero(magnitude < MIN_BRANCH_OVERLAP)
-        degenerate = np.flatnonzero(
-            (margin <= DEGENERACY_RTOL * point_norm) | (point_norm == 0.0)
+        gammas[lo:hi] = evals[:, rank]
+        margin = np.abs(evals[:, neighbours] - gammas[lo:hi, None]).min(
+            axis=1, initial=np.inf
         )
-        # the earliest failing point raises; at one point, overlap before margin
-        if low.size and (not degenerate.size or low[0] <= degenerate[0]):
-            r = low[0]
-            raise UnderResolvedGridError(
-                f"consecutive overlap {magnitude[r]:.3f} < "
-                f"{MIN_BRANCH_OVERLAP} at s={grid[lo + r]:.6g}; refine the grid"
-            )
-        if degenerate.size:
-            r = degenerate[0]
+        low = magnitudes.max(axis=1) < MIN_BRANCH_OVERLAP
+        crossed = best != rank
+        degenerate = (margin <= DEGENERACY_RTOL * point_norm) | (point_norm == 0.0)
+        failed = np.flatnonzero(low | crossed | degenerate)
+        if failed.size:
+            r = failed[0]
+            s = grid[lo + r]
+            if low[r]:
+                raise UnderResolvedGridError(
+                    f"consecutive overlap {magnitudes[r].max():.3f} < "
+                    f"{MIN_BRANCH_OVERLAP} at s={s:.6g}; refine the grid"
+                )
+            if crossed[r]:
+                raise GapCollapseError(
+                    f"tracked branch leaves sorted rank {rank} between "
+                    f"s={grid[lo + r - 1]:.6g} and s={s:.6g}: it crosses "
+                    f"rank {best[r]} there"
+                )
             raise GapCollapseError(
-                f"tracked eigenvalue degenerate at s={grid[lo + r]:.6g}: "
+                f"tracked eigenvalue degenerate at s={s:.6g}: "
                 f"nearest branch at distance {margin[r]:.3e} "
                 f"(tolerance {DEGENERACY_RTOL:.0e} * {point_norm[r]:.3e})"
             )
@@ -171,9 +167,9 @@ def track_eigenpath(
         # (rotation[lo - 1] is the carried R, and still 1 when lo = 0)
         phases = rotation[lo - 1] * np.cumprod(overlap / magnitude)
         rotation[lo:hi] = phases / np.abs(phases)
-        np.multiply(evecs[rows, :, picks], rotation[lo:hi, None], out=states[lo:hi])
+        np.multiply(column, rotation[lo:hi, None], out=states[lo:hi])
         spectra[lo:hi] = evals
-        tracked[lo:hi] = picks
+        previous = column[-1].copy()
 
     gauge_phase = np.cumsum(np.angle(rotation))
 
@@ -182,7 +178,7 @@ def track_eigenpath(
         states=states,
         gammas=gammas,
         eigenvalues=spectra,
-        tracked_index=tracked,
+        tracked_index=rank,
         gauge_phase=gauge_phase,
         gap=float(gap),
     )
@@ -241,10 +237,9 @@ def spectral_gap(h: TimeDependentHamiltonian, path: EigenPath) -> GapReport:
             f"eigen-residual {residual[j]:.3e}"
         )
 
-    mask = np.ones_like(path.eigenvalues, dtype=bool)
-    mask[np.arange(path.npoints), path.tracked_index] = False
     distances = np.abs(path.eigenvalues - path.gammas[:, None])
-    gap_values = np.where(mask, distances, np.inf).min(axis=1)
+    distances[:, path.tracked_index] = np.inf
+    gap_values = distances.min(axis=1)
     j_min = int(np.argmin(gap_values))
     lambda_min = float(gap_values[j_min])
     if lambda_min <= DEGENERACY_RTOL * float(point_norms.max()):

@@ -27,10 +27,9 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import DomainError, FeasibilityError, IntegrityError
+from .errors import DomainError, IntegrityError
 from .evolution import (
     DEFAULT_STEP_CEILING,
-    _initial_steps,
     distance_l2,
     distance_phase_invariant,
     evolve_adaptive,
@@ -264,15 +263,6 @@ def verify(
     if t_used == 0.0:
         final, l_used = psi0, 0
     else:
-        l_start = _initial_steps(t_used, norms_shifted.norm_H)
-        if l_start > step_ceiling:
-            # the largest T whose even-rounded initial step count fits
-            feasible = (step_ceiling - step_ceiling % 2) / (8.0 * norms_shifted.norm_H)
-            raise FeasibilityError(
-                f"T={t_used:.6g} needs {l_start} initial steps, beyond the "
-                f"ceiling {step_ceiling}; largest feasible T is about "
-                f"{feasible:.6g}"
-            )
         result = evolve_adaptive(
             shifted,
             psi0,

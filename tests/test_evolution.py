@@ -7,7 +7,12 @@ import pytest
 import adialab as al
 from adialab import evolution
 from adialab._linalg import expm_i_hermitian
-from adialab.errors import DomainError, NonConvergenceError, NumericalInstabilityError
+from adialab.errors import (
+    DomainError,
+    FeasibilityError,
+    NonConvergenceError,
+    NumericalInstabilityError,
+)
 from adialab.evolution import _step_batch
 from adialab.problems import PAULI_Z
 
@@ -213,9 +218,22 @@ class TestEvolveAdaptive:
         with pytest.raises(NonConvergenceError):
             al.evolve_adaptive(lz, psi0, 100.0, 1e-13, step_ceiling=4096)
 
+    def test_first_level_beyond_ceiling_is_infeasible(self, lz, monkeypatch):
+        # landau_zener at T = 1000 starts at L = 8,000: a lower ceiling is
+        # refused before any level runs, naming T = 7,998 / (8 ||H||)
+        monkeypatch.setattr(al.evolution, "evolve_discrete", None)
+        with pytest.raises(FeasibilityError, match="8000 initial steps") as err:
+            al.evolve_adaptive(lz, _ground(lz), 1000.0, 1e-4, step_ceiling=7_999)
+        assert f"about {7_998 / 8.0:.6g}" in str(err.value)
+
     def test_tolerance_validation(self, lz):
         with pytest.raises(DomainError):
             al.evolve_adaptive(lz, _ground(lz), 1.0, 0.0)
+        # every level has L >= 2; a zero Hamiltonian needs exactly 2 steps
+        zero = al.affine_hamiltonian(np.zeros((2, 2)), np.zeros((2, 2)))
+        psi0 = np.array([1.0, 0.0], dtype=complex)
+        with pytest.raises(DomainError, match="step_ceiling"):
+            al.evolve_adaptive(zero, psi0, 1.0, 1e-6, step_ceiling=1)
 
 
 class TestDistances:

@@ -6,7 +6,7 @@ import pytest
 
 import adialab as al
 from adialab import _linalg, proofcheck
-from adialab.errors import DomainError, FeasibilityError, IntegrityError
+from adialab.errors import DomainError, FeasibilityError
 from adialab.evolution import _step_batch
 from adialab.problems import PAULI_X, PAULI_Z
 from adialab.proofcheck import (
@@ -49,7 +49,7 @@ def _shifted_context(inst, L, delta=1.0, total_time=None, Delta=None):
         total_time = required_time_special(
             TheoremInputs(delta, shifted_norms, lam, "special")
         )
-    cfg = ProofCheckConfig.from_bound(L, total_time, delta, shifted_norms.norm_H1, lam)
+    cfg = ProofCheckConfig(L, total_time, delta, shifted_norms.norm_H1, lam)
     return path, cfg, shifted, shifted_norms, norms, lam
 
 
@@ -95,7 +95,7 @@ def one_step_block_oracle(lz):
     path = al.track_eigenpath(lz, L + 1)
     shifted = al.shift_to_zero_eigenvalue(lz, path)
     norm_h1 = al.norm_bundle(shifted).norm_H1
-    cfg = ProofCheckConfig.from_bound(L, ONE_STEP_BLOCK_T, 0.5, norm_h1, path.gap)
+    cfg = ProofCheckConfig(L, ONE_STEP_BLOCK_T, 0.5, norm_h1, path.gap)
     blocks, _ = per_step_folds(shifted, cfg, al.error_vectors(path))
     return blocks[L]
 
@@ -126,7 +126,7 @@ class TestErrorVectors:
             states=states,
             gammas=np.zeros(2),
             eigenvalues=np.zeros((2, 2)),
-            tracked_index=np.zeros(2, dtype=np.intp),
+            tracked_index=0,
             gauge_phase=np.zeros(2),
             gap=1.0,
         )
@@ -149,25 +149,22 @@ class TestConfig:
             16 * 1000 * 2.0 / 50.0
         )
 
-    def test_cross_check_rejects_tampering(self):
-        cfg = ProofCheckConfig.from_bound(1000, 1000.0, 0.5, 1.0, 1.0)
-        with pytest.raises(IntegrityError):
+    def test_delta_is_derived_not_passed(self):
+        cfg = ProofCheckConfig(1000, 1000.0, 0.5, 1.0, 1.0)
+        assert cfg.Delta == expected_block_length(1000, 1000.0, 0.5, 1.0, 1.0)
+        with pytest.raises(TypeError):
+            ProofCheckConfig(1000, 1000.0, 0.5, 1.0, 1.0, Delta=cfg.Delta)
+        with pytest.raises(TypeError):
             ProofCheckConfig(
-                L=cfg.L,
-                T=cfg.T,
-                delta=cfg.delta,
-                lam=cfg.lam,
-                norm_h1=cfg.norm_h1,
-                Delta=cfg.Delta + 1,
-                block_starts=cfg.block_starts,
+                1000, 1000.0, 0.5, 1.0, 1.0, block_starts=cfg.block_starts
             )
 
     def test_delta_exceeding_l_rejected(self):
         with pytest.raises(DomainError, match="too small"):
-            ProofCheckConfig.from_bound(100, 0.001, 0.5, 1.0, 1.0)
+            ProofCheckConfig(100, 0.001, 0.5, 1.0, 1.0)
 
     def test_block_starts_partition(self):
-        cfg = ProofCheckConfig.from_bound(1000, 1000.0, 0.5, 1.0, 1.0)
+        cfg = ProofCheckConfig(1000, 1000.0, 0.5, 1.0, 1.0)
         assert cfg.block_starts[0] == 1
         assert all(
             b - a == cfg.Delta for a, b in zip(cfg.block_starts, cfg.block_starts[1:])
@@ -490,7 +487,7 @@ class TestRunProofcheck:
                     TheoremInputs(delta, want, path.gap, "special")
                 )
             assert report.metadata["T"] == pytest.approx(total_time, rel=1e-12)
-            cfg = ProofCheckConfig.from_bound(L, total_time, delta, want.norm_H1, path.gap)
+            cfg = ProofCheckConfig(L, total_time, delta, want.norm_H1, path.gap)
             assert report.metadata["Delta"] == cfg.Delta
 
     def test_one_step_last_block(self, lz):

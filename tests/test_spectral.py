@@ -53,11 +53,13 @@ class TestDecompose:
 
 
 def sequential_track(h, grid_size, selector="ground"):
-    """Per-point maximum-overlap walk: the oracle for ``track_eigenpath``.
+    """Per-point fixed-rank walk: the oracle for ``track_eigenpath``.
 
-    Same chunks, evaluation and eigh calls as the library, then one point
-    at a time: match against the previous gauge-fixed state, rotate the
-    overlap to be real and nonnegative, check overlap, then margin.
+    Same chunks, evaluation and eigh_batch calls as the library, then one
+    point at a time: keep the sorted rank chosen at s = 0, match against
+    the previous gauge-fixed state, check the best overlap, that it lies at
+    that rank, then the margin, and rotate the overlap to be real and
+    nonnegative.
     Returns (states, gammas, eigenvalues, tracked_index, gauge_phase, gap).
     """
     match_vector = None if isinstance(selector, str) else np.asarray(selector, complex)
@@ -65,36 +67,39 @@ def sequential_track(h, grid_size, selector="ground"):
     states = np.empty((grid_size, h.dim), dtype=complex)
     gammas = np.empty(grid_size)
     spectra = np.empty((grid_size, h.dim))
-    tracked = np.empty(grid_size, dtype=np.intp)
     gauge_phase = np.zeros(grid_size)
     gap = np.inf
-    previous = None
+    rank = previous = None
     for lo, hi in chunk_ranges(0, grid_size, h.dim):
-        evals, evecs = np.linalg.eigh(eval_batch(h, grid[lo:hi]))
-        evecs = evecs.astype(complex, copy=False)
+        evals, evecs = eigh_batch(eval_batch(h, grid[lo:hi]))
         for offset in range(hi - lo):
             j = lo + offset
             w, v = evals[offset], evecs[offset]
             if j == 0:
-                idx = 0
+                rank = 0
                 if match_vector is not None:
-                    idx = int(np.argmax(np.abs(v.conj().T @ match_vector)))
-                state = v[:, idx]
+                    rank = int(np.argmax(np.abs(v.conj().T @ match_vector)))
+                state = v[:, rank]
             else:
                 overlaps = v.conj().T @ previous
-                idx = int(np.argmax(np.abs(overlaps)))
-                magnitude = abs(overlaps[idx])
-                if magnitude < MIN_BRANCH_OVERLAP:
+                best = int(np.argmax(np.abs(overlaps)))
+                if abs(overlaps[best]) < MIN_BRANCH_OVERLAP:
                     raise UnderResolvedGridError(
-                        f"consecutive overlap {magnitude:.3f} < "
+                        f"consecutive overlap {abs(overlaps[best]):.3f} < "
                         f"{MIN_BRANCH_OVERLAP} at s={grid[j]:.6g}; "
                         "refine the grid"
                     )
-                rotation = overlaps[idx] / magnitude
-                state = v[:, idx] * rotation
+                if best != rank:
+                    raise GapCollapseError(
+                        f"tracked branch leaves sorted rank {rank} between "
+                        f"s={grid[j - 1]:.6g} and s={grid[j]:.6g}: it crosses "
+                        f"rank {best} there"
+                    )
+                rotation = overlaps[rank] / abs(overlaps[rank])
+                state = v[:, rank] * rotation
                 gauge_phase[j] = gauge_phase[j - 1] + float(np.angle(rotation))
             point_norm = float(np.abs(w).max())
-            others = np.abs(np.delete(w, idx) - w[idx])
+            others = np.abs(np.delete(w, rank) - w[rank])
             margin = float(others.min()) if others.size else np.inf
             if margin <= DEGENERACY_RTOL * point_norm or point_norm == 0.0:
                 raise GapCollapseError(
@@ -103,9 +108,9 @@ def sequential_track(h, grid_size, selector="ground"):
                     f"(tolerance {DEGENERACY_RTOL:.0e} * {point_norm:.3e})"
                 )
             gap = min(gap, margin)
-            states[j], gammas[j], spectra[j], tracked[j] = state, w[idx], w, idx
+            states[j], gammas[j], spectra[j] = state, w[rank], w
             previous = state
-    return states, gammas, spectra, tracked, gauge_phase, gap
+    return states, gammas, spectra, rank, gauge_phase, gap
 
 
 def dft(d):
@@ -114,8 +119,7 @@ def dft(d):
 
 def level_crossing(d, crossing):
     """diag(0, s - crossing, 2, 3, ..., d - 1): the initial ground branch
-    crosses the zero level at s = crossing, so maximum-overlap matching
-    moves it from sorted index 0 to 1."""
+    crosses the zero level at s = crossing and leaves sorted rank 0."""
     h0 = np.diag([0.0, -crossing, *range(2, d)])
     h1 = np.diag([0.0, 1.0 - crossing, *range(2, d)])
     return al.affine_hamiltonian(h0, h1)
@@ -133,7 +137,7 @@ def assert_matches_oracle(h, grid_size, selector="ground"):
     path = al.track_eigenpath(h, grid_size, selector)
     assert np.array_equal(path.gammas, gammas)
     assert np.array_equal(path.eigenvalues, spectra)
-    assert np.array_equal(path.tracked_index, tracked)
+    assert path.tracked_index == tracked
     assert path.gap == gap
     assert np.abs(path.states - states).max() <= 1e-12
     assert np.abs(path.gauge_phase - phase).max() <= 1e-9
@@ -207,7 +211,7 @@ class TestTrackerMatchesSequentialWalk:
             assert_matches_oracle(inst, 1025)
         vector = np.random.default_rng(3).standard_normal(4).astype(complex)
         path = assert_matches_oracle(rand4, 1025, vector)
-        assert path.tracked_index[0] != 0  # a branch other than the ground
+        assert path.tracked_index != 0  # a branch other than the ground
 
     def test_chunks_carry_the_previous_vector(self):
         # 4,097 points at d = 32 are three batches of 2,048, 2,048 and 1;
@@ -215,20 +219,38 @@ class TestTrackerMatchesSequentialWalk:
         assert_matches_oracle(al.grover(5), 4097)
         assert_matches_oracle(al.random_interpolation(32, seed=1), 2049)
 
-    def test_branch_switch_at_crossing(self):
+    def test_crossing_raises(self):
+        # diag(0, 2s - 1): the ground branch crosses the zero level at s = 1/2,
+        # which an even-sized grid never samples
         crossing = al.affine_hamiltonian(np.diag([0.0, -1.0]), np.diag([0.0, 1.0]))
-        for grid_size, j in ((1024, 511), (4096, 2047)):
-            path = assert_matches_oracle(crossing, grid_size)
-            assert np.flatnonzero(np.diff(path.tracked_index)).tolist() == [j]
+        for grid_size in (1024, 4096, 16384):
+            j = grid_size // 2
+            where = f"between s={(j - 1) / (grid_size - 1):.6g} and s="
+            assert_same_error_as_oracle(crossing, grid_size, GapCollapseError, where)
+        # an odd grid samples the crossing itself, where the rank check
+        # comes before the margin check
+        assert_same_error_as_oracle(crossing, 1025, GapCollapseError, "s=0.5:")
 
-    def test_branch_switch_at_chunk_boundary(self):
+    def test_crossing_at_chunk_boundary_raises(self):
         # d = 32, 4,097 points: batches start at 2,048 and 4,096.  Crossings
-        # just before point 2,048 (first point of a batch) and before 2,047
-        # (last point of a batch) restart a segment at either end.
+        # just before point 2,048 (first point of a batch, matched against
+        # the carried vector) and before 2,047 (last point of a batch)
         for j in (2048, 2047):
             h = level_crossing(32, (j - 0.5) / 4096)
-            path = assert_matches_oracle(h, 4097)
-            assert np.flatnonzero(np.diff(path.tracked_index)).tolist() == [j - 1]
+            where = f"between s={(j - 1) / 4096:.6g} and s={j / 4096:.6g}:"
+            assert_same_error_as_oracle(h, 4097, GapCollapseError, where)
+
+    def test_untracked_crossing_keeps_rank(self):
+        # diag(-2 + s, 0, 2s - 1, 3) in a random real basis: the untracked
+        # levels 0 and 2s - 1 cross at s = 1/2 (sampled exactly on the odd
+        # grid), while the ground level stays at least 1 below them
+        q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))
+        h0, h1 = np.diag([-2.0, 0.0, -1.0, 3.0]), np.diag([-1.0, 0.0, 1.0, 3.0])
+        inst = al.affine_hamiltonian(q @ h0 @ q.T, q @ h1 @ q.T)
+        for grid_size in (1024, 1025):
+            path = assert_matches_oracle(inst, grid_size)
+            assert path.tracked_index == 0
+            assert path.gap == pytest.approx(1.0, abs=1e-9)
 
     def test_earlier_failure_wins(self):
         # d = 16 in the DFT basis: every column overlaps the standard basis
@@ -239,10 +261,12 @@ class TestTrackerMatchesSequentialWalk:
         distinct = np.diag(np.arange(d, dtype=float))
         paired = np.diag(np.repeat(np.arange(0, d, 2), 2).astype(float))
         low_overlap, both = f @ distinct @ f.conj().T, f @ paired @ f.conj().T
+        swapped = np.diag([1.0, 0.0, *range(2, d)])  # e_0 moves to rank 1
         cases = (
             ((distinct, low_overlap, both), UnderResolvedGridError, "s=0.5;"),
             ((distinct, paired, low_overlap), GapCollapseError, "s=0.5:"),
             ((distinct, both, distinct), UnderResolvedGridError, "s=0.5;"),
+            ((distinct, swapped, low_overlap), GapCollapseError, "and s=0.5:"),
         )
         for mats, error, where in cases:
             assert_same_error_as_oracle(three_point(mats), 3, error, where)

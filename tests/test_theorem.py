@@ -318,7 +318,7 @@ class TestMonotonicity:
                                            ("grover", "special")])
     def test_distance_nonincreasing_in_time(self, kind, case):
         # sampled at T*/100, T*/10, T*; noise tolerance 0.02
-        inst = al.make_instance(kind) if kind == "landau_zener" else al.grover(2)
+        inst = al.landau_zener() if kind == "landau_zener" else al.grover(2)
         base = al.verify(inst, delta=1.0, case=case, T_override=1.0, grid_size=257)
         t_star = base.T_required
         distances = []

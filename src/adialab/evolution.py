@@ -4,8 +4,10 @@ The continuous evolution is represented only as the large-L limit of the
 ordered product U_{L-1} ... U_1 U_0 of step unitaries
 U_j = exp(sign * i * (T/L) * H(j/L)); convergence is certified by step
 doubling: the L/2-step product on the same grid must agree with the
-L-step product, and L grows by powers of two until it does.  The L/2-step
-product comes at no extra exponential, because its step j is
+L-step product.  L starts where a step's phase (T/L)||H|| is at most
+pi/4; after a failed level it jumps by the power of two that the O(1/L)
+error of that level predicts.  The L/2-step product comes at no extra
+exponential, because its step j is
 exp(sign * i * (2T/L) * H(2j/L)) = U_{2j}^2.  Step unitaries are exact
 spectral exponentials, so the only error under study is the O(1/L)
 discretization error itself.  ``_step_batch`` is the one place that
@@ -47,8 +49,10 @@ class EvolutionConfig:
     snapshot_stride: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.total_time > 0.0:
-            raise DomainError("total_time must be positive")
+        if not 0.0 < self.total_time < math.inf:
+            raise DomainError(
+                f"total_time must be positive and finite, got {self.total_time}"
+            )
         if self.steps < 1:
             raise DomainError("steps must be at least 1")
         if self.sign_convention not in SIGN_CONVENTIONS:
@@ -91,7 +95,8 @@ def _guarded(psi: np.ndarray, L: int) -> np.ndarray:
     # aggregate of L per-step allowances: benign roundoff grows with L,
     # a non-unitary step would overshoot this by many orders
     guard = max(NORM_DRIFT_GUARD, 64.0 * np.finfo(float).eps * L)
-    if abs(nrm - 1.0) >= guard:
+    # written so that a NaN norm fails it too
+    if not abs(nrm - 1.0) < guard:
         raise NumericalInstabilityError(
             f"accumulated norm drift {abs(nrm - 1.0):.3e} over {L} steps "
             f"exceeds the {guard:.1e} guard"
@@ -100,8 +105,13 @@ def _guarded(psi: np.ndarray, L: int) -> np.ndarray:
 
 
 def _initial_steps(total_time: float, norm_H: float) -> int:
-    """ceil(8 T ||H||), at least 1, rounded up to even: the first L tried."""
-    steps = max(1, math.ceil(8.0 * total_time * norm_H))
+    """ceil(4 T ||H|| / pi), at least 1, rounded up to even: the first L tried.
+
+    A step's phase (T/L)||H|| is then at most pi/4, so the L/2-step
+    comparison's phase stays within pi/2, the no-aliasing limit that
+    ``run_proofcheck`` enforces too.  Step doubling decides the rest.
+    """
+    steps = max(1, math.ceil(4.0 * total_time * norm_H / math.pi))
     return steps + steps % 2
 
 
@@ -167,7 +177,7 @@ def evolve_adaptive(
     step_ceiling: int = DEFAULT_STEP_CEILING,
     norm_H: float | None = None,
 ) -> EvolutionResult:
-    """Raise L from ceil(8 T ||H||), rounded up to even, until it converges.
+    """Raise L from ceil(4 T ||H|| / pi), rounded up to even, until converged.
 
     Each level runs one ``evolve_discrete`` pass at L, which also yields the
     L/2-step final state on the same grid.  The first L at which the
@@ -178,19 +188,25 @@ def evolve_adaptive(
     largest power-of-two multiple of L within the step ceiling.  Raises
     FeasibilityError, naming the largest feasible T, if the first L already
     exceeds the ceiling, and NonConvergenceError once even 2L would.
+    DomainError is raised for a non-finite T and for a norm_H that is
+    negative or not finite.
     """
     if not disc_tol > 0.0:
         raise DomainError("disc_tol must be positive")
-    if not total_time > 0.0:
-        raise DomainError("total_time must be positive")
+    if not 0.0 < total_time < math.inf:
+        raise DomainError(
+            f"total_time must be positive and finite, got {total_time}"
+        )
     if step_ceiling < 2:
         raise DomainError("step_ceiling must be at least 2, the smallest level")
     if norm_H is None:
         norm_H = norm_bundle(h).norm_H
+    if not 0.0 <= norm_H < math.inf:
+        raise DomainError(f"norm_H must be finite and >= 0, got {norm_H}")
     L = _initial_steps(total_time, norm_H)
     if L > step_ceiling:
         # the largest T whose even-rounded initial step count fits
-        feasible = (step_ceiling - step_ceiling % 2) / (8.0 * norm_H)
+        feasible = (step_ceiling - step_ceiling % 2) * math.pi / (4.0 * norm_H)
         raise FeasibilityError(
             f"T={total_time:.6g} needs {L} initial steps, beyond the "
             f"ceiling {step_ceiling}; largest feasible T is about "

@@ -38,9 +38,8 @@ class EigenPath:
     ``states[j]`` is the unit eigenvector at ``grid[j]``, ``gammas[j]`` its
     eigenvalue and ``eigenvalues[j]`` the full sorted spectrum at that point;
     ``tracked_index`` is the branch's sorted rank, the same at every point.
-    ``gauge_phase`` accumulates the rotation applied by the discrete
-    parallel transport.  ``gap`` is the smallest distance from the tracked
-    eigenvalue to any other eigenvalue over the whole grid.
+    ``gap`` is the smallest distance from the tracked eigenvalue to any
+    other eigenvalue over the whole grid.
     """
 
     grid: np.ndarray
@@ -48,7 +47,6 @@ class EigenPath:
     gammas: np.ndarray
     eigenvalues: np.ndarray
     tracked_index: int
-    gauge_phase: np.ndarray
     gap: float
 
     @property
@@ -86,8 +84,7 @@ def track_eigenpath(
 
     One batched overlap computation covers each batch.  With
     m_j = <v_r(s_j), v_r(s_{j-1})> on the raw eigenvectors, state j is
-    v_r(s_j) R_j with R_j = R_{j-1} m_j/|m_j|, and ``gauge_phase`` is the
-    running sum of angle(R_j).
+    v_r(s_j) R_j with R_j = R_{j-1} m_j/|m_j|.
     """
     if grid_size < 2:
         raise DomainError("grid_size must be at least 2")
@@ -109,7 +106,7 @@ def track_eigenpath(
     gammas = np.empty(grid_size)
     spectra = np.empty((grid_size, dim))
 
-    rotation = np.ones(grid_size, dtype=complex)
+    carried = 1.0
     gap = np.inf
     rank = previous = None
     for lo, hi in chunk_ranges(0, grid_size, dim):
@@ -164,14 +161,13 @@ def track_eigenpath(
 
         # R_j = R_{j-1} m_j/|m_j| makes <state_{j-1}, state_j> real and
         # nonnegative; the cumulative product is renormalized to modulus 1
-        # (rotation[lo - 1] is the carried R, and still 1 when lo = 0)
-        phases = rotation[lo - 1] * np.cumprod(overlap / magnitude)
-        rotation[lo:hi] = phases / np.abs(phases)
-        np.multiply(column, rotation[lo:hi, None], out=states[lo:hi])
+        # (``carried`` is the previous batch's last R, and 1 when lo = 0)
+        phases = carried * np.cumprod(overlap / magnitude)
+        rotation = phases / np.abs(phases)
+        np.multiply(column, rotation[:, None], out=states[lo:hi])
         spectra[lo:hi] = evals
         previous = column[-1].copy()
-
-    gauge_phase = np.cumsum(np.angle(rotation))
+        carried = rotation[-1]
 
     return EigenPath(
         grid=grid,
@@ -179,7 +175,6 @@ def track_eigenpath(
         gammas=gammas,
         eigenvalues=spectra,
         tracked_index=rank,
-        gauge_phase=gauge_phase,
         gap=float(gap),
     )
 

@@ -15,6 +15,7 @@ from adialab.errors import (
 )
 from adialab.evolution import _step_batch
 from adialab.problems import PAULI_Z
+from adialab.theorem import _shift_and_measure
 
 from conftest import rotating_two_level
 
@@ -25,6 +26,19 @@ def _ground(h, s=0.0):
 
 def _step(h, j, cfg):
     return _step_batch(h, j, j + 1, cfg)[0]
+
+
+def _logged_levels(monkeypatch):
+    """Log the L of every evolve_discrete pass evolve_adaptive runs from now."""
+    levels = []
+    evolve = evolution.evolve_discrete
+
+    def counted(h, psi0, cfg):
+        levels.append(cfg.steps)
+        return evolve(h, psi0, cfg)
+
+    monkeypatch.setattr(evolution, "evolve_discrete", counted)
+    return levels
 
 
 def _per_step(h, psi0, cfg):
@@ -157,6 +171,12 @@ class TestEvolveDiscrete:
         with pytest.raises(DomainError):
             al.evolve_discrete(lz, np.ones(3) / np.sqrt(3), al.EvolutionConfig(1.0, 4))
 
+    def test_config_rejects_non_finite_time(self):
+        # an infinite T would make every step NaN
+        for total_time in (math.inf, math.nan, -math.inf, 0.0):
+            with pytest.raises(DomainError, match="total_time"):
+                al.EvolutionConfig(total_time, 4)
+
 
 class TestEvolveAdaptive:
     def test_zero_hamiltonian_converges_immediately(self):
@@ -178,11 +198,33 @@ class TestEvolveAdaptive:
         result = al.evolve_adaptive(lz, psi0, 1000.0, 1e-4)
         assert result.L_used <= 2**22
 
-    def test_returned_state_is_within_tolerance_of_finer_grid(self, lz, grover3):
-        disc_tol = 1e-3
-        for inst, total_time in ((lz, 1000.0), (grover3, 2000.0)):
-            psi0 = _ground(inst)
-            result = al.evolve_adaptive(inst, psi0, total_time, disc_tol)
+    def test_returned_state_is_within_tolerance_of_finer_grid(
+        self, lz, grover2, grover3, monkeypatch
+    ):
+        # (instance, psi0, T, disc_tol, ||H||): two raw frames, then the five
+        # verify-evolve benchmark jobs in verify's shifted frame at their
+        # pinned T with verify's disc_tol = delta/100 = 0.01
+        cases = [
+            (inst, _ground(inst), total_time, 1e-3, al.norm_bundle(inst).norm_H)
+            for inst, total_time in ((lz, 1000.0), (grover3, 2000.0))
+        ]
+        for inst, total_time in (
+            (lz, 3517.7669463760512),
+            (grover2, 2e4),
+            (grover3, 2e3),
+            (al.random_interpolation(8, seed=1), 200.0),
+            (al.random_interpolation(16, seed=1), 50.0),
+        ):
+            path = al.track_eigenpath(inst, 1025)
+            shifted, _, norms = _shift_and_measure(inst, path, 1025, path.gap)
+            cases.append((shifted, path.states[0], total_time, 1e-2, norms.norm_H))
+
+        levels = _logged_levels(monkeypatch)
+        for inst, psi0, total_time, disc_tol, norm_H in cases:
+            levels.clear()
+            result = al.evolve_adaptive(inst, psi0, total_time, disc_tol, norm_H=norm_H)
+            # the first level's step phase is within pi/4
+            assert total_time * norm_H / levels[0] <= math.pi / 4.0
             finer = al.evolve_discrete(
                 inst, psi0, al.EvolutionConfig(total_time, 4 * result.L_used)
             )
@@ -190,28 +232,21 @@ class TestEvolveAdaptive:
             assert distance < disc_tol
 
     def test_failed_level_jumps_to_predicted_step_count(self, lz, monkeypatch):
-        # landau_zener at T = 1000 starts at L = 8,000 with d = 5.56e-5, and
-        # d halves with every doubling: blind doubling needs 7 passes to
-        # reach 512,000, the predicted jump d/k < 1e-6 (k = 64) needs 2
-        levels = []
-        evolve = al.evolution.evolve_discrete
-
-        def counted(h, psi0, cfg):
-            levels.append(cfg.steps)
-            return evolve(h, psi0, cfg)
-
-        monkeypatch.setattr(al.evolution, "evolve_discrete", counted)
+        # landau_zener at T = 1000 starts at L = 1,274 with d = 4.89e-4, and
+        # d halves with every doubling: blind doubling needs 10 passes to
+        # reach 652,288, the predicted jump d/k < 1e-6 (k = 512) needs 2
+        levels = _logged_levels(monkeypatch)
         psi0 = _ground(lz)
         result = al.evolve_adaptive(lz, psi0, 1000.0, 1e-6)
-        assert result.L_used == 512_000
-        assert levels == [8_000, 512_000]
+        assert result.L_used == 652_288
+        assert levels == [1_274, 652_288]
 
         # the jump is clamped to the largest power-of-two multiple of L
         # within the ceiling; failing there, the next doubling exceeds it
         levels.clear()
-        with pytest.raises(NonConvergenceError, match="128000"):
+        with pytest.raises(NonConvergenceError, match="163072"):
             al.evolve_adaptive(lz, psi0, 1000.0, 1e-6, step_ceiling=100_000)
-        assert levels == [8_000, 64_000]
+        assert levels == [1_274, 81_536]
 
     def test_ceiling_raises(self, lz):
         psi0 = _ground(lz)
@@ -219,12 +254,12 @@ class TestEvolveAdaptive:
             al.evolve_adaptive(lz, psi0, 100.0, 1e-13, step_ceiling=4096)
 
     def test_first_level_beyond_ceiling_is_infeasible(self, lz, monkeypatch):
-        # landau_zener at T = 1000 starts at L = 8,000: a lower ceiling is
-        # refused before any level runs, naming T = 7,998 / (8 ||H||)
+        # landau_zener at T = 1000 (||H|| = 1) starts at L = 1,274: a lower
+        # ceiling is refused before any level runs, naming T = 1,272 pi / 4
         monkeypatch.setattr(al.evolution, "evolve_discrete", None)
-        with pytest.raises(FeasibilityError, match="8000 initial steps") as err:
-            al.evolve_adaptive(lz, _ground(lz), 1000.0, 1e-4, step_ceiling=7_999)
-        assert f"about {7_998 / 8.0:.6g}" in str(err.value)
+        with pytest.raises(FeasibilityError, match="1274 initial steps") as err:
+            al.evolve_adaptive(lz, _ground(lz), 1000.0, 1e-4, step_ceiling=1_273)
+        assert f"about {1_272 * math.pi / 4.0:.6g}" in str(err.value)
 
     def test_tolerance_validation(self, lz):
         with pytest.raises(DomainError):
@@ -234,6 +269,15 @@ class TestEvolveAdaptive:
         psi0 = np.array([1.0, 0.0], dtype=complex)
         with pytest.raises(DomainError, match="step_ceiling"):
             al.evolve_adaptive(zero, psi0, 1.0, 1e-6, step_ceiling=1)
+
+    def test_non_finite_inputs_are_domain_errors(self, lz):
+        psi0 = _ground(lz)
+        for total_time in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="total_time"):
+                al.evolve_adaptive(lz, psi0, total_time, 1e-4)
+        for norm_H in (math.nan, math.inf, -1.0):
+            with pytest.raises(DomainError, match="norm_H"):
+                al.evolve_adaptive(lz, psi0, 1.0, 1e-4, norm_H=norm_H)
 
 
 class TestDistances:
@@ -308,3 +352,16 @@ class TestUnitarityInvariant:
         snapshots = al.EvolutionConfig(3.0, 128, snapshot_stride=16)
         with pytest.raises(NumericalInstabilityError, match="over 16 steps"):
             al.evolve_discrete(lz, psi0, snapshots)
+
+    def test_nan_steps_trip_the_norm_drift_guard(self, lz, monkeypatch):
+        # a NaN norm compares False against any bound, so the guard must be
+        # written to fail it
+        monkeypatch.setattr(
+            evolution,
+            "expm_i_hermitian",
+            lambda mats, t: np.full(mats.shape, np.nan, dtype=complex),
+        )
+        psi0 = _ground(lz)
+        for steps in (127, 128):
+            with pytest.raises(NumericalInstabilityError, match="drift nan"):
+                al.evolve_discrete(lz, psi0, al.EvolutionConfig(3.0, steps))

@@ -127,7 +127,6 @@ class TestErrorVectors:
             gammas=np.zeros(2),
             eigenvalues=np.zeros((2, 2)),
             tracked_index=0,
-            gauge_phase=np.zeros(2),
             gap=1.0,
         )
         w = al.error_vectors(path)[0]  # w_1

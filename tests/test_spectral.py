@@ -60,14 +60,13 @@ def sequential_track(h, grid_size, selector="ground"):
     the previous gauge-fixed state, check the best overlap, that it lies at
     that rank, then the margin, and rotate the overlap to be real and
     nonnegative.
-    Returns (states, gammas, eigenvalues, tracked_index, gauge_phase, gap).
+    Returns (states, gammas, eigenvalues, tracked_index, gap).
     """
     match_vector = None if isinstance(selector, str) else np.asarray(selector, complex)
     grid = np.linspace(0.0, 1.0, grid_size)
     states = np.empty((grid_size, h.dim), dtype=complex)
     gammas = np.empty(grid_size)
     spectra = np.empty((grid_size, h.dim))
-    gauge_phase = np.zeros(grid_size)
     gap = np.inf
     rank = previous = None
     for lo, hi in chunk_ranges(0, grid_size, h.dim):
@@ -97,7 +96,6 @@ def sequential_track(h, grid_size, selector="ground"):
                     )
                 rotation = overlaps[rank] / abs(overlaps[rank])
                 state = v[:, rank] * rotation
-                gauge_phase[j] = gauge_phase[j - 1] + float(np.angle(rotation))
             point_norm = float(np.abs(w).max())
             others = np.abs(np.delete(w, rank) - w[rank])
             margin = float(others.min()) if others.size else np.inf
@@ -110,7 +108,7 @@ def sequential_track(h, grid_size, selector="ground"):
             gap = min(gap, margin)
             states[j], gammas[j], spectra[j] = state, w[rank], w
             previous = state
-    return states, gammas, spectra, rank, gauge_phase, gap
+    return states, gammas, spectra, rank, gap
 
 
 def dft(d):
@@ -131,7 +129,7 @@ def three_point(mats):
 
 
 def assert_matches_oracle(h, grid_size, selector="ground"):
-    states, gammas, spectra, tracked, phase, gap = sequential_track(
+    states, gammas, spectra, tracked, gap = sequential_track(
         h, grid_size, selector
     )
     path = al.track_eigenpath(h, grid_size, selector)
@@ -140,7 +138,6 @@ def assert_matches_oracle(h, grid_size, selector="ground"):
     assert path.tracked_index == tracked
     assert path.gap == gap
     assert np.abs(path.states - states).max() <= 1e-12
-    assert np.abs(path.gauge_phase - phase).max() <= 1e-9
     return path
 
 
@@ -160,7 +157,6 @@ class TestTrackEigenpath:
         e1[0] = 1.0
         for state in path.states:
             assert abs(abs(np.vdot(state, e1)) - 1.0) < 1e-12
-        assert np.abs(path.gauge_phase).max() == 0.0
 
     def test_landau_zener_gammas(self, lz):
         path = al.track_eigenpath(lz, 1025)

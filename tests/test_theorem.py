@@ -280,11 +280,11 @@ class TestVerify:
             al.verify(lz, delta=0.5, T_override=1e12, step_ceiling=2**20)
 
     def test_feasibility_counts_the_even_rounded_step_count(self, lz):
-        # T = 100.03 gives an odd ceil(8 T ||H~||) = 1,601, which evolution
-        # rounds up to 1,602: a ceiling of 1,601 must be refused up front
+        # T = 100.03 gives an odd ceil(4 T ||H~|| / pi) = 255, which evolution
+        # rounds up to 256: a ceiling of 255 must be refused up front
         total_time = 100.03
         norm_H = al.verify(lz, delta=0.5, T_override=total_time).norms_shifted.norm_H
-        l_start = math.ceil(8.0 * total_time * norm_H)
+        l_start = math.ceil(4.0 * total_time * norm_H / math.pi)
         assert l_start % 2 == 1
         with pytest.raises(FeasibilityError, match="feasible"):
             al.verify(lz, delta=0.5, T_override=total_time, step_ceiling=l_start)

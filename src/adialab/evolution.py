@@ -104,15 +104,27 @@ def _guarded(psi: np.ndarray, L: int) -> np.ndarray:
     return psi / nrm
 
 
-def _initial_steps(total_time: float, norm_H: float) -> int:
+def _initial_steps(total_time: float, norm_H: float, step_ceiling: int) -> int:
     """ceil(4 T ||H|| / pi), at least 1, rounded up to even: the first L tried.
 
     A step's phase (T/L)||H|| is then at most pi/4, so the L/2-step
     comparison's phase stays within pi/2, the no-aliasing limit that
     ``run_proofcheck`` enforces too.  Step doubling decides the rest.
+    Raises FeasibilityError, naming the largest feasible T, if that L
+    exceeds ``step_ceiling`` or 4 T ||H|| / pi overflows to infinity.
     """
-    steps = max(1, math.ceil(4.0 * total_time * norm_H / math.pi))
-    return steps + steps % 2
+    steps = 4.0 * total_time * norm_H / math.pi
+    if steps < math.inf:
+        steps = max(2, 2 * math.ceil(steps / 2.0))
+    if steps > step_ceiling:
+        # the largest T whose even-rounded initial step count fits
+        feasible = (step_ceiling - step_ceiling % 2) * math.pi / (4.0 * norm_H)
+        raise FeasibilityError(
+            f"T={total_time:.6g} needs {steps} initial steps, beyond the "
+            f"ceiling {step_ceiling}; largest feasible T is about "
+            f"{feasible:.6g}"
+        )
+    return steps
 
 
 def _signed_epsilon(cfg: EvolutionConfig) -> float:
@@ -188,8 +200,9 @@ def evolve_adaptive(
     largest power-of-two multiple of L within the step ceiling.  Raises
     FeasibilityError, naming the largest feasible T, if the first L already
     exceeds the ceiling, and NonConvergenceError once even 2L would.
-    DomainError is raised for a non-finite T and for a norm_H that is
-    negative or not finite.
+    DomainError is raised for a non-finite T, for a norm_H that is negative
+    or not finite, and, when norm_H is not given, by ``norm_bundle`` for an
+    instance without an ``AffineRecord``.
     """
     if not disc_tol > 0.0:
         raise DomainError("disc_tol must be positive")
@@ -203,15 +216,7 @@ def evolve_adaptive(
         norm_H = norm_bundle(h).norm_H
     if not 0.0 <= norm_H < math.inf:
         raise DomainError(f"norm_H must be finite and >= 0, got {norm_H}")
-    L = _initial_steps(total_time, norm_H)
-    if L > step_ceiling:
-        # the largest T whose even-rounded initial step count fits
-        feasible = (step_ceiling - step_ceiling % 2) * math.pi / (4.0 * norm_H)
-        raise FeasibilityError(
-            f"T={total_time:.6g} needs {L} initial steps, beyond the "
-            f"ceiling {step_ceiling}; largest feasible T is about "
-            f"{feasible:.6g}"
-        )
+    L = _initial_steps(total_time, norm_H, step_ceiling)
     while L <= step_ceiling:
         result = evolve_discrete(h, psi0, EvolutionConfig(total_time, L))
         distance = distance_phase_invariant(result.half_state, result.final_state)

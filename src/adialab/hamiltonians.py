@@ -1,12 +1,13 @@
 """Time-dependent Hermitian Hamiltonians H(s), s in [0, 1].
 
-Each sample is a dense complex Hermitian matrix.  A TimeDependentHamiltonian
-bundles the evaluator with analytic first and second derivatives, and
-``norm_bundle`` measures the sup norms max_s ||H(s)||, max_s ||H'(s)|| and
-max_s ||H''(s)|| that the runtime bound consumes.  The derivatives are
-always supplied by the instance: the bound needs sup ||H''|| as an upper
-bound, and a finite difference of H carries roundoff of order eps ||H|| / h^2
-that can push the measured value below the true one.
+Each sample is a dense complex Hermitian matrix.  ``norm_bundle`` measures
+the sup norms of H, H' and H'' over s that the runtime bound consumes, and
+``derivative`` gives H'(s) and H''(s).  Both need an ``AffineRecord``: the
+bound holds only if its sups are upper bounds, which a grid maximum of
+sampled norms is not.  Any other instance can be sampled, tracked and
+evolved; each of its samples passes one Hermiticity check
+(``_check_hermitian``, relative to each matrix's largest entry), and
+failing matrices are rejected rather than symmetrized.
 
 ``affine_hamiltonian`` builds H(s) = (1-s) H0 + s H1 and records its data
 (``AffineRecord``) on the instance.  Both endpoints are certified Hermitian
@@ -15,21 +16,12 @@ and every shift of it by a real multiple of I (``_shift_by``), is exactly
 Hermitian in floating point and ``eval_batch`` does not check it again.
 Its norms are exact: s -> ||H(s)|| is convex, so sup ||H|| =
 max(||H(0)||, ||H(1)||), ||H'|| = ||D|| with D = H1 - H0, and ||H''|| = 0.
-For H(s) - c(s) I, ||H'(s) - c'(s) I|| = max(lambda_max(D) - c'(s),
-c'(s) - lambda_min(D)) and ||H''|| = |c''(s)|: scalar functions of s, whose
-sup is taken on a uniform grid and refined without forming a matrix.  Only
+For H(s) - c(s) I, H'(s) = D - c'(s) I and H''(s) = -c''(s) I, so
+||H'(s)|| = max(lambda_max(D) - c'(s), c'(s) - lambda_min(D)) and
+||H''(s)|| = |c''(s)|: scalar functions of s, whose sup is taken on a
+uniform grid (default 1025 points) and refined by one golden-section
+search around the grid argmax, without forming a matrix.  Only
 sup ||H - cI|| needs a spectrum: H's on the grid, translated by c.
-
-Any other instance is sampled: ``norm_spectra`` takes the eigenvalues of H,
-H' and H'' at every point of a uniform grid (default 1025 points), sampled
-by ``eval_batch`` and ``derivative_batch`` in ``chunk_ranges`` batches.
-Every grid sup is followed by one golden-section refinement around the grid
-argmax.  A caller that already holds H's spectrum on the grid (a tracked
-path's, or a translated copy for H(s) - c(s) I) passes it in instead of
-sampling again.  Every sample of such an instance passes one Hermiticity
-check (``_check_hermitian``, relative to each matrix's largest entry);
-failing matrices are rejected rather than symmetrized, so instance bugs
-fail loudly.
 """
 
 from __future__ import annotations
@@ -130,21 +122,19 @@ class AffineRecord:
 
 @dataclass(frozen=True)
 class TimeDependentHamiltonian:
-    """Sampler for H(s) and its analytic derivatives, with instance metadata.
+    """Sampler for H(s), with instance metadata.
 
-    ``evaluator``, ``d1`` and ``d2`` return H(s), H'(s) and H''(s) and must
-    be pure functions of s; all values are immutable after construction,
-    so instances are safe to share across threads.  ``evaluator_batch``,
-    when provided, evaluates a whole array of s values at once (shape
-    (n, dim, dim)) and is used by the hot evolution loops.  ``affine`` is
-    set only by ``affine_hamiltonian`` and ``_shift_by``, which build the
-    evaluators from it; it cannot be passed to the constructor.
+    ``evaluator`` returns H(s) and must be a pure function of s; all values
+    are immutable after construction, so instances are safe to share across
+    threads.  ``evaluator_batch``, when provided, evaluates a whole array of
+    s values at once (shape (n, dim, dim)) and is used by the hot evolution
+    loops.  ``affine`` is set only by ``affine_hamiltonian`` and
+    ``_shift_by``, which build the evaluators from it; it cannot be passed
+    to the constructor, and without it the instance has no norms.
     """
 
     dim: int
     evaluator: Evaluator
-    d1: Evaluator
-    d2: Evaluator
     name: str = ""
     params: dict = field(default_factory=dict)
     evaluator_batch: BatchEvaluator | None = None
@@ -160,15 +150,13 @@ class TimeDependentHamiltonian:
 def affine_hamiltonian(
     h0: np.ndarray, h1: np.ndarray, *, name: str = "", params: dict | None = None
 ) -> TimeDependentHamiltonian:
-    """H(s) = (1-s) h0 + s h1 with exact analytic derivatives.
+    """H(s) = (1-s) h0 + s h1, with exact derivatives and norms.
 
     Raises ``IntegrityError`` here, not at the first evaluation, if an
     endpoint is not Hermitian.
     """
     record = AffineRecord(h0, h1)
-    h0, h1, diff = record.h0, record.h1, record.diff
-    zero = np.zeros_like(h0)
-    zero.setflags(write=False)
+    h0, h1 = record.h0, record.h1
 
     def evaluate(s: float) -> np.ndarray:
         return (1.0 - s) * h0 + s * h1
@@ -180,8 +168,6 @@ def affine_hamiltonian(
     h = TimeDependentHamiltonian(
         dim=h0.shape[0],
         evaluator=evaluate,
-        d1=lambda s: diff,
-        d2=lambda s: zero,
         name=name,
         params=dict(params or {}),
         evaluator_batch=evaluate_batch,
@@ -201,7 +187,7 @@ def _shift_by(
     The shift of an unshifted affine instance keeps its record, with the
     shift added; any other instance gives a general one.
     """
-    c, dc, d2c = shift
+    c = shift[0]
     eye = np.eye(h.dim, dtype=complex)
 
     def evaluate(s: float) -> np.ndarray:
@@ -217,8 +203,6 @@ def _shift_by(
     shifted = TimeDependentHamiltonian(
         dim=h.dim,
         evaluator=evaluate,
-        d1=lambda s: h.d1(s) - float(dc(s)) * eye,
-        d2=lambda s: h.d2(s) - float(d2c(s)) * eye,
         name=name,
         params=params,
         evaluator_batch=batch,
@@ -244,20 +228,24 @@ def _check_s_values(s_values: np.ndarray) -> np.ndarray:
     return s_values
 
 
-def _check_order(order: int) -> None:
-    if order not in (1, 2):
-        raise DomainError(f"derivative order must be 1 or 2, got {order}")
-
-
-def _sample(h: TimeDependentHamiltonian, s: float, order: int = 0) -> np.ndarray:
-    """H(s), H'(s) or H''(s) for order 0, 1 or 2, checked for shape only."""
-    mat = np.asarray((h.evaluator, h.d1, h.d2)[order](s), dtype=complex)
+def _sample(h: TimeDependentHamiltonian, s: float) -> np.ndarray:
+    """H(s), checked for shape only."""
+    mat = np.asarray(h.evaluator(s), dtype=complex)
     if mat.shape != (h.dim, h.dim):
-        source = "evaluator" if order == 0 else f"order-{order} derivative"
         raise IntegrityError(
-            f"{source} returned shape {mat.shape}, expected {(h.dim, h.dim)}"
+            f"evaluator returned shape {mat.shape}, expected {(h.dim, h.dim)}"
         )
     return mat
+
+
+def _record(h: TimeDependentHamiltonian, what: str) -> AffineRecord:
+    """The instance's AffineRecord; ``DomainError`` when it has none."""
+    if h.affine is None:
+        raise DomainError(
+            f"{what} needs an instance built by affine_hamiltonian (or its "
+            f"shifted frame); {h.name or 'this instance'} has no certified norms"
+        )
+    return h.affine
 
 
 def eval_at(h: TimeDependentHamiltonian, s: float) -> HermitianOperator:
@@ -292,33 +280,25 @@ def eval_batch(h: TimeDependentHamiltonian, s_values: np.ndarray) -> np.ndarray:
 def derivative(
     h: TimeDependentHamiltonian, s: float, order: int
 ) -> HermitianOperator:
-    """H'(s) or H''(s) from the instance's analytic ``d1`` or ``d2``."""
+    """H'(s) = D - c'(s) I or H''(s) = -c''(s) I from the affine record,
+    with c = 0 when the instance is not shifted."""
     s = _check_s(s)
-    _check_order(order)
-    return HermitianOperator(_sample(h, s, order))
-
-
-def derivative_batch(
-    h: TimeDependentHamiltonian, s_values: np.ndarray, order: int
-) -> np.ndarray:
-    """``derivative`` on an array of s values; returns shape (n, dim, dim)."""
-    s_values = _check_s_values(s_values)
-    _check_order(order)
-    mats = np.empty((s_values.size, h.dim, h.dim), dtype=complex)
-    for i, s in enumerate(s_values):
-        mats[i] = _sample(h, float(s), order)
-    _check_hermitian(mats, f"order-{order} derivative")
-    return mats
+    if order not in (1, 2):
+        raise DomainError(f"derivative order must be 1 or 2, got {order}")
+    record = _record(h, "derivative")
+    rate = 0.0 if record.shift is None else float(record.shift[order](s))
+    mat = (record.diff if order == 1 else 0.0 * record.diff) - rate * np.eye(h.dim)
+    return HermitianOperator(mat)
 
 
 @dataclass(frozen=True)
 class NormBundle:
     """Suprema of ||H||, ||H'||, ||H''|| over s in [0, 1].
 
-    Exact for an affine instance, up to the refinement of its shifted
-    frame's scalar norm curves; otherwise grid suprema, each refined around
-    its argmax.  ``grid_size`` is the grid the measurement used or, when
-    exact, would have used.
+    Exact for an unshifted affine instance; for its shifted frame, the
+    grid suprema of the scalar norm curves and of the translated spectrum,
+    each refined around its argmax.  ``grid_size`` is the grid the
+    measurement used or, when exact, would have used.
     """
 
     norm_H: float
@@ -358,32 +338,6 @@ def _refined_max(
     return best
 
 
-def norm_spectra(
-    h: TimeDependentHamiltonian,
-    grid_size: int = DEFAULT_NORM_GRID,
-    orders: tuple[int, ...] = (0, 1, 2),
-) -> tuple[np.ndarray, ...]:
-    """Eigenvalues of H (order 0), H' or H'' on a uniform grid, one
-    (grid_size, dim) array per order.
-
-    Samples are taken in ``chunk_ranges`` batches, so one batch of matrices
-    is alive at a time.
-    """
-    if grid_size < 2:
-        raise DomainError("grid_size must be at least 2")
-    grid = np.linspace(0.0, 1.0, grid_size)
-    spectra = {order: np.empty((grid_size, h.dim)) for order in orders}
-    for lo, hi in chunk_ranges(0, grid_size, h.dim):
-        for order in orders:
-            if order == 0:
-                mats = eval_batch(h, grid[lo:hi])
-            else:
-                mats = derivative_batch(h, grid[lo:hi], order)
-            spectra[order][lo:hi] = np.linalg.eigvalsh(mats)
-            del mats  # one batch alive at a time
-    return tuple(spectra[order] for order in orders)
-
-
 def norm_bundle(
     h: TimeDependentHamiltonian,
     grid_size: int = DEFAULT_NORM_GRID,
@@ -392,50 +346,43 @@ def norm_bundle(
 ) -> NormBundle:
     """Measure the sup norms of H, H' and H'' over s in [0, 1].
 
-    An instance with an ``AffineRecord`` takes the exact route of the
-    module docstring; any other is sampled by ``norm_spectra`` on a uniform
-    grid of ``grid_size`` points and refined point by point.  ``spectrum``,
-    when given, is H's eigenvalues on that grid, shape (grid_size, dim),
-    and H is not sampled; the unshifted affine route needs no spectrum.
+    Takes the route of the module docstring, on a uniform grid of
+    ``grid_size`` points for a shifted frame.  ``spectrum``, when given, is
+    H's eigenvalues on that grid, shape (grid_size, dim), and H is not
+    sampled; the unshifted route needs no spectrum.  Raises ``DomainError``
+    for an instance without an ``AffineRecord``.
     """
     if grid_size < 2:
         raise DomainError("grid_size must be at least 2")
     if spectrum is not None and np.shape(spectrum) != (grid_size, h.dim):
         raise DomainError(f"spectrum must have shape {(grid_size, h.dim)}")
-    record = h.affine
-    if record is not None and record.shift is None:
+    record = _record(h, "norm_bundle")
+    if record.shift is None:
         ends = opnorm_hermitian(np.stack([record.h0, record.h1]))
         norm_d = np.abs(np.linalg.eigvalsh(record.diff)).max()
         return NormBundle(float(ends.max()), float(norm_d), 0.0, grid_size)
 
     grid = np.linspace(0.0, 1.0, grid_size)
     if spectrum is None:
-        (spectrum,) = norm_spectra(h, grid_size, (0,))
+        spectrum = np.empty((grid_size, h.dim))
+        for lo, hi in chunk_ranges(0, grid_size, h.dim):
+            # one batch of matrices alive at a time
+            spectrum[lo:hi] = np.linalg.eigvalsh(eval_batch(h, grid[lo:hi]))
+    d_min, d_max = np.linalg.eigvalsh(record.diff)[[0, -1]]
+    _, dc, d2c = record.shift
 
     def h_fn(s):
         return operator_norm(eval_at(h, s))
 
-    if record is None:
-        spectra = (spectrum, *norm_spectra(h, grid_size, (1, 2)))
-        curves = [np.abs(spec).max(axis=1) for spec in spectra]
-        point_fns = (
-            h_fn,
-            lambda s: operator_norm(derivative(h, s, 1)),
-            lambda s: operator_norm(derivative(h, s, 2)),
-        )
-    else:
-        d_min, d_max = np.linalg.eigvalsh(record.diff)[[0, -1]]
-        _, dc, d2c = record.shift
+    def h1_fn(s):
+        slope = dc(s)
+        return np.maximum(d_max - slope, slope - d_min)
 
-        def h1_fn(s):
-            slope = dc(s)
-            return np.maximum(d_max - slope, slope - d_min)
+    def h2_fn(s):
+        return np.abs(d2c(s))
 
-        def h2_fn(s):
-            return np.abs(d2c(s))
-
-        curves = [np.abs(spectrum).max(axis=1), h1_fn(grid), h2_fn(grid)]
-        point_fns = (h_fn, h1_fn, h2_fn)
+    curves = [np.abs(spectrum).max(axis=1), h1_fn(grid), h2_fn(grid)]
+    point_fns = (h_fn, h1_fn, h2_fn)
     out = [_refined_max(c, grid, fn) for c, fn in zip(curves, point_fns)]
     return NormBundle(out[0], out[1], out[2], grid_size)
 
@@ -449,10 +396,8 @@ __all__ = [
     "eval_at",
     "eval_batch",
     "derivative",
-    "derivative_batch",
     "operator_norm",
     "norm_bundle",
-    "norm_spectra",
     "DEFAULT_NORM_GRID",
     "HERMITICITY_RTOL",
 ]

@@ -123,8 +123,13 @@ class ProofCheckConfig:
     block_starts: tuple = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.L < 1 or self.T <= 0.0 or self.delta <= 0.0 or self.lam <= 0.0:
-            raise DomainError("L, T, delta and lambda must all be positive")
+        # written so that NaN, which fails every comparison, is rejected too
+        positive = all(0.0 < x < math.inf for x in (self.T, self.delta, self.lam))
+        if not (self.L >= 1 and positive and 0.0 <= self.norm_h1 < math.inf):
+            raise DomainError(
+                "L, T, delta and lambda must be positive and norm_h1 >= 0, all "
+                f"finite: {self.L}, {self.T}, {self.delta}, {self.lam}, {self.norm_h1}"
+            )
         delta_blocks = expected_block_length(
             self.L, self.T, self.delta, self.norm_h1, self.lam
         )
@@ -552,6 +557,9 @@ def run_proofcheck(
     """
     if L < max(fit_lengths[0], 8):
         raise DomainError(f"L={L} too small for the doubling studies")
+    times = (delta,) if total_time is None else (delta, total_time)
+    if not all(0.0 < x < math.inf for x in times):
+        raise DomainError(f"need positive finite delta and T: {delta=}, {total_time=}")
     if L > TOTAL_SUM_MAX_L or h.dim > TOTAL_SUM_MAX_DIM:
         raise FeasibilityError(
             f"proofcheck limited to L <= {TOTAL_SUM_MAX_L} at dim <= "
@@ -571,10 +579,11 @@ def run_proofcheck(
     # |alpha| T / L <= pi/2 on every branch.
     theta_max = total_time * norms_shifted.norm_H / L
     if theta_max > math.pi / 2.0:
-        needed = math.ceil(2.0 * total_time * norms_shifted.norm_H / math.pi)
+        needed = 2.0 * total_time * norms_shifted.norm_H / math.pi
         raise FeasibilityError(
             f"per-step phase {theta_max:.3f} exceeds pi/2; increase L to at "
-            f"least {needed} for T={total_time:.6g}"
+            f"least {math.ceil(needed) if needed < math.inf else needed} for "
+            f"T={total_time:.6g}"
         )
 
     cfg = ProofCheckConfig(L, total_time, delta, norms_shifted.norm_H1, lam)

@@ -97,8 +97,8 @@ def _shifted_frame(
     """H~(s) = H(s) - gamma(s) I, and gamma, gamma', gamma'' on s arrays.
 
     gamma between grid points is interpolated by a cubic spline (a C^2
-    interpolant keeps the ||H~''|| estimate stable), and H~'s analytic
-    derivatives subtract the spline's first and second derivatives.
+    interpolant keeps the ||H~''|| estimate stable).  H~'s affine record
+    carries the spline and its derivatives, from which H~' and H~'' follow.
     """
     spline = CubicSpline(path.grid, path.gammas)
     rules = (spline, spline.derivative(1), spline.derivative(2))
@@ -124,15 +124,15 @@ def _shift_and_measure(
 ) -> tuple[TimeDependentHamiltonian, NormBundle, NormBundle]:
     """Build H~(s) = H(s) - gamma(s) I and measure the norms of H and H~.
 
-    Both bundles come from ``norm_bundle``.  For an affine instance they
-    are exact, apart from sup ||H~||: subtracting a real scalar times I only
-    translates a spectrum, so H~'s grid spectrum is H's minus gamma, taken
-    from the tracked path when it lies on the norm grid and sampled
-    otherwise.  No derivative matrix is sampled on that route.  Other
-    instances are sampled on the ``norm_grid``-point grid.  Postconditions:
-    the tracked states are null vectors of H~ at every path grid point, and
-    the shifted norms obey ||H~'|| <= 2||H'|| and
-    ||H~''|| <= 2||H''|| + 4||H'||^2/lambda within 5% slack.
+    Both bundles come from ``norm_bundle``, which raises ``DomainError``
+    for an instance without an ``AffineRecord``.  H's are exact, and H~'s
+    are sups of scalar curves in gamma' and gamma'', apart from sup ||H~||:
+    subtracting a real scalar times I only translates a spectrum, so H~'s
+    grid spectrum is H's minus gamma, taken from the tracked path when it
+    lies on the norm grid and sampled otherwise.  No derivative matrix is
+    formed.  Postconditions: the tracked states are null vectors of H~ at
+    every path grid point, and the shifted norms obey ||H~'|| <= 2||H'||
+    and ||H~''|| <= 2||H''|| + 4||H'||^2/lambda within 5% slack.
     """
     shifted, rules = _shifted_frame(h, path)
     spectrum = path.eigenvalues if path.npoints == norm_grid else None
@@ -228,13 +228,13 @@ def verify(
     """Track, bound, evolve for the prescribed time, and compare.
 
     The gap is the tracked path's grid minimum.  The norms of H and of the
-    zero-eigenvalue frame H~ come from ``_shift_and_measure``: exact for an
-    affine instance, sampled on the path's grid otherwise.  The evolution
-    runs in the shifted frame from the gauge-fixed initial state with
-    disc_tol = delta/100 unless overridden, so discretization noise stays
-    two orders below the claim under test.  If the required step count
-    exceeds ``step_ceiling`` the run refuses up front and reports the
-    largest feasible T instead of silently truncating.
+    zero-eigenvalue frame H~ come from ``_shift_and_measure``, so an
+    instance without an ``AffineRecord`` is refused with ``DomainError``.
+    The evolution runs in the shifted frame from the gauge-fixed initial
+    state with disc_tol = delta/100 unless overridden (positive and finite),
+    so discretization noise stays two orders below the claim under test.
+    If the required step count exceeds ``step_ceiling`` the run refuses up
+    front and reports the largest feasible T instead of silently truncating.
     """
     if not (0.0 < delta <= MAX_DELTA + 1e-12):
         raise DomainError(f"delta must lie in (0, sqrt(2)], got {delta}")
@@ -242,6 +242,8 @@ def verify(
         raise DomainError(f"T_override must be finite and >= 0, got {T_override}")
     if disc_tol is None:
         disc_tol = delta / 100.0
+    if not 0.0 < disc_tol < math.inf:
+        raise DomainError(f"disc_tol must be positive and finite, got {disc_tol}")
 
     path = track_eigenpath(h, grid_size, selector)
     lam = path.gap

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import adialab as al
+from adialab._linalg import golden_section_max, opnorm
+from adialab.hamiltonians import eval_batch
 from adialab.problems import PAULI_X, PAULI_Z
 
 
@@ -37,21 +39,8 @@ def suite(lz, grover2, grover3, rand4):
 
 
 def sampled_only(evaluator, dim: int = 2) -> al.TimeDependentHamiltonian:
-    """An instance for tests that only sample H(s): its d1 and d2 are zero,
-    which is wrong for any non-constant evaluator, so it must never be
-    differentiated."""
-    zero = np.zeros((dim, dim), dtype=complex)
-    return al.TimeDependentHamiltonian(
-        dim=dim, evaluator=evaluator, d1=lambda s: zero, d2=lambda s: zero
-    )
-
-
-def plain_copy(inst: al.TimeDependentHamiltonian) -> al.TimeDependentHamiltonian:
-    """``inst`` without its affine record: the same evaluator, d1 and d2,
-    which norm_bundle samples matrix by matrix and eval_batch checks."""
-    return al.TimeDependentHamiltonian(
-        dim=inst.dim, evaluator=inst.evaluator, d1=inst.d1, d2=inst.d2
-    )
+    """An instance for tests that only sample H(s)."""
+    return al.TimeDependentHamiltonian(dim=dim, evaluator=evaluator)
 
 
 def rotating_two_level(rate: float = np.pi) -> al.TimeDependentHamiltonian:
@@ -60,9 +49,34 @@ def rotating_two_level(rate: float = np.pi) -> al.TimeDependentHamiltonian:
     return al.TimeDependentHamiltonian(
         dim=2,
         evaluator=lambda s: -(np.cos(rate * s) * PAULI_Z + np.sin(rate * s) * PAULI_X),
-        d1=lambda s: rate * (np.sin(rate * s) * PAULI_Z - np.cos(rate * s) * PAULI_X),
-        d2=lambda s: rate**2
-        * (np.cos(rate * s) * PAULI_Z + np.sin(rate * s) * PAULI_X),
         name="rotating_two_level",
         params={"rate": rate},
     )
+
+
+def per_matrix_curves(h: al.TimeDependentHamiltonian, grid: np.ndarray):
+    """||H(s)||, ||H'(s)|| and ||H''(s)|| on ``grid``, matrix by matrix:
+    H from eval_batch, H' and H'' from derivative point by point."""
+    derivatives = (
+        opnorm(np.array([al.derivative(h, float(s), order).entries for s in grid]))
+        for order in (1, 2)
+    )
+    return (opnorm(eval_batch(h, grid)), *derivatives)
+
+
+def per_matrix_norms(h: al.TimeDependentHamiltonian, grid_size: int) -> al.NormBundle:
+    """Oracle for norm_bundle: the grid sups of ``per_matrix_curves`` on a
+    uniform grid, each refined once by golden section around its argmax."""
+    grid = np.linspace(0.0, 1.0, grid_size)
+    point_fns = (
+        lambda s: opnorm(al.eval_at(h, s).entries),
+        lambda s: opnorm(al.derivative(h, s, 1).entries),
+        lambda s: opnorm(al.derivative(h, s, 2).entries),
+    )
+    sups = []
+    for curve, point_fn in zip(per_matrix_curves(h, grid), point_fns):
+        i = int(np.argmax(curve))
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid_size - 1)]
+        _, refined = golden_section_max(point_fn, float(lo), float(hi))
+        sups.append(max(float(curve[i]), float(refined)))
+    return al.NormBundle(*sups, grid_size)

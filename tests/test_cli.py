@@ -94,18 +94,38 @@ def test_proof_check_one_step_last_block(tmp_path, capsys):
         assert abs(entry["measured"] - want) <= 1e-12 * entry["bound"]
 
 
-@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("command", ["verify", "sweep", "proof-check"])
 @pytest.mark.parametrize("total_time", [math.nan, math.inf, -math.inf])
 def test_non_finite_time_is_a_config_error(tmp_path, capsys, command, total_time):
     config = {"instance": LZ, "delta": 1, "case": "special", "grid_size": 129}
+    message = "T_override must be finite"
     if command == "verify":
         config["T_override"] = total_time
-    else:
+    elif command == "sweep":
         config["T_values"] = [5.0, total_time]
+    else:
+        config = {"instance": LZ, "delta": 1, "L": 256, "T": total_time}
+        message = "positive finite delta and T"
     code, out, err = _run(tmp_path, capsys, command, config)
     assert code == cli.EXIT_CONFIG
     assert out == ""
-    assert "T_override must be finite" in err
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("verify", {"instance": LZ, "delta": 1, "T_override": 1e308, "grid_size": 129},
+         "largest feasible T"),
+        ("proof-check", {"instance": LZ, "delta": 1, "L": 256, "T": 1.7e308}, "pi/2"),
+    ],
+)
+def test_overflowing_time_is_infeasible(tmp_path, capsys, command, config, message):
+    # the step count for this finite T overflows a float
+    code, out, err = _run(tmp_path, capsys, command, config)
+    assert code == cli.EXIT_NUMERICAL
+    assert out == ""
+    assert err.startswith("numerical error:") and message in err
 
 
 def test_simulate_csv_snapshots(tmp_path, capsys):

@@ -261,6 +261,15 @@ class TestEvolveAdaptive:
             al.evolve_adaptive(lz, _ground(lz), 1000.0, 1e-4, step_ceiling=1_273)
         assert f"about {1_272 * math.pi / 4.0:.6g}" in str(err.value)
 
+    def test_overflowing_initial_step_count_is_infeasible(self, lz, monkeypatch):
+        # 4 T ||H|| / pi overflows to infinity for this finite T: refused
+        # before any level runs, naming the largest T the ceiling allows
+        monkeypatch.setattr(al.evolution, "evolve_discrete", None)
+        feasible = 2**30 * math.pi / 40.0
+        with pytest.raises(FeasibilityError) as err:
+            al.evolve_adaptive(lz, _ground(lz), 1e308, 1e-4, norm_H=10.0)
+        assert f"largest feasible T is about {feasible:.6g}" in str(err.value)
+
     def test_tolerance_validation(self, lz):
         with pytest.raises(DomainError):
             al.evolve_adaptive(lz, _ground(lz), 1.0, 0.0)

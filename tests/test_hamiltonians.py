@@ -5,15 +5,11 @@ import adialab as al
 from adialab.errors import DomainError, IntegrityError, NumericalError
 from adialab import hamiltonians
 from adialab._linalg import grid_derivative
-from adialab.hamiltonians import (
-    HermitianOperator,
-    derivative_batch,
-    eval_batch,
-    norm_spectra,
-)
+from adialab.hamiltonians import HermitianOperator, eval_batch
 from adialab.problems import PAULI_X, PAULI_Z
+from adialab.theorem import _shifted_frame
 
-from conftest import plain_copy, rotating_two_level, sampled_only
+from conftest import rotating_two_level, sampled_only
 
 
 class TestHermitianOperator:
@@ -59,7 +55,7 @@ class TestEval:
             with pytest.raises(DomainError):
                 eval_batch(lz, np.array([0.5, s]))
             with pytest.raises(DomainError):
-                derivative_batch(lz, np.array([s]), 1)
+                al.derivative(lz, s, 1)
 
     def test_non_hermitian_evaluator_is_integrity_error(self):
         bad = sampled_only(lambda s: np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -85,17 +81,10 @@ class TestEval:
         mats = eval_batch(grover2, grid)
         for s, mat in zip(grid, mats):
             assert np.allclose(mat, al.eval_at(grover2, float(s)).entries)
-        rotating = rotating_two_level(np.pi)
-        for order in (1, 2):
-            for s, mat in zip(grid, derivative_batch(rotating, grid, order)):
-                assert np.array_equal(
-                    mat, al.derivative(rotating, float(s), order).entries
-                )
         # an empty s array gives an empty batch on both evaluator paths
         empty = np.array([])
-        for inst in (grover2, rotating):
+        for inst in (grover2, rotating_two_level(np.pi)):
             assert eval_batch(inst, empty).shape == (0, inst.dim, inst.dim)
-        assert derivative_batch(rotating, empty, 1).shape == (0, 2, 2)
 
 
 class TestAffineRecord:
@@ -132,16 +121,15 @@ class TestAffineRecord:
 
     def test_record_cannot_be_passed_to_the_constructor(self, lz):
         with pytest.raises(TypeError):
-            al.TimeDependentHamiltonian(
-                dim=2, evaluator=lz.evaluator, d1=lz.d1, d2=lz.d2, affine=lz.affine
-            )
+            al.TimeDependentHamiltonian(dim=2, evaluator=lz.evaluator, affine=lz.affine)
 
     def test_only_affine_samples_skip_the_hermiticity_check(self, lz, monkeypatch):
         shift = (np.sin, np.cos, lambda s: -np.sin(s))
         shifted = hamiltonians._shift_by(lz, shift, "shifted", {})
         assert shifted.affine.shift is shift
-        # a plain copy, and a shift of a shifted frame, are general instances
-        plain = plain_copy(lz)
+        # lz's evaluator without its record, and a shift of a shifted frame,
+        # are general instances
+        plain = sampled_only(lz.evaluator)
         twice = hamiltonians._shift_by(shifted, shift, "twice", {})
         assert plain.affine is None and twice.affine is None
 
@@ -173,6 +161,18 @@ class TestDerivative:
     def test_invalid_order(self, lz):
         with pytest.raises(DomainError):
             al.derivative(lz, 0.5, 3)
+
+    def test_shifted_frame_derivatives_match_a_stencil_of_the_evaluator(self, lz):
+        # H~' = D - gamma' I and H~'' = -gamma'' I are the derivatives of
+        # the sampled H~(s) = H(s) - gamma(s) I, whose gamma moves
+        path = al.track_eigenpath(lz, 1025)
+        shifted, rules = _shifted_frame(lz, path)
+        samples = eval_batch(shifted, path.grid)
+        for order in (1, 2):
+            assert np.abs(rules[order](path.grid)).max() > 0.5
+            stencil = grid_derivative(samples, 1.0 / 1024, order)
+            closed_form = [al.derivative(shifted, s, order).entries for s in path.grid]
+            assert np.abs(stencil - np.array(closed_form)).max() < 1e-3
 
     def test_one_sided_stencils_at_boundaries(self):
         # f = (e^{2x}, sin(3x + 1)) sampled along axis 0, whose third and
@@ -209,6 +209,41 @@ class TestDerivative:
                 assert -2.2 <= slope <= -1.8, (order, where, slope)
 
 
+class TestUncertifiedInstance:
+    """An instance without an affine record is sampled, tracked and evolved,
+    but it has no derivatives or norms, so nothing bounds with it."""
+
+    def test_sampling_tracking_and_evolution_work(self):
+        inst = rotating_two_level(np.pi)
+        path = al.track_eigenpath(inst, 257)
+        assert path.gap == pytest.approx(2.0, abs=1e-12)
+        assert al.spectral_gap(inst, path).lambda_min == pytest.approx(2.0, abs=1e-12)
+        shifted = al.shift_to_zero_eigenvalue(inst, path)
+        assert np.linalg.eigvalsh(al.eval_at(shifted, 0.3).entries) == pytest.approx(
+            [0.0, 2.0], abs=1e-9
+        )
+        psi0 = path.states[0]
+        stepped = al.evolve_discrete(inst, psi0, al.EvolutionConfig(50.0, 4096))
+        # ||H(s)|| = 1 for every s
+        adaptive = al.evolve_adaptive(inst, psi0, 50.0, 1e-4, norm_H=1.0)
+        for state in (stepped.final_state, adaptive.final_state):
+            assert al.distance_phase_invariant(state, path.states[-1]) < 0.05
+
+    def test_norms_and_their_consumers_refuse(self):
+        inst = rotating_two_level(np.pi)
+        calls = (
+            lambda: al.norm_bundle(inst),
+            lambda: al.derivative(inst, 0.5, 1),
+            lambda: al.derivative(inst, 0.5, 2),
+            lambda: al.verify(inst, delta=1.0, T_override=0.0, grid_size=65),
+            lambda: al.run_proofcheck(inst, L=1024, delta=1.0, total_time=100.0),
+            lambda: al.evolve_adaptive(inst, np.array([1.0, 0.0]), 1.0, 1e-4),
+        )
+        for call in calls:
+            with pytest.raises(DomainError, match="affine_hamiltonian"):
+                call()
+
+
 class TestOperatorNorm:
     def test_zero_matrix(self):
         assert al.operator_norm(HermitianOperator(np.zeros((2, 2)))) == 0.0
@@ -242,8 +277,7 @@ class TestNormBundle:
         assert nb.norm_H1 == pytest.approx(np.sqrt(3.0) / 2.0, abs=1e-9)
 
     def test_monotone_under_grid_refinement(self, lz, rand4, grover2):
-        # the exact affine route, and the sampled route on plain copies
-        for inst in (lz, rand4, grover2, *map(plain_copy, (lz, rand4, grover2))):
+        for inst in (lz, rand4, grover2):
             previous = None
             for grid_size in (257, 513, 1025):
                 nb = al.norm_bundle(inst, grid_size)
@@ -257,38 +291,50 @@ class TestNormBundle:
         with pytest.raises(DomainError):
             al.norm_bundle(lz, 1)
         with pytest.raises(DomainError, match="shape"):
-            al.norm_bundle(lz, 65, spectrum=norm_spectra(lz, 33)[0])
+            al.norm_bundle(lz, 65, spectrum=np.zeros((33, 2)))
 
     def test_spectra_match_whole_grid_batches(self, monkeypatch):
-        # 2,049 points at d = 32 span two chunk_ranges batches; eigvalsh
-        # works matrix by matrix, so batching changes no bit
+        # a shifted d = 32 frame on a 2,049-point norm grid, off the path's
+        # 1,025 points: its spectrum is sampled in two chunk_ranges batches,
+        # and eigvalsh works matrix by matrix, so batching changes no bit
         inst = al.random_interpolation(32, seed=1)
+        shifted, _ = _shifted_frame(inst, al.track_eigenpath(inst, 1025))
         grid = np.linspace(0.0, 1.0, 2049)
-        spectra = norm_spectra(inst, grid.size)
-        assert np.array_equal(spectra[0], np.linalg.eigvalsh(eval_batch(inst, grid)))
-        for order in (1, 2):
-            want = np.linalg.eigvalsh(derivative_batch(inst, grid, order))
-            assert np.array_equal(spectra[order], want)
-        # without order 0 in the request, H is not sampled
-        calls = []
+        whole = np.linalg.eigvalsh(eval_batch(shifted, grid))
+        batches, curves = [], []
+        refined_max = hamiltonians._refined_max
         monkeypatch.setattr(
-            hamiltonians, "eval_batch", lambda *a, **k: calls.append(a) or eval_batch(*a, **k)
+            hamiltonians,
+            "eval_batch",
+            lambda h, s: batches.append(s.size) or eval_batch(h, s),
         )
-        again = norm_spectra(inst, grid.size, (2,))
-        assert len(again) == 1 and not calls
-        assert np.array_equal(again[0], spectra[2])
+        monkeypatch.setattr(
+            hamiltonians,
+            "_refined_max",
+            lambda values, *a: curves.append(values) or refined_max(values, *a),
+        )
+        chunked = al.norm_bundle(shifted, grid.size)
+        assert len(batches) == 2 and sum(batches) == grid.size
+        assert np.array_equal(curves[0], np.abs(whole).max(axis=1))
+        assert al.norm_bundle(shifted, grid.size, spectrum=whole) == chunked
         # a spectrum handed to norm_bundle is used as it is
-        doubled = al.norm_bundle(plain_copy(inst), grid.size, spectrum=2.0 * spectra[0])
-        assert not calls and doubled.norm_H == 2.0 * np.abs(spectra[0]).max()
+        batches.clear()
+        doubled = al.norm_bundle(shifted, grid.size, spectrum=2.0 * whole)
+        assert not batches and doubled.norm_H == 2.0 * np.abs(whole).max()
 
-    def test_outputs_stay_hermitian_on_samples(self):
+    def test_outputs_stay_hermitian_on_samples(self, lz):
+        # a non-affine evaluator's samples, and the derivatives of a
+        # shifted affine frame
         inst = rotating_two_level(2.0)
+        shifted = hamiltonians._shift_by(
+            lz, (np.sin, np.cos, lambda s: -np.sin(s)), "shifted", {}
+        )
         rng = np.random.default_rng(3)
         for s in rng.uniform(0.0, 1.0, size=25):
             for mat in (
                 al.eval_at(inst, s).entries,
-                al.derivative(inst, s, 1).entries,
-                al.derivative(inst, s, 2).entries,
+                al.derivative(shifted, s, 1).entries,
+                al.derivative(shifted, s, 2).entries,
             ):
                 defect = np.abs(mat - mat.conj().T).max()
                 assert defect <= 1e-12 * max(np.abs(mat).max(), 1e-300)

@@ -23,7 +23,7 @@ from adialab.proofcheck import (
 )
 from adialab.theorem import TheoremInputs, required_time_special
 
-from conftest import plain_copy
+from conftest import per_matrix_norms
 
 BLOCK_LABELS = ("total", "freeze_w", "freeze_u", "power_sum")
 # landau_zener at L = 1025 and this T has Delta = 64, which divides L - 1
@@ -161,6 +161,22 @@ class TestConfig:
     def test_delta_exceeding_l_rejected(self):
         with pytest.raises(DomainError, match="too small"):
             ProofCheckConfig(100, 0.001, 0.5, 1.0, 1.0)
+
+    def test_non_finite_or_negative_inputs_rejected(self):
+        # (L, T, delta, norm_h1, lambda) with one bad value each
+        good = (1000, 1000.0, 0.5, 1.0, 1.0)
+        bad_values = {
+            1: (math.nan, math.inf, 0.0),
+            2: (math.nan, math.inf, -0.5),
+            3: (math.nan, math.inf, -1.0),
+            4: (math.nan, math.inf, 0.0),
+        }
+        for index, values in bad_values.items():
+            for value in values:
+                args = list(good)
+                args[index] = value
+                with pytest.raises(DomainError, match="finite"):
+                    ProofCheckConfig(*args)
 
     def test_block_starts_partition(self):
         cfg = ProofCheckConfig(1000, 1000.0, 0.5, 1.0, 1.0)
@@ -468,16 +484,16 @@ class TestRunProofcheck:
         assert len(rows) == len(report.entries) + 1
 
     def test_shifted_norms_match_per_matrix_path(self, lz, grover2):
-        # norms_shifted are exact for these affine instances; the per-matrix
-        # oracle is norm_bundle on the shifted frame of a plain copy without
-        # the affine record, and Delta follows it (grover(2)'s bound time
-        # needs more steps, so it runs at T = 2000)
+        # norms_shifted are exact for these affine instances; the oracle
+        # takes the norm of every matrix of the shifted frame on the norm
+        # grid, and Delta follows it (grover(2)'s bound time needs more
+        # steps, so it runs at T = 2000)
         L, delta = 8192, 1.0
         for inst, total_time in ((lz, None), (grover2, 2000.0)):
             report = al.run_proofcheck(inst, L=L, delta=delta, total_time=total_time)
             path = al.track_eigenpath(inst, L + 1)
-            plain_shifted = al.shift_to_zero_eigenvalue(plain_copy(inst), path)
-            want = al.norm_bundle(plain_shifted, 1025)
+            shifted = al.shift_to_zero_eigenvalue(inst, path)
+            want = per_matrix_norms(shifted, 1025)
             got = report.metadata["norms_shifted"]
             for key in ("norm_H", "norm_H1", "norm_H2"):
                 assert got[key] == pytest.approx(getattr(want, key), rel=1e-12, abs=0.0)
@@ -502,8 +518,25 @@ class TestRunProofcheck:
         assert_blocks_match_oracle(last, {1025: one_step_block_oracle(lz)})
 
     def test_small_angle_regime_enforced(self, lz):
-        with pytest.raises(FeasibilityError, match="pi/2"):
-            al.run_proofcheck(lz, L=1024, delta=1.0, total_time=3.3e5)
+        # 2 T ||H~|| / pi overflows to infinity at the last T
+        for total_time in (3.3e5, 1e308, 1.7e308):
+            with pytest.raises(FeasibilityError, match="pi/2"):
+                al.run_proofcheck(lz, L=1024, delta=1.0, total_time=total_time)
+
+    def test_non_finite_inputs_are_domain_errors(self, lz, monkeypatch):
+        # refused up front, before the path is tracked
+        monkeypatch.setattr(proofcheck, "track_eigenpath", None)
+        for delta, total_time in (
+            (math.nan, 100.0),
+            (math.inf, 100.0),
+            (math.nan, None),
+            (1.0, math.nan),
+            (1.0, math.inf),
+            (1.0, -math.inf),
+            (1.0, 0.0),
+        ):
+            with pytest.raises(DomainError, match="positive finite delta and T"):
+                al.run_proofcheck(lz, L=1024, delta=delta, total_time=total_time)
 
     def test_broken_gap_instance_refused(self):
         # near-degenerate crossing (gap 0.01): the Delta-blocking premise

@@ -6,12 +6,11 @@ import pytest
 import adialab as al
 from adialab import hamiltonians
 from adialab.errors import DomainError, FeasibilityError, IntegrityError
-from adialab._linalg import grid_derivative
-from adialab.hamiltonians import NormBundle, derivative_batch, eval_batch, norm_spectra
+from adialab.hamiltonians import NormBundle
 from adialab.problems import landau_zener_eigenvalue
 from adialab.theorem import TheoremInputs, _shifted_frame
 
-from conftest import plain_copy, rotating_two_level
+from conftest import per_matrix_curves, per_matrix_norms
 
 
 def _inputs(delta, h1, h2, lam, case):
@@ -21,19 +20,6 @@ def _inputs(delta, h1, h2, lam, case):
 def _assert_bundles_close(got, want, rtol):
     for key in ("norm_H", "norm_H1", "norm_H2"):
         assert getattr(got, key) == pytest.approx(getattr(want, key), rel=rtol, abs=0.0)
-
-
-def _moving_rotation():
-    """rotating_two_level plus diag(s^2, sin(3s)/2): the tracked eigenvalue
-    moves, so gamma' and gamma'' are nonzero."""
-    base = rotating_two_level()
-    return al.TimeDependentHamiltonian(
-        dim=2,
-        evaluator=lambda s: base.evaluator(s) + np.diag([s * s, 0.5 * np.sin(3.0 * s)]),
-        d1=lambda s: base.d1(s) + np.diag([2.0 * s, 1.5 * np.cos(3.0 * s)]),
-        d2=lambda s: base.d2(s) + np.diag([2.0, -4.5 * np.sin(3.0 * s)]),
-        name="moving_rotation",
-    )
 
 
 class TestRequiredTime:
@@ -122,13 +108,12 @@ class TestShift:
 
     def test_shift_measures_no_norms(self, lz, monkeypatch):
         calls = []
-        for name in ("derivative_batch", "derivative"):
-            original = getattr(hamiltonians, name)
-            monkeypatch.setattr(
-                hamiltonians,
-                name,
-                lambda *args, f=original: calls.append(args) or f(*args),
-            )
+        original = hamiltonians.derivative
+        monkeypatch.setattr(
+            hamiltonians,
+            "derivative",
+            lambda *args: calls.append(args) or original(*args),
+        )
         al.shift_to_zero_eigenvalue(lz, al.track_eigenpath(lz, 257))
         # verify and run_proofcheck measure an affine instance's norms, and
         # its shifted frame's, without sampling a derivative matrix
@@ -171,23 +156,20 @@ def library_verdicts():
 
 class TestVerifyNorms:
     """verify's norms of an affine instance and of its shifted frame are
-    exact; norm_bundle on a plain copy without the affine record, sampled
-    matrix by matrix, is the oracle."""
+    exact; ``per_matrix_norms``, which forms every matrix of H, H' and H''
+    on the grid and takes its norm, is the oracle."""
 
     def test_analytic_instances_match_per_matrix_oracle(self, library_verdicts):
         for inst, verdict in library_verdicts:
             path = al.track_eigenpath(inst, 1025)
-            plain = plain_copy(inst)
-            plain_shifted, rules = _shifted_frame(plain, path)
-            assert plain_shifted.affine is None
-            _assert_bundles_close(verdict.norms, al.norm_bundle(plain, 1025), 1e-12)
+            shifted, rules = _shifted_frame(inst, path)
+            _assert_bundles_close(verdict.norms, per_matrix_norms(inst, 1025), 1e-12)
             _assert_bundles_close(
-                verdict.norms_shifted, al.norm_bundle(plain_shifted, 1025), 1e-12
+                verdict.norms_shifted, per_matrix_norms(shifted, 1025), 1e-12
             )
             # the grid values too, which the refinement can mask in a bundle:
             # H's spectrum translated by gamma, and the scalar curves
             # max(lambda_max(D) - gamma', gamma' - lambda_min(D)) and |gamma''|
-            oracle = norm_spectra(plain_shifted, 1025)
             d_min, d_max = np.linalg.eigvalsh(inst.affine.diff)[[0, -1]]
             slope = rules[1](path.grid)
             curves = (
@@ -195,8 +177,7 @@ class TestVerifyNorms:
                 np.maximum(d_max - slope, slope - d_min),
                 np.abs(rules[2](path.grid)),
             )
-            for got, spec in zip(curves, oracle):
-                want = np.abs(spec).max(axis=1)
+            for got, want in zip(curves, per_matrix_curves(shifted, path.grid)):
                 assert np.abs(got - want).max() <= 1e-12 * want.max(), inst.name
 
     def test_off_grid_maximum_is_refined(self, lz):
@@ -205,9 +186,8 @@ class TestVerifyNorms:
         # the exact route's refinement must find it, as the oracle's does
         path = al.track_eigenpath(lz, 1025)
         shifted, rules = _shifted_frame(lz, path)
-        plain_shifted, _ = _shifted_frame(plain_copy(lz), path)
         got = al.norm_bundle(shifted, 1024)
-        _assert_bundles_close(got, al.norm_bundle(plain_shifted, 1024), 1e-12)
+        _assert_bundles_close(got, per_matrix_norms(shifted, 1024), 1e-12)
         grid = np.linspace(0.0, 1.0, 1024)
         assert got.norm_H2 > np.abs(rules[2](grid)).max() * (1.0 + 1e-9)
 
@@ -219,42 +199,11 @@ class TestVerifyNorms:
             spread = d_eigenvalues[-1] - d_eigenvalues[0]
             assert verdict.norms_shifted.norm_H1 <= spread * (1.0 + 1e-9), inst.name
 
-    def test_moving_eigenvalue_instance_matches_per_matrix_oracle(self):
-        inst = _moving_rotation()
-        path = al.track_eigenpath(inst, 1025)
-        # the closed-form d1 and d2 are the derivatives of the evaluator
-        samples = eval_batch(inst, path.grid)
-        for order in (1, 2):
-            stencil = grid_derivative(samples, 1.0 / 1024, order)
-            closed_form = derivative_batch(inst, path.grid, order)
-            assert np.abs(stencil - closed_form).max() < 1e-3
-        _, rules = _shifted_frame(inst, path)
-        for order in (1, 2):
-            assert np.abs(rules[order](path.grid)).max() > 0.5
-        verdict = al.verify(inst, delta=1.0, case="special", T_override=0.0)
-        shifted = al.shift_to_zero_eigenvalue(inst, path)
-        _assert_bundles_close(verdict.norms, al.norm_bundle(inst, 1025), 1e-12)
-        _assert_bundles_close(verdict.norms_shifted, al.norm_bundle(shifted, 1025), 1e-12)
-
-    def test_non_hermitian_derivative_is_integrity_error(self, lz):
-        # non-Hermitian at s = 1/2 only, far from the refinement around the
-        # argmax at s = 0: the grid batch of H' is the only check that sees it
-        def d1(s):
-            return lz.d1(s) + (np.array([[0.0, 1.0], [0.0, 0.0]]) if s == 0.5 else 0.0)
-
-        bad = al.TimeDependentHamiltonian(
-            dim=2, evaluator=lz.evaluator, d1=d1, d2=lz.d2
-        )
-        with pytest.raises(IntegrityError, match="order-1 derivative"):
-            al.verify(bad, delta=1.0, T_override=0.0, grid_size=65)
-
     def test_non_hermitian_evaluator_is_integrity_error(self, lz):
         def evaluator(s):
             return lz.evaluator(s) + (np.array([[0.0, 1.0], [0.0, 0.0]]) if s == 0.5 else 0.0)
 
-        bad = al.TimeDependentHamiltonian(
-            dim=2, evaluator=evaluator, d1=lz.d1, d2=lz.d2
-        )
+        bad = al.TimeDependentHamiltonian(dim=2, evaluator=evaluator)
         with pytest.raises(IntegrityError, match="evaluator output"):
             al.verify(bad, delta=1.0, T_override=0.0, grid_size=65)
 
@@ -290,6 +239,18 @@ class TestVerify:
             al.verify(lz, delta=0.5, T_override=total_time, step_ceiling=l_start)
         verdict = al.verify(lz, delta=0.5, T_override=total_time, step_ceiling=l_start + 1)
         assert verdict.L_used == l_start + 1
+
+    def test_overflowing_time_is_infeasible(self, lz):
+        # 4 T ||H~|| / pi overflows for T = 1e308 (||H~|| = 2)
+        with pytest.raises(FeasibilityError, match="largest feasible T"):
+            al.verify(lz, delta=0.5, T_override=1e308, grid_size=65)
+
+    def test_disc_tol_validation(self, lz, monkeypatch):
+        # refused up front, even where T = 0 evolves nothing
+        monkeypatch.setattr(al.theorem, "track_eigenpath", None)
+        for disc_tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="disc_tol"):
+                al.verify(lz, delta=0.5, T_override=0.0, disc_tol=disc_tol)
 
     def test_delta_validation(self, lz):
         with pytest.raises(DomainError):

@@ -33,7 +33,7 @@ from .evolution import (
     distance_phase_invariant,
     evolve_discrete,
 )
-from .hamiltonians import DEFAULT_NORM_GRID, TimeDependentHamiltonian
+from .hamiltonians import TimeDependentHamiltonian
 from .problems import InstanceSpec
 from .proofcheck import run_proofcheck
 from .spectral import DEFAULT_GRID, spectral_gap, track_eigenpath
@@ -60,7 +60,7 @@ _ALLOWED_KEYS = {
     "sweep": {"instance", "delta", "case", "T_values", "grid_size", "disc_tol",
               "step_ceiling"},
     "gap-scan": {"instance", "grid_size"},
-    "proof-check": {"instance", "delta", "L", "T", "grid_size", "k_max"},
+    "proof-check": {"instance", "delta", "L", "T", "k_max"},
     "simulate": {"instance", "T", "L", "snapshot_stride", "grid_size",
                  "sign_convention"},
 }
@@ -249,7 +249,6 @@ def cmd_proof_check(args) -> int:
         L=_expect(data, "L", int),
         delta=float(_expect(data, "delta", _NUMBER)),
         total_time=_expect(data, "T", _NUMBER),
-        norm_grid=_expect(data, "grid_size", int, DEFAULT_NORM_GRID),
         k_max=_expect(data, "k_max", int),
     )
     payload = report.to_dict()

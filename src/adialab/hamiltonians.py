@@ -1,20 +1,21 @@
 """Time-dependent Hermitian Hamiltonians H(s), s in [0, 1].
 
-Each sample is a dense complex Hermitian matrix.  ``norm_bundle`` measures
-the sup norms of H, H' and H'' over s that the runtime bound consumes, and
-``derivative`` gives H'(s) and H''(s).  Both need an ``AffineRecord``: the
-bound holds only if its sups are upper bounds, which a grid maximum of
-sampled norms is not.  Any other instance can be sampled, tracked and
-evolved; each of its samples passes one Hermiticity check
-(``_check_hermitian``, relative to each matrix's largest entry), and
-failing matrices are rejected rather than symmetrized.
+An instance's evaluator maps an array of n values of s to H at each, an
+(n, dim, dim) array of dense complex Hermitian matrices.  ``norm_bundle``
+measures the sup norms of H, H' and H'' over s that the runtime bound
+consumes, and ``derivative`` gives H'(s) and H''(s).  Both need the
+evaluator to be an ``AffineRecord``: the bound holds only if its sups are
+upper bounds, which a grid maximum of sampled norms is not.  Any other
+evaluator can be sampled, tracked and evolved; each of its samples passes
+one Hermiticity check (``_check_hermitian``, relative to each matrix's
+largest entry), and failing matrices are rejected rather than symmetrized.
 
-``affine_hamiltonian`` builds H(s) = (1-s) H0 + s H1 and records its data
-(``AffineRecord``) on the instance.  Both endpoints are certified Hermitian
-once, at construction, and stored as their Hermitian part, so every sample,
-and every shift of it by a real multiple of I (``_shift_by``), is exactly
-Hermitian in floating point and ``eval_batch`` does not check it again.
-Its norms are exact: s -> ||H(s)|| is convex, so sup ||H|| =
+The record of H(s) = (1-s) H0 + s H1 - c(s) I is the one place that knows
+the affine form: its ``__call__``, ``derivative`` and ``norm_bundle`` read
+it.  Both endpoints are certified Hermitian once, at construction, and
+stored as their Hermitian part, so every sample, whatever the real shift
+c, is exactly Hermitian in floating point and is not checked again.
+With c = 0 the norms are exact: s -> ||H(s)|| is convex, so sup ||H|| =
 max(||H(0)||, ||H(1)||), ||H'|| = ||D|| with D = H1 - H0, and ||H''|| = 0.
 For H(s) - c(s) I, H'(s) = D - c'(s) I and H''(s) = -c''(s) I, so
 ||H'(s)|| = max(lambda_max(D) - c'(s), c'(s) - lambda_min(D)) and
@@ -41,10 +42,6 @@ from .errors import DomainError, IntegrityError, NumericalError
 
 HERMITICITY_RTOL = 1e-12
 DEFAULT_NORM_GRID = 1025
-
-Evaluator = Callable[[float], np.ndarray]
-BatchEvaluator = Callable[[np.ndarray], np.ndarray]
-
 
 def _check_hermitian(mats: np.ndarray, what: str) -> None:
     """Reject non-finite entries, and any matrix of the batch whose defect
@@ -92,13 +89,14 @@ def operator_norm(a: HermitianOperator) -> float:
 
 @dataclass(frozen=True, eq=False)
 class AffineRecord:
-    """The data of H(s) = (1-s) h0 + s h1 - c(s) I.
+    """The data of H(s) = (1-s) h0 + s h1 - c(s) I, and its evaluator.
 
     Both endpoints are certified Hermitian at construction (``IntegrityError``
     otherwise) and stored as their Hermitian part (A + A^dagger)/2, which
     leaves an exactly Hermitian endpoint bit-identical.  ``diff`` is
     D = h1 - h0.  ``shift``, when given, is (c, c', c'') as functions of s
-    that accept arrays.
+    that accept arrays.  Calling the record on an s array returns H there,
+    shape (n, dim, dim).
     """
 
     h0: np.ndarray
@@ -119,32 +117,42 @@ class AffineRecord:
         diff.setflags(write=False)
         object.__setattr__(self, "diff", diff)
 
+    def __call__(self, s_values: np.ndarray) -> np.ndarray:
+        s_col = np.asarray(s_values, dtype=float)[:, None, None]
+        mats = (1.0 - s_col) * self.h0 + s_col * self.h1
+        if self.shift is not None:
+            shifts = np.asarray(self.shift[0](s_values), dtype=float)
+            eye = np.eye(self.h0.shape[0], dtype=complex)
+            mats -= shifts[:, None, None] * eye  # in place: no third batch alive
+        return mats
+
 
 @dataclass(frozen=True)
 class TimeDependentHamiltonian:
     """Sampler for H(s), with instance metadata.
 
-    ``evaluator`` returns H(s) and must be a pure function of s; all values
-    are immutable after construction, so instances are safe to share across
-    threads.  ``evaluator_batch``, when provided, evaluates a whole array of
-    s values at once (shape (n, dim, dim)) and is used by the hot evolution
-    loops.  ``affine`` is set only by ``affine_hamiltonian`` and
-    ``_shift_by``, which build the evaluators from it; it cannot be passed
-    to the constructor, and without it the instance has no norms.
+    ``evaluator`` maps an array of n values of s to H at each, shape
+    (n, dim, dim), and must be a pure function of s; all values are
+    immutable after construction, so instances are safe to share across
+    threads.  ``affine`` is the evaluator when it is an ``AffineRecord``
+    and None otherwise; without a record the instance has no norms.
     """
 
     dim: int
-    evaluator: Evaluator
+    evaluator: Callable[[np.ndarray], np.ndarray]
     name: str = ""
     params: dict = field(default_factory=dict)
-    evaluator_batch: BatchEvaluator | None = None
-    affine: AffineRecord | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.dim < 2:
             raise DomainError("Hamiltonian dimension must be at least 2")
+        record_dim = self.dim if self.affine is None else self.affine.h0.shape[0]
+        if record_dim != self.dim:
+            raise DomainError(f"record has dimension {record_dim}, not {self.dim}")
+
+    @property
+    def affine(self) -> AffineRecord | None:
+        return self.evaluator if isinstance(self.evaluator, AffineRecord) else None
 
 
 def affine_hamiltonian(
@@ -156,24 +164,7 @@ def affine_hamiltonian(
     endpoint is not Hermitian.
     """
     record = AffineRecord(h0, h1)
-    h0, h1 = record.h0, record.h1
-
-    def evaluate(s: float) -> np.ndarray:
-        return (1.0 - s) * h0 + s * h1
-
-    def evaluate_batch(s_values: np.ndarray) -> np.ndarray:
-        s_col = np.asarray(s_values, dtype=float)[:, None, None]
-        return (1.0 - s_col) * h0 + s_col * h1
-
-    h = TimeDependentHamiltonian(
-        dim=h0.shape[0],
-        evaluator=evaluate,
-        name=name,
-        params=dict(params or {}),
-        evaluator_batch=evaluate_batch,
-    )
-    object.__setattr__(h, "affine", record)
-    return h
+    return TimeDependentHamiltonian(len(record.h0), record, name, dict(params or {}))
 
 
 def _shift_by(
@@ -184,32 +175,25 @@ def _shift_by(
 ) -> TimeDependentHamiltonian:
     """H(s) - c(s) I for shift = (c, c', c''), functions of s arrays.
 
-    The shift of an unshifted affine instance keeps its record, with the
-    shift added; any other instance gives a general one.
+    The shift of an affine instance is its record with the shift added to
+    any it already carries; any other instance gives a general one.
     """
+    record = h.affine
+    if record is not None:
+        if record.shift is not None:
+            shift = tuple(
+                lambda s, a=a, b=b: a(s) + b(s) for a, b in zip(record.shift, shift)
+            )
+        record = replace(record, shift=shift)
+        return TimeDependentHamiltonian(h.dim, record, name, params)
     c = shift[0]
     eye = np.eye(h.dim, dtype=complex)
 
-    def evaluate(s: float) -> np.ndarray:
-        return h.evaluator(s) - float(c(s)) * eye
+    def evaluate(s_values: np.ndarray) -> np.ndarray:
+        shifts = np.asarray(c(s_values), dtype=float)
+        return h.evaluator(s_values) - shifts[:, None, None] * eye
 
-    batch = None
-    if h.evaluator_batch is not None:
-
-        def batch(s_values: np.ndarray) -> np.ndarray:
-            shifts = np.asarray(c(s_values), dtype=float)
-            return h.evaluator_batch(s_values) - shifts[:, None, None] * eye
-
-    shifted = TimeDependentHamiltonian(
-        dim=h.dim,
-        evaluator=evaluate,
-        name=name,
-        params=params,
-        evaluator_batch=batch,
-    )
-    if h.affine is not None and h.affine.shift is None:
-        object.__setattr__(shifted, "affine", replace(h.affine, shift=shift))
-    return shifted
+    return TimeDependentHamiltonian(h.dim, evaluate, name, params)
 
 
 def _check_s(s: float) -> float:
@@ -228,16 +212,6 @@ def _check_s_values(s_values: np.ndarray) -> np.ndarray:
     return s_values
 
 
-def _sample(h: TimeDependentHamiltonian, s: float) -> np.ndarray:
-    """H(s), checked for shape only."""
-    mat = np.asarray(h.evaluator(s), dtype=complex)
-    if mat.shape != (h.dim, h.dim):
-        raise IntegrityError(
-            f"evaluator returned shape {mat.shape}, expected {(h.dim, h.dim)}"
-        )
-    return mat
-
-
 def _record(h: TimeDependentHamiltonian, what: str) -> AffineRecord:
     """The instance's AffineRecord; ``DomainError`` when it has none."""
     if h.affine is None:
@@ -250,7 +224,7 @@ def _record(h: TimeDependentHamiltonian, what: str) -> AffineRecord:
 
 def eval_at(h: TimeDependentHamiltonian, s: float) -> HermitianOperator:
     """Evaluate H(s), certifying the result Hermitian."""
-    return HermitianOperator(_sample(h, _check_s(s)))
+    return HermitianOperator(eval_batch(h, np.array([s], dtype=float))[0])
 
 
 def eval_batch(h: TimeDependentHamiltonian, s_values: np.ndarray) -> np.ndarray:
@@ -261,17 +235,12 @@ def eval_batch(h: TimeDependentHamiltonian, s_values: np.ndarray) -> np.ndarray:
     Hermitian by construction.
     """
     s_values = _check_s_values(s_values)
-    if h.evaluator_batch is not None:
-        mats = np.asarray(h.evaluator_batch(s_values), dtype=complex)
-        if mats.shape != (s_values.size, h.dim, h.dim):
-            raise IntegrityError(
-                f"batch evaluator returned shape {mats.shape}, expected "
-                f"{(s_values.size, h.dim, h.dim)}"
-            )
-    else:
-        mats = np.empty((s_values.size, h.dim, h.dim), dtype=complex)
-        for i, s in enumerate(s_values):
-            mats[i] = _sample(h, float(s))
+    mats = np.asarray(h.evaluator(s_values), dtype=complex)
+    if mats.shape != (s_values.size, h.dim, h.dim):
+        raise IntegrityError(
+            f"evaluator returned shape {mats.shape}, expected "
+            f"{(s_values.size, h.dim, h.dim)}"
+        )
     if h.affine is None:
         _check_hermitian(mats, "evaluator output")
     return mats

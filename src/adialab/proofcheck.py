@@ -34,9 +34,14 @@ import numpy as np
 from ._linalg import chunk_ranges, chunk_size, grid_derivative, opnorm, ordered_product
 from .errors import DomainError, FeasibilityError
 from .evolution import EvolutionConfig, _step_batch
-from .hamiltonians import DEFAULT_NORM_GRID, NormBundle, TimeDependentHamiltonian
+from .hamiltonians import NormBundle, TimeDependentHamiltonian
 from .spectral import EigenPath, gauge_residual, path_derivatives, track_eigenpath
-from .theorem import TheoremInputs, _shift_and_measure, required_time_special
+from .theorem import (
+    TheoremInputs,
+    _check_delta,
+    _shift_and_measure,
+    required_time_special,
+)
 
 LEMMA_SLACK = 0.05  # finite-difference noise allowance on lemma inequalities
 BLOCK_SLACK = 0.10  # accumulated roundoff allowance on block bounds
@@ -130,6 +135,7 @@ class ProofCheckConfig:
                 "L, T, delta and lambda must be positive and norm_h1 >= 0, all "
                 f"finite: {self.L}, {self.T}, {self.delta}, {self.lam}, {self.norm_h1}"
             )
+        _check_delta(self.delta)
         delta_blocks = expected_block_length(
             self.L, self.T, self.delta, self.norm_h1, self.lam
         )
@@ -543,7 +549,6 @@ def run_proofcheck(
     total_time: float | None = None,
     *,
     selector="ground",
-    norm_grid: int = DEFAULT_NORM_GRID,
     k_max: int | None = None,
     fit_lengths=DEFAULT_FIT_LENGTHS,
 ) -> ProofReport:
@@ -560,6 +565,7 @@ def run_proofcheck(
     times = (delta,) if total_time is None else (delta, total_time)
     if not all(0.0 < x < math.inf for x in times):
         raise DomainError(f"need positive finite delta and T: {delta=}, {total_time=}")
+    _check_delta(delta)
     if L > TOTAL_SUM_MAX_L or h.dim > TOTAL_SUM_MAX_DIM:
         raise FeasibilityError(
             f"proofcheck limited to L <= {TOTAL_SUM_MAX_L} at dim <= "
@@ -568,7 +574,7 @@ def run_proofcheck(
 
     path = track_eigenpath(h, L + 1, selector)
     lam = path.gap
-    shifted, norms, norms_shifted = _shift_and_measure(h, path, norm_grid, lam)
+    shifted, norms, norms_shifted = _shift_and_measure(h, path, lam)
 
     if total_time is None:
         total_time = required_time_special(
@@ -611,7 +617,6 @@ def run_proofcheck(
         "lambda": lam,
         "norms": norms.to_dict(),
         "norms_shifted": norms_shifted.to_dict(),
-        "norm_grid": norm_grid,
         "selector": selector if isinstance(selector, str) else "vector",
     }
     return ProofReport(entries=tuple(entries), metadata=metadata)

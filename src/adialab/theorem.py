@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -54,6 +53,12 @@ SHIFT_NORM_SLACK = 0.05
 MAX_DELTA = math.sqrt(2.0)
 
 
+def _check_delta(delta: float) -> None:
+    """No phase-invariant distance exceeds sqrt(2), so neither may delta."""
+    if not (0.0 < delta <= MAX_DELTA + 1e-12):
+        raise DomainError(f"delta must lie in (0, sqrt(2)], got {delta}")
+
+
 @dataclass(frozen=True)
 class TheoremInputs:
     """delta, measured norms, spectral gap and which bound applies."""
@@ -64,8 +69,7 @@ class TheoremInputs:
     case: str = "general"
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.delta <= MAX_DELTA + 1e-12):
-            raise DomainError(f"delta must lie in (0, sqrt(2)], got {self.delta}")
+        _check_delta(self.delta)
         if not self.lam > 0.0:
             raise DomainError(f"lambda must be positive, got {self.lam}")
         if self.case not in ("general", "special"):
@@ -91,22 +95,6 @@ def required_time_special(inputs: TheoremInputs) -> float:
     return SPECIAL_CONSTANT / inputs.delta**2 * _bound_kernel(inputs.norms, inputs.lam)
 
 
-def _shifted_frame(
-    h: TimeDependentHamiltonian, path: EigenPath
-) -> tuple[TimeDependentHamiltonian, tuple[Callable, Callable, Callable]]:
-    """H~(s) = H(s) - gamma(s) I, and gamma, gamma', gamma'' on s arrays.
-
-    gamma between grid points is interpolated by a cubic spline (a C^2
-    interpolant keeps the ||H~''|| estimate stable).  H~'s affine record
-    carries the spline and its derivatives, from which H~' and H~'' follow.
-    """
-    spline = CubicSpline(path.grid, path.gammas)
-    rules = (spline, spline.derivative(1), spline.derivative(2))
-    name = (h.name + "_shifted") if h.name else "shifted"
-    params = {**h.params, "shifted_by": "tracked_eigenvalue"}
-    return _shift_by(h, rules, name, params), rules
-
-
 def _check_null_states(shifted: TimeDependentHamiltonian, path: EigenPath) -> None:
     """The tracked states must be null vectors of H~ at every grid point."""
     point_norms = np.maximum(np.abs(path.eigenvalues).max(axis=1), 1e-300)
@@ -119,29 +107,51 @@ def _check_null_states(shifted: TimeDependentHamiltonian, path: EigenPath) -> No
         )
 
 
+def shift_to_zero_eigenvalue(
+    h: TimeDependentHamiltonian, path: EigenPath
+) -> TimeDependentHamiltonian:
+    """Subtract the tracked eigenvalue: H~(s) = H(s) - gamma(s) I.
+
+    gamma between grid points is interpolated by a cubic spline (a C^2
+    interpolant keeps the ||H~''|| estimate stable).  For an affine
+    instance, H~'s record carries the spline and its derivatives, from
+    which H~' and H~'' follow.  The tracked states must be null vectors of
+    H~ at every grid point (``IntegrityError`` otherwise).
+    """
+    spline = CubicSpline(path.grid, path.gammas)
+    rules = (spline, spline.derivative(1), spline.derivative(2))
+    name = (h.name + "_shifted") if h.name else "shifted"
+    params = {**h.params, "shifted_by": "tracked_eigenvalue"}
+    shifted = _shift_by(h, rules, name, params)
+    _check_null_states(shifted, path)
+    return shifted
+
+
 def _shift_and_measure(
-    h: TimeDependentHamiltonian, path: EigenPath, norm_grid: int, lam: float
+    h: TimeDependentHamiltonian, path: EigenPath, lam: float
 ) -> tuple[TimeDependentHamiltonian, NormBundle, NormBundle]:
-    """Build H~(s) = H(s) - gamma(s) I and measure the norms of H and H~.
+    """Build H~(s) = H(s) - gamma(s) I and measure the norms of H and H~
+    on the path's grid.
 
     Both bundles come from ``norm_bundle``, which raises ``DomainError``
     for an instance without an ``AffineRecord``.  H's are exact, and H~'s
     are sups of scalar curves in gamma' and gamma'', apart from sup ||H~||:
     subtracting a real scalar times I only translates a spectrum, so H~'s
-    grid spectrum is H's minus gamma, taken from the tracked path when it
-    lies on the norm grid and sampled otherwise.  No derivative matrix is
-    formed.  Postconditions: the tracked states are null vectors of H~ at
-    every path grid point, and the shifted norms obey ||H~'|| <= 2||H'||
+    grid spectrum is the tracked path's minus gamma.  No derivative matrix
+    is formed.  Postconditions: the tracked states are null vectors of H~
+    at every path grid point, and the shifted norms obey ||H~'|| <= 2||H'||
     and ||H~''|| <= 2||H''|| + 4||H'||^2/lambda within 5% slack.
     """
-    shifted, rules = _shifted_frame(h, path)
-    spectrum = path.eigenvalues if path.npoints == norm_grid else None
-    base_norms = norm_bundle(h, norm_grid, spectrum=spectrum)
-    if spectrum is not None:
-        spectrum = spectrum - rules[0](path.grid)[:, None]
-    shifted_norms = norm_bundle(shifted, norm_grid, spectrum=spectrum)
+    base_norms = norm_bundle(h, path.npoints, spectrum=path.eigenvalues)
+    shifted = shift_to_zero_eigenvalue(h, path)
+    gammas = shifted.affine.shift[0](path.grid)
+    if h.affine.shift is not None:
+        # H is a shifted frame already: its record's shift is part of H~'s
+        gammas = gammas - h.affine.shift[0](path.grid)
+    shifted_norms = norm_bundle(
+        shifted, path.npoints, spectrum=path.eigenvalues - gammas[:, None]
+    )
 
-    _check_null_states(shifted, path)
     slack = 1.0 + SHIFT_NORM_SLACK
     bound_h1 = 2.0 * base_norms.norm_H1
     bound_h2 = 2.0 * base_norms.norm_H2 + 4.0 * base_norms.norm_H1**2 / lam
@@ -156,19 +166,6 @@ def _shift_and_measure(
             f"2||H''|| + 4||H'||^2/lambda = {bound_h2:.6g} beyond 5% slack"
         )
     return shifted, base_norms, shifted_norms
-
-
-def shift_to_zero_eigenvalue(
-    h: TimeDependentHamiltonian, path: EigenPath
-) -> TimeDependentHamiltonian:
-    """Subtract the tracked eigenvalue: H~(s) = H(s) - gamma(s) I.
-
-    The tracked states must be null vectors of H~ at every grid point
-    (``IntegrityError`` otherwise).
-    """
-    shifted, _ = _shifted_frame(h, path)
-    _check_null_states(shifted, path)
-    return shifted
 
 
 @dataclass(frozen=True)
@@ -236,8 +233,7 @@ def verify(
     If the required step count exceeds ``step_ceiling`` the run refuses up
     front and reports the largest feasible T instead of silently truncating.
     """
-    if not (0.0 < delta <= MAX_DELTA + 1e-12):
-        raise DomainError(f"delta must lie in (0, sqrt(2)], got {delta}")
+    _check_delta(delta)
     if T_override is not None and not (0.0 <= T_override < math.inf):
         raise DomainError(f"T_override must be finite and >= 0, got {T_override}")
     if disc_tol is None:
@@ -247,7 +243,7 @@ def verify(
 
     path = track_eigenpath(h, grid_size, selector)
     lam = path.gap
-    shifted, norms, norms_shifted = _shift_and_measure(h, path, grid_size, lam)
+    shifted, norms, norms_shifted = _shift_and_measure(h, path, lam)
 
     if case == "general":
         t_required = required_time_general(TheoremInputs(delta, norms, lam, "general"))

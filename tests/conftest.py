@@ -38,9 +38,12 @@ def suite(lz, grover2, grover3, rand4):
     return [lz, grover2, grover3, rand4]
 
 
-def sampled_only(evaluator, dim: int = 2) -> al.TimeDependentHamiltonian:
-    """An instance for tests that only sample H(s)."""
-    return al.TimeDependentHamiltonian(dim=dim, evaluator=evaluator)
+def sampled_only(point_fn, dim: int = 2) -> al.TimeDependentHamiltonian:
+    """An instance for tests that only sample H(s); its evaluator calls
+    ``point_fn(s)`` once per point of a non-empty s array."""
+    return al.TimeDependentHamiltonian(
+        dim=dim, evaluator=lambda s_values: np.array([point_fn(s) for s in s_values])
+    )
 
 
 def rotating_two_level(rate: float = np.pi) -> al.TimeDependentHamiltonian:
@@ -48,7 +51,10 @@ def rotating_two_level(rate: float = np.pi) -> al.TimeDependentHamiltonian:
     in the real plane at constant speed rate/2 with a constant gap of 2."""
     return al.TimeDependentHamiltonian(
         dim=2,
-        evaluator=lambda s: -(np.cos(rate * s) * PAULI_Z + np.sin(rate * s) * PAULI_X),
+        evaluator=lambda s_values: -(
+            np.cos(rate * s_values)[:, None, None] * PAULI_Z
+            + np.sin(rate * s_values)[:, None, None] * PAULI_X
+        ),
         name="rotating_two_level",
         params={"rate": rate},
     )

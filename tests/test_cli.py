@@ -77,6 +77,20 @@ def test_proof_check_output_matches_schema(tmp_path, capsys):
     assert payload["metadata"]["L"] == 256
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [({"grid_size": 1025}, "grid_size"), ({"delta": 5}, "sqrt(2)")],
+)
+def test_proof_check_config_errors(tmp_path, capsys, extra, message):
+    # proof-check measures norms on its own path grid, so it takes no
+    # grid_size, and a delta above sqrt(2) bounds nothing
+    config = {"instance": LZ, "delta": 1, "L": 256, "T": 100.0, **extra}
+    code, out, err = _run(tmp_path, capsys, "proof-check", config)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert message in err
+
+
 def test_proof_check_one_step_last_block(tmp_path, capsys):
     # Delta = 64 divides L - 1, so the last block starts at k = L
     config = {"instance": LZ, "delta": 0.5, "L": ONE_STEP_BLOCK_L,

@@ -216,7 +216,7 @@ class TestEvolveAdaptive:
             (al.random_interpolation(16, seed=1), 50.0),
         ):
             path = al.track_eigenpath(inst, 1025)
-            shifted, _, norms = _shift_and_measure(inst, path, 1025, path.gap)
+            shifted, _, norms = _shift_and_measure(inst, path, path.gap)
             cases.append((shifted, path.states[0], total_time, 1e-2, norms.norm_H))
 
         levels = _logged_levels(monkeypatch)

@@ -1,13 +1,15 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import adialab as al
 from adialab.errors import DomainError, IntegrityError, NumericalError
 from adialab import hamiltonians
-from adialab._linalg import grid_derivative
+from adialab._linalg import chunk_ranges, grid_derivative
 from adialab.hamiltonians import HermitianOperator, eval_batch
 from adialab.problems import PAULI_X, PAULI_Z
-from adialab.theorem import _shifted_frame
 
 from conftest import rotating_two_level, sampled_only
 
@@ -71,6 +73,18 @@ class TestEval:
         with pytest.raises(IntegrityError):
             eval_batch(mixed, np.array([0.0, 1.0]))
 
+    def test_evaluator_of_the_wrong_shape_is_integrity_error(self):
+        # a per-point function returns one matrix whatever the s array
+        per_point = al.TimeDependentHamiltonian(dim=2, evaluator=lambda s: PAULI_Z)
+        wrong_dim = al.TimeDependentHamiltonian(
+            dim=3, evaluator=lambda s: np.zeros((np.size(s), 2, 2))
+        )
+        for inst, shape in ((per_point, (2, 2)), (wrong_dim, (1, 2, 2))):
+            with pytest.raises(IntegrityError, match=re.escape(f"shape {shape}")):
+                al.eval_at(inst, 0.5)
+        with pytest.raises(IntegrityError, match=re.escape("expected (4, 3, 3)")):
+            eval_batch(wrong_dim, np.linspace(0.0, 1.0, 4))
+
     def test_non_finite_batch_is_numerical_error(self):
         bad = sampled_only(lambda s: np.array([[np.nan, 0.0], [0.0, 1.0]]))
         with pytest.raises(NumericalError):
@@ -81,7 +95,7 @@ class TestEval:
         mats = eval_batch(grover2, grid)
         for s, mat in zip(grid, mats):
             assert np.allclose(mat, al.eval_at(grover2, float(s)).entries)
-        # an empty s array gives an empty batch on both evaluator paths
+        # an empty s array gives an empty batch, from a record or not
         empty = np.array([])
         for inst in (grover2, rotating_two_level(np.pi)):
             assert eval_batch(inst, empty).shape == (0, inst.dim, inst.dim)
@@ -119,6 +133,37 @@ class TestAffineRecord:
         mats = eval_batch(inst, np.linspace(0.0, 1.0, 7))
         assert np.array_equal(mats, np.conj(np.swapaxes(mats, 1, 2)))
 
+    def test_the_record_is_the_evaluator(self, lz):
+        assert lz.affine is lz.evaluator
+        grid = np.linspace(0.0, 1.0, 5)
+        s_col = grid[:, None, None]
+        want = (1.0 - s_col) * PAULI_Z + s_col * PAULI_X
+        assert np.array_equal(lz.affine(grid), want)
+        inst = al.TimeDependentHamiltonian(dim=2, evaluator=lz.affine, name="again")
+        assert inst.affine is lz.affine
+        assert al.norm_bundle(inst) == al.norm_bundle(lz)
+        with pytest.raises(DomainError, match="dimension 2"):
+            al.TimeDependentHamiltonian(dim=3, evaluator=lz.affine)
+        # affine is read-only: it is the evaluator or None
+        with pytest.raises(AttributeError):
+            inst.affine = None
+
+    def test_shifted_samples_keep_two_batches_alive(self):
+        # numpy reuses a temporary's buffer for the sum and the shift is
+        # subtracted in place, so a batch costs at most two batch-sized
+        # buffers; a third raised the d = 32 jobs' peak memory by 30 MB
+        inst = al.random_interpolation(16, seed=1)
+        shift = (np.sin, np.cos, lambda s: -np.sin(s))
+        shifted = hamiltonians._shift_by(inst, shift, "shifted", {})
+        grid = np.linspace(0.0, 1.0, 256)
+        tracemalloc.start()
+        try:
+            mats = shifted.evaluator(grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * mats.nbytes
+
     def test_record_cannot_be_passed_to_the_constructor(self, lz):
         with pytest.raises(TypeError):
             al.TimeDependentHamiltonian(dim=2, evaluator=lz.evaluator, affine=lz.affine)
@@ -127,11 +172,13 @@ class TestAffineRecord:
         shift = (np.sin, np.cos, lambda s: -np.sin(s))
         shifted = hamiltonians._shift_by(lz, shift, "shifted", {})
         assert shifted.affine.shift is shift
-        # lz's evaluator without its record, and a shift of a shifted frame,
-        # are general instances
-        plain = sampled_only(lz.evaluator)
+        # a shift of a shifted frame adds to the record's shift; lz's
+        # evaluator wrapped in a function is a general instance
         twice = hamiltonians._shift_by(shifted, shift, "twice", {})
-        assert plain.affine is None and twice.affine is None
+        s = np.array([0.3])
+        assert np.array_equal(twice.affine.shift[1](s), 2.0 * np.cos(s))
+        plain = al.TimeDependentHamiltonian(dim=2, evaluator=lambda s: lz.evaluator(s))
+        assert plain.affine is None
 
         checked = []
         original = hamiltonians._check_hermitian
@@ -141,12 +188,11 @@ class TestAffineRecord:
             lambda mats, what: checked.append(what) or original(mats, what),
         )
         grid = np.linspace(0.0, 1.0, 9)
-        for inst in (lz, shifted):
+        for inst in (lz, shifted, twice):
             eval_batch(inst, grid)
         assert not checked
-        for inst in (plain, twice):
-            eval_batch(inst, grid)
-        assert checked == ["evaluator output"] * 2
+        eval_batch(plain, grid)
+        assert checked == ["evaluator output"]
 
 
 class TestDerivative:
@@ -166,7 +212,8 @@ class TestDerivative:
         # H~' = D - gamma' I and H~'' = -gamma'' I are the derivatives of
         # the sampled H~(s) = H(s) - gamma(s) I, whose gamma moves
         path = al.track_eigenpath(lz, 1025)
-        shifted, rules = _shifted_frame(lz, path)
+        shifted = al.shift_to_zero_eigenvalue(lz, path)
+        rules = shifted.affine.shift
         samples = eval_batch(shifted, path.grid)
         for order in (1, 2):
             assert np.abs(rules[order](path.grid)).max() > 0.5
@@ -296,9 +343,10 @@ class TestNormBundle:
     def test_spectra_match_whole_grid_batches(self, monkeypatch):
         # a shifted d = 32 frame on a 2,049-point norm grid, off the path's
         # 1,025 points: its spectrum is sampled in two chunk_ranges batches,
-        # and eigvalsh works matrix by matrix, so batching changes no bit
+        # and eigvalsh works matrix by matrix, so batching changes no bit.
+        # The golden-section refinement then samples one point per batch.
         inst = al.random_interpolation(32, seed=1)
-        shifted, _ = _shifted_frame(inst, al.track_eigenpath(inst, 1025))
+        shifted = al.shift_to_zero_eigenvalue(inst, al.track_eigenpath(inst, 1025))
         grid = np.linspace(0.0, 1.0, 2049)
         whole = np.linalg.eigvalsh(eval_batch(shifted, grid))
         batches, curves = [], []
@@ -313,14 +361,18 @@ class TestNormBundle:
             "_refined_max",
             lambda values, *a: curves.append(values) or refined_max(values, *a),
         )
+        sizes = [hi - lo for lo, hi in chunk_ranges(0, grid.size, inst.dim)]
         chunked = al.norm_bundle(shifted, grid.size)
-        assert len(batches) == 2 and sum(batches) == grid.size
+        assert len(sizes) == 2 and batches[:2] == sizes
+        refinement = batches[2:]
+        assert set(refinement) == {1}
         assert np.array_equal(curves[0], np.abs(whole).max(axis=1))
         assert al.norm_bundle(shifted, grid.size, spectrum=whole) == chunked
-        # a spectrum handed to norm_bundle is used as it is
+        # a spectrum handed to norm_bundle is used as it is: only the
+        # refinement's points are sampled
         batches.clear()
         doubled = al.norm_bundle(shifted, grid.size, spectrum=2.0 * whole)
-        assert not batches and doubled.norm_H == 2.0 * np.abs(whole).max()
+        assert batches == refinement and doubled.norm_H == 2.0 * np.abs(whole).max()
 
     def test_outputs_stay_hermitian_on_samples(self, lz):
         # a non-affine evaluator's samples, and the derivatives of a

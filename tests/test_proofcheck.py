@@ -178,6 +178,15 @@ class TestConfig:
                 with pytest.raises(DomainError, match="finite"):
                     ProofCheckConfig(*args)
 
+    def test_delta_above_sqrt2_rejected(self, lz, monkeypatch):
+        # no phase-invariant distance exceeds sqrt(2); run_proofcheck
+        # refuses before the path is tracked
+        with pytest.raises(DomainError, match="sqrt"):
+            ProofCheckConfig(1000, 1000.0, 5.0, 1.0, 1.0)
+        monkeypatch.setattr(proofcheck, "track_eigenpath", None)
+        with pytest.raises(DomainError, match="sqrt"):
+            al.run_proofcheck(lz, L=1024, delta=5.0, total_time=100.0)
+
     def test_block_starts_partition(self):
         cfg = ProofCheckConfig(1000, 1000.0, 0.5, 1.0, 1.0)
         assert cfg.block_starts[0] == 1
@@ -485,16 +494,17 @@ class TestRunProofcheck:
 
     def test_shifted_norms_match_per_matrix_path(self, lz, grover2):
         # norms_shifted are exact for these affine instances; the oracle
-        # takes the norm of every matrix of the shifted frame on the norm
-        # grid, and Delta follows it (grover(2)'s bound time needs more
-        # steps, so it runs at T = 2000)
+        # takes the norm of every matrix of the shifted frame on the path's
+        # L + 1 points, and Delta follows it (grover(2)'s bound time needs
+        # more steps, so it runs at T = 2000)
         L, delta = 8192, 1.0
         for inst, total_time in ((lz, None), (grover2, 2000.0)):
             report = al.run_proofcheck(inst, L=L, delta=delta, total_time=total_time)
             path = al.track_eigenpath(inst, L + 1)
             shifted = al.shift_to_zero_eigenvalue(inst, path)
-            want = per_matrix_norms(shifted, 1025)
+            want = per_matrix_norms(shifted, L + 1)
             got = report.metadata["norms_shifted"]
+            assert got["grid_size"] == L + 1
             for key in ("norm_H", "norm_H1", "norm_H2"):
                 assert got[key] == pytest.approx(getattr(want, key), rel=1e-12, abs=0.0)
             if total_time is None:

@@ -15,7 +15,7 @@ from adialab.problems import (
 )
 from adialab.spectral import DEGENERACY_RTOL, MIN_BRANCH_OVERLAP
 
-from conftest import rotating_two_level, sampled_only
+from conftest import rotating_two_level
 
 
 class TestDecompose:
@@ -125,7 +125,10 @@ def level_crossing(d, crossing):
 
 def three_point(mats):
     """H(0), H(1/2), H(1) = mats; meant for a three-point grid."""
-    return sampled_only(lambda s: mats[round(2.0 * s)], mats[0].shape[0])
+    stack = np.asarray(mats)
+    return al.TimeDependentHamiltonian(
+        dim=stack.shape[1], evaluator=lambda s: stack[np.rint(2.0 * s).astype(int)]
+    )
 
 
 def assert_matches_oracle(h, grid_size, selector="ground"):

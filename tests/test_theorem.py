@@ -8,7 +8,7 @@ from adialab import hamiltonians
 from adialab.errors import DomainError, FeasibilityError, IntegrityError
 from adialab.hamiltonians import NormBundle
 from adialab.problems import landau_zener_eigenvalue
-from adialab.theorem import TheoremInputs, _shifted_frame
+from adialab.theorem import TheoremInputs
 
 from conftest import per_matrix_curves, per_matrix_norms
 
@@ -121,6 +121,19 @@ class TestShift:
         al.run_proofcheck(lz, L=1024, delta=1.0, total_time=100.0)
         assert not calls
 
+    def test_shift_of_a_shifted_frame_is_certified(self, lz):
+        # the second shift adds to the record's first, so verify measures
+        # its norms exactly instead of refusing an uncertified frame
+        shifted = al.shift_to_zero_eigenvalue(lz, al.track_eigenpath(lz, 257))
+        verdict = al.verify(
+            shifted, delta=1.0, case="special", T_override=0.0, grid_size=257
+        )
+        twice = al.shift_to_zero_eigenvalue(shifted, al.track_eigenpath(shifted, 257))
+        assert twice.affine is not None
+        _assert_bundles_close(verdict.norms, per_matrix_norms(shifted, 257), 1e-12)
+        want = per_matrix_norms(twice, 257)
+        _assert_bundles_close(verdict.norms_shifted, want, 1e-12)
+
     def test_foreign_path_is_rejected(self, lz, const_instance):
         # the postcondition: H~ must annihilate the tracked states
         path = al.track_eigenpath(const_instance, 65)
@@ -162,7 +175,8 @@ class TestVerifyNorms:
     def test_analytic_instances_match_per_matrix_oracle(self, library_verdicts):
         for inst, verdict in library_verdicts:
             path = al.track_eigenpath(inst, 1025)
-            shifted, rules = _shifted_frame(inst, path)
+            shifted = al.shift_to_zero_eigenvalue(inst, path)
+            rules = shifted.affine.shift
             _assert_bundles_close(verdict.norms, per_matrix_norms(inst, 1025), 1e-12)
             _assert_bundles_close(
                 verdict.norms_shifted, per_matrix_norms(shifted, 1025), 1e-12
@@ -185,7 +199,8 @@ class TestVerifyNorms:
         # tracked at 1025 points but not a point of a 1024-point norm grid:
         # the exact route's refinement must find it, as the oracle's does
         path = al.track_eigenpath(lz, 1025)
-        shifted, rules = _shifted_frame(lz, path)
+        shifted = al.shift_to_zero_eigenvalue(lz, path)
+        rules = shifted.affine.shift
         got = al.norm_bundle(shifted, 1024)
         _assert_bundles_close(got, per_matrix_norms(shifted, 1024), 1e-12)
         grid = np.linspace(0.0, 1.0, 1024)
@@ -200,8 +215,9 @@ class TestVerifyNorms:
             assert verdict.norms_shifted.norm_H1 <= spread * (1.0 + 1e-9), inst.name
 
     def test_non_hermitian_evaluator_is_integrity_error(self, lz):
-        def evaluator(s):
-            return lz.evaluator(s) + (np.array([[0.0, 1.0], [0.0, 0.0]]) if s == 0.5 else 0.0)
+        def evaluator(s_values):
+            upper = np.array([[0.0, 1.0], [0.0, 0.0]])
+            return lz.evaluator(s_values) + (s_values == 0.5)[:, None, None] * upper
 
         bad = al.TimeDependentHamiltonian(dim=2, evaluator=evaluator)
         with pytest.raises(IntegrityError, match="evaluator output"):

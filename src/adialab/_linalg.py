@@ -2,7 +2,8 @@
 
 Everything here is batch-oriented: a trailing (d, d) matrix shape with an
 arbitrary leading batch axis, so step unitaries and grid scans can be
-vectorized in chunks.
+vectorized in chunks.  No norm takes an SVD: the 2x2 Hermitian norm has a
+closed form, and the operator norm of A is the root of that of A^H A.
 
 Every chunked loop in the package sizes its batches by ``chunk_size``, most
 of them through ``chunk_ranges``: max(64, 2**21 // d^2) matrices, i.e.
@@ -40,13 +41,21 @@ def dagger(mats: np.ndarray) -> np.ndarray:
 
 
 def opnorm_hermitian(mats: np.ndarray) -> np.ndarray:
-    """Operator norm (largest |eigenvalue|) of Hermitian input, batched."""
-    return np.abs(np.linalg.eigvalsh(mats)).max(axis=-1)
+    """Operator norm (largest |eigenvalue|) of Hermitian input, batched; NaN
+    for a NaN entry, where LAPACK can return finite eigenvalues."""
+    if mats.shape[-1] == 2:  # |(a+d)/2| + hypot((a-d)/2, |b|): nothing cancels
+        a, d = mats[..., 0, 0].real, mats[..., 1, 1].real
+        return np.abs(0.5 * (a + d)) + np.hypot(0.5 * (a - d), np.abs(mats[..., 0, 1]))
+    nan = np.isnan(mats).any(axis=(-2, -1))
+    if nan.any():
+        mats = np.where(nan[..., None, None], 0.0, mats)
+    return np.where(nan, np.nan, np.abs(np.linalg.eigvalsh(mats)).max(axis=-1))
 
 
 def opnorm(mats: np.ndarray) -> np.ndarray:
-    """Operator norm (largest singular value); no symmetry assumed."""
-    return np.linalg.svd(mats, compute_uv=False)[..., 0]
+    """Largest singular value, no symmetry assumed: sigma_max^2 is the top
+    eigenvalue of the positive semidefinite A^H A, accurate to a few ulps."""
+    return np.sqrt(opnorm_hermitian(dagger(mats) @ mats))
 
 
 def eigh_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,8 +15,9 @@ The error sum is the affine fold S <- U_j S + w_{j+1}, and affine maps
 compose as matrices: with A_j = [[U_j, w_{j+1}], [0, 1]], the sum is
 column d of the ordered product A_{L-1} ... A_0.  ``fold_blocks`` forms
 that product block by block with ``ordered_product``, one extra column
-carrying each block's frozen-w sum, so the block checks and the total
-error vector come from one pass over the step unitaries.
+carrying each block's frozen-w sum.  One pass over the step unitaries
+thus yields the block checks, the total error vector and the step drift
+max_j ||U_{j+1} - U_j||.
 
 Asymptotic O(...) remainders carry unspecified constants, so each
 asymptotic claim is checked as a scaling-exponent fit over step-count
@@ -276,9 +277,9 @@ def check_error_vector_drift(
         k_max = min(cfg.Delta, 64)
     k_max = max(1, min(k_max, L - 1))
     ks = np.arange(1, k_max + 1)
-    drifts = np.array(
-        [float(np.linalg.norm(w[k:] - w[:-k], axis=1).max()) for k in ks]
-    )
+    rows = w.view(float)  # real and imaginary parts side by side
+    diffs = (rows[k:] - rows[:-k] for k in ks)
+    drifts = np.sqrt([np.einsum("ij,ij->i", x, x).max() for x in diffs])
     beta = norms_shifted.norm_H2 / cfg.lam + 3.0 * norms_shifted.norm_H1**2 / cfg.lam**2
 
     scaled = drifts * L**2
@@ -312,18 +313,21 @@ def check_error_vector_drift(
     return entries
 
 
+def _step_drift(batch: np.ndarray, previous: np.ndarray | None) -> float:
+    """max ||U_{j+1} - U_j|| over ``batch``, led by ``previous`` unless None."""
+    if previous is not None:
+        batch = np.concatenate([previous[None], batch])
+    return float(opnorm(batch[1:] - batch[:-1]).max(initial=0.0))
+
+
 def _max_step_drift(h: TimeDependentHamiltonian, total_time: float, L: int) -> float:
     """max_j ||U_{j+1} - U_j|| over the L step unitaries, streamed in batches."""
     cfg = EvolutionConfig(total_time, L)
-    worst = 0.0
-    previous_last: np.ndarray | None = None
+    worst, previous = 0.0, None
     for lo, hi in chunk_ranges(0, L, h.dim):
         batch = _step_batch(h, lo, hi, cfg)
-        if previous_last is not None:
-            worst = max(worst, float(opnorm(batch[0] - previous_last)))
-        if batch.shape[0] > 1:
-            worst = max(worst, float(opnorm(batch[1:] - batch[:-1]).max()))
-        previous_last = batch[-1]
+        worst = max(worst, _step_drift(batch, previous))
+        previous = batch[-1].copy()
     return worst
 
 
@@ -331,14 +335,15 @@ def check_step_unitary_drift(
     h_shifted: TimeDependentHamiltonian,
     cfg: ProofCheckConfig,
     norms_shifted: NormBundle,
+    measured: float,
     fit_lengths=DEFAULT_FIT_LENGTHS,
 ) -> CheckEntry:
     """max_j ||U_{j+1} - U_j|| <= T ||H'|| / L^2, with fitted 1/L^3 remainder.
 
-    Coarse fit lengths where the drift saturates near 2 (two arbitrary
-    unitaries) carry no information about the asymptote and are dropped.
+    ``measured`` is the drift at cfg.L, from ``fold_blocks``.  Coarse fit
+    lengths where the drift saturates near 2 (two arbitrary unitaries)
+    carry no information about the asymptote and are dropped.
     """
-    measured = _max_step_drift(h_shifted, cfg.T, cfg.L)
     bound = cfg.T * norms_shifted.norm_H1 / cfg.L**2
 
     lengths, values = [], []
@@ -370,7 +375,7 @@ def check_step_unitary_drift(
 
 def fold_blocks(
     h_shifted: TimeDependentHamiltonian, cfg: ProofCheckConfig, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Every Delta-block's augmented ordered product and pure power sum.
 
     Step j = 0..L-1 becomes A_j = [[U_j, w_{j+1}, w_k], [0, I_2]], with k
@@ -383,7 +388,8 @@ def fold_blocks(
     padded with identities.  The power sum sum_{m<n} U_k^m w_k of an
     n-step block is column d of [[U_k, w_k], [0, 1]]^n.
 
-    Returns the (blocks, d+2, d+2) products and the (blocks, d) power sums.
+    Returns the (blocks, d+2, d+2) products, the (blocks, d) power sums and
+    max_j ||U_{j+1} - U_j||, as the batches list steps 0..L-1 once, in order.
     """
     d, L, delta_blocks = h_shifted.dim, cfg.L, cfg.Delta
     e = d + 2
@@ -393,6 +399,7 @@ def fold_blocks(
     bases = np.zeros((n_blocks, d + 1, d + 1), dtype=complex)
     bases[:, d, d] = 1.0
     per_batch = max(1, chunk_size(e) // delta_blocks)
+    drift, previous = 0.0, None
     for b0 in range(0, n_blocks, per_batch):
         b1 = min(b0 + per_batch, n_blocks)
         w_k = w[b0 * delta_blocks : b1 * delta_blocks : delta_blocks]
@@ -405,6 +412,8 @@ def fold_blocks(
             aug = np.zeros((b1 - b0, r1 - r0, e, e), dtype=complex)
             flat = aug.reshape(-1, e, e)
             flat[: hi - lo, :d, :d] = _step_batch(h_shifted, lo, hi, step_cfg)
+            drift = max(drift, _step_drift(flat[: hi - lo, :d, :d], previous))
+            previous = flat[hi - lo - 1, :d, :d].copy()
             flat[: hi - lo, :d, d] = w[lo:hi]  # w[j] holds w_{j+1}
             aug[:, :, :d, d + 1] = w_k[:, None]
             flat[:, d, d] = flat[:, d + 1, d + 1] = 1.0
@@ -423,7 +432,7 @@ def fold_blocks(
     for n in np.unique(lengths):
         chosen = lengths == n
         power_sums[chosen] = np.linalg.matrix_power(bases[chosen], int(n))[:, :d, d]
-    return products, power_sums
+    return products, power_sums, drift
 
 
 def check_block_cancellation(
@@ -601,8 +610,10 @@ def run_proofcheck(
     entries.append(check_error_vector_norm(path, cfg, fit_paths))
     del fit_paths  # keep them out of the block checks' peak memory
     entries.extend(check_error_vector_drift(path, cfg, norms_shifted, k_max))
-    entries.append(check_step_unitary_drift(shifted, cfg, norms_shifted, fit_lengths))
-    products, power_sums = fold_blocks(shifted, cfg, w)
+    products, power_sums, step_drift = fold_blocks(shifted, cfg, w)
+    entries.append(
+        check_step_unitary_drift(shifted, cfg, norms_shifted, step_drift, fit_lengths)
+    )
     entries.extend(check_block_cancellation(products, power_sums, cfg))
     entries.extend(check_total_error_norm(products, cfg, norms_shifted))
     entries.extend(check_eigenvalue_derivative_bounds(path, norms, lam))

@@ -206,8 +206,8 @@ def eigen_residuals(
     """||H(s_j) psi_j - c_j psi_j|| for every grid point s_j."""
     residuals = np.empty(grid.size)
     for lo, hi in chunk_ranges(0, grid.size, h.dim):
-        mats = eval_batch(h, grid[lo:hi])
-        applied = np.einsum("nij,nj->ni", mats, states[lo:hi])
+        # the batch dies with the einsum, before the next one is evaluated
+        applied = np.einsum("nij,nj->ni", eval_batch(h, grid[lo:hi]), states[lo:hi])
         residuals[lo:hi] = np.linalg.norm(
             applied - values[lo:hi, None] * states[lo:hi], axis=1
         )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import adialab as al
-from adialab._linalg import golden_section_max, opnorm
+from adialab._linalg import golden_section_max
 from adialab.hamiltonians import eval_batch
 from adialab.problems import PAULI_X, PAULI_Z
 
@@ -60,14 +60,20 @@ def rotating_two_level(rate: float = np.pi) -> al.TimeDependentHamiltonian:
     )
 
 
+def svd_norm(mats: np.ndarray) -> np.ndarray:
+    """Oracle operator norm: the largest singular value, by LAPACK's SVD,
+    independent of the library's norm route."""
+    return np.linalg.svd(mats, compute_uv=False)[..., 0]
+
+
 def per_matrix_curves(h: al.TimeDependentHamiltonian, grid: np.ndarray):
     """||H(s)||, ||H'(s)|| and ||H''(s)|| on ``grid``, matrix by matrix:
     H from eval_batch, H' and H'' from derivative point by point."""
     derivatives = (
-        opnorm(np.array([al.derivative(h, float(s), order).entries for s in grid]))
+        svd_norm(np.array([al.derivative(h, float(s), order).entries for s in grid]))
         for order in (1, 2)
     )
-    return (opnorm(eval_batch(h, grid)), *derivatives)
+    return (svd_norm(eval_batch(h, grid)), *derivatives)
 
 
 def per_matrix_norms(h: al.TimeDependentHamiltonian, grid_size: int) -> al.NormBundle:
@@ -75,9 +81,9 @@ def per_matrix_norms(h: al.TimeDependentHamiltonian, grid_size: int) -> al.NormB
     uniform grid, each refined once by golden section around its argmax."""
     grid = np.linspace(0.0, 1.0, grid_size)
     point_fns = (
-        lambda s: opnorm(al.eval_at(h, s).entries),
-        lambda s: opnorm(al.derivative(h, s, 1).entries),
-        lambda s: opnorm(al.derivative(h, s, 2).entries),
+        lambda s: svd_norm(al.eval_at(h, s).entries),
+        lambda s: svd_norm(al.derivative(h, s, 1).entries),
+        lambda s: svd_norm(al.derivative(h, s, 2).entries),
     )
     sups = []
     for curve, point_fn in zip(per_matrix_curves(h, grid), point_fns):

@@ -7,11 +7,18 @@ import pytest
 import adialab as al
 from adialab.errors import DomainError, IntegrityError, NumericalError
 from adialab import hamiltonians
-from adialab._linalg import chunk_ranges, grid_derivative
+from adialab._linalg import (
+    chunk_ranges,
+    dagger,
+    grid_derivative,
+    opnorm,
+    opnorm_hermitian,
+)
+from adialab.evolution import _step_batch
 from adialab.hamiltonians import HermitianOperator, eval_batch
 from adialab.problems import PAULI_X, PAULI_Z
 
-from conftest import rotating_two_level, sampled_only
+from conftest import rotating_two_level, sampled_only, svd_norm
 
 
 class TestHermitianOperator:
@@ -303,6 +310,64 @@ class TestOperatorNorm:
         assert al.operator_norm(HermitianOperator(PAULI_X - PAULI_Z)) == pytest.approx(
             np.sqrt(2.0)
         )
+
+
+class TestNormRoutes:
+    # the library's norms take no SVD; LAPACK's eigvalsh and SVD are the
+    # oracles, within a few ulps relative.  The SVD's own error sets the
+    # tolerance: on grover(3)'s step differences, whose top singular value
+    # is doubly degenerate, it reads 23 ulps low against a 40-digit SVD
+    RTOL = 32 * np.finfo(float).eps
+
+    def assert_close(self, got, want):
+        assert np.all(np.abs(got - want) <= self.RTOL * want)
+
+    def test_two_level_closed_form_matches_eigvalsh(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(4096, 2, 2)) + 1j * rng.normal(size=(4096, 2, 2))
+        mats = (a + dagger(a)) * 10.0 ** rng.uniform(-8, 8, size=(4096, 1, 1))
+        edges = [
+            np.zeros((2, 2)),
+            -3.5 * np.eye(2),
+            np.diag([-2.0, 0.5]),
+            np.diag([1e-300, -1e-300]),
+            np.array([[1.0, 1e8], [1e8, 1.0 + 1e-9]]),  # |b| >> |a - d|
+            np.array([[2e-6, 1e-6 - 3e-6j], [1e-6 + 3e-6j, -1e-6]]),
+        ]
+        for batch in (mats, np.array(edges, dtype=complex)):
+            want = np.abs(np.linalg.eigvalsh(batch)).max(axis=-1)
+            self.assert_close(opnorm_hermitian(batch), want)
+        assert opnorm_hermitian(np.zeros((2, 2))) == 0.0
+        assert opnorm_hermitian(-3.5 * np.eye(2)) == 3.5
+
+    def test_opnorm_matches_svd(self):
+        rng = np.random.default_rng(4)
+        for d in (2, 3, 4, 8, 16):
+            mats = rng.normal(size=(512, d, d)) + 1j * rng.normal(size=(512, d, d))
+            self.assert_close(opnorm(mats), svd_norm(mats))
+
+    def test_opnorm_of_neighbouring_step_differences_matches_svd(self):
+        instances = (
+            al.landau_zener(),
+            al.random_interpolation(3, seed=2),
+            al.grover(2),
+            al.grover(3),
+            al.random_interpolation(16, seed=1),
+        )
+        for inst in instances:
+            u = _step_batch(inst, 0, 513, al.EvolutionConfig(50.0, 512))
+            diffs = u[1:] - u[:-1]
+            self.assert_close(opnorm(diffs), svd_norm(diffs))
+
+    def test_a_nan_entry_gives_nan(self):
+        # LAPACK can turn a NaN diagonal into finite eigenvalues
+        for d in (2, 3, 4, 8):
+            for i, j in ((0, 0), (d - 1, d - 1), (0, 1), (d - 1, 0)):
+                mats = np.stack([np.eye(d, dtype=complex)] * 3)
+                mats[1, i, j] = mats[1, j, i] = np.nan
+                for norms in (opnorm_hermitian(mats), opnorm(mats)):
+                    assert np.isnan(norms[1])
+                    assert np.array_equal(norms[[0, 2]], [1.0, 1.0])
 
 
 class TestNormBundle:

@@ -54,7 +54,8 @@ def _shifted_context(inst, L, delta=1.0, total_time=None, Delta=None):
 
 
 def _fold(path, cfg, shifted):
-    return fold_blocks(shifted, cfg, al.error_vectors(path))
+    """fold_blocks' products and power sums, without the step drift."""
+    return fold_blocks(shifted, cfg, al.error_vectors(path))[:2]
 
 
 def per_step_folds(shifted, cfg, w):
@@ -240,6 +241,20 @@ class TestDriftChecks:
         assert all(e.passed for e in entries)
         assert entries[1].measured < 1e-14
 
+    def test_drift_entries_match_the_per_k_norm_loop(self, lz):
+        # oracle: the complex norm of every difference, one k at a time;
+        # the check sums real squares, so it may differ by rounding only
+        path, cfg, shifted, shifted_norms, *_ = _shifted_context(lz, 4096)
+        slope, all_k = check_error_vector_drift(path, cfg, shifted_norms, k_max=32)
+        w = al.error_vectors(path)
+        ks = np.arange(1, 33)
+        drifts = np.array([np.linalg.norm(w[k:] - w[:-k], axis=1).max() for k in ks])
+        design = np.stack([ks.astype(float), np.ones(32)], axis=1)
+        (alpha, _), *_ = np.linalg.lstsq(design, drifts * cfg.L**2, rcond=None)
+        assert all_k.measured == pytest.approx(drifts.max(), rel=1e-14)
+        assert f"worst k={int(ks[np.argmax(drifts)])}" in all_k.note
+        assert slope.measured == pytest.approx(alpha, rel=1e-12)
+
     def test_landau_zener_drift_scales_linearly_in_k(self, lz):
         L = 8192
         path = al.track_eigenpath(lz, L + 1)
@@ -271,6 +286,24 @@ class TestStepUnitaryDrift:
         expected = abs(np.exp(1j * T / L**2) - 1.0)
         assert measured == pytest.approx(expected, rel=1e-10)
         assert measured <= T * 1.0 / L**2  # bound with ||H'|| = 1
+
+
+    def test_fold_carries_the_drift_across_batches(self, monkeypatch):
+        # H jumps from Z to X between steps 63 and 64, where 64-matrix
+        # batches meet, so the only nonzero drift sits on that seam
+        for module in (_linalg, proofcheck):
+            monkeypatch.setattr(module, "chunk_size", lambda dim: 64)
+        L = 256
+        jump = al.TimeDependentHamiltonian(
+            dim=2,
+            evaluator=lambda s: np.where((s < 64 / L)[:, None, None], PAULI_Z, PAULI_X),
+        )
+        cfg = ProofCheckConfig(L, 16.0, 1.0, 1.0, 1.0)
+        assert cfg.Delta == 128
+        _, _, drift = fold_blocks(jump, cfg, np.zeros((L, 2), dtype=complex))
+        u = _step_batch(jump, 0, L, al.EvolutionConfig(cfg.T, L))
+        assert drift == float(_linalg.opnorm(u[64] - u[63])) > 0.0
+        assert _max_step_drift(jump, cfg.T, L) == drift
 
 
 class TestGeometricSums:
@@ -316,8 +349,10 @@ class TestBlocks:
                 path, cfg, shifted, *_ = _shifted_context(inst, L, Delta=Delta)
                 assert cfg.Delta == Delta
                 assert cfg.L - cfg.block_starts[-1] + 1 == last_len
-                products, power_sums = _fold(path, cfg, shifted)
-                blocks, total = per_step_folds(shifted, cfg, al.error_vectors(path))
+                w = al.error_vectors(path)
+                products, power_sums, drift = fold_blocks(shifted, cfg, w)
+                assert drift == _max_step_drift(shifted, cfg.T, cfg.L)
+                blocks, total = per_step_folds(shifted, cfg, w)
                 entries = check_block_cancellation(products, power_sums, cfg)
                 assert_blocks_match_oracle(entries, blocks)
                 assert np.linalg.norm(total_error_vector(products) - total) <= (
@@ -334,8 +369,11 @@ class TestBlocks:
         for Delta, last_len in ((26, 11), (128, 1)):
             path, cfg, shifted, *_ = _shifted_context(lz, 1025, Delta=Delta)
             assert cfg.L - cfg.block_starts[-1] + 1 == last_len
-            products, power_sums = _fold(path, cfg, shifted)
-            blocks, total = per_step_folds(shifted, cfg, al.error_vectors(path))
+            w = al.error_vectors(path)
+            products, power_sums, drift = fold_blocks(shifted, cfg, w)
+            # the fold's batches are blocks, _max_step_drift's plain runs
+            assert drift == _max_step_drift(shifted, cfg.T, cfg.L)
+            blocks, total = per_step_folds(shifted, cfg, w)
             entries = check_block_cancellation(products, power_sums, cfg)
             assert_blocks_match_oracle(entries, blocks)
             assert np.linalg.norm(total_error_vector(products) - total) <= (
@@ -514,6 +552,27 @@ class TestRunProofcheck:
             assert report.metadata["T"] == pytest.approx(total_time, rel=1e-12)
             cfg = ProofCheckConfig(L, total_time, delta, want.norm_H1, path.gap)
             assert report.metadata["Delta"] == cfg.Delta
+
+    def test_step_unitaries_stream_once(self, lz, monkeypatch):
+        # the fold streams U_0..U_{L-1} once and yields the reported step
+        # drift; only the fit lengths stream their own unitaries
+        L, streamed = 8192, []
+
+        def counting_step_batch(h, lo, hi, cfg):
+            streamed.append((cfg.steps, hi - lo))
+            return _step_batch(h, lo, hi, cfg)
+
+        monkeypatch.setattr(proofcheck, "_step_batch", counting_step_batch)
+        report = al.run_proofcheck(lz, L=L, delta=1.0)
+        counts = {}
+        for steps, n in streamed:
+            counts[steps] = counts.get(steps, 0) + n
+        assert counts == {n: n for n in (L, *proofcheck.DEFAULT_FIT_LENGTHS)}
+
+        path = al.track_eigenpath(lz, L + 1)
+        shifted = al.shift_to_zero_eigenvalue(lz, path)
+        entry = next(e for e in report.entries if e.name == "step_unitary_drift")
+        assert entry.measured == _max_step_drift(shifted, report.metadata["T"], L)
 
     def test_one_step_last_block(self, lz):
         # Delta = 64 divides L - 1 = 1024, so the last block starts at k = L

@@ -1,9 +1,11 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import adialab as al
+from adialab import _linalg
 from adialab._linalg import chunk_ranges, eigh_batch
 from adialab.errors import DomainError, GapCollapseError, UnderResolvedGridError
 from adialab.hamiltonians import HermitianOperator, eval_batch
@@ -13,7 +15,7 @@ from adialab.problems import (
     grover_gap,
     landau_zener_eigenvalue,
 )
-from adialab.spectral import DEGENERACY_RTOL, MIN_BRANCH_OVERLAP
+from adialab.spectral import DEGENERACY_RTOL, MIN_BRANCH_OVERLAP, eigen_residuals
 
 from conftest import rotating_two_level
 
@@ -303,6 +305,24 @@ class TestSpectralGap:
         bad = dataclasses.replace(path, states=bad_states)
         with pytest.raises(DomainError, match="inconsistent"):
             al.spectral_gap(lz, bad)
+
+    def test_eigen_residuals_keep_two_batches_alive(self, monkeypatch):
+        # each batch dies before the next is evaluated, and evaluation
+        # itself costs at most two batch-sized buffers; holding the
+        # previous batch made a third one and set verify's peak at d = 32
+        # (1 MiB batches: numpy reuses temporaries only from 256 KiB on)
+        monkeypatch.setattr(_linalg, "chunk_size", lambda dim: 256)
+        inst = al.random_interpolation(16, seed=1)
+        grid = np.linspace(0.0, 1.0, 1024)
+        states = np.ones((1024, 16), dtype=complex)
+        batch_nbytes = eval_batch(inst, grid[:256]).nbytes
+        tracemalloc.start()
+        try:
+            eigen_residuals(inst, grid, states, np.zeros(1024))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * batch_nbytes
 
     def test_gap_stable_under_grid_refinement(self, suite):
         for inst in suite:

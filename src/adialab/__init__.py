@@ -59,10 +59,8 @@ from .proofcheck import (
 )
 from .spectral import (
     EigenPath,
-    GapReport,
     gauge_residual,
     path_derivatives,
-    spectral_gap,
     track_eigenpath,
 )
 from .theorem import (

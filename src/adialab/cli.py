@@ -36,7 +36,7 @@ from .evolution import (
 from .hamiltonians import TimeDependentHamiltonian
 from .problems import InstanceSpec
 from .proofcheck import run_proofcheck
-from .spectral import DEFAULT_GRID, spectral_gap, track_eigenpath
+from .spectral import DEFAULT_GRID, track_eigenpath
 from .theorem import verify
 
 EXIT_PASS = 0
@@ -61,8 +61,7 @@ _ALLOWED_KEYS = {
               "step_ceiling"},
     "gap-scan": {"instance", "grid_size"},
     "proof-check": {"instance", "delta", "L", "T", "k_max"},
-    "simulate": {"instance", "T", "L", "snapshot_stride", "grid_size",
-                 "sign_convention"},
+    "simulate": {"instance", "T", "L", "snapshot_stride", "grid_size"},
 }
 
 _REQUIRED_KEYS = {
@@ -225,17 +224,21 @@ def cmd_gap_scan(args) -> int:
     h = _build_instance(data, args.seed)
     grid_size = _expect(data, "grid_size", int, DEFAULT_GRID)
     path = track_eigenpath(h, grid_size)
-    report = spectral_gap(h, path)
     if args.format == "json":
-        payload = report.to_dict()
-        payload["gammas"] = path.gammas.tolist()
-        payload["config"] = data
+        payload = {
+            "grid": path.grid.tolist(),
+            "gap_values": path.gap_values.tolist(),
+            "lambda_min": path.gap,
+            "argmin_s": float(path.grid[path.gap_values.argmin()]),
+            "gammas": path.gammas.tolist(),
+            "config": data,
+        }
         _write(args.out, _dump_json(payload))
     else:
         rows = [
             f"{s!r},{g!r},{gap!r}"
             for s, g, gap in zip(
-                path.grid.tolist(), path.gammas.tolist(), report.gap_values.tolist()
+                path.grid.tolist(), path.gammas.tolist(), path.gap_values.tolist()
             )
         ]
         _write(args.out, _csv("s,gamma,gap", rows))
@@ -274,10 +277,9 @@ def cmd_simulate(args) -> int:
     steps = _expect(data, "L", int)
     stride = _expect(data, "snapshot_stride", int, max(1, steps // 100))
     grid_size = _expect(data, "grid_size", int, DEFAULT_GRID)
-    sign = _expect(data, "sign_convention", str, "paper_plus")
 
     path = track_eigenpath(h, grid_size)
-    cfg = EvolutionConfig(total_time, steps, sign, stride)
+    cfg = EvolutionConfig(total_time, steps, snapshot_stride=stride)
     result = evolve_discrete(h, path.states[0], cfg)
     rows = []
     for step, state in result.snapshots:

@@ -2,20 +2,16 @@
 
 The continuous evolution is represented only as the large-L limit of the
 ordered product U_{L-1} ... U_1 U_0 of step unitaries
-U_j = exp(sign * i * (T/L) * H(j/L)); convergence is certified by step
-doubling: the L/2-step product on the same grid must agree with the
-L-step product.  L starts where a step's phase (T/L)||H|| is at most
-pi/4; after a failed level it jumps by the power of two that the O(1/L)
-error of that level predicts.  The L/2-step product comes at no extra
-exponential, because its step j is
-exp(sign * i * (2T/L) * H(2j/L)) = U_{2j}^2.  Step unitaries are exact
-spectral exponentials, so the only error under study is the O(1/L)
+U_j = exp(i (T/L) H(j/L)), with the paper's +i in the exponent;
+convergence is certified by step doubling: the L/2-step product on the
+same grid must agree with the L-step product.  L starts where a step's
+phase (T/L)||H|| is at most pi/4; after a failed level it jumps by the
+power of two that the O(1/L) error of that level predicts.  The L/2-step
+product comes at no extra exponential, because its step j is
+exp(i (2T/L) H(2j/L)) = U_{2j}^2.  Step unitaries are exact spectral
+exponentials, so the only error under study is the O(1/L)
 discretization error itself.  ``_step_batch`` is the one place that
 computes them; the proof instrumentation draws its U_j from it too.
-
-The default sign convention is ``paper_plus`` (+i in the exponent); the
-``physics_minus`` flag gives exp(-i ...).  All reported distances are
-invariant under the choice.
 """
 
 from __future__ import annotations
@@ -34,18 +30,16 @@ from .errors import (
 )
 from .hamiltonians import TimeDependentHamiltonian, eval_batch, norm_bundle
 
-SIGN_CONVENTIONS = {"paper_plus": 1.0, "physics_minus": -1.0}
 NORM_DRIFT_GUARD = 1e-10
 DEFAULT_STEP_CEILING = 2**30
 
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Total time T, step count L, sign convention and snapshot stride."""
+    """Total time T, step count L and snapshot stride."""
 
     total_time: float
     steps: int
-    sign_convention: str = "paper_plus"
     snapshot_stride: int | None = None
 
     def __post_init__(self) -> None:
@@ -55,11 +49,6 @@ class EvolutionConfig:
             )
         if self.steps < 1:
             raise DomainError("steps must be at least 1")
-        if self.sign_convention not in SIGN_CONVENTIONS:
-            raise DomainError(
-                f"unknown sign convention {self.sign_convention!r}; "
-                f"expected one of {sorted(SIGN_CONVENTIONS)}"
-            )
         if self.snapshot_stride is not None and self.snapshot_stride < 1:
             raise DomainError("snapshot_stride must be positive when given")
 
@@ -127,17 +116,13 @@ def _initial_steps(total_time: float, norm_H: float, step_ceiling: int) -> int:
     return steps
 
 
-def _signed_epsilon(cfg: EvolutionConfig) -> float:
-    return SIGN_CONVENTIONS[cfg.sign_convention] * cfg.epsilon
-
-
 def _step_batch(
     h: TimeDependentHamiltonian, lo: int, hi: int, cfg: EvolutionConfig
 ) -> np.ndarray:
-    """U_j = exp(sign * i * (T/L) * H(j/L)) for j = lo..hi-1."""
+    """U_j = exp(i (T/L) H(j/L)) for j = lo..hi-1."""
     s_values = np.arange(lo, hi, dtype=float) / cfg.steps
     mats = eval_batch(h, s_values)
-    return expm_i_hermitian(mats, _signed_epsilon(cfg))
+    return expm_i_hermitian(mats, cfg.epsilon)
 
 
 def evolve_discrete(
@@ -266,6 +251,5 @@ __all__ = [
     "evolve_adaptive",
     "distance_phase_invariant",
     "distance_l2",
-    "SIGN_CONVENTIONS",
     "DEFAULT_STEP_CEILING",
 ]

@@ -3,7 +3,8 @@
 An instance's evaluator maps an array of n values of s to H at each, an
 (n, dim, dim) array of dense complex Hermitian matrices.  ``norm_bundle``
 measures the sup norms of H, H' and H'' over s that the runtime bound
-consumes, and ``derivative`` gives H'(s) and H''(s).  Both need the
+consumes, ``derivative`` gives H'(s) and H''(s), and ``_shift_by`` builds
+the frame H(s) - c(s) I that they are measured in.  All three need the
 evaluator to be an ``AffineRecord``: the bound holds only if its sups are
 upper bounds, which a grid maximum of sampled norms is not.  Any other
 evaluator can be sampled, tracked and evolved; each of its samples passes
@@ -175,25 +176,16 @@ def _shift_by(
 ) -> TimeDependentHamiltonian:
     """H(s) - c(s) I for shift = (c, c', c''), functions of s arrays.
 
-    The shift of an affine instance is its record with the shift added to
-    any it already carries; any other instance gives a general one.
+    The shifted frame is the instance's record with the shift added to any
+    it already carries.  An instance without a record raises
+    ``DomainError``: its frame would have no norms to bound with.
     """
-    record = h.affine
-    if record is not None:
-        if record.shift is not None:
-            shift = tuple(
-                lambda s, a=a, b=b: a(s) + b(s) for a, b in zip(record.shift, shift)
-            )
-        record = replace(record, shift=shift)
-        return TimeDependentHamiltonian(h.dim, record, name, params)
-    c = shift[0]
-    eye = np.eye(h.dim, dtype=complex)
-
-    def evaluate(s_values: np.ndarray) -> np.ndarray:
-        shifts = np.asarray(c(s_values), dtype=float)
-        return h.evaluator(s_values) - shifts[:, None, None] * eye
-
-    return TimeDependentHamiltonian(h.dim, evaluate, name, params)
+    record = _record(h, "the zero-eigenvalue shift")
+    if record.shift is not None:
+        shift = tuple(
+            lambda s, a=a, b=b: a(s) + b(s) for a, b in zip(record.shift, shift)
+        )
+    return TimeDependentHamiltonian(h.dim, replace(record, shift=shift), name, params)
 
 
 def _check_s(s: float) -> float:

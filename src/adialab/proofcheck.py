@@ -336,7 +336,6 @@ def check_step_unitary_drift(
     cfg: ProofCheckConfig,
     norms_shifted: NormBundle,
     measured: float,
-    fit_lengths=DEFAULT_FIT_LENGTHS,
 ) -> CheckEntry:
     """max_j ||U_{j+1} - U_j|| <= T ||H'|| / L^2, with fitted 1/L^3 remainder.
 
@@ -347,7 +346,7 @@ def check_step_unitary_drift(
     bound = cfg.T * norms_shifted.norm_H1 / cfg.L**2
 
     lengths, values = [], []
-    for n in fit_lengths:
+    for n in DEFAULT_FIT_LENGTHS:
         value = _max_step_drift(h_shifted, cfg.T, n)
         if value < 1.9:
             lengths.append(n)
@@ -559,7 +558,6 @@ def run_proofcheck(
     *,
     selector="ground",
     k_max: int | None = None,
-    fit_lengths=DEFAULT_FIT_LENGTHS,
 ) -> ProofReport:
     """Instrument every inequality for one instance and discretization.
 
@@ -569,7 +567,7 @@ def run_proofcheck(
     step-unitary drift, every Delta-block's four bounds, the total error
     sum with its foil comparison, and the eigenvalue derivative bounds.
     """
-    if L < max(fit_lengths[0], 8):
+    if L < DEFAULT_FIT_LENGTHS[0]:
         raise DomainError(f"L={L} too small for the doubling studies")
     times = (delta,) if total_time is None else (delta, total_time)
     if not all(0.0 < x < math.inf for x in times):
@@ -604,16 +602,14 @@ def run_proofcheck(
     cfg = ProofCheckConfig(L, total_time, delta, norms_shifted.norm_H1, lam)
     w = error_vectors(path)
 
-    fit_paths = [track_eigenpath(h, n + 1, selector) for n in fit_lengths]
+    fit_paths = [track_eigenpath(h, n + 1, selector) for n in DEFAULT_FIT_LENGTHS]
     entries: list[CheckEntry] = [check_gauge_residual(path)]
     entries.append(check_error_vector_taylor(path, fit_paths))
     entries.append(check_error_vector_norm(path, cfg, fit_paths))
     del fit_paths  # keep them out of the block checks' peak memory
     entries.extend(check_error_vector_drift(path, cfg, norms_shifted, k_max))
     products, power_sums, step_drift = fold_blocks(shifted, cfg, w)
-    entries.append(
-        check_step_unitary_drift(shifted, cfg, norms_shifted, step_drift, fit_lengths)
-    )
+    entries.append(check_step_unitary_drift(shifted, cfg, norms_shifted, step_drift))
     entries.extend(check_block_cancellation(products, power_sums, cfg))
     entries.extend(check_total_error_norm(products, cfg, norms_shifted))
     entries.extend(check_eigenvalue_derivative_bounds(path, norms, lam))

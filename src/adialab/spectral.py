@@ -11,9 +11,12 @@ nonnegative — the discrete form of the parallel-transport gauge
 <Psi'(s), Psi(s)> = 0; the rotations are one cumulative product of the
 raw overlaps' phases.  ``gauge_residual`` certifies the gauge numerically
 from finite differences of the states.
+The path carries its per-point gap: the distance from the tracked
+eigenvalue to ranks r +- 1, which in a sorted spectrum is its distance to
+the nearest other eigenvalue.  The tracker measures it once, for its
+degeneracy check, and no gap is computed anywhere else.
 ``eigen_residuals`` measures how well sampled states solve the eigenvalue
-equation of a Hamiltonian; the gap scan and the zero-eigenvalue shift both
-gate on it.
+equation of a Hamiltonian; the zero-eigenvalue shift gates on it.
 """
 
 from __future__ import annotations
@@ -38,8 +41,9 @@ class EigenPath:
     ``states[j]`` is the unit eigenvector at ``grid[j]``, ``gammas[j]`` its
     eigenvalue and ``eigenvalues[j]`` the full sorted spectrum at that point;
     ``tracked_index`` is the branch's sorted rank, the same at every point.
-    ``gap`` is the smallest distance from the tracked eigenvalue to any
-    other eigenvalue over the whole grid.
+    ``gap_values[j]`` is the distance from the tracked eigenvalue to the
+    nearest other eigenvalue at ``grid[j]``, and ``gap`` its minimum over
+    the grid.
     """
 
     grid: np.ndarray
@@ -47,7 +51,11 @@ class EigenPath:
     gammas: np.ndarray
     eigenvalues: np.ndarray
     tracked_index: int
-    gap: float
+    gap_values: np.ndarray
+
+    @property
+    def gap(self) -> float:
+        return float(self.gap_values.min())
 
     @property
     def npoints(self) -> int:
@@ -56,13 +64,6 @@ class EigenPath:
     @property
     def dim(self) -> int:
         return self.states.shape[1]
-
-    def to_dict(self) -> dict:
-        return {
-            "grid": self.grid.tolist(),
-            "gammas": self.gammas.tolist(),
-            "gap": self.gap,
-        }
 
 
 def track_eigenpath(
@@ -80,7 +81,8 @@ def track_eigenpath(
     UnderResolvedGridError if the best overlap is below 0.5 in magnitude;
     GapCollapseError if the best overlap is at another rank (the branch
     crosses a neighbour between the two points), or if a neighbouring rank
-    r +- 1 comes within 1e-8 * ||H(s)|| of the tracked eigenvalue.
+    r +- 1 comes within 1e-8 * ||H(s)|| of the tracked eigenvalue.  That
+    nearest-neighbour distance is kept as the path's ``gap_values``.
 
     One batched overlap computation covers each batch.  With
     m_j = <v_r(s_j), v_r(s_{j-1})> on the raw eigenvectors, state j is
@@ -105,9 +107,9 @@ def track_eigenpath(
     states = np.empty((grid_size, dim), dtype=complex)
     gammas = np.empty(grid_size)
     spectra = np.empty((grid_size, dim))
+    gaps = np.empty(grid_size)
 
     carried = 1.0
-    gap = np.inf
     rank = previous = None
     for lo, hi in chunk_ranges(0, grid_size, dim):
         evals, evecs = eigh_batch(eval_batch(h, grid[lo:hi]))
@@ -132,7 +134,7 @@ def track_eigenpath(
         point_norm = np.abs(evals).max(axis=1)
         gammas[lo:hi] = evals[:, rank]
         margin = np.abs(evals[:, neighbours] - gammas[lo:hi, None]).min(
-            axis=1, initial=np.inf
+            axis=1, initial=np.inf, out=gaps[lo:hi]
         )
         low = magnitudes.max(axis=1) < MIN_BRANCH_OVERLAP
         crossed = best != rank
@@ -157,7 +159,6 @@ def track_eigenpath(
                 f"nearest branch at distance {margin[r]:.3e} "
                 f"(tolerance {DEGENERACY_RTOL:.0e} * {point_norm[r]:.3e})"
             )
-        gap = min(gap, float(margin.min()))
 
         # R_j = R_{j-1} m_j/|m_j| makes <state_{j-1}, state_j> real and
         # nonnegative; the cumulative product is renormalized to modulus 1
@@ -175,26 +176,8 @@ def track_eigenpath(
         gammas=gammas,
         eigenvalues=spectra,
         tracked_index=rank,
-        gap=float(gap),
+        gap_values=gaps,
     )
-
-
-@dataclass(frozen=True)
-class GapReport:
-    """Spectral gap of the tracked branch over the grid."""
-
-    lambda_min: float
-    argmin_s: float
-    gap_values: np.ndarray
-    grid: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "grid": self.grid.tolist(),
-            "gap_values": self.gap_values.tolist(),
-            "lambda_min": self.lambda_min,
-            "argmin_s": self.argmin_s,
-        }
 
 
 def eigen_residuals(
@@ -212,41 +195,6 @@ def eigen_residuals(
             applied - values[lo:hi, None] * states[lo:hi], axis=1
         )
     return residuals
-
-
-def spectral_gap(h: TimeDependentHamiltonian, path: EigenPath) -> GapReport:
-    """Measure min_s min_{k != tracked} |lambda_k(s) - gamma(s)|.
-
-    The path is first checked for consistency with ``h``: its states must
-    be eigenvectors of H(s_j) within residual 1e-8 * ||H(s_j)||.
-    """
-    point_norms = np.abs(path.eigenvalues).max(axis=1)
-    residual = eigen_residuals(h, path.grid, path.states, path.gammas)
-    bad = np.flatnonzero(
-        residual > DEGENERACY_RTOL * np.maximum(point_norms, 1e-300)
-    )
-    if bad.size:
-        j = bad[0]
-        raise DomainError(
-            f"path inconsistent with Hamiltonian at s={path.grid[j]:.6g}: "
-            f"eigen-residual {residual[j]:.3e}"
-        )
-
-    distances = np.abs(path.eigenvalues - path.gammas[:, None])
-    distances[:, path.tracked_index] = np.inf
-    gap_values = distances.min(axis=1)
-    j_min = int(np.argmin(gap_values))
-    lambda_min = float(gap_values[j_min])
-    if lambda_min <= DEGENERACY_RTOL * float(point_norms.max()):
-        raise GapCollapseError(
-            f"spectral gap {lambda_min:.3e} collapses at s={path.grid[j_min]:.6g}"
-        )
-    return GapReport(
-        lambda_min=lambda_min,
-        argmin_s=float(path.grid[j_min]),
-        gap_values=gap_values,
-        grid=path.grid,
-    )
 
 
 def _check_uniform(grid: np.ndarray) -> float:
@@ -279,10 +227,8 @@ def gauge_residual(path: EigenPath) -> float:
 
 __all__ = [
     "EigenPath",
-    "GapReport",
     "track_eigenpath",
     "eigen_residuals",
-    "spectral_gap",
     "path_derivatives",
     "gauge_residual",
     "DEFAULT_GRID",

@@ -113,10 +113,11 @@ def shift_to_zero_eigenvalue(
     """Subtract the tracked eigenvalue: H~(s) = H(s) - gamma(s) I.
 
     gamma between grid points is interpolated by a cubic spline (a C^2
-    interpolant keeps the ||H~''|| estimate stable).  For an affine
-    instance, H~'s record carries the spline and its derivatives, from
-    which H~' and H~'' follow.  The tracked states must be null vectors of
-    H~ at every grid point (``IntegrityError`` otherwise).
+    interpolant keeps the ||H~''|| estimate stable).  H~'s record carries
+    the spline and its derivatives, from which H~' and H~'' follow; an
+    instance without an ``AffineRecord`` raises ``DomainError``.  The
+    tracked states must be null vectors of H~ at every grid point
+    (``IntegrityError`` otherwise).
     """
     spline = CubicSpline(path.grid, path.gammas)
     rules = (spline, spline.derivative(1), spline.derivative(2))

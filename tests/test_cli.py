@@ -62,10 +62,22 @@ def test_gap_scan_json_and_csv(tmp_path, capsys):
     jsonschema.validate(payload, _schema("gap_scan"))
     assert code == cli.EXIT_PASS
     assert payload["lambda_min"] == pytest.approx(0.5, abs=1e-9)
+    assert payload["argmin_s"] == 0.5
     _, csv_text, _ = _run(tmp_path, capsys, "gap-scan", config)
     header, rows = _csv_rows(csv_text)
     assert header == "s,gamma,gap"
     assert [row[2] for row in rows] == payload["gap_values"]
+
+
+def test_gap_scan_of_a_degenerate_endpoint_fails(tmp_path, capsys):
+    # transverse_ising's classical end s = 1 has a doubly degenerate ground
+    # space, and the tracker's per-point check is the scan's only one
+    config = {"instance": {"kind": "transverse_ising", "params": {"n": 2}},
+              "grid_size": 129}
+    code, out, err = _run(tmp_path, capsys, "gap-scan", config)
+    assert code == cli.EXIT_NUMERICAL
+    assert out == ""
+    assert "degenerate" in err
 
 
 def test_proof_check_output_matches_schema(tmp_path, capsys):
@@ -151,6 +163,15 @@ def test_simulate_csv_snapshots(tmp_path, capsys):
     assert header == "step,s,distance_to_path,gamma"
     assert [int(row[0]) for row in rows] == [0, 50, 100, 150, 200]
     assert rows[0][2] == 0.0 and rows[0][3] == pytest.approx(-1.0)
+
+
+def test_simulate_has_no_sign_convention_field(tmp_path, capsys):
+    # the step unitaries carry the paper's +i, with no switch
+    config = {"instance": LZ, "T": 10.0, "L": 200, "sign_convention": "paper_plus"}
+    code, out, err = _run(tmp_path, capsys, "simulate", config)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert "unknown field 'sign_convention'" in err
 
 
 def test_each_command_builds_its_instance_once(tmp_path, capsys, monkeypatch):

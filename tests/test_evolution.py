@@ -70,10 +70,11 @@ class TestStepUnitary:
         for u in unitaries:
             assert np.abs(u.conj().T @ u - np.eye(8)).max() <= 1e-10
 
-    def test_sign_conventions_are_adjoint(self, lz):
-        plus = _step(lz, 2, al.EvolutionConfig(3.0, 8, "paper_plus"))
-        minus = _step(lz, 2, al.EvolutionConfig(3.0, 8, "physics_minus"))
-        assert np.allclose(plus, minus.conj().T, atol=1e-13)
+    def test_exponent_carries_plus_i(self):
+        # the paper's convention: exp(i (pi/2) Z) = diag(i, -i)
+        inst = al.constant((1.0, -1.0))
+        u = _step(inst, 0, al.EvolutionConfig(np.pi / 2.0, 1))
+        assert np.abs(u - np.diag([1j, -1j])).max() < 1e-15
 
     def test_two_level_closed_form_matches_eigh(self):
         # dual route: the analytic 2x2 exponential against the generic
@@ -154,16 +155,6 @@ class TestEvolveDiscrete:
         )
         assert odd.half_state is None
         assert np.array_equal(snapshots.half_state, streamed.half_state)
-
-    def test_sign_convention_equivalence(self, lz):
-        # paper_plus under H equals physics_minus under -H
-        neg = al.affine_hamiltonian(
-            -al.eval_at(lz, 0.0).entries, -al.eval_at(lz, 1.0).entries
-        )
-        psi0 = _ground(lz)
-        a = al.evolve_discrete(lz, psi0, al.EvolutionConfig(3.0, 128, "paper_plus"))
-        b = al.evolve_discrete(neg, psi0, al.EvolutionConfig(3.0, 128, "physics_minus"))
-        assert np.linalg.norm(a.final_state - b.final_state) <= 1e-10
 
     def test_state_validation(self, lz):
         with pytest.raises(DomainError):

@@ -128,7 +128,7 @@ class TestErrorVectors:
             gammas=np.zeros(2),
             eigenvalues=np.zeros((2, 2)),
             tracked_index=0,
-            gap=1.0,
+            gap_values=np.ones(2),
         )
         w = al.error_vectors(path)[0]  # w_1
         expected = math.sin(eps) * np.array([math.sin(eps), -math.cos(eps)])

@@ -14,6 +14,7 @@ from adialab.problems import (
     PAULI_Z,
     grover_gap,
     landau_zener_eigenvalue,
+    landau_zener_gap,
 )
 from adialab.spectral import DEGENERACY_RTOL, MIN_BRANCH_OVERLAP, eigen_residuals
 
@@ -62,14 +63,16 @@ def sequential_track(h, grid_size, selector="ground"):
     the previous gauge-fixed state, check the best overlap, that it lies at
     that rank, then the margin, and rotate the overlap to be real and
     nonnegative.
-    Returns (states, gammas, eigenvalues, tracked_index, gap).
+    Returns (states, gammas, eigenvalues, tracked_index, gaps), where
+    gaps[j] is the distance from the tracked eigenvalue to the nearest of
+    all the others at point j.
     """
     match_vector = None if isinstance(selector, str) else np.asarray(selector, complex)
     grid = np.linspace(0.0, 1.0, grid_size)
     states = np.empty((grid_size, h.dim), dtype=complex)
     gammas = np.empty(grid_size)
     spectra = np.empty((grid_size, h.dim))
-    gap = np.inf
+    gaps = np.empty(grid_size)
     rank = previous = None
     for lo, hi in chunk_ranges(0, grid_size, h.dim):
         evals, evecs = eigh_batch(eval_batch(h, grid[lo:hi]))
@@ -107,10 +110,9 @@ def sequential_track(h, grid_size, selector="ground"):
                     f"nearest branch at distance {margin:.3e} "
                     f"(tolerance {DEGENERACY_RTOL:.0e} * {point_norm:.3e})"
                 )
-            gap = min(gap, margin)
-            states[j], gammas[j], spectra[j] = state, w[rank], w
+            states[j], gammas[j], spectra[j], gaps[j] = state, w[rank], w, margin
             previous = state
-    return states, gammas, spectra, rank, gap
+    return states, gammas, spectra, rank, gaps
 
 
 def dft(d):
@@ -134,14 +136,16 @@ def three_point(mats):
 
 
 def assert_matches_oracle(h, grid_size, selector="ground"):
-    states, gammas, spectra, tracked, gap = sequential_track(
+    states, gammas, spectra, tracked, gaps = sequential_track(
         h, grid_size, selector
     )
     path = al.track_eigenpath(h, grid_size, selector)
     assert np.array_equal(path.gammas, gammas)
     assert np.array_equal(path.eigenvalues, spectra)
     assert path.tracked_index == tracked
-    assert path.gap == gap
+    # the tracker's r +- 1 margin equals the nearest of all others, bit for bit
+    assert np.array_equal(path.gap_values, gaps)
+    assert path.gap == gaps.min()
     assert np.abs(path.states - states).max() <= 1e-12
     return path
 
@@ -273,38 +277,40 @@ class TestTrackerMatchesSequentialWalk:
             assert_same_error_as_oracle(three_point(mats), 3, error, where)
 
 
+def gap_minimum(path):
+    """(lambda_min, argmin_s) of the path's gap curve."""
+    j = int(np.argmin(path.gap_values))
+    return path.gap, float(path.grid[j])
+
+
 class TestSpectralGap:
     def test_constant_three_level(self):
+        # the middle level 0 sits at distance 1 from both others
         inst = al.constant((0.0, 1.0, -1.0))
         e1 = np.array([1.0, 0.0, 0.0], dtype=complex)
         path = al.track_eigenpath(inst, 65, selector=e1)
-        report = al.spectral_gap(inst, path)
-        assert report.lambda_min == pytest.approx(1.0)
+        assert path.tracked_index == 1
+        assert np.abs(path.gap_values - 1.0).max() <= 1e-15
+        assert path.gap == pytest.approx(1.0)
 
     def test_landau_zener(self, lz):
         path = al.track_eigenpath(lz, 1025)
-        report = al.spectral_gap(lz, path)
-        assert report.lambda_min == pytest.approx(np.sqrt(2.0), abs=1e-9)
-        assert report.argmin_s == pytest.approx(0.5, abs=1e-6)
+        want = landau_zener_gap(path.grid)
+        assert np.abs(path.gap_values - want).max() <= 1e-12 * want.max()
+        lambda_min, argmin_s = gap_minimum(path)
+        assert lambda_min == pytest.approx(np.sqrt(2.0), abs=1e-9)
+        assert argmin_s == pytest.approx(0.5, abs=1e-6)
 
     def test_grover(self, grover2):
         # grover(5) at 4097 points spans three batches of 2048 at d = 32
         for inst, grid_size in ((grover2, 1025), (al.grover(5), 4097)):
             path = al.track_eigenpath(inst, grid_size)
-            report = al.spectral_gap(inst, path)
             n = inst.params["n"]
-            assert report.lambda_min == pytest.approx(grover_gap(n, 0.5), abs=1e-9)
-            assert report.argmin_s == pytest.approx(0.5, abs=1e-6)
-
-    def test_inconsistent_path_rejected(self, lz, grover2):
-        path = al.track_eigenpath(lz, 257)
-        rng = np.random.default_rng(1)
-        noise = rng.standard_normal(path.states.shape)
-        bad_states = path.states + 0.05 * noise
-        bad_states /= np.linalg.norm(bad_states, axis=1)[:, None]
-        bad = dataclasses.replace(path, states=bad_states)
-        with pytest.raises(DomainError, match="inconsistent"):
-            al.spectral_gap(lz, bad)
+            want = grover_gap(n, path.grid)
+            assert np.abs(path.gap_values - want).max() <= 1e-12
+            lambda_min, argmin_s = gap_minimum(path)
+            assert lambda_min == pytest.approx(grover_gap(n, 0.5), abs=1e-9)
+            assert argmin_s == pytest.approx(0.5, abs=1e-6)
 
     def test_eigen_residuals_keep_two_batches_alive(self, monkeypatch):
         # each batch dies before the next is evaluated, and evaluation

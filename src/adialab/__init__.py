@@ -64,12 +64,12 @@ from .spectral import (
     track_eigenpath,
 )
 from .theorem import (
-    TheoremInputs,
     TheoremVerdict,
-    required_time_general,
-    required_time_special,
+    ZeroFrame,
+    required_time,
     shift_to_zero_eigenvalue,
     verify,
+    zero_frame,
 )
 
 __version__ = "0.1.0"

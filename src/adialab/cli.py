@@ -37,7 +37,7 @@ from .hamiltonians import TimeDependentHamiltonian
 from .problems import InstanceSpec
 from .proofcheck import run_proofcheck
 from .spectral import DEFAULT_GRID, track_eigenpath
-from .theorem import verify
+from .theorem import verify, zero_frame
 
 EXIT_PASS = 0
 EXIT_CLAIM_FAILED = 1
@@ -115,7 +115,7 @@ def _expect(data: dict, key: str, kinds, default=None):
     return value
 
 
-def _build_instance(data: dict, seed_override: int | None) -> TimeDependentHamiltonian:
+def _build_instance(data: dict) -> TimeDependentHamiltonian:
     raw = data["instance"]
     if not isinstance(raw, dict):
         raise ConfigError("field 'instance' must be an object")
@@ -127,14 +127,6 @@ def _build_instance(data: dict, seed_override: int | None) -> TimeDependentHamil
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("field 'instance.params' must be an object")
-    params = dict(params)
-    if seed_override is not None:
-        if raw["kind"] != "random_interpolation":
-            raise ConfigError(
-                f"--seed only applies to random_interpolation instances, "
-                f"not {raw['kind']!r}"
-            )
-        params["seed"] = seed_override
     try:
         return InstanceSpec(raw["kind"], params).build()
     except DomainError as exc:
@@ -161,11 +153,11 @@ def cmd_verify(args) -> int:
     data = _load_config(args.config, "verify")
     if args.format == "csv":
         raise ConfigError("verify emits a JSON verdict; use --format json")
-    verdict = verify(
-        _build_instance(data, args.seed),
-        T_override=_expect(data, "T_override", _NUMBER),
-        **_verify_options(data),
-    )
+    h = _build_instance(data)
+    t_override = _expect(data, "T_override", _NUMBER)
+    options = _verify_options(data)
+    frame = zero_frame(h, options.pop("grid_size"))
+    verdict = verify(frame, T_override=t_override, **options)
     payload = verdict.to_dict()
     payload["config"] = data
     _write(args.out, _dump_json(payload))
@@ -173,7 +165,8 @@ def cmd_verify(args) -> int:
 
 
 def _verify_options(data: dict) -> dict:
-    """The `verify` keyword arguments that verify and sweep configs share."""
+    """The options that verify and sweep configs share: the frame's
+    grid_size and the `verify` keyword arguments."""
     return {
         "delta": float(_expect(data, "delta", _NUMBER)),
         "case": _expect(data, "case", str, "general"),
@@ -192,8 +185,8 @@ def cmd_sweep(args) -> int:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"field 'T_values[{i}]' must be a number")
     options = _verify_options(data)
-    h = _build_instance(data, args.seed)
-    verdicts = [verify(h, T_override=float(t), **options) for t in t_values]
+    frame = zero_frame(_build_instance(data), options.pop("grid_size"))
+    verdicts = [verify(frame, T_override=float(t), **options) for t in t_values]
 
     if args.format == "json":
         payload = {
@@ -221,7 +214,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_gap_scan(args) -> int:
     data = _load_config(args.config, "gap-scan")
-    h = _build_instance(data, args.seed)
+    h = _build_instance(data)
     grid_size = _expect(data, "grid_size", int, DEFAULT_GRID)
     path = track_eigenpath(h, grid_size)
     if args.format == "json":
@@ -248,7 +241,7 @@ def cmd_gap_scan(args) -> int:
 def cmd_proof_check(args) -> int:
     data = _load_config(args.config, "proof-check")
     report = run_proofcheck(
-        _build_instance(data, args.seed),
+        _build_instance(data),
         L=_expect(data, "L", int),
         delta=float(_expect(data, "delta", _NUMBER)),
         total_time=_expect(data, "T", _NUMBER),
@@ -272,7 +265,7 @@ def cmd_simulate(args) -> int:
     data = _load_config(args.config, "simulate")
     if args.format == "json":
         raise ConfigError("simulate emits CSV snapshots; use --format csv")
-    h = _build_instance(data, args.seed)
+    h = _build_instance(data)
     total_time = float(_expect(data, "T", _NUMBER))
     steps = _expect(data, "L", int)
     stride = _expect(data, "snapshot_stride", int, max(1, steps // 100))
@@ -319,7 +312,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--seed", type=int, default=None)
     return parser
 
 

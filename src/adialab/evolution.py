@@ -28,7 +28,7 @@ from .errors import (
     NonConvergenceError,
     NumericalInstabilityError,
 )
-from .hamiltonians import TimeDependentHamiltonian, eval_batch, norm_bundle
+from .hamiltonians import TimeDependentHamiltonian, eval_batch
 
 NORM_DRIFT_GUARD = 1e-10
 DEFAULT_STEP_CEILING = 2**30
@@ -171,8 +171,8 @@ def evolve_adaptive(
     total_time: float,
     disc_tol: float,
     *,
+    norm_H: float,
     step_ceiling: int = DEFAULT_STEP_CEILING,
-    norm_H: float | None = None,
 ) -> EvolutionResult:
     """Raise L from ceil(4 T ||H|| / pi), rounded up to even, until converged.
 
@@ -185,9 +185,8 @@ def evolve_adaptive(
     largest power-of-two multiple of L within the step ceiling.  Raises
     FeasibilityError, naming the largest feasible T, if the first L already
     exceeds the ceiling, and NonConvergenceError once even 2L would.
-    DomainError is raised for a non-finite T, for a norm_H that is negative
-    or not finite, and, when norm_H is not given, by ``norm_bundle`` for an
-    instance without an ``AffineRecord``.
+    DomainError is raised for a non-finite T and for a norm_H, the sup of
+    ||H(s)||, that is negative or not finite.
     """
     if not disc_tol > 0.0:
         raise DomainError("disc_tol must be positive")
@@ -197,8 +196,6 @@ def evolve_adaptive(
         )
     if step_ceiling < 2:
         raise DomainError("step_ceiling must be at least 2, the smallest level")
-    if norm_H is None:
-        norm_H = norm_bundle(h).norm_H
     if not 0.0 <= norm_H < math.inf:
         raise DomainError(f"norm_H must be finite and >= 0, got {norm_H}")
     L = _initial_steps(total_time, norm_H, step_ceiling)

@@ -37,12 +37,7 @@ from .errors import DomainError, FeasibilityError
 from .evolution import EvolutionConfig, _step_batch
 from .hamiltonians import NormBundle, TimeDependentHamiltonian
 from .spectral import EigenPath, gauge_residual, path_derivatives, track_eigenpath
-from .theorem import (
-    TheoremInputs,
-    _check_delta,
-    _shift_and_measure,
-    required_time_special,
-)
+from .theorem import _check_delta, zero_frame
 
 LEMMA_SLACK = 0.05  # finite-difference noise allowance on lemma inequalities
 BLOCK_SLACK = 0.10  # accumulated roundoff allowance on block bounds
@@ -90,9 +85,6 @@ class ProofReport:
     @property
     def passed(self) -> bool:
         return all(entry.passed for entry in self.entries)
-
-    def failures(self) -> list[CheckEntry]:
-        return [entry for entry in self.entries if not entry.passed]
 
     def to_dict(self) -> dict:
         return {
@@ -561,11 +553,11 @@ def run_proofcheck(
 ) -> ProofReport:
     """Instrument every inequality for one instance and discretization.
 
-    Tracks the branch on the j/L grid, shifts the tracked eigenvalue to
-    zero, chooses T as the zero-frame required time when not given, and
-    runs: gauge residual, the w Taylor form, the w norm bound, w drift,
-    step-unitary drift, every Delta-block's four bounds, the total error
-    sum with its foil comparison, and the eigenvalue derivative bounds.
+    Builds the ``zero_frame`` on the j/L grid, takes T as its special-case
+    required time when not given, and runs: gauge residual, the w Taylor
+    form, the w norm bound, w drift, step-unitary drift, every
+    Delta-block's four bounds, the total error sum with its foil
+    comparison, and the eigenvalue derivative bounds.
     """
     if L < DEFAULT_FIT_LENGTHS[0]:
         raise DomainError(f"L={L} too small for the doubling studies")
@@ -579,14 +571,11 @@ def run_proofcheck(
             f"{TOTAL_SUM_MAX_DIM}; got L={L}, dim={h.dim}"
         )
 
-    path = track_eigenpath(h, L + 1, selector)
-    lam = path.gap
-    shifted, norms, norms_shifted = _shift_and_measure(h, path, lam)
-
+    frame = zero_frame(h, L + 1, selector)
+    path, shifted, lam = frame.path, frame.shifted, frame.lam
+    norms, norms_shifted = frame.norms, frame.norms_shifted
     if total_time is None:
-        total_time = required_time_special(
-            TheoremInputs(delta, norms_shifted, lam, "special")
-        )
+        total_time = frame.required_time(delta, "special")
 
     # Largest per-step phase: all geometric-sum bounds assume
     # |alpha| T / L <= pi/2 on every branch.

@@ -79,10 +79,11 @@ def track_eigenpath(
     further point the raw eigenvectors are compared with the previous
     point's rank-r eigenvector, and the first failing point raises:
     UnderResolvedGridError if the best overlap is below 0.5 in magnitude;
-    GapCollapseError if the best overlap is at another rank (the branch
-    crosses a neighbour between the two points), or if a neighbouring rank
-    r +- 1 comes within 1e-8 * ||H(s)|| of the tracked eigenvalue.  That
-    nearest-neighbour distance is kept as the path's ``gap_values``.
+    GapCollapseError if a neighbouring rank r +- 1 comes within
+    1e-8 * ||H(s)|| of the tracked eigenvalue, or else if the best overlap
+    is at another rank (the branch crosses a neighbour between the two
+    points).  That nearest-neighbour distance is kept as the path's
+    ``gap_values``.
 
     One batched overlap computation covers each batch.  With
     m_j = <v_r(s_j), v_r(s_{j-1})> on the raw eigenvectors, state j is
@@ -148,16 +149,17 @@ def track_eigenpath(
                     f"consecutive overlap {magnitudes[r].max():.3f} < "
                     f"{MIN_BRANCH_OVERLAP} at s={s:.6g}; refine the grid"
                 )
-            if crossed[r]:
+            # in a degenerate eigenspace the best rank is LAPACK's choice
+            if degenerate[r]:
                 raise GapCollapseError(
-                    f"tracked branch leaves sorted rank {rank} between "
-                    f"s={grid[lo + r - 1]:.6g} and s={s:.6g}: it crosses "
-                    f"rank {best[r]} there"
+                    f"tracked eigenvalue degenerate at s={s:.6g}: "
+                    f"nearest branch at distance {margin[r]:.3e} "
+                    f"(tolerance {DEGENERACY_RTOL:.0e} * {point_norm[r]:.3e})"
                 )
             raise GapCollapseError(
-                f"tracked eigenvalue degenerate at s={s:.6g}: "
-                f"nearest branch at distance {margin[r]:.3e} "
-                f"(tolerance {DEGENERACY_RTOL:.0e} * {point_norm[r]:.3e})"
+                f"tracked branch leaves sorted rank {rank} between "
+                f"s={grid[lo + r - 1]:.6g} and s={s:.6g}: it crosses "
+                f"rank {best[r]} there"
             )
 
         # R_j = R_{j-1} m_j/|m_j| makes <state_{j-1}, state_j> real and

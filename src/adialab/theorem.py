@@ -1,16 +1,17 @@
 """Runtime bound evaluation and end-to-end verification.
 
-``required_time_general`` evaluates the sufficient evolution time
+``required_time`` evaluates the sufficient evolution time
 
-    T >= (1e5 / delta^2) * max(||H'||^3 / lambda^4, ||H'|| ||H''|| / lambda^3)
+    T >= (C / delta^2) * max(||H'||^3 / lambda^4, ||H'|| ||H''|| / lambda^3)
 
-from an instance's raw norms; ``required_time_special`` evaluates the
-same expression with constant 1000, valid when the tracked eigenvalue is
-identically zero.  ``shift_to_zero_eigenvalue`` produces that zero-eigenvalue
-frame, H~(s) = H(s) - gamma(s) I, and ``verify`` composes the whole
-pipeline: track the branch, measure gap and norms, shift, evolve
-adaptively for the prescribed time and compare against the tracked
-endpoint in both the phase-invariant and the gauge-fixed metric.
+with C = 1e5 from an instance's raw norms, or with C = 1000 in the
+zero-eigenvalue frame H~(s) = H(s) - gamma(s) I that
+``shift_to_zero_eigenvalue`` produces.  ``zero_frame`` builds every input
+once: it tracks the branch, shifts it and measures the norms of H and H~;
+its ``ZeroFrame`` holds them, with lambda the path's gap.  ``verify``
+evolves a frame adaptively for the prescribed time and compares against
+the tracked endpoint in both the phase-invariant and the gauge-fixed
+metric, so a sweep over T reuses one frame.
 
 Identity shifts commute with everything, so evolutions under H and H~
 agree up to a global phase; the gauge-fixed l2 distance is therefore
@@ -59,40 +60,19 @@ def _check_delta(delta: float) -> None:
         raise DomainError(f"delta must lie in (0, sqrt(2)], got {delta}")
 
 
-@dataclass(frozen=True)
-class TheoremInputs:
-    """delta, measured norms, spectral gap and which bound applies."""
-
-    delta: float
-    norms: NormBundle
-    lam: float
-    case: str = "general"
-
-    def __post_init__(self) -> None:
-        _check_delta(self.delta)
-        if not self.lam > 0.0:
-            raise DomainError(f"lambda must be positive, got {self.lam}")
-        if self.case not in ("general", "special"):
-            raise DomainError(f"case must be 'general' or 'special', got {self.case!r}")
+_CONSTANTS = {"general": GENERAL_CONSTANT, "special": SPECIAL_CONSTANT}
 
 
-def _bound_kernel(norms: NormBundle, lam: float) -> float:
+def required_time(delta: float, norms: NormBundle, lam: float, case: str) -> float:
+    """The sufficient time, with C = 1e5 for case "general" and C = 1000
+    for case "special"; delta, lambda and the case are checked."""
+    _check_delta(delta)
+    if not lam > 0.0:
+        raise DomainError(f"lambda must be positive, got {lam}")
+    if case not in _CONSTANTS:
+        raise DomainError(f"case must be 'general' or 'special', got {case!r}")
     h1, h2 = norms.norm_H1, norms.norm_H2
-    return max(h1**3 / lam**4, h1 * h2 / lam**3)
-
-
-def required_time_general(inputs: TheoremInputs) -> float:
-    """Sufficient time with the general-case constant 1e5."""
-    if inputs.case != "general":
-        raise DomainError("required_time_general expects case='general'")
-    return GENERAL_CONSTANT / inputs.delta**2 * _bound_kernel(inputs.norms, inputs.lam)
-
-
-def required_time_special(inputs: TheoremInputs) -> float:
-    """Sufficient time with constant 1000 for the zero-eigenvalue frame."""
-    if inputs.case != "special":
-        raise DomainError("required_time_special expects case='special'")
-    return SPECIAL_CONSTANT / inputs.delta**2 * _bound_kernel(inputs.norms, inputs.lam)
+    return _CONSTANTS[case] / delta**2 * max(h1**3 / lam**4, h1 * h2 / lam**3)
 
 
 def _check_null_states(shifted: TimeDependentHamiltonian, path: EigenPath) -> None:
@@ -128,11 +108,35 @@ def shift_to_zero_eigenvalue(
     return shifted
 
 
-def _shift_and_measure(
-    h: TimeDependentHamiltonian, path: EigenPath, lam: float
-) -> tuple[TimeDependentHamiltonian, NormBundle, NormBundle]:
-    """Build H~(s) = H(s) - gamma(s) I and measure the norms of H and H~
-    on the path's grid.
+@dataclass(frozen=True)
+class ZeroFrame:
+    """An instance H, its tracked branch, its zero-eigenvalue frame H~ and
+    the norms of both: every input of the bound, built by ``zero_frame``."""
+
+    h: TimeDependentHamiltonian
+    path: EigenPath
+    shifted: TimeDependentHamiltonian
+    norms: NormBundle
+    norms_shifted: NormBundle
+
+    @property
+    def lam(self) -> float:
+        return self.path.gap
+
+    def required_time(self, delta: float, case: str = "general") -> float:
+        """``required_time`` with H's norms in the general case and H~'s in
+        the special case."""
+        norms = self.norms_shifted if case == "special" else self.norms
+        return required_time(delta, norms, self.lam, case)
+
+
+def zero_frame(
+    h: TimeDependentHamiltonian,
+    grid_size: int = DEFAULT_GRID,
+    selector="ground",
+) -> ZeroFrame:
+    """Track H's branch, build H~(s) = H(s) - gamma(s) I and measure the
+    norms of H and H~ on the path's grid.
 
     Both bundles come from ``norm_bundle``, which raises ``DomainError``
     for an instance without an ``AffineRecord``.  H's are exact, and H~'s
@@ -143,6 +147,7 @@ def _shift_and_measure(
     at every path grid point, and the shifted norms obey ||H~'|| <= 2||H'||
     and ||H~''|| <= 2||H''|| + 4||H'||^2/lambda within 5% slack.
     """
+    path = track_eigenpath(h, grid_size, selector)
     base_norms = norm_bundle(h, path.npoints, spectrum=path.eigenvalues)
     shifted = shift_to_zero_eigenvalue(h, path)
     gammas = shifted.affine.shift[0](path.grid)
@@ -155,7 +160,7 @@ def _shift_and_measure(
 
     slack = 1.0 + SHIFT_NORM_SLACK
     bound_h1 = 2.0 * base_norms.norm_H1
-    bound_h2 = 2.0 * base_norms.norm_H2 + 4.0 * base_norms.norm_H1**2 / lam
+    bound_h2 = 2.0 * base_norms.norm_H2 + 4.0 * base_norms.norm_H1**2 / path.gap
     if shifted_norms.norm_H1 > bound_h1 * slack + 1e-12:
         raise IntegrityError(
             f"shifted ||H'|| = {shifted_norms.norm_H1:.6g} exceeds "
@@ -166,7 +171,7 @@ def _shift_and_measure(
             f"shifted ||H''|| = {shifted_norms.norm_H2:.6g} exceeds "
             f"2||H''|| + 4||H'||^2/lambda = {bound_h2:.6g} beyond 5% slack"
         )
-    return shifted, base_norms, shifted_norms
+    return ZeroFrame(h, path, shifted, base_norms, shifted_norms)
 
 
 @dataclass(frozen=True)
@@ -213,26 +218,23 @@ class TheoremVerdict:
 
 
 def verify(
-    h: TimeDependentHamiltonian,
-    selector="ground",
+    frame: ZeroFrame,
     delta: float = 0.5,
     *,
     case: str = "general",
     T_override: float | None = None,
-    grid_size: int = DEFAULT_GRID,
     disc_tol: float | None = None,
     step_ceiling: int = DEFAULT_STEP_CEILING,
 ) -> TheoremVerdict:
-    """Track, bound, evolve for the prescribed time, and compare.
+    """Bound, evolve the frame for the prescribed time, and compare.
 
-    The gap is the tracked path's grid minimum.  The norms of H and of the
-    zero-eigenvalue frame H~ come from ``_shift_and_measure``, so an
-    instance without an ``AffineRecord`` is refused with ``DomainError``.
-    The evolution runs in the shifted frame from the gauge-fixed initial
-    state with disc_tol = delta/100 unless overridden (positive and finite),
-    so discretization noise stays two orders below the claim under test.
-    If the required step count exceeds ``step_ceiling`` the run refuses up
-    front and reports the largest feasible T instead of silently truncating.
+    The gap and the norms are the frame's, so one ``zero_frame`` serves
+    any number of runs.  The evolution runs in the shifted frame from the
+    gauge-fixed initial state with disc_tol = delta/100 unless overridden
+    (positive and finite), so discretization noise stays two orders below
+    the claim under test.  If the required step count exceeds
+    ``step_ceiling`` the run refuses up front and reports the largest
+    feasible T instead of silently truncating.
     """
     _check_delta(delta)
     if T_override is not None and not (0.0 <= T_override < math.inf):
@@ -242,33 +244,20 @@ def verify(
     if not 0.0 < disc_tol < math.inf:
         raise DomainError(f"disc_tol must be positive and finite, got {disc_tol}")
 
-    path = track_eigenpath(h, grid_size, selector)
-    lam = path.gap
-    shifted, norms, norms_shifted = _shift_and_measure(h, path, lam)
-
-    if case == "general":
-        t_required = required_time_general(TheoremInputs(delta, norms, lam, "general"))
-    elif case == "special":
-        t_required = required_time_special(
-            TheoremInputs(delta, norms_shifted, lam, "special")
-        )
-    else:
-        raise DomainError(f"case must be 'general' or 'special', got {case!r}")
-
+    t_required = frame.required_time(delta, case)
     t_used = float(T_override) if T_override is not None else t_required
 
-    psi0 = path.states[0]
-    target = path.states[-1]
+    psi0, target = frame.path.states[[0, -1]]
     if t_used == 0.0:
         final, l_used = psi0, 0
     else:
         result = evolve_adaptive(
-            shifted,
+            frame.shifted,
             psi0,
             t_used,
             disc_tol,
+            norm_H=frame.norms_shifted.norm_H,
             step_ceiling=step_ceiling,
-            norm_H=norms_shifted.norm_H,
         )
         final, l_used = result.final_state, result.L_used
 
@@ -282,24 +271,24 @@ def verify(
         distance_phase_invariant=d_phase,
         distance_gauge_fixed=d_gauge,
         delta=delta,
-        lam=lam,
+        lam=frame.lam,
         case=case,
-        norms=norms,
-        norms_shifted=norms_shifted,
-        grid_size=grid_size,
+        norms=frame.norms,
+        norms_shifted=frame.norms_shifted,
+        grid_size=frame.path.npoints,
         disc_tol=disc_tol,
-        instance_name=h.name,
-        instance_params=dict(h.params),
+        instance_name=frame.h.name,
+        instance_params=dict(frame.h.params),
     )
 
 
 __all__ = [
-    "TheoremInputs",
     "TheoremVerdict",
-    "required_time_general",
-    "required_time_special",
+    "ZeroFrame",
+    "required_time",
     "shift_to_zero_eigenvalue",
     "verify",
+    "zero_frame",
     "GENERAL_CONSTANT",
     "SPECIAL_CONSTANT",
 ]

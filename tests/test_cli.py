@@ -5,7 +5,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from adialab import cli, landau_zener
+from adialab import cli, landau_zener, theorem, verify, zero_frame
 from adialab.problems import InstanceSpec
 from test_proofcheck import (
     BLOCK_LABELS,
@@ -53,6 +53,27 @@ def test_sweep_output_matches_schema(tmp_path, capsys):
     jsonschema.validate(payload, _schema("sweep"))
     assert code == cli.EXIT_PASS
     assert [row["T"] for row in payload["rows"]] == [5.0, 20.0]
+
+
+def test_sweep_tracks_once_and_matches_verify(tmp_path, capsys, monkeypatch):
+    # one frame serves every T of the sweep
+    calls = []
+    track = theorem.track_eigenpath
+    monkeypatch.setattr(
+        theorem, "track_eigenpath", lambda *args: calls.append(args) or track(*args)
+    )
+    t_values = [2.0, 10.0, 50.0]
+    config = {"instance": LZ, "delta": 1, "case": "special", "T_values": t_values,
+              "grid_size": 129}
+    code, out, _ = _run(tmp_path, capsys, "sweep", config, "--format", "json")
+    assert code == cli.EXIT_PASS
+    assert len(calls) == 1
+    frame = zero_frame(landau_zener(), 129)
+    want = [verify(frame, 1.0, case="special", T_override=t) for t in t_values]
+    rows = [(r["T"], r["L_used"], r["dist_phase_inv"], r["dist_gauge"])
+            for r in json.loads(out)["rows"]]
+    assert rows == [(v.T_used, v.L_used, v.distance_phase_invariant,
+                     v.distance_gauge_fixed) for v in want]
 
 
 def test_gap_scan_json_and_csv(tmp_path, capsys):
@@ -192,6 +213,15 @@ def test_each_command_builds_its_instance_once(tmp_path, capsys, monkeypatch):
         code, _, err = _run(tmp_path, capsys, command, config)
         assert code in (cli.EXIT_PASS, cli.EXIT_CLAIM_FAILED), (command, err)
         assert builds == ["landau_zener"], command
+
+
+def test_seed_flag_is_gone(tmp_path):
+    # the instance's seed is set in its config's params, and only there
+    path = tmp_path / "verify.json"
+    path.write_text(json.dumps({"instance": LZ, "delta": 1}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--config", str(path), "--seed", "7"])
+    assert exc.value.code == cli.EXIT_CONFIG
 
 
 def test_invalid_instance_is_a_config_error(tmp_path, capsys):

@@ -15,13 +15,17 @@ from adialab.errors import (
 )
 from adialab.evolution import _step_batch
 from adialab.problems import PAULI_Z
-from adialab.theorem import _shift_and_measure
 
 from conftest import rotating_two_level
 
 
 def _ground(h, s=0.0):
     return np.linalg.eigh(al.eval_at(h, s).entries)[1][:, 0].astype(complex)
+
+
+def _norm_H(h):
+    """sup_s ||H(s)||, the norm_H that evolve_adaptive takes."""
+    return al.norm_bundle(h).norm_H
 
 
 def _step(h, j, cfg):
@@ -173,7 +177,7 @@ class TestEvolveAdaptive:
     def test_zero_hamiltonian_converges_immediately(self):
         zero = al.affine_hamiltonian(np.zeros((2, 2)), np.zeros((2, 2)))
         psi0 = np.array([1.0, 0.0], dtype=complex)
-        result = al.evolve_adaptive(zero, psi0, 10.0, 1e-6)
+        result = al.evolve_adaptive(zero, psi0, 10.0, 1e-6, norm_H=_norm_H(zero))
         # L_start = 1 rounds up to 2, and the 1-step vs 2-step comparison
         # inside that one pass already agrees
         assert result.L_used == 2
@@ -181,12 +185,13 @@ class TestEvolveAdaptive:
 
     def test_constant_hamiltonian_first_comparison(self, const_instance):
         psi0 = np.array([1.0, 0.0], dtype=complex)
-        result = al.evolve_adaptive(const_instance, psi0, 2.0, 1e-8)
+        norm_H = _norm_H(const_instance)
+        result = al.evolve_adaptive(const_instance, psi0, 2.0, 1e-8, norm_H=norm_H)
         assert al.distance_phase_invariant(result.final_state, psi0) < 1e-12
 
     def test_landau_zener_t1000_step_budget(self, lz):
         psi0 = _ground(lz)
-        result = al.evolve_adaptive(lz, psi0, 1000.0, 1e-4)
+        result = al.evolve_adaptive(lz, psi0, 1000.0, 1e-4, norm_H=_norm_H(lz))
         assert result.L_used <= 2**22
 
     def test_returned_state_is_within_tolerance_of_finer_grid(
@@ -196,7 +201,7 @@ class TestEvolveAdaptive:
         # verify-evolve benchmark jobs in verify's shifted frame at their
         # pinned T with verify's disc_tol = delta/100 = 0.01
         cases = [
-            (inst, _ground(inst), total_time, 1e-3, al.norm_bundle(inst).norm_H)
+            (inst, _ground(inst), total_time, 1e-3, _norm_H(inst))
             for inst, total_time in ((lz, 1000.0), (grover3, 2000.0))
         ]
         for inst, total_time in (
@@ -206,9 +211,9 @@ class TestEvolveAdaptive:
             (al.random_interpolation(8, seed=1), 200.0),
             (al.random_interpolation(16, seed=1), 50.0),
         ):
-            path = al.track_eigenpath(inst, 1025)
-            shifted, _, norms = _shift_and_measure(inst, path, path.gap)
-            cases.append((shifted, path.states[0], total_time, 1e-2, norms.norm_H))
+            frame = al.zero_frame(inst, 1025)
+            psi0, norm_H = frame.path.states[0], frame.norms_shifted.norm_H
+            cases.append((frame.shifted, psi0, total_time, 1e-2, norm_H))
 
         levels = _logged_levels(monkeypatch)
         for inst, psi0, total_time, disc_tol, norm_H in cases:
@@ -228,7 +233,7 @@ class TestEvolveAdaptive:
         # reach 652,288, the predicted jump d/k < 1e-6 (k = 512) needs 2
         levels = _logged_levels(monkeypatch)
         psi0 = _ground(lz)
-        result = al.evolve_adaptive(lz, psi0, 1000.0, 1e-6)
+        result = al.evolve_adaptive(lz, psi0, 1000.0, 1e-6, norm_H=_norm_H(lz))
         assert result.L_used == 652_288
         assert levels == [1_274, 652_288]
 
@@ -236,20 +241,26 @@ class TestEvolveAdaptive:
         # within the ceiling; failing there, the next doubling exceeds it
         levels.clear()
         with pytest.raises(NonConvergenceError, match="163072"):
-            al.evolve_adaptive(lz, psi0, 1000.0, 1e-6, step_ceiling=100_000)
+            al.evolve_adaptive(
+                lz, psi0, 1000.0, 1e-6, norm_H=_norm_H(lz), step_ceiling=100_000
+            )
         assert levels == [1_274, 81_536]
 
     def test_ceiling_raises(self, lz):
         psi0 = _ground(lz)
         with pytest.raises(NonConvergenceError):
-            al.evolve_adaptive(lz, psi0, 100.0, 1e-13, step_ceiling=4096)
+            al.evolve_adaptive(
+                lz, psi0, 100.0, 1e-13, norm_H=_norm_H(lz), step_ceiling=4096
+            )
 
     def test_first_level_beyond_ceiling_is_infeasible(self, lz, monkeypatch):
         # landau_zener at T = 1000 (||H|| = 1) starts at L = 1,274: a lower
         # ceiling is refused before any level runs, naming T = 1,272 pi / 4
         monkeypatch.setattr(al.evolution, "evolve_discrete", None)
         with pytest.raises(FeasibilityError, match="1274 initial steps") as err:
-            al.evolve_adaptive(lz, _ground(lz), 1000.0, 1e-4, step_ceiling=1_273)
+            al.evolve_adaptive(
+                lz, _ground(lz), 1000.0, 1e-4, norm_H=_norm_H(lz), step_ceiling=1_273
+            )
         assert f"about {1_272 * math.pi / 4.0:.6g}" in str(err.value)
 
     def test_overflowing_initial_step_count_is_infeasible(self, lz, monkeypatch):
@@ -263,18 +274,20 @@ class TestEvolveAdaptive:
 
     def test_tolerance_validation(self, lz):
         with pytest.raises(DomainError):
-            al.evolve_adaptive(lz, _ground(lz), 1.0, 0.0)
+            al.evolve_adaptive(lz, _ground(lz), 1.0, 0.0, norm_H=_norm_H(lz))
         # every level has L >= 2; a zero Hamiltonian needs exactly 2 steps
         zero = al.affine_hamiltonian(np.zeros((2, 2)), np.zeros((2, 2)))
         psi0 = np.array([1.0, 0.0], dtype=complex)
         with pytest.raises(DomainError, match="step_ceiling"):
-            al.evolve_adaptive(zero, psi0, 1.0, 1e-6, step_ceiling=1)
+            al.evolve_adaptive(
+                zero, psi0, 1.0, 1e-6, norm_H=_norm_H(zero), step_ceiling=1
+            )
 
     def test_non_finite_inputs_are_domain_errors(self, lz):
         psi0 = _ground(lz)
         for total_time in (math.inf, math.nan):
             with pytest.raises(DomainError, match="total_time"):
-                al.evolve_adaptive(lz, psi0, total_time, 1e-4)
+                al.evolve_adaptive(lz, psi0, total_time, 1e-4, norm_H=_norm_H(lz))
         for norm_H in (math.nan, math.inf, -1.0):
             with pytest.raises(DomainError, match="norm_H"):
                 al.evolve_adaptive(lz, psi0, 1.0, 1e-4, norm_H=norm_H)

@@ -288,9 +288,8 @@ class TestUncertifiedInstance:
             lambda: al.norm_bundle(inst),
             lambda: al.derivative(inst, 0.5, 1),
             lambda: al.derivative(inst, 0.5, 2),
-            lambda: al.verify(inst, delta=1.0, T_override=0.0, grid_size=65),
+            lambda: al.zero_frame(inst, 65),
             lambda: al.run_proofcheck(inst, L=1024, delta=1.0, total_time=100.0),
-            lambda: al.evolve_adaptive(inst, np.array([1.0, 0.0]), 1.0, 1e-4),
         )
         for call in calls:
             with pytest.raises(DomainError, match="affine_hamiltonian"):

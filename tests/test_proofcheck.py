@@ -21,7 +21,6 @@ from adialab.proofcheck import (
     fold_blocks,
     total_error_vector,
 )
-from adialab.theorem import TheoremInputs, required_time_special
 
 from conftest import per_matrix_norms
 
@@ -46,9 +45,7 @@ def _shifted_context(inst, L, delta=1.0, total_time=None, Delta=None):
         total_time = (8.0 / delta) * L * shifted_norms.norm_H1
         total_time /= (Delta - 0.5) * lam**2
     if total_time is None:
-        total_time = required_time_special(
-            TheoremInputs(delta, shifted_norms, lam, "special")
-        )
+        total_time = al.required_time(delta, shifted_norms, lam, "special")
     cfg = ProofCheckConfig(L, total_time, delta, shifted_norms.norm_H1, lam)
     return path, cfg, shifted, shifted_norms, norms, lam
 
@@ -181,10 +178,10 @@ class TestConfig:
 
     def test_delta_above_sqrt2_rejected(self, lz, monkeypatch):
         # no phase-invariant distance exceeds sqrt(2); run_proofcheck
-        # refuses before the path is tracked
+        # refuses before the frame is built
         with pytest.raises(DomainError, match="sqrt"):
             ProofCheckConfig(1000, 1000.0, 5.0, 1.0, 1.0)
-        monkeypatch.setattr(proofcheck, "track_eigenpath", None)
+        monkeypatch.setattr(proofcheck, "zero_frame", None)
         with pytest.raises(DomainError, match="sqrt"):
             al.run_proofcheck(lz, L=1024, delta=5.0, total_time=100.0)
 
@@ -546,9 +543,7 @@ class TestRunProofcheck:
             for key in ("norm_H", "norm_H1", "norm_H2"):
                 assert got[key] == pytest.approx(getattr(want, key), rel=1e-12, abs=0.0)
             if total_time is None:
-                total_time = required_time_special(
-                    TheoremInputs(delta, want, path.gap, "special")
-                )
+                total_time = al.required_time(delta, want, path.gap, "special")
             assert report.metadata["T"] == pytest.approx(total_time, rel=1e-12)
             cfg = ProofCheckConfig(L, total_time, delta, want.norm_H1, path.gap)
             assert report.metadata["Delta"] == cfg.Delta
@@ -593,8 +588,8 @@ class TestRunProofcheck:
                 al.run_proofcheck(lz, L=1024, delta=1.0, total_time=total_time)
 
     def test_non_finite_inputs_are_domain_errors(self, lz, monkeypatch):
-        # refused up front, before the path is tracked
-        monkeypatch.setattr(proofcheck, "track_eigenpath", None)
+        # refused up front, before the frame is built
+        monkeypatch.setattr(proofcheck, "zero_frame", None)
         for delta, total_time in (
             (math.nan, 100.0),
             (math.inf, 100.0),

@@ -8,13 +8,17 @@ from adialab import hamiltonians
 from adialab.errors import DomainError, FeasibilityError, IntegrityError
 from adialab.hamiltonians import NormBundle
 from adialab.problems import landau_zener_eigenvalue
-from adialab.theorem import TheoremInputs
 
 from conftest import per_matrix_curves, per_matrix_norms
 
 
-def _inputs(delta, h1, h2, lam, case):
-    return TheoremInputs(delta, NormBundle(1.0, h1, h2, 2), lam, case)
+def _required(delta, h1, h2, lam, case):
+    return al.required_time(delta, NormBundle(1.0, h1, h2, 2), lam, case)
+
+
+@pytest.fixture(scope="module")
+def lz_frame(lz):
+    return al.zero_frame(lz)
 
 
 def _assert_bundles_close(got, want, rtol):
@@ -24,25 +28,23 @@ def _assert_bundles_close(got, want, rtol):
 
 class TestRequiredTime:
     def test_zero_derivative_needs_no_time(self):
-        assert al.required_time_general(_inputs(0.1, 0.0, 0.0, 1.0, "general")) == 0.0
-        assert al.required_time_special(_inputs(1.0, 0.0, 0.0, 1.0, "special")) == 0.0
+        assert _required(0.1, 0.0, 0.0, 1.0, "general") == 0.0
+        assert _required(1.0, 0.0, 0.0, 1.0, "special") == 0.0
 
     def test_general_unit_inputs(self):
         # direct substitution: (1e5 / 0.01) * max(1, 1) = 1e7
-        value = al.required_time_general(_inputs(0.1, 1.0, 1.0, 1.0, "general"))
+        value = _required(0.1, 1.0, 1.0, 1.0, "general")
         assert value == pytest.approx(1.0e7)
 
     def test_special_unit_inputs(self):
         # direct substitution with constant 1000 and delta = 1
-        value = al.required_time_special(_inputs(1.0, 1.0, 1.0, 1.0, "special"))
+        value = _required(1.0, 1.0, 1.0, 1.0, "special")
         assert value == pytest.approx(1000.0)
 
     def test_landau_zener_closed_form(self):
         # ||H'|| = sqrt(2), ||H''|| = 0, lambda = sqrt(2), delta = 0.5:
         # (1e5/0.25) * (2 sqrt 2)/4 = 2.828e5
-        value = al.required_time_general(
-            _inputs(0.5, np.sqrt(2.0), 0.0, np.sqrt(2.0), "general")
-        )
+        value = _required(0.5, np.sqrt(2.0), 0.0, np.sqrt(2.0), "general")
         assert value == pytest.approx(4.0e5 * 2.0 * np.sqrt(2.0) / 4.0, rel=1e-12)
 
     def test_constant_ratio_is_100(self):
@@ -52,21 +54,37 @@ class TestRequiredTime:
             h1 = float(rng.uniform(0.0, 3.0))
             h2 = float(rng.uniform(0.0, 3.0))
             lam = float(rng.uniform(0.1, 2.0))
-            general = al.required_time_general(_inputs(delta, h1, h2, lam, "general"))
-            special = al.required_time_special(_inputs(delta, h1, h2, lam, "special"))
+            general = _required(delta, h1, h2, lam, "general")
+            special = _required(delta, h1, h2, lam, "special")
             assert general == pytest.approx(100.0 * special)
 
-    def test_case_mismatch(self):
-        with pytest.raises(DomainError):
-            al.required_time_general(_inputs(0.5, 1.0, 1.0, 1.0, "special"))
+    def test_unknown_case(self):
+        with pytest.raises(DomainError, match="case must be"):
+            _required(0.5, 1.0, 1.0, 1.0, "adiabatic")
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
-            _inputs(0.0, 1.0, 1.0, 1.0, "general")
+            _required(0.0, 1.0, 1.0, 1.0, "general")
         with pytest.raises(DomainError):
-            _inputs(2.0, 1.0, 1.0, 1.0, "general")
+            _required(2.0, 1.0, 1.0, 1.0, "general")
         with pytest.raises(DomainError):
-            _inputs(0.5, 1.0, 1.0, -1.0, "general")
+            _required(0.5, 1.0, 1.0, -1.0, "general")
+
+    def test_frame_picks_the_norms_of_its_case(self, grover2):
+        # H's norms bound the general case and H~'s the special one; they
+        # differ on grover(2), whose ||H~'|| is below ||H'||
+        frame = al.zero_frame(grover2, 257)
+        assert frame.norms.norm_H1 != frame.norms_shifted.norm_H1
+        assert frame.lam == frame.path.gap
+        for delta in (0.5, 1.0):
+            assert frame.required_time(delta) == al.required_time(
+                delta, frame.norms, frame.lam, "general"
+            )
+            assert frame.required_time(delta, "special") == al.required_time(
+                delta, frame.norms_shifted, frame.lam, "special"
+            )
+        with pytest.raises(DomainError, match="case must be"):
+            frame.required_time(1.0, "adiabatic")
 
 
 class TestShift:
@@ -117,22 +135,20 @@ class TestShift:
         al.shift_to_zero_eigenvalue(lz, al.track_eigenpath(lz, 257))
         # verify and run_proofcheck measure an affine instance's norms, and
         # its shifted frame's, without sampling a derivative matrix
-        al.verify(lz, delta=1.0, case="special", T_override=0.0, grid_size=257)
+        al.verify(al.zero_frame(lz, 257), delta=1.0, case="special", T_override=0.0)
         al.run_proofcheck(lz, L=1024, delta=1.0, total_time=100.0)
         assert not calls
 
     def test_shift_of_a_shifted_frame_is_certified(self, lz):
-        # the second shift adds to the record's first, so verify measures
-        # its norms exactly instead of refusing an uncertified frame
+        # the second shift adds to the record's first, so zero_frame
+        # measures its norms exactly instead of refusing an uncertified frame
         shifted = al.shift_to_zero_eigenvalue(lz, al.track_eigenpath(lz, 257))
-        verdict = al.verify(
-            shifted, delta=1.0, case="special", T_override=0.0, grid_size=257
-        )
+        frame = al.zero_frame(shifted, 257)
         twice = al.shift_to_zero_eigenvalue(shifted, al.track_eigenpath(shifted, 257))
         assert twice.affine is not None
-        _assert_bundles_close(verdict.norms, per_matrix_norms(shifted, 257), 1e-12)
+        _assert_bundles_close(frame.norms, per_matrix_norms(shifted, 257), 1e-12)
         want = per_matrix_norms(twice, 257)
-        _assert_bundles_close(verdict.norms_shifted, want, 1e-12)
+        _assert_bundles_close(frame.norms_shifted, want, 1e-12)
 
     def test_foreign_path_is_rejected(self, lz, const_instance):
         # the postcondition: H~ must annihilate the tracked states
@@ -162,7 +178,7 @@ def library_verdicts():
         al.constant((0.0, 2.0)),
     ]
     return [
-        (inst, al.verify(inst, delta=1.0, case="special", T_override=0.0))
+        (inst, al.verify(al.zero_frame(inst), 1.0, case="special", T_override=0.0))
         for inst in instances
     ]
 
@@ -221,67 +237,71 @@ class TestVerifyNorms:
 
         bad = al.TimeDependentHamiltonian(dim=2, evaluator=evaluator)
         with pytest.raises(IntegrityError, match="evaluator output"):
-            al.verify(bad, delta=1.0, T_override=0.0, grid_size=65)
+            al.zero_frame(bad, 65)
 
 
 class TestVerify:
     def test_constant_instance_passes_with_zero_time(self, const_instance):
-        verdict = al.verify(const_instance, delta=0.1)
+        verdict = al.verify(al.zero_frame(const_instance), delta=0.1)
         assert verdict.passed
         assert verdict.T_required == 0.0
         assert verdict.L_used == 0
         assert verdict.distance_phase_invariant < 1e-12
 
-    def test_quench_fails(self, lz):
-        verdict = al.verify(lz, delta=0.5, T_override=0.01)
+    def test_quench_fails(self, lz_frame):
+        verdict = al.verify(lz_frame, delta=0.5, T_override=0.01)
         assert not verdict.passed
         # sudden quench leaves the state near Psi(0); closed form:
         # |<ground(0), ground(1)>| = 1/sqrt(2)
         expected = np.sqrt(2.0 - 2.0 / np.sqrt(2.0))
         assert verdict.distance_phase_invariant == pytest.approx(expected, abs=1e-3)
 
-    def test_feasibility_refusal_reports_maximum(self, lz):
+    def test_feasibility_refusal_reports_maximum(self, lz_frame):
         with pytest.raises(FeasibilityError, match="feasible"):
-            al.verify(lz, delta=0.5, T_override=1e12, step_ceiling=2**20)
+            al.verify(lz_frame, delta=0.5, T_override=1e12, step_ceiling=2**20)
 
-    def test_feasibility_counts_the_even_rounded_step_count(self, lz):
+    def test_feasibility_counts_the_even_rounded_step_count(self, lz_frame):
         # T = 100.03 gives an odd ceil(4 T ||H~|| / pi) = 255, which evolution
         # rounds up to 256: a ceiling of 255 must be refused up front
         total_time = 100.03
-        norm_H = al.verify(lz, delta=0.5, T_override=total_time).norms_shifted.norm_H
+        norm_H = lz_frame.norms_shifted.norm_H
         l_start = math.ceil(4.0 * total_time * norm_H / math.pi)
         assert l_start % 2 == 1
         with pytest.raises(FeasibilityError, match="feasible"):
-            al.verify(lz, delta=0.5, T_override=total_time, step_ceiling=l_start)
-        verdict = al.verify(lz, delta=0.5, T_override=total_time, step_ceiling=l_start + 1)
+            al.verify(lz_frame, delta=0.5, T_override=total_time, step_ceiling=l_start)
+        verdict = al.verify(
+            lz_frame, delta=0.5, T_override=total_time, step_ceiling=l_start + 1
+        )
         assert verdict.L_used == l_start + 1
 
     def test_overflowing_time_is_infeasible(self, lz):
         # 4 T ||H~|| / pi overflows for T = 1e308 (||H~|| = 2)
         with pytest.raises(FeasibilityError, match="largest feasible T"):
-            al.verify(lz, delta=0.5, T_override=1e308, grid_size=65)
+            al.verify(al.zero_frame(lz, 65), delta=0.5, T_override=1e308)
 
-    def test_disc_tol_validation(self, lz, monkeypatch):
-        # refused up front, even where T = 0 evolves nothing
-        monkeypatch.setattr(al.theorem, "track_eigenpath", None)
+    def test_disc_tol_validation(self, lz):
+        # refused even where T = 0 evolves nothing
+        frame = al.zero_frame(lz, 65)
         for disc_tol in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(DomainError, match="disc_tol"):
-                al.verify(lz, delta=0.5, T_override=0.0, disc_tol=disc_tol)
+                al.verify(frame, delta=0.5, T_override=0.0, disc_tol=disc_tol)
 
-    def test_delta_validation(self, lz):
+    def test_delta_validation(self, lz_frame):
         with pytest.raises(DomainError):
-            al.verify(lz, delta=0.0)
+            al.verify(lz_frame, delta=0.0)
         with pytest.raises(DomainError):
-            al.verify(lz, delta=1.5)
+            al.verify(lz_frame, delta=1.5)
 
     def test_time_validation(self, lz):
+        frame = al.zero_frame(lz, 65)
         for total_time in (math.nan, math.inf, -math.inf, -1.0):
             with pytest.raises(DomainError, match="T_override"):
-                al.verify(lz, delta=0.5, T_override=total_time, grid_size=65)
+                al.verify(frame, delta=0.5, T_override=total_time)
 
     def test_verdict_serialization_roundtrip(self, lz):
-        verdict = al.verify(lz, delta=0.5, T_override=1.0, grid_size=257)
+        verdict = al.verify(al.zero_frame(lz, 257), delta=0.5, T_override=1.0)
         payload = verdict.to_dict()
+        assert payload["grid_size"] == 257
         assert payload["passed"] == verdict.passed
         assert payload["norms"]["norm_H1"] == pytest.approx(np.sqrt(2.0))
         assert payload["instance"]["name"] == "landau_zener"
@@ -296,11 +316,11 @@ class TestMonotonicity:
     def test_distance_nonincreasing_in_time(self, kind, case):
         # sampled at T*/100, T*/10, T*; noise tolerance 0.02
         inst = al.landau_zener() if kind == "landau_zener" else al.grover(2)
-        base = al.verify(inst, delta=1.0, case=case, T_override=1.0, grid_size=257)
-        t_star = base.T_required
+        t_star = al.zero_frame(inst, 257).required_time(1.0, case)
+        frame = al.zero_frame(inst)
         distances = []
         for t in (t_star / 100.0, t_star / 10.0, t_star):
-            verdict = al.verify(inst, delta=1.0, case=case, T_override=t)
+            verdict = al.verify(frame, delta=1.0, case=case, T_override=t)
             distances.append(verdict.distance_phase_invariant)
         assert distances[1] <= distances[0] + 0.02
         assert distances[2] <= distances[1] + 0.02

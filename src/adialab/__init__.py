@@ -35,10 +35,8 @@ from .hamiltonians import (
     NormBundle,
     TimeDependentHamiltonian,
     derivative,
-    eval_at,
     eval_batch,
     norm_bundle,
-    operator_norm,
 )
 from .problems import (
     InstanceSpec,

@@ -17,11 +17,9 @@ boundaries reproduces the unsplit product tree exactly.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
-
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 # Second-order finite-difference stencils: (offset, weight) pairs, summed in
 # the listed order and divided by 2h (first derivative) or h^2 (second).
@@ -148,23 +146,3 @@ def grid_derivative(values: np.ndarray, h: float, order: int) -> np.ndarray:
         out[first:stop] = total / (2 * h if order == 1 else h**2)
     return out
 
-
-def golden_section_max(
-    f: Callable[[float], float], a: float, b: float, iters: int = 48
-) -> tuple[float, float]:
-    """Golden-section search for a local maximum of f on [a, b]."""
-    if b <= a:
-        return a, f(a)
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -269,17 +270,24 @@ def cmd_simulate(args) -> int:
     total_time = float(_expect(data, "T", _NUMBER))
     steps = _expect(data, "L", int)
     stride = _expect(data, "snapshot_stride", int, max(1, steps // 100))
-    grid_size = _expect(data, "grid_size", int, DEFAULT_GRID)
+    cfg = EvolutionConfig(total_time, steps, snapshot_stride=stride)
+    # the snapshots (multiples of the stride, and L) lie at s = step/L, all
+    # of them points of a grid of N + 1 when L / gcd(L, stride) divides N
+    period = steps // math.gcd(steps, stride)
+    fitting = -(-(DEFAULT_GRID - 1) // period) * period
+    grid_size = _expect(data, "grid_size", int, fitting + 1)
+    cells = grid_size - 1
+    if cells % period:
+        fits = -(-max(cells, 1) // period) * period + 1
+        raise ConfigError(f"grid_size {grid_size} misses a snapshot; {fits} holds all")
 
     path = track_eigenpath(h, grid_size)
-    cfg = EvolutionConfig(total_time, steps, snapshot_stride=stride)
     result = evolve_discrete(h, path.states[0], cfg)
     rows = []
     for step, state in result.snapshots:
-        s = step / steps
-        idx = int(round(s * (grid_size - 1)))
+        idx = step * cells // steps
         dist = distance_phase_invariant(state, path.states[idx])
-        rows.append(f"{step},{s!r},{dist!r},{float(path.gammas[idx])!r}")
+        rows.append(f"{step},{step / steps!r},{dist!r},{float(path.gammas[idx])!r}")
     _write(args.out, _csv("step,s,distance_to_path,gamma", rows))
     return EXIT_PASS
 

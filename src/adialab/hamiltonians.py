@@ -18,12 +18,12 @@ stored as their Hermitian part, so every sample, whatever the real shift
 c, is exactly Hermitian in floating point and is not checked again.
 With c = 0 the norms are exact: s -> ||H(s)|| is convex, so sup ||H|| =
 max(||H(0)||, ||H(1)||), ||H'|| = ||D|| with D = H1 - H0, and ||H''|| = 0.
-For H(s) - c(s) I, H'(s) = D - c'(s) I and H''(s) = -c''(s) I, so
-||H'(s)|| = max(lambda_max(D) - c'(s), c'(s) - lambda_min(D)) and
-||H''(s)|| = |c''(s)|: scalar functions of s, whose sup is taken on a
-uniform grid (default 1025 points) and refined by one golden-section
-search around the grid argmax, without forming a matrix.  Only
-sup ||H - cI|| needs a spectrum: H's on the grid, translated by c.
+A shift c is a cubic spline, and H'(s) = D - c'(s) I, H''(s) = -c''(s) I,
+so ||H'(s)|| = max(lambda_max(D) - c'(s), c'(s) - lambda_min(D)) and
+||H''(s)|| = |c''(s)|.  On each spline piece c'' is linear and c' is
+quadratic, so both sups are read off the pieces' coefficients in closed
+form.  sup ||H - cI|| is bounded per cell from the spectrum at the knots:
+H - cI is Lipschitz with constant sup ||D - c'I||.
 """
 
 from __future__ import annotations
@@ -32,13 +32,9 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
-from ._linalg import (
-    chunk_ranges,
-    dagger,
-    golden_section_max,
-    opnorm_hermitian,
-)
+from ._linalg import chunk_ranges, dagger, opnorm_hermitian
 from .errors import DomainError, IntegrityError, NumericalError
 
 HERMITICITY_RTOL = 1e-12
@@ -83,11 +79,6 @@ class HermitianOperator:
         return self.entries.shape[0]
 
 
-def operator_norm(a: HermitianOperator) -> float:
-    """Largest absolute eigenvalue of a Hermitian operator."""
-    return float(opnorm_hermitian(a.entries))
-
-
 @dataclass(frozen=True, eq=False)
 class AffineRecord:
     """The data of H(s) = (1-s) h0 + s h1 - c(s) I, and its evaluator.
@@ -95,14 +86,13 @@ class AffineRecord:
     Both endpoints are certified Hermitian at construction (``IntegrityError``
     otherwise) and stored as their Hermitian part (A + A^dagger)/2, which
     leaves an exactly Hermitian endpoint bit-identical.  ``diff`` is
-    D = h1 - h0.  ``shift``, when given, is (c, c', c'') as functions of s
-    that accept arrays.  Calling the record on an s array returns H there,
-    shape (n, dim, dim).
+    D = h1 - h0.  ``shift``, when given, is the cubic spline c.  Calling the
+    record on an s array returns H there, shape (n, dim, dim).
     """
 
     h0: np.ndarray
     h1: np.ndarray
-    shift: tuple[Callable, Callable, Callable] | None = None
+    shift: CubicSpline | None = None
     diff: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -122,7 +112,7 @@ class AffineRecord:
         s_col = np.asarray(s_values, dtype=float)[:, None, None]
         mats = (1.0 - s_col) * self.h0 + s_col * self.h1
         if self.shift is not None:
-            shifts = np.asarray(self.shift[0](s_values), dtype=float)
+            shifts = self.shift(s_values)
             eye = np.eye(self.h0.shape[0], dtype=complex)
             mats -= shifts[:, None, None] * eye  # in place: no third batch alive
         return mats
@@ -169,22 +159,18 @@ def affine_hamiltonian(
 
 
 def _shift_by(
-    h: TimeDependentHamiltonian,
-    shift: tuple[Callable, Callable, Callable],
-    name: str,
-    params: dict,
+    h: TimeDependentHamiltonian, shift: CubicSpline, name: str, params: dict
 ) -> TimeDependentHamiltonian:
-    """H(s) - c(s) I for shift = (c, c', c''), functions of s arrays.
+    """H(s) - c(s) I for the cubic spline c = ``shift``.
 
-    The shifted frame is the instance's record with the shift added to any
-    it already carries.  An instance without a record raises
-    ``DomainError``: its frame would have no norms to bound with.
+    The shifted frame is the instance's record carrying the spline.  An
+    instance without a record raises ``DomainError``, since its frame would
+    have no norms to bound with, and so does a frame that is shifted
+    already: shift the instance it was built from.
     """
     record = _record(h, "the zero-eigenvalue shift")
     if record.shift is not None:
-        shift = tuple(
-            lambda s, a=a, b=b: a(s) + b(s) for a, b in zip(record.shift, shift)
-        )
+        raise DomainError(f"{h.name or 'this instance'} is a shifted frame already")
     return TimeDependentHamiltonian(h.dim, replace(record, shift=shift), name, params)
 
 
@@ -212,11 +198,6 @@ def _record(h: TimeDependentHamiltonian, what: str) -> AffineRecord:
             f"shifted frame); {h.name or 'this instance'} has no certified norms"
         )
     return h.affine
-
-
-def eval_at(h: TimeDependentHamiltonian, s: float) -> HermitianOperator:
-    """Evaluate H(s), certifying the result Hermitian."""
-    return HermitianOperator(eval_batch(h, np.array([s], dtype=float))[0])
 
 
 def eval_batch(h: TimeDependentHamiltonian, s_values: np.ndarray) -> np.ndarray:
@@ -247,19 +228,20 @@ def derivative(
     if order not in (1, 2):
         raise DomainError(f"derivative order must be 1 or 2, got {order}")
     record = _record(h, "derivative")
-    rate = 0.0 if record.shift is None else float(record.shift[order](s))
+    rate = 0.0 if record.shift is None else float(record.shift.derivative(order)(s))
     mat = (record.diff if order == 1 else 0.0 * record.diff) - rate * np.eye(h.dim)
     return HermitianOperator(mat)
 
 
 @dataclass(frozen=True)
 class NormBundle:
-    """Suprema of ||H||, ||H'||, ||H''|| over s in [0, 1].
+    """Upper bounds on ||H||, ||H'||, ||H''|| over s in [0, 1].
 
-    Exact for an unshifted affine instance; for its shifted frame, the
-    grid suprema of the scalar norm curves and of the translated spectrum,
-    each refined around its argmax.  ``grid_size`` is the grid the
-    measurement used or, when exact, would have used.
+    Exact for an unshifted affine instance.  For its shifted frame,
+    ||H'|| and ||H''|| are the closed-form sups over the spline's pieces
+    and ||H|| a per-cell bound from the knots.  ``grid_size`` is the grid
+    the measurement used (a shifted frame's knots) or, when exact, would
+    have used.
     """
 
     norm_H: float
@@ -285,67 +267,60 @@ class NormBundle:
         }
 
 
-def _refined_max(
-    values: np.ndarray, grid: np.ndarray, point_fn: Callable[[float], float]
-) -> float:
-    """Grid max plus one golden-section refinement around the argmax."""
-    i = int(np.argmax(values))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    best = float(values[i])
-    if hi > lo:
-        _, refined = golden_section_max(point_fn, float(lo), float(hi))
-        best = max(best, float(refined))
-    return best
-
-
 def norm_bundle(
     h: TimeDependentHamiltonian,
-    grid_size: int = DEFAULT_NORM_GRID,
+    grid_size: int | None = None,
     *,
     spectrum: np.ndarray | None = None,
 ) -> NormBundle:
-    """Measure the sup norms of H, H' and H'' over s in [0, 1].
+    """Bound the sup norms of H, H' and H'' over s in [0, 1].
 
-    Takes the route of the module docstring, on a uniform grid of
-    ``grid_size`` points for a shifted frame.  ``spectrum``, when given, is
-    H's eigenvalues on that grid, shape (grid_size, dim), and H is not
-    sampled; the unshifted route needs no spectrum.  Raises ``DomainError``
-    for an instance without an ``AffineRecord``.
+    Takes the route of the module docstring.  A shifted frame is measured
+    on its spline's knots, which is its default ``grid_size``; any other
+    raises ``DomainError``.  ``spectrum``, when given, is H's eigenvalues on
+    those knots, shape (grid_size, dim), and H is not sampled.  The
+    unshifted route needs no spectrum, and its ``grid_size`` (default
+    ``DEFAULT_NORM_GRID``) is only recorded.  Raises ``DomainError`` for an
+    instance without an ``AffineRecord``.
     """
+    record = _record(h, "norm_bundle")
+    shift = record.shift
+    if grid_size is None:
+        grid_size = DEFAULT_NORM_GRID if shift is None else shift.x.size
     if grid_size < 2:
         raise DomainError("grid_size must be at least 2")
+    if shift is not None and grid_size != shift.x.size:
+        raise DomainError(f"a shifted frame takes its {shift.x.size} spline knots")
     if spectrum is not None and np.shape(spectrum) != (grid_size, h.dim):
         raise DomainError(f"spectrum must have shape {(grid_size, h.dim)}")
-    record = _record(h, "norm_bundle")
-    if record.shift is None:
+    if shift is None:
         ends = opnorm_hermitian(np.stack([record.h0, record.h1]))
         norm_d = np.abs(np.linalg.eigvalsh(record.diff)).max()
         return NormBundle(float(ends.max()), float(norm_d), 0.0, grid_size)
 
-    grid = np.linspace(0.0, 1.0, grid_size)
+    knots = shift.x
     if spectrum is None:
         spectrum = np.empty((grid_size, h.dim))
         for lo, hi in chunk_ranges(0, grid_size, h.dim):
             # one batch of matrices alive at a time
-            spectrum[lo:hi] = np.linalg.eigvalsh(eval_batch(h, grid[lo:hi]))
+            spectrum[lo:hi] = np.linalg.eigvalsh(eval_batch(h, knots[lo:hi]))
     d_min, d_max = np.linalg.eigvalsh(record.diff)[[0, -1]]
-    _, dc, d2c = record.shift
-
-    def h_fn(s):
-        return operator_norm(eval_at(h, s))
-
-    def h1_fn(s):
-        slope = dc(s)
-        return np.maximum(d_max - slope, slope - d_min)
-
-    def h2_fn(s):
-        return np.abs(d2c(s))
-
-    curves = [np.abs(spectrum).max(axis=1), h1_fn(grid), h2_fn(grid)]
-    point_fns = (h_fn, h1_fn, h2_fn)
-    out = [_refined_max(c, grid, fn) for c, fn in zip(curves, point_fns)]
-    return NormBundle(out[0], out[1], out[2], grid_size)
+    # piece j is c = a t^3 + b t^2 + e t + f for t in [0, w_j]
+    (a, b, e, _), w = shift.c, np.diff(knots)
+    # c' = 3a t^2 + 2b t + e peaks at a piece end, or at t = -b/(3a) where
+    # c' = e - b^2/(3a) when that lies inside the piece (never when a = 0)
+    inside = (np.sign(a) == -np.sign(b)) & (np.abs(b) < 3.0 * np.abs(a) * w)
+    drop = np.divide(b * b, 3.0 * a, out=np.zeros_like(a), where=inside)
+    right = e + 2.0 * b * w + 3.0 * a * (w * w)
+    slopes = np.concatenate([e, right, (e - drop)[inside]])
+    norm_h1 = max(d_max - slopes.min(), slopes.max() - d_min)
+    # c'' = 6a t + 2b is linear, so |c''| peaks at a piece end
+    norm_h2 = np.abs(np.concatenate([2.0 * b, 2.0 * b + 6.0 * a * w])).max()
+    # ||H - cI|| is Lipschitz with constant norm_h1: on a cell of width w it
+    # stays below the mean of its knot values plus w * norm_h1 / 2
+    knot_norms = np.abs(spectrum).max(axis=1)
+    norm_h = (0.5 * (knot_norms[:-1] + knot_norms[1:] + w * norm_h1)).max()
+    return NormBundle(float(norm_h), float(norm_h1), float(norm_h2), grid_size)
 
 
 __all__ = [
@@ -354,10 +329,8 @@ __all__ = [
     "TimeDependentHamiltonian",
     "NormBundle",
     "affine_hamiltonian",
-    "eval_at",
     "eval_batch",
     "derivative",
-    "operator_norm",
     "norm_bundle",
     "DEFAULT_NORM_GRID",
     "HERMITICITY_RTOL",

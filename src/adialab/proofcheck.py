@@ -565,6 +565,8 @@ def run_proofcheck(
     if not all(0.0 < x < math.inf for x in times):
         raise DomainError(f"need positive finite delta and T: {delta=}, {total_time=}")
     _check_delta(delta)
+    if k_max is not None and k_max < 1:
+        raise DomainError(f"k_max must be at least 1, got {k_max}")
     if L > TOTAL_SUM_MAX_L or h.dim > TOTAL_SUM_MAX_DIM:
         raise FeasibilityError(
             f"proofcheck limited to L <= {TOTAL_SUM_MAX_L} at dim <= "

@@ -102,6 +102,8 @@ def track_eigenpath(
                 f"selector vector has shape {match_vector.shape}, "
                 f"expected ({h.dim},)"
             )
+        if not (np.isfinite(match_vector).all() and match_vector.any()):
+            raise DomainError("selector vector must be finite and nonzero")
 
     grid = np.linspace(0.0, 1.0, grid_size)
     dim = h.dim

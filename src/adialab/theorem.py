@@ -92,18 +92,16 @@ def shift_to_zero_eigenvalue(
 ) -> TimeDependentHamiltonian:
     """Subtract the tracked eigenvalue: H~(s) = H(s) - gamma(s) I.
 
-    gamma between grid points is interpolated by a cubic spline (a C^2
-    interpolant keeps the ||H~''|| estimate stable).  H~'s record carries
-    the spline and its derivatives, from which H~' and H~'' follow; an
-    instance without an ``AffineRecord`` raises ``DomainError``.  The
-    tracked states must be null vectors of H~ at every grid point
-    (``IntegrityError`` otherwise).
+    gamma between grid points is the cubic spline through the path's
+    gammas (a C^2 interpolant, so H~'' exists).  H~'s record carries the
+    spline, from whose pieces H~' and H~'' follow.  An instance without an
+    ``AffineRecord``, or a frame that is shifted already, raises
+    ``DomainError``.  The tracked states must be null vectors of H~ at
+    every grid point (``IntegrityError`` otherwise).
     """
-    spline = CubicSpline(path.grid, path.gammas)
-    rules = (spline, spline.derivative(1), spline.derivative(2))
     name = (h.name + "_shifted") if h.name else "shifted"
     params = {**h.params, "shifted_by": "tracked_eigenvalue"}
-    shifted = _shift_by(h, rules, name, params)
+    shifted = _shift_by(h, CubicSpline(path.grid, path.gammas), name, params)
     _check_null_states(shifted, path)
     return shifted
 
@@ -139,21 +137,20 @@ def zero_frame(
     norms of H and H~ on the path's grid.
 
     Both bundles come from ``norm_bundle``, which raises ``DomainError``
-    for an instance without an ``AffineRecord``.  H's are exact, and H~'s
-    are sups of scalar curves in gamma' and gamma'', apart from sup ||H~||:
-    subtracting a real scalar times I only translates a spectrum, so H~'s
-    grid spectrum is the tracked path's minus gamma.  No derivative matrix
-    is formed.  Postconditions: the tracked states are null vectors of H~
-    at every path grid point, and the shifted norms obey ||H~'|| <= 2||H'||
-    and ||H~''|| <= 2||H''|| + 4||H'||^2/lambda within 5% slack.
+    for an instance without an ``AffineRecord``; a shifted frame is refused
+    by ``shift_to_zero_eigenvalue``.  H's are exact.  H~'s ||H~'|| and
+    ||H~''|| are closed-form sups over the pieces of the spline gamma, and
+    ||H~|| a per-cell bound from its spectrum at the grid points:
+    subtracting a real scalar times I only translates a spectrum, so that
+    is the tracked path's minus gamma.  No derivative matrix is formed.
+    Postconditions: the tracked states are null vectors of H~ at every
+    path grid point, and the shifted norms obey ||H~'|| <= 2||H'|| and
+    ||H~''|| <= 2||H''|| + 4||H'||^2/lambda within 5% slack.
     """
     path = track_eigenpath(h, grid_size, selector)
-    base_norms = norm_bundle(h, path.npoints, spectrum=path.eigenvalues)
     shifted = shift_to_zero_eigenvalue(h, path)
-    gammas = shifted.affine.shift[0](path.grid)
-    if h.affine.shift is not None:
-        # H is a shifted frame already: its record's shift is part of H~'s
-        gammas = gammas - h.affine.shift[0](path.grid)
+    base_norms = norm_bundle(h, path.npoints, spectrum=path.eigenvalues)
+    gammas = shifted.affine.shift(path.grid)
     shifted_norms = norm_bundle(
         shifted, path.npoints, spectrum=path.eigenvalues - gammas[:, None]
     )

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import adialab as al
-from adialab._linalg import golden_section_max
 from adialab.hamiltonians import eval_batch
 from adialab.problems import PAULI_X, PAULI_Z
 
@@ -66,29 +65,36 @@ def svd_norm(mats: np.ndarray) -> np.ndarray:
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
 
-def per_matrix_curves(h: al.TimeDependentHamiltonian, grid: np.ndarray):
-    """||H(s)||, ||H'(s)|| and ||H''(s)|| on ``grid``, matrix by matrix:
-    H from eval_batch, H' and H'' from derivative point by point."""
-    derivatives = (
-        svd_norm(np.array([al.derivative(h, float(s), order).entries for s in grid]))
-        for order in (1, 2)
-    )
-    return (svd_norm(eval_batch(h, grid)), *derivatives)
+def dense_sample(h: al.TimeDependentHamiltonian, per_cell: int = 64) -> np.ndarray:
+    """``per_cell`` points in each cell of a shifted frame's spline, its
+    knots included."""
+    knots = h.affine.shift.x
+    offsets = np.diff(knots)[:, None] * np.arange(per_cell) / per_cell
+    return np.append((knots[:-1, None] + offsets).ravel(), knots[-1])
 
 
-def per_matrix_norms(h: al.TimeDependentHamiltonian, grid_size: int) -> al.NormBundle:
-    """Oracle for norm_bundle: the grid sups of ``per_matrix_curves`` on a
-    uniform grid, each refined once by golden section around its argmax."""
-    grid = np.linspace(0.0, 1.0, grid_size)
-    point_fns = (
-        lambda s: svd_norm(al.eval_at(h, s).entries),
-        lambda s: svd_norm(al.derivative(h, s, 1).entries),
-        lambda s: svd_norm(al.derivative(h, s, 2).entries),
+def dense_derivative_norms(h: al.TimeDependentHamiltonian, per_cell: int = 64):
+    """Oracle for a shifted frame's ||H~'|| and ||H~''||: the largest SVD
+    norms of D - c'(s) I and c''(s) I over ``dense_sample``, with c' and c''
+    from the spline.  Both norms are convex in the scalar, so the largest
+    is at the sample's smallest or largest c' (c''), and only those
+    matrices are formed."""
+    s, spline, eye = dense_sample(h, per_cell), h.affine.shift, np.eye(h.dim)
+    slope, curvature = (
+        values[[values.argmin(), values.argmax()], None, None]
+        for values in (spline(s, 1), spline(s, 2))
     )
-    sups = []
-    for curve, point_fn in zip(per_matrix_curves(h, grid), point_fns):
-        i = int(np.argmax(curve))
-        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid_size - 1)]
-        _, refined = golden_section_max(point_fn, float(lo), float(hi))
-        sups.append(max(float(curve[i]), float(refined)))
-    return al.NormBundle(*sups, grid_size)
+    return (
+        float(svd_norm(h.affine.diff - slope * eye).max()),
+        float(svd_norm(curvature * eye).max()),
+    )
+
+
+def dense_norm(h: al.TimeDependentHamiltonian, per_cell: int = 64) -> float:
+    """Oracle for a shifted frame's ||H~||: the largest SVD norm of
+    H~(s) from eval_batch over ``dense_sample``."""
+    s = dense_sample(h, per_cell)
+    return max(
+        float(svd_norm(eval_batch(h, s[lo : lo + 4096])).max())
+        for lo in range(0, s.size, 4096)
+    )

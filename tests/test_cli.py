@@ -5,7 +5,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from adialab import cli, landau_zener, theorem, verify, zero_frame
+from adialab import cli, landau_zener, proofcheck, theorem, verify, zero_frame
 from adialab.problems import InstanceSpec
 from test_proofcheck import (
     BLOCK_LABELS,
@@ -124,6 +124,17 @@ def test_proof_check_config_errors(tmp_path, capsys, extra, message):
     assert message in err
 
 
+@pytest.mark.parametrize("k_max", [-5, 0])
+def test_proof_check_refuses_k_max_below_one(tmp_path, capsys, monkeypatch, k_max):
+    # refused up front, before the frame is built
+    monkeypatch.setattr(proofcheck, "zero_frame", None)
+    config = {"instance": LZ, "delta": 1, "L": 512, "T": 100.0, "k_max": k_max}
+    code, out, err = _run(tmp_path, capsys, "proof-check", config)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert f"k_max must be at least 1, got {k_max}" in err
+
+
 def test_proof_check_one_step_last_block(tmp_path, capsys):
     # Delta = 64 divides L - 1, so the last block starts at k = L
     config = {"instance": LZ, "delta": 0.5, "L": ONE_STEP_BLOCK_L,
@@ -184,6 +195,29 @@ def test_simulate_csv_snapshots(tmp_path, capsys):
     assert header == "step,s,distance_to_path,gamma"
     assert [int(row[0]) for row in rows] == [0, 50, 100, 150, 200]
     assert rows[0][2] == 0.0 and rows[0][3] == pytest.approx(-1.0)
+
+
+def test_simulate_compares_each_snapshot_with_the_path_at_its_s(tmp_path, capsys):
+    # L = 1000 with stride 10: the default grid of 1,025 points holds no
+    # s = 0.23, so the path is tracked on 1,101 points, which hold every
+    # snapshot, and gives the rows a grid of 1,001 points gives
+    config = {"instance": LZ, "T": 200.0, "L": 1000, "snapshot_stride": 10}
+    code, out, _ = _run(tmp_path, capsys, "simulate", config)
+    assert code == cli.EXIT_PASS
+    _, rows = _csv_rows(out)
+    code, out, _ = _run(tmp_path, capsys, "simulate", {**config, "grid_size": 1001})
+    assert code == cli.EXIT_PASS
+    _, fitted = _csv_rows(out)
+    assert len(rows) == len(fitted) == 101
+    for row, want in zip(rows, fitted):
+        assert row[:2] == want[:2]
+        assert row[2:] == pytest.approx(want[2:], rel=0.0, abs=1e-12)
+    assert rows[23][0] == 230
+    # a grid that misses a snapshot is refused, naming one that holds them
+    code, out, err = _run(tmp_path, capsys, "simulate", {**config, "grid_size": 1025})
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert "grid_size 1025 misses a snapshot; 1101 holds all" in err
 
 
 def test_simulate_has_no_sign_convention_field(tmp_path, capsys):

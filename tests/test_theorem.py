@@ -9,7 +9,7 @@ from adialab.errors import DomainError, FeasibilityError, IntegrityError
 from adialab.hamiltonians import NormBundle
 from adialab.problems import landau_zener_eigenvalue
 
-from conftest import per_matrix_curves, per_matrix_norms
+from conftest import dense_derivative_norms, dense_norm, svd_norm
 
 
 def _required(delta, h1, h2, lam, case):
@@ -94,7 +94,7 @@ class TestShift:
         shifted = al.shift_to_zero_eigenvalue(inst, path)
         for s in (0.0, 0.5, 1.0):
             assert np.allclose(
-                al.eval_at(shifted, s).entries, al.eval_at(inst, s).entries, atol=1e-12
+                al.eval_batch(shifted, [s])[0], al.eval_batch(inst, [s])[0], atol=1e-12
             )
 
     def test_constant_diag23(self):
@@ -102,14 +102,14 @@ class TestShift:
         path = al.track_eigenpath(inst, 65)
         shifted = al.shift_to_zero_eigenvalue(inst, path)
         assert np.allclose(
-            al.eval_at(shifted, 0.3).entries, np.diag([0.0, 1.0]), atol=1e-12
+            al.eval_batch(shifted, [0.3])[0], np.diag([0.0, 1.0]), atol=1e-12
         )
 
     def test_landau_zener_spectrum(self, lz):
         path = al.track_eigenpath(lz, 1025)
         shifted = al.shift_to_zero_eigenvalue(lz, path)
         for s in (0.0, 0.25, 0.5, 1.0):
-            w = np.linalg.eigvalsh(al.eval_at(shifted, s).entries)
+            w = np.linalg.eigvalsh(al.eval_batch(shifted, [s])[0])
             assert w[0] == pytest.approx(0.0, abs=1e-9)
             assert w[1] == pytest.approx(-2.0 * landau_zener_eigenvalue(s), abs=1e-9)
 
@@ -139,16 +139,18 @@ class TestShift:
         al.run_proofcheck(lz, L=1024, delta=1.0, total_time=100.0)
         assert not calls
 
-    def test_shift_of_a_shifted_frame_is_certified(self, lz):
-        # the second shift adds to the record's first, so zero_frame
-        # measures its norms exactly instead of refusing an uncertified frame
+    def test_shift_of_a_shifted_frame_is_refused(self, lz):
+        # a frame's record holds one spline; the instance it was built from
+        # is the one to shift
         shifted = al.shift_to_zero_eigenvalue(lz, al.track_eigenpath(lz, 257))
-        frame = al.zero_frame(shifted, 257)
-        twice = al.shift_to_zero_eigenvalue(shifted, al.track_eigenpath(shifted, 257))
-        assert twice.affine is not None
-        _assert_bundles_close(frame.norms, per_matrix_norms(shifted, 257), 1e-12)
-        want = per_matrix_norms(twice, 257)
-        _assert_bundles_close(frame.norms_shifted, want, 1e-12)
+        calls = (
+            lambda: al.shift_to_zero_eigenvalue(shifted, al.track_eigenpath(lz, 257)),
+            lambda: al.zero_frame(shifted, 257),
+            lambda: hamiltonians._shift_by(shifted, shifted.affine.shift, "twice", {}),
+        )
+        for call in calls:
+            with pytest.raises(DomainError, match="shifted frame already"):
+                call()
 
     def test_foreign_path_is_rejected(self, lz, const_instance):
         # the postcondition: H~ must annihilate the tracked states
@@ -183,44 +185,52 @@ def library_verdicts():
     ]
 
 
+ORACLE_INSTANCES = (
+    al.landau_zener(),
+    *(al.grover(n) for n in range(2, 6)),
+    *(al.random_interpolation(dim, seed=1) for dim in (8, 16, 32)),
+)
+
+
 class TestVerifyNorms:
-    """verify's norms of an affine instance and of its shifted frame are
-    exact; ``per_matrix_norms``, which forms every matrix of H, H' and H''
-    on the grid and takes its norm, is the oracle."""
+    """verify's norms of an affine instance are exact, and those of its
+    shifted frame are upper bounds; SVD norms of H, H' and H'' matrices,
+    densely sampled for the shifted frame, are the oracle."""
 
     def test_analytic_instances_match_per_matrix_oracle(self, library_verdicts):
         for inst, verdict in library_verdicts:
-            path = al.track_eigenpath(inst, 1025)
-            shifted = al.shift_to_zero_eigenvalue(inst, path)
-            rules = shifted.affine.shift
-            _assert_bundles_close(verdict.norms, per_matrix_norms(inst, 1025), 1e-12)
-            _assert_bundles_close(
-                verdict.norms_shifted, per_matrix_norms(shifted, 1025), 1e-12
-            )
-            # the grid values too, which the refinement can mask in a bundle:
-            # H's spectrum translated by gamma, and the scalar curves
-            # max(lambda_max(D) - gamma', gamma' - lambda_min(D)) and |gamma''|
-            d_min, d_max = np.linalg.eigvalsh(inst.affine.diff)[[0, -1]]
-            slope = rules[1](path.grid)
-            curves = (
-                np.abs(path.eigenvalues - rules[0](path.grid)[:, None]).max(axis=1),
-                np.maximum(d_max - slope, slope - d_min),
-                np.abs(rules[2](path.grid)),
-            )
-            for got, want in zip(curves, per_matrix_curves(shifted, path.grid)):
-                assert np.abs(got - want).max() <= 1e-12 * want.max(), inst.name
+            record = inst.affine
+            ends = svd_norm(np.stack([record.h0, record.h1])).max()
+            want = NormBundle(ends, svd_norm(record.diff), 0.0, 2)
+            _assert_bundles_close(verdict.norms, want, 1e-12)
+        # ||H~'|| and ||H~''|| bound a sample of 64 points per spline cell
+        # and lie within 1e-9 of it; ||H~|| bounds its own sample from
+        # above by at most half a cell's Lipschitz growth.  That sample
+        # takes an SVD per point, so it runs at 257 points for d <= 16, and
+        # at every grid for landau_zener
+        for inst in ORACLE_INSTANCES:
+            for grid_size in (257, 1025, 4097):
+                frame = al.zero_frame(inst, grid_size)
+                got, shifted = frame.norms_shifted, frame.shifted
+                for norm, want in zip(
+                    (got.norm_H1, got.norm_H2), dense_derivative_norms(shifted)
+                ):
+                    assert want * (1.0 - 1e-12) <= norm <= want * (1.0 + 1e-9)
+                if (grid_size == 257 and inst.dim <= 16) or inst.dim == 2:
+                    want = dense_norm(shifted)
+                    slack = got.norm_H1 / (grid_size - 1) / 2.0
+                    assert want <= got.norm_H <= want + slack, (inst.name, grid_size)
 
-    def test_off_grid_maximum_is_refined(self, lz):
+    def test_norm_grid_is_the_spline_knots(self, lz):
         # |gamma''| of landau_zener peaks at s = 1/2, a knot of the spline
-        # tracked at 1025 points but not a point of a 1024-point norm grid:
-        # the exact route's refinement must find it, as the oracle's does
+        # tracked at 1025 points: the closed form reads it there, and no
+        # other grid is taken for the frame
         path = al.track_eigenpath(lz, 1025)
         shifted = al.shift_to_zero_eigenvalue(lz, path)
-        rules = shifted.affine.shift
-        got = al.norm_bundle(shifted, 1024)
-        _assert_bundles_close(got, per_matrix_norms(shifted, 1024), 1e-12)
-        grid = np.linspace(0.0, 1.0, 1024)
-        assert got.norm_H2 > np.abs(rules[2](grid)).max() * (1.0 + 1e-9)
+        got = al.norm_bundle(shifted)
+        assert got.norm_H2 == np.abs(shifted.affine.shift(0.5, 2))
+        with pytest.raises(DomainError, match="1025 spline knots"):
+            al.norm_bundle(shifted, 1024)
 
     def test_shifted_derivative_norm_within_spread(self, library_verdicts):
         # Hellmann-Feynman: gamma' = <psi|D|psi> lies in [lambda_min(D),

@@ -196,6 +196,7 @@ def cmd_sweep(args) -> int:
                 {
                     "T": v.T_used,
                     "L_used": v.L_used,
+                    "evolved_dim": v.evolved_dim,
                     "dist_phase_inv": v.distance_phase_invariant,
                     "dist_gauge": v.distance_gauge_fixed,
                 }
@@ -205,11 +206,11 @@ def cmd_sweep(args) -> int:
         _write(args.out, _dump_json(payload))
     else:
         rows = [
-            f"{v.T_used!r},{v.L_used},{v.distance_phase_invariant!r},"
-            f"{v.distance_gauge_fixed!r}"
+            f"{v.T_used!r},{v.L_used},{v.evolved_dim},"
+            f"{v.distance_phase_invariant!r},{v.distance_gauge_fixed!r}"
             for v in verdicts
         ]
-        _write(args.out, _csv("T,L_used,dist_phase_inv,dist_gauge", rows))
+        _write(args.out, _csv("T,L_used,evolved_dim,dist_phase_inv,dist_gauge", rows))
     return EXIT_PASS
 
 

@@ -110,11 +110,13 @@ class AffineRecord:
 
     def __call__(self, s_values: np.ndarray) -> np.ndarray:
         s_col = np.asarray(s_values, dtype=float)[:, None, None]
-        mats = (1.0 - s_col) * self.h0 + s_col * self.h1
+        # h0 + s D, added in place: one batch alive, and s = 0 gives h0 exactly
+        mats = s_col * self.diff
+        mats += self.h0
         if self.shift is not None:
-            shifts = self.shift(s_values)
-            eye = np.eye(self.h0.shape[0], dtype=complex)
-            mats -= shifts[:, None, None] * eye  # in place: no third batch alive
+            # the diagonal as a strided view: c(s) I needs no batch of its own
+            diagonal = mats.reshape(len(mats), -1)[:, :: self.h0.shape[0] + 1]
+            diagonal -= self.shift(s_values)[:, None]
         return mats
 
 

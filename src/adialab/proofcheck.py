@@ -251,6 +251,12 @@ def check_error_vector_norm(
     )
 
 
+def _check_k_max(k_max: int | None) -> None:
+    """The drift check needs at least one lag: ``DomainError`` for k_max < 1."""
+    if k_max is not None and k_max < 1:
+        raise DomainError(f"k_max must be at least 1, got {k_max}")
+
+
 def check_error_vector_drift(
     path: EigenPath,
     cfg: ProofCheckConfig,
@@ -261,13 +267,15 @@ def check_error_vector_drift(
 
     The mean-value bound is the slope in k; the k-independent remainder is
     the fitted intercept.  Both the slope comparison and the per-k absolute
-    checks must pass.
+    checks must pass.  ``k_max`` (default min(Delta, 64)) is clamped to
+    L - 1; below 1 it raises ``DomainError``.
     """
+    _check_k_max(k_max)
     L = cfg.L
     w = error_vectors(path)
     if k_max is None:
         k_max = min(cfg.Delta, 64)
-    k_max = max(1, min(k_max, L - 1))
+    k_max = min(k_max, L - 1)
     ks = np.arange(1, k_max + 1)
     rows = w.view(float)  # real and imaginary parts side by side
     diffs = (rows[k:] - rows[:-k] for k in ks)
@@ -565,8 +573,7 @@ def run_proofcheck(
     if not all(0.0 < x < math.inf for x in times):
         raise DomainError(f"need positive finite delta and T: {delta=}, {total_time=}")
     _check_delta(delta)
-    if k_max is not None and k_max < 1:
-        raise DomainError(f"k_max must be at least 1, got {k_max}")
+    _check_k_max(k_max)
     if L > TOTAL_SUM_MAX_L or h.dim > TOTAL_SUM_MAX_DIM:
         raise FeasibilityError(
             f"proofcheck limited to L <= {TOTAL_SUM_MAX_L} at dim <= "

@@ -13,6 +13,15 @@ evolves a frame adaptively for the prescribed time and compares against
 the tracked endpoint in both the phase-invariant and the gauge-fixed
 metric, so a sweep over T reuses one frame.
 
+The evolution starts in the tracked state psi0 and never leaves V, the
+smallest subspace that holds psi0 and is invariant under H0 and D = H1 - H0,
+and so under every H~(s).  ``zero_frame`` builds a basis P of V once, and
+``verify`` evolves P^H H~ P and lifts the result with P whenever
+``ZeroFrame.certified_basis`` certifies V for that T; otherwise it evolves
+in full space.  For Grover, V is the textbook two-level subspace.  lambda,
+the norms, tracking and the step floor stay in full space, so L_used is
+the full-space one.
+
 Identity shifts commute with everything, so evolutions under H and H~
 agree up to a global phase; the gauge-fixed l2 distance is therefore
 only meaningful in the shifted frame, and the verdict gates on the
@@ -22,11 +31,12 @@ phase-invariant distance while reporting both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from ._linalg import dagger, opnorm, opnorm_hermitian
 from .errors import DomainError, IntegrityError
 from .evolution import (
     DEFAULT_STEP_CEILING,
@@ -35,6 +45,7 @@ from .evolution import (
     evolve_adaptive,
 )
 from .hamiltonians import (
+    AffineRecord,
     NormBundle,
     TimeDependentHamiltonian,
     _shift_by,
@@ -52,6 +63,10 @@ GENERAL_CONSTANT = 1.0e5
 SPECIAL_CONSTANT = 1000.0
 SHIFT_NORM_SLACK = 0.05
 MAX_DELTA = math.sqrt(2.0)
+# closure rank cut, relative to max(||H0||, ||D||), and how far psi0 and
+# the target may lie from V
+CLOSURE_RTOL = 1e-10
+SUBSPACE_ATOL = 1e-12
 
 
 def _check_delta(delta: float) -> None:
@@ -106,20 +121,71 @@ def shift_to_zero_eigenvalue(
     return shifted
 
 
+def _invariant_subspace(
+    record: AffineRecord, psi0: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """An orthonormal basis P (d, k) of V, the smallest subspace that holds
+    psi0 and is invariant under h0 and D, and its invariance residual
+    ||(I - PP^H) h0 P|| + ||(I - PP^H) D P||.
+
+    Block-Krylov closure: each new block is the images of the last one
+    under h0 and D, orthogonalized twice against P and cut at singular
+    values below CLOSURE_RTOL * max(||h0||, ||D||).
+    """
+    ops = np.stack([record.h0, record.diff])
+    cut = CLOSURE_RTOL * float(opnorm_hermitian(ops).max())
+    basis = block = psi0[:, None] / np.linalg.norm(psi0)
+    while block.shape[1] and basis.shape[1] < len(psi0):
+        grown = np.hstack(ops @ block)
+        for _ in range(2):
+            grown -= basis @ (dagger(basis) @ grown)
+        u, sigma, _ = np.linalg.svd(grown, full_matrices=False)
+        block = u[:, sigma > cut]
+        basis = np.concatenate([basis, block], axis=1)
+    images = ops @ basis
+    leak = images - basis @ (dagger(basis) @ images)
+    return basis, float(opnorm(leak).sum())
+
+
 @dataclass(frozen=True)
 class ZeroFrame:
     """An instance H, its tracked branch, its zero-eigenvalue frame H~ and
-    the norms of both: every input of the bound, built by ``zero_frame``."""
+    the norms of both: every input of the bound, built by ``zero_frame``.
+
+    ``basis`` is an orthonormal basis P of V (see ``_invariant_subspace``)
+    for the branch's start state, and ``invariance_residual`` its residual.
+    """
 
     h: TimeDependentHamiltonian
     path: EigenPath
     shifted: TimeDependentHamiltonian
     norms: NormBundle
     norms_shifted: NormBundle
+    basis: np.ndarray
+    invariance_residual: float
 
     @property
     def lam(self) -> float:
         return self.path.gap
+
+    def certified_basis(self, total_time: float, disc_tol: float) -> np.ndarray | None:
+        """P when an evolution for ``total_time`` may run in V, else None.
+
+        V must be proper and at least two-dimensional, hold psi0 and the
+        target within SUBSPACE_ATOL, and satisfy T r <= disc_tol / 100 for
+        its invariance residual r: by Duhamel, T r bounds the distance
+        between the reduced product, lifted, and the full one.
+        """
+        k = self.basis.shape[1]
+        if not 2 <= k < self.h.dim:
+            return None
+        if total_time * self.invariance_residual > disc_tol / 100.0:
+            return None
+        states = self.path.states[[0, -1]].T
+        outside = states - self.basis @ (dagger(self.basis) @ states)
+        if np.linalg.norm(outside, axis=0).max() > SUBSPACE_ATOL:
+            return None
+        return self.basis
 
     def required_time(self, delta: float, case: str = "general") -> float:
         """``required_time`` with H's norms in the general case and H~'s in
@@ -145,7 +211,9 @@ def zero_frame(
     is the tracked path's minus gamma.  No derivative matrix is formed.
     Postconditions: the tracked states are null vectors of H~ at every
     path grid point, and the shifted norms obey ||H~'|| <= 2||H'|| and
-    ||H~''|| <= 2||H''|| + 4||H'||^2/lambda within 5% slack.
+    ||H~''|| <= 2||H''|| + 4||H'||^2/lambda within 5% slack.  The frame
+    also holds V's basis and residual from ``_invariant_subspace`` of the
+    tracked start state, for ``verify`` to certify per T.
     """
     path = track_eigenpath(h, grid_size, selector)
     shifted = shift_to_zero_eigenvalue(h, path)
@@ -168,7 +236,8 @@ def zero_frame(
             f"shifted ||H''|| = {shifted_norms.norm_H2:.6g} exceeds "
             f"2||H''|| + 4||H'||^2/lambda = {bound_h2:.6g} beyond 5% slack"
         )
-    return ZeroFrame(h, path, shifted, base_norms, shifted_norms)
+    basis, residual = _invariant_subspace(h.affine, path.states[0])
+    return ZeroFrame(h, path, shifted, base_norms, shifted_norms, basis, residual)
 
 
 @dataclass(frozen=True)
@@ -179,6 +248,7 @@ class TheoremVerdict:
     T_required: float
     T_used: float
     L_used: int
+    evolved_dim: int
     distance_phase_invariant: float
     distance_gauge_fixed: float
     delta: float
@@ -201,6 +271,7 @@ class TheoremVerdict:
             "T_required": self.T_required,
             "T_used": self.T_used,
             "L_used": self.L_used,
+            "evolved_dim": self.evolved_dim,
             "distance_phase_invariant": self.distance_phase_invariant,
             "distance_gauge_fixed": self.distance_gauge_fixed,
             "delta": self.delta,
@@ -212,6 +283,17 @@ class TheoremVerdict:
             "disc_tol": self.disc_tol,
             "instance": {"name": self.instance_name, "params": self.instance_params},
         }
+
+
+def _projected(
+    shifted: TimeDependentHamiltonian, basis: np.ndarray
+) -> TimeDependentHamiltonian:
+    """P^H H~ P: the frame's record on V, with the same spline shift."""
+    record = shifted.affine
+    h0, h1 = (dagger(basis) @ end @ basis for end in (record.h0, record.h1))
+    reduced = replace(record, h0=h0, h1=h1)
+    k = basis.shape[1]
+    return TimeDependentHamiltonian(k, reduced, shifted.name, shifted.params)
 
 
 def verify(
@@ -229,9 +311,12 @@ def verify(
     any number of runs.  The evolution runs in the shifted frame from the
     gauge-fixed initial state with disc_tol = delta/100 unless overridden
     (positive and finite), so discretization noise stays two orders below
-    the claim under test.  If the required step count exceeds
-    ``step_ceiling`` the run refuses up front and reports the largest
-    feasible T instead of silently truncating.
+    the claim under test.  It runs in the invariant subspace V when
+    ``ZeroFrame.certified_basis`` certifies V for this T, with the
+    full-space sup ||H~|| as its step floor, and in full space otherwise;
+    the verdict's ``evolved_dim`` says which (dim V or d).  If the
+    required step count exceeds ``step_ceiling`` the run refuses up front
+    and reports the largest feasible T instead of silently truncating.
     """
     _check_delta(delta)
     if T_override is not None and not (0.0 <= T_override < math.inf):
@@ -245,18 +330,24 @@ def verify(
     t_used = float(T_override) if T_override is not None else t_required
 
     psi0, target = frame.path.states[[0, -1]]
+    basis = frame.certified_basis(t_used, disc_tol)
     if t_used == 0.0:
         final, l_used = psi0, 0
     else:
+        h_run, start = frame.shifted, psi0
+        if basis is not None:
+            h_run, start = _projected(frame.shifted, basis), dagger(basis) @ psi0
         result = evolve_adaptive(
-            frame.shifted,
-            psi0,
+            h_run,
+            start,
             t_used,
             disc_tol,
             norm_H=frame.norms_shifted.norm_H,
             step_ceiling=step_ceiling,
         )
         final, l_used = result.final_state, result.L_used
+        if basis is not None:
+            final = basis @ final
 
     d_phase = distance_phase_invariant(final, target)
     d_gauge = distance_l2(final, target)
@@ -265,6 +356,7 @@ def verify(
         T_required=t_required,
         T_used=t_used,
         L_used=l_used,
+        evolved_dim=frame.h.dim if basis is None else basis.shape[1],
         distance_phase_invariant=d_phase,
         distance_gauge_fixed=d_gauge,
         delta=delta,

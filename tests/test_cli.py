@@ -43,6 +43,7 @@ def test_verify_output_matches_schema(tmp_path, capsys):
     jsonschema.validate(payload, _schema("verdict"))
     assert code == cli.EXIT_PASS and payload["passed"]
     assert payload["config"] == config
+    assert payload["evolved_dim"] == 2
 
 
 def test_sweep_output_matches_schema(tmp_path, capsys):
@@ -70,10 +71,31 @@ def test_sweep_tracks_once_and_matches_verify(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
     frame = zero_frame(landau_zener(), 129)
     want = [verify(frame, 1.0, case="special", T_override=t) for t in t_values]
-    rows = [(r["T"], r["L_used"], r["dist_phase_inv"], r["dist_gauge"])
-            for r in json.loads(out)["rows"]]
-    assert rows == [(v.T_used, v.L_used, v.distance_phase_invariant,
+    rows = [(r["T"], r["L_used"], r["evolved_dim"], r["dist_phase_inv"],
+             r["dist_gauge"]) for r in json.loads(out)["rows"]]
+    assert rows == [(v.T_used, v.L_used, v.evolved_dim, v.distance_phase_invariant,
                      v.distance_gauge_fixed) for v in want]
+
+
+def test_verify_and_sweep_report_the_evolved_dimension(tmp_path, capsys):
+    # grover(3) evolves in its two-level invariant subspace
+    grover3 = {"kind": "grover", "params": {"n": 3}}
+    config = {"instance": grover3, "delta": 1, "case": "special",
+              "T_override": 50.0, "grid_size": 129}
+    code, out, _ = _run(tmp_path, capsys, "verify", config)
+    payload = json.loads(out)
+    jsonschema.validate(payload, _schema("verdict"))
+    assert code == cli.EXIT_PASS and payload["evolved_dim"] == 2
+    config = {"instance": grover3, "delta": 1, "case": "special",
+              "T_values": [5.0, 50.0], "grid_size": 129}
+    _, out, _ = _run(tmp_path, capsys, "sweep", config, "--format", "json")
+    payload = json.loads(out)
+    jsonschema.validate(payload, _schema("sweep"))
+    assert [row["evolved_dim"] for row in payload["rows"]] == [2, 2]
+    _, csv_text, _ = _run(tmp_path, capsys, "sweep", config)
+    header, rows = _csv_rows(csv_text)
+    assert header == "T,L_used,evolved_dim,dist_phase_inv,dist_gauge"
+    assert [row[2] for row in rows] == [2.0, 2.0]
 
 
 def test_gap_scan_json_and_csv(tmp_path, capsys):

@@ -251,6 +251,13 @@ class TestDriftChecks:
         assert f"worst k={int(ks[np.argmax(drifts)])}" in all_k.note
         assert slope.measured == pytest.approx(alpha, rel=1e-12)
 
+    def test_k_max_below_one_is_refused(self, lz):
+        # called directly, not only through run_proofcheck: no silent clamp
+        path, cfg, _, shifted_norms, *_ = _shifted_context(lz, 512)
+        for k_max in (0, -5):
+            with pytest.raises(DomainError, match=f"at least 1, got {k_max}"):
+                check_error_vector_drift(path, cfg, shifted_norms, k_max=k_max)
+
     def test_landau_zener_drift_scales_linearly_in_k(self, lz):
         L = 8192
         path = al.track_eigenpath(lz, L + 1)

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import adialab as al
-from adialab import hamiltonians
+from adialab import hamiltonians, theorem
 from adialab.errors import DomainError, FeasibilityError, IntegrityError
 from adialab.hamiltonians import NormBundle
 from adialab.problems import landau_zener_eigenvalue
@@ -318,6 +319,99 @@ class TestVerify:
         import json
 
         json.dumps(payload)  # must be JSON-serializable as-is
+
+
+def _full_space_run(frame, total_time, disc_tol):
+    """The oracle: the frame's d x d evolution, as verify ran it before V."""
+    psi0, target = frame.path.states[[0, -1]]
+    result = al.evolve_adaptive(
+        frame.shifted, psi0, total_time, disc_tol, norm_H=frame.norms_shifted.norm_H
+    )
+    return result.L_used, al.distance_phase_invariant(result.final_state, target)
+
+
+class TestInvariantSubspace:
+    """verify evolves in V, the smallest subspace holding psi0 and invariant
+    under H0 and D, when V is certified, and in full space otherwise."""
+
+    @pytest.mark.parametrize("inst,dim_v", [
+        *((al.grover(n), 2) for n in range(2, 6)),
+        (al.landau_zener(), 2),
+        (al.random_interpolation(8, seed=1), 8),
+    ], ids=["grover2", "grover3", "grover4", "grover5", "landau_zener", "random8"])
+    def test_closure_dimensions(self, inst, dim_v):
+        frame = al.zero_frame(inst, 65)
+        basis = frame.basis
+        assert basis.shape == (inst.dim, dim_v)
+        assert np.allclose(basis.conj().T @ basis, np.eye(dim_v), atol=1e-14)
+        assert frame.invariance_residual < 1e-13
+        psi0 = frame.path.states[0]
+        assert np.linalg.norm(psi0 - basis @ (basis.conj().T @ psi0)) < 1e-14
+
+    def test_transverse_ising_closure(self):
+        # its tracking fails at the degenerate end s = 1, so the closure is
+        # taken directly from H0's ground state: 6 of 16 dimensions
+        inst = al.transverse_ising(4)
+        psi0 = np.linalg.eigh(inst.affine.h0)[1][:, 0]
+        basis, residual = theorem._invariant_subspace(inst.affine, psi0)
+        assert basis.shape == (16, 6)
+        assert residual < 1e-13
+
+    def test_projected_frame_is_the_compressed_frame(self, grover3):
+        frame = al.zero_frame(grover3, 129)
+        basis = frame.basis
+        reduced = theorem._projected(frame.shifted, basis)
+        s_values = np.linspace(0.0, 1.0, 17)
+        want = basis.conj().T @ frame.shifted.evaluator(s_values) @ basis
+        assert reduced.dim == 2
+        assert np.abs(reduced.evaluator(s_values) - want).max() < 1e-14
+
+    @pytest.mark.parametrize("inst,total_time,evolved_dim", [
+        (al.grover(2), 2e4, 2),
+        (al.grover(3), 2e3, 2),
+        (al.random_interpolation(8, seed=1), 200.0, 8),
+    ], ids=["grover2", "grover3", "random8"])
+    def test_matches_full_space(self, inst, total_time, evolved_dim):
+        # the verify-evolve benchmark's settings: delta 1, special case
+        frame = al.zero_frame(inst)
+        verdict = al.verify(frame, 1.0, case="special", T_override=total_time)
+        l_full, d_full = _full_space_run(frame, total_time, verdict.disc_tol)
+        assert verdict.evolved_dim == evolved_dim
+        assert verdict.L_used == l_full
+        assert verdict.distance_phase_invariant == pytest.approx(d_full, abs=1e-10)
+
+    def test_perturbed_grover_falls_back(self, grover3):
+        # a 1e-6 Hermitian perturbation of h1 closes V on the whole space
+        rng = np.random.default_rng(3)
+        noise = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        h1 = grover3.affine.h1 + 0.5e-6 * (noise + noise.conj().T)
+        inst = al.affine_hamiltonian(grover3.affine.h0, h1, name="perturbed")
+        frame = al.zero_frame(inst)
+        verdict = al.verify(frame, 1.0, case="special", T_override=2e3)
+        assert frame.basis.shape == (8, 8)
+        assert verdict.evolved_dim == 8
+        assert verdict.passed
+
+    def test_certificate_checks_residual_and_target(self, grover3):
+        frame = al.zero_frame(grover3, 129)
+        assert frame.certified_basis(2e3, 0.01) is frame.basis
+        # Duhamel: T times the residual must stay below disc_tol / 100
+        limit = 1e-4 / frame.invariance_residual
+        assert frame.certified_basis(0.5 * limit, 0.01) is frame.basis
+        assert frame.certified_basis(2.0 * limit, 0.01) is None
+        # span{psi0, e_1} is a basis of a plane that misses the target |0>
+        psi0 = frame.path.states[0]
+        other = np.eye(8)[1] - np.vdot(psi0, np.eye(8)[1]) * psi0
+        plane = np.stack([psi0, other / np.linalg.norm(other)], axis=1)
+        frame = dataclasses.replace(frame, basis=plane)
+        assert frame.certified_basis(2e3, 0.01) is None
+
+    def test_unpinned_grover3(self, grover3):
+        # the theorem's own T (3.8e5) needs 483,752 steps; in V they are 2 x 2
+        verdict = al.verify(al.zero_frame(grover3), 1.0, case="special")
+        assert verdict.T_used == verdict.T_required
+        assert verdict.evolved_dim == 2
+        assert verdict.passed
 
 
 class TestMonotonicity:

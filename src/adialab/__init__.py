@@ -31,7 +31,6 @@ from .evolution import (
     evolve_discrete,
 )
 from .hamiltonians import (
-    HermitianOperator,
     NormBundle,
     TimeDependentHamiltonian,
     derivative,

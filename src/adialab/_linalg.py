@@ -21,18 +21,6 @@ from typing import Iterator
 
 import numpy as np
 
-# Second-order finite-difference stencils: (offset, weight) pairs, summed in
-# the listed order and divided by 2h (first derivative) or h^2 (second).
-# "left"/"right" are the one-sided stencils for the lower/upper end.
-_STENCILS = {
-    (1, "central"): ((1, 1.0), (-1, -1.0)),
-    (1, "left"): ((0, -3.0), (1, 4.0), (2, -1.0)),
-    (1, "right"): ((0, 3.0), (-1, -4.0), (-2, 1.0)),
-    (2, "central"): ((1, 1.0), (0, -2.0), (-1, 1.0)),
-    (2, "left"): ((0, 2.0), (1, -5.0), (2, 4.0), (3, -1.0)),
-    (2, "right"): ((0, 2.0), (-1, -5.0), (-2, 4.0), (-3, -1.0)),
-}
-
 
 def dagger(mats: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(mats, -1, -2))
@@ -130,19 +118,4 @@ def chunk_ranges(lo: int, hi: int, dim: int) -> Iterator[tuple[int, int]]:
     step = chunk_size(dim)
     for start in range(lo, hi, step):
         yield start, min(start + step, hi)
-
-
-def grid_derivative(values: np.ndarray, h: float, order: int) -> np.ndarray:
-    """First or second derivative along axis 0 of samples with spacing h."""
-    n = values.shape[0]
-    out = np.empty_like(values)
-    for first, stop, side in (
-        (1, n - 1, "central"), (0, 1, "left"), (n - 1, n, "right")
-    ):
-        (k0, w0), *rest = _STENCILS[order, side]
-        total = w0 * values[first + k0 : stop + k0]
-        for k, w in rest:
-            total = total + w * values[first + k : stop + k]
-        out[first:stop] = total / (2 * h if order == 1 else h**2)
-    return out
 

@@ -135,7 +135,8 @@ def _build_instance(data: dict) -> TimeDependentHamiltonian:
 
 
 def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # compact, so json takes its C encoder
+    return json.dumps(payload, sort_keys=True) + "\n"
 
 
 def _write(out: str | None, text: str) -> None:

@@ -38,7 +38,7 @@ from ._linalg import chunk_ranges, dagger, opnorm_hermitian
 from .errors import DomainError, IntegrityError, NumericalError
 
 HERMITICITY_RTOL = 1e-12
-DEFAULT_NORM_GRID = 1025
+
 
 def _check_hermitian(mats: np.ndarray, what: str) -> None:
     """Reject non-finite entries, and any matrix of the batch whose defect
@@ -56,27 +56,6 @@ def _check_hermitian(mats: np.ndarray, what: str) -> None:
                 f"{what} is not Hermitian: defect {defects[bad[0]]:.3e} exceeds "
                 f"{HERMITICITY_RTOL:.0e} * {scales[bad[0]]:.3e}"
             )
-
-
-@dataclass(frozen=True)
-class HermitianOperator:
-    """A dense complex square matrix certified Hermitian at construction."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        entries = np.array(self.entries, dtype=complex)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise DomainError(f"expected a square matrix, got shape {entries.shape}")
-        if entries.shape[0] < 2:
-            raise DomainError("matrix dimension must be at least 2")
-        _check_hermitian(entries, "matrix")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,18 +200,16 @@ def eval_batch(h: TimeDependentHamiltonian, s_values: np.ndarray) -> np.ndarray:
     return mats
 
 
-def derivative(
-    h: TimeDependentHamiltonian, s: float, order: int
-) -> HermitianOperator:
+def derivative(h: TimeDependentHamiltonian, s: float, order: int) -> np.ndarray:
     """H'(s) = D - c'(s) I or H''(s) = -c''(s) I from the affine record,
-    with c = 0 when the instance is not shifted."""
+    with c = 0 when the instance is not shifted: a (dim, dim) array,
+    exactly Hermitian because D is and c is real."""
     s = _check_s(s)
     if order not in (1, 2):
         raise DomainError(f"derivative order must be 1 or 2, got {order}")
     record = _record(h, "derivative")
     rate = 0.0 if record.shift is None else float(record.shift.derivative(order)(s))
-    mat = (record.diff if order == 1 else 0.0 * record.diff) - rate * np.eye(h.dim)
-    return HermitianOperator(mat)
+    return (record.diff if order == 1 else 0.0 * record.diff) - rate * np.eye(h.dim)
 
 
 @dataclass(frozen=True)
@@ -241,15 +218,12 @@ class NormBundle:
 
     Exact for an unshifted affine instance.  For its shifted frame,
     ||H'|| and ||H''|| are the closed-form sups over the spline's pieces
-    and ||H|| a per-cell bound from the knots.  ``grid_size`` is the grid
-    the measurement used (a shifted frame's knots) or, when exact, would
-    have used.
+    and ||H|| a per-cell bound from the knots.
     """
 
     norm_H: float
     norm_H1: float
     norm_H2: float
-    grid_size: int
 
     def __post_init__(self) -> None:
         for label, value in (
@@ -261,51 +235,41 @@ class NormBundle:
                 raise IntegrityError(f"{label} is negative: {value}")
 
     def to_dict(self) -> dict:
-        return {
-            "norm_H": self.norm_H,
-            "norm_H1": self.norm_H1,
-            "norm_H2": self.norm_H2,
-            "grid_size": self.grid_size,
-        }
+        return {"norm_H": self.norm_H, "norm_H1": self.norm_H1, "norm_H2": self.norm_H2}
 
 
 def norm_bundle(
-    h: TimeDependentHamiltonian,
-    grid_size: int | None = None,
-    *,
-    spectrum: np.ndarray | None = None,
+    h: TimeDependentHamiltonian, *, spectrum: np.ndarray | None = None
 ) -> NormBundle:
     """Bound the sup norms of H, H' and H'' over s in [0, 1].
 
     Takes the route of the module docstring.  A shifted frame is measured
-    on its spline's knots, which is its default ``grid_size``; any other
-    raises ``DomainError``.  ``spectrum``, when given, is H's eigenvalues on
-    those knots, shape (grid_size, dim), and H is not sampled.  The
-    unshifted route needs no spectrum, and its ``grid_size`` (default
-    ``DEFAULT_NORM_GRID``) is only recorded.  Raises ``DomainError`` for an
-    instance without an ``AffineRecord``.
+    on its spline's knots; ``spectrum``, when given, is H's eigenvalues
+    there, shape (knots, dim), and H is not sampled.  The unshifted route
+    is exact from the endpoints and takes no spectrum.  Raises
+    ``DomainError`` for an instance without an ``AffineRecord``, and for a
+    spectrum it cannot use.
     """
     record = _record(h, "norm_bundle")
     shift = record.shift
-    if grid_size is None:
-        grid_size = DEFAULT_NORM_GRID if shift is None else shift.x.size
-    if grid_size < 2:
-        raise DomainError("grid_size must be at least 2")
-    if shift is not None and grid_size != shift.x.size:
-        raise DomainError(f"a shifted frame takes its {shift.x.size} spline knots")
-    if spectrum is not None and np.shape(spectrum) != (grid_size, h.dim):
-        raise DomainError(f"spectrum must have shape {(grid_size, h.dim)}")
     if shift is None:
+        if spectrum is not None:
+            raise DomainError("an unshifted instance's norms take no spectrum")
         ends = opnorm_hermitian(np.stack([record.h0, record.h1]))
         norm_d = np.abs(np.linalg.eigvalsh(record.diff)).max()
-        return NormBundle(float(ends.max()), float(norm_d), 0.0, grid_size)
+        return NormBundle(float(ends.max()), float(norm_d), 0.0)
 
     knots = shift.x
     if spectrum is None:
-        spectrum = np.empty((grid_size, h.dim))
-        for lo, hi in chunk_ranges(0, grid_size, h.dim):
+        spectrum = np.empty((knots.size, h.dim))
+        for lo, hi in chunk_ranges(0, knots.size, h.dim):
             # one batch of matrices alive at a time
             spectrum[lo:hi] = np.linalg.eigvalsh(eval_batch(h, knots[lo:hi]))
+    elif np.shape(spectrum) != (knots.size, h.dim):
+        raise DomainError(
+            f"spectrum must have shape {(knots.size, h.dim)}: "
+            f"H on the frame's {knots.size} spline knots"
+        )
     d_min, d_max = np.linalg.eigvalsh(record.diff)[[0, -1]]
     # piece j is c = a t^3 + b t^2 + e t + f for t in [0, w_j]
     (a, b, e, _), w = shift.c, np.diff(knots)
@@ -322,18 +286,16 @@ def norm_bundle(
     # stays below the mean of its knot values plus w * norm_h1 / 2
     knot_norms = np.abs(spectrum).max(axis=1)
     norm_h = (0.5 * (knot_norms[:-1] + knot_norms[1:] + w * norm_h1)).max()
-    return NormBundle(float(norm_h), float(norm_h1), float(norm_h2), grid_size)
+    return NormBundle(float(norm_h), float(norm_h1), float(norm_h2))
 
 
 __all__ = [
     "AffineRecord",
-    "HermitianOperator",
     "TimeDependentHamiltonian",
     "NormBundle",
     "affine_hamiltonian",
     "eval_batch",
     "derivative",
     "norm_bundle",
-    "DEFAULT_NORM_GRID",
     "HERMITICITY_RTOL",
 ]

@@ -10,7 +10,9 @@ phase-rotated so that the overlap with its predecessor is real and
 nonnegative — the discrete form of the parallel-transport gauge
 <Psi'(s), Psi(s)> = 0; the rotations are one cumulative product of the
 raw overlaps' phases.  ``gauge_residual`` certifies the gauge numerically
-from finite differences of the states.
+from ``path_derivatives``, Psi' by finite differences of the states: the
+package's only finite difference, since gamma' and gamma'' are read off
+the zero-eigenvalue frame's spline.
 The path carries its per-point gap: the distance from the tracked
 eigenvalue to ranks r +- 1, which in a sorted spectrum is its distance to
 the nearest other eigenvalue.  The tracker measures it once, for its
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import chunk_ranges, eigh_batch, grid_derivative
+from ._linalg import chunk_ranges, eigh_batch
 from .errors import DomainError, GapCollapseError, UnderResolvedGridError
 from .hamiltonians import TimeDependentHamiltonian, eval_batch
 
@@ -209,22 +211,21 @@ def _check_uniform(grid: np.ndarray) -> float:
     return h
 
 
-def path_derivatives(path: EigenPath, order: int) -> np.ndarray:
-    """Finite-difference Psi'(s_j) or Psi''(s_j) on the gauge-fixed states.
+def path_derivatives(path: EigenPath) -> np.ndarray:
+    """Finite-difference Psi'(s_j) on the gauge-fixed states.
 
-    Central second-order stencils inside, one-sided second-order stencils
-    at the grid ends.  Requires at least 5 grid points.
+    ``np.gradient`` at second order: central differences inside and
+    one-sided ones at the grid ends.  Requires at least 3 grid points.
     """
-    if order not in (1, 2):
-        raise DomainError(f"derivative order must be 1 or 2, got {order}")
-    if path.npoints < 5:
-        raise DomainError("path too coarse: need at least 5 grid points")
-    return grid_derivative(path.states, _check_uniform(path.grid), order)
+    if path.npoints < 3:
+        raise DomainError("path too coarse: need at least 3 grid points")
+    spacing = _check_uniform(path.grid)
+    return np.gradient(path.states, spacing, axis=0, edge_order=2)
 
 
 def gauge_residual(path: EigenPath) -> float:
     """max_j |<Psi'(s_j), Psi(s_j)>|; near zero certifies the gauge."""
-    d1 = path_derivatives(path, 1)
+    d1 = path_derivatives(path)
     inner = np.einsum("ij,ij->i", d1.conj(), path.states)
     return float(np.abs(inner).max())
 

@@ -217,11 +217,9 @@ def zero_frame(
     """
     path = track_eigenpath(h, grid_size, selector)
     shifted = shift_to_zero_eigenvalue(h, path)
-    base_norms = norm_bundle(h, path.npoints, spectrum=path.eigenvalues)
+    base_norms = norm_bundle(h)
     gammas = shifted.affine.shift(path.grid)
-    shifted_norms = norm_bundle(
-        shifted, path.npoints, spectrum=path.eigenvalues - gammas[:, None]
-    )
+    shifted_norms = norm_bundle(shifted, spectrum=path.eigenvalues - gammas[:, None])
 
     slack = 1.0 + SHIFT_NORM_SLACK
     bound_h1 = 2.0 * base_norms.norm_H1

@@ -3,12 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 import adialab as al
 from adialab import _linalg
 from adialab._linalg import chunk_ranges, eigh_batch, opnorm_hermitian
 from adialab.errors import DomainError, GapCollapseError, UnderResolvedGridError
-from adialab.hamiltonians import HermitianOperator, eval_batch
+from adialab.hamiltonians import eval_batch
 from adialab.problems import (
     PAULI_X,
     PAULI_Z,
@@ -25,12 +26,12 @@ class TestDecompose:
     # eigh_batch takes a real fast path for complex input whose imaginary
     # part is zero (the first three cases and the round trip)
     def test_diag(self):
-        w, v = eigh_batch(HermitianOperator(np.diag([1.0, -1.0])).entries)
+        w, v = eigh_batch(np.diag([1.0, -1.0]).astype(complex))
         assert np.allclose(w, [-1.0, 1.0])
         assert abs(abs(v[1, 0]) - 1.0) < 1e-12
 
     def test_pauli_x(self):
-        w, v = eigh_batch(HermitianOperator(PAULI_X).entries)
+        w, v = eigh_batch(PAULI_X)
         assert np.allclose(w, [-1.0, 1.0])
         minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
         assert abs(abs(np.vdot(v[:, 0], minus)) - 1.0) < 1e-12
@@ -42,15 +43,15 @@ class TestDecompose:
     def test_invariants_random(self):
         rng = np.random.default_rng(0)
         raw = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        op = HermitianOperator(0.5 * (raw + raw.conj().T))
-        w, v = eigh_batch(op.entries)
+        op = 0.5 * (raw + raw.conj().T)
+        w, v = eigh_batch(op)
         assert np.abs(v.conj().T @ v - np.eye(6)).max() < 1e-10
-        residual = op.entries @ v - v * w
-        scale = opnorm_hermitian(op.entries)
+        residual = op @ v - v * w
+        scale = opnorm_hermitian(op)
         assert np.linalg.norm(residual, axis=0).max() <= 1e-9 * scale
 
     def test_coefficients_roundtrip(self):
-        _, v = eigh_batch(HermitianOperator(PAULI_X).entries)
+        _, v = eigh_batch(PAULI_X)
         vec = np.array([0.6, 0.8], dtype=complex)
         coeffs = v.conj().T @ vec
         assert np.allclose(v @ coeffs, vec)
@@ -347,7 +348,7 @@ class TestSpectralGap:
 
     def test_gap_stable_under_grid_refinement(self, suite):
         for inst in suite:
-            norm_h = al.norm_bundle(inst, 129).norm_H
+            norm_h = al.norm_bundle(inst).norm_H
             gap_coarse = al.track_eigenpath(inst, 513).gap
             gap_fine = al.track_eigenpath(inst, 1025).gap
             assert abs(gap_fine - gap_coarse) < 1e-6 * norm_h
@@ -356,31 +357,59 @@ class TestSpectralGap:
 class TestPathDerivatives:
     def test_constant_path_zero(self, const_instance):
         path = al.track_eigenpath(const_instance, 65)
-        assert np.abs(al.path_derivatives(path, 1)).max() < 1e-12
-        assert np.abs(al.path_derivatives(path, 2)).max() < 1e-12
+        assert np.abs(al.path_derivatives(path)).max() < 1e-12
+        # Psi'' from a cubic spline of the states, as in the bound tests
+        accel = CubicSpline(path.grid, path.states)(path.grid, 2)
+        assert np.abs(accel).max() < 1e-12
 
     def test_planar_rotation_speed(self):
         # ground state angle is rate*s/2; speed is rate/2 = pi/2 for rate pi
         path = al.track_eigenpath(rotating_two_level(np.pi), 1025)
-        speeds = np.linalg.norm(al.path_derivatives(path, 1), axis=1)
+        speeds = np.linalg.norm(al.path_derivatives(path), axis=1)
         assert np.abs(speeds - np.pi / 2.0).max() < 1e-4
 
     def test_landau_zener_midpoint_speed(self, lz):
         # mixing angle theta with tan(2 theta) = s/(1-s):
         # ||Psi'(s)|| = d theta/ds = 1 / (2((1-s)^2 + s^2)) -> 1 at s=1/2
         path = al.track_eigenpath(lz, 2049)
-        speeds = np.linalg.norm(al.path_derivatives(path, 1), axis=1)
+        speeds = np.linalg.norm(al.path_derivatives(path), axis=1)
         assert speeds[1024] == pytest.approx(1.0, abs=1e-4)
 
-    def test_too_coarse(self, lz):
-        path = al.track_eigenpath(lz, 4)
-        with pytest.raises(DomainError):
-            al.path_derivatives(path, 1)
+    def test_one_sided_stencils_at_boundaries(self, lz):
+        # states f = (e^{2x}, sin(3x + 1)), whose third derivatives vanish
+        # at neither end; the second-order differences are exact on a
+        # quadratic, and their error falls as spacing**2 at the one-sided
+        # ends as well as in the interior
+        def with_states(x, states):
+            return dataclasses.replace(al.track_eigenpath(lz, x.size), states=states)
 
-    def test_invalid_order(self, lz):
-        path = al.track_eigenpath(lz, 65)
+        def f(x):
+            return np.stack([np.exp(2.0 * x), np.sin(3.0 * x + 1.0)], axis=1)
+
+        def exact(x):
+            return np.stack([2.0 * np.exp(2.0 * x), 3.0 * np.cos(3.0 * x + 1.0)], axis=1)
+
+        x = np.linspace(0.0, 1.0, 9)
+        quadratic = np.stack([1.0 + 2.0 * x - 3.0 * x**2, x**2], axis=1)
+        got = al.path_derivatives(with_states(x, quadratic))
+        assert np.allclose(got, np.stack([2.0 - 6.0 * x, 2.0 * x], axis=1))
+
+        sizes = [33, 65, 129, 257]
+        errors = {"left": [], "interior": [], "right": []}
+        for n in sizes:
+            x = np.linspace(0.0, 1.0, n)
+            err = np.abs(al.path_derivatives(with_states(x, f(x))) - exact(x))
+            errors["left"].append(err[0].max())
+            errors["interior"].append(err[1:-1].max())
+            errors["right"].append(err[-1].max())
+        for where, errs in errors.items():
+            slope = np.polyfit(np.log(sizes), np.log(errs), 1)[0]
+            assert -2.2 <= slope <= -1.8, (where, slope)
+
+    def test_too_coarse(self, lz):
+        path = al.track_eigenpath(lz, 2)
         with pytest.raises(DomainError):
-            al.path_derivatives(path, 3)
+            al.path_derivatives(path)
 
 
 class TestGaugeResidual:
@@ -407,7 +436,7 @@ class TestDerivativeBounds:
         for inst in suite:
             path = al.track_eigenpath(inst, 1025)
             norms = al.norm_bundle(inst)
-            speeds = np.linalg.norm(al.path_derivatives(path, 1), axis=1)
+            speeds = np.linalg.norm(al.path_derivatives(path), axis=1)
             assert speeds.max() <= 1.05 * norms.norm_H1 / path.gap
 
     def test_second_bound_shifted_frame(self, suite):
@@ -418,6 +447,8 @@ class TestDerivativeBounds:
             shifted = al.shift_to_zero_eigenvalue(inst, path)
             nb = al.norm_bundle(shifted)
             lam = path.gap
-            accel = np.linalg.norm(al.path_derivatives(path, 2), axis=1)
+            accel = np.linalg.norm(
+                CubicSpline(path.grid, path.states)(path.grid, 2), axis=1
+            )
             bound = nb.norm_H2 / lam + 3.0 * nb.norm_H1**2 / lam**2
             assert accel.max() <= 1.05 * bound

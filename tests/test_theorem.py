@@ -14,7 +14,7 @@ from conftest import dense_derivative_norms, dense_norm, svd_norm
 
 
 def _required(delta, h1, h2, lam, case):
-    return al.required_time(delta, NormBundle(1.0, h1, h2, 2), lam, case)
+    return al.required_time(delta, NormBundle(1.0, h1, h2), lam, case)
 
 
 @pytest.fixture(scope="module")
@@ -202,7 +202,7 @@ class TestVerifyNorms:
         for inst, verdict in library_verdicts:
             record = inst.affine
             ends = svd_norm(np.stack([record.h0, record.h1])).max()
-            want = NormBundle(ends, svd_norm(record.diff), 0.0, 2)
+            want = NormBundle(ends, svd_norm(record.diff), 0.0)
             _assert_bundles_close(verdict.norms, want, 1e-12)
         # ||H~'|| and ||H~''|| bound a sample of 64 points per spline cell
         # and lie within 1e-9 of it; ||H~|| bounds its own sample from
@@ -231,7 +231,7 @@ class TestVerifyNorms:
         got = al.norm_bundle(shifted)
         assert got.norm_H2 == np.abs(shifted.affine.shift(0.5, 2))
         with pytest.raises(DomainError, match="1025 spline knots"):
-            al.norm_bundle(shifted, 1024)
+            al.norm_bundle(shifted, spectrum=path.eigenvalues[:-1])
 
     def test_shifted_derivative_norm_within_spread(self, library_verdicts):
         # Hellmann-Feynman: gamma' = <psi|D|psi> lies in [lambda_min(D),

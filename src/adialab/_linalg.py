@@ -6,20 +6,40 @@ vectorized in chunks.  No norm takes an SVD: the 2x2 Hermitian norm has a
 closed form, and the operator norm of A is the root of that of A^H A.
 
 Every chunked loop in the package sizes its batches by ``chunk_size``, most
-of them through ``chunk_ranges``: max(64, 2**21 // d^2) matrices, i.e.
-2**21 entries (32 MiB of complex128).
+of them through ``chunk_ranges``: max(64, 2**19 // d^2) matrices, i.e.
+2**19 entries (8 MiB of complex128).
 Each batch is copied several times through evaluation, eigendecomposition
 and exponentiation, so this budget bounds peak memory while leaving every
 numpy call enough matrices to amortize Python overhead.  For power-of-two
 d the batch size is a power of two, so a pairwise product split at batch
 boundaries reproduces the unsplit product tree exactly.
+
+``chunk_map`` runs a loop's per-chunk work on a thread pool of W =
+min(usable CPUs, 4) threads, with at most W chunks in flight: together
+they hold 2**21 entries, one batch's budget before the pool.  Chunk
+boundaries depend on d alone, never on W, so results do not depend on the
+core count.  The tracker and the null-state check use it: their per-chunk
+work is evaluation plus per-matrix LAPACK or einsum, which releases the
+interpreter lock, and each chunk's result is independent of the others.
+The evolution and proof-check folds stay sequential on ``chunk_ranges``:
+each chunk's product feeds a running product, and their d = 2 closed-form
+steps ran slower threaded than serial.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import os
+import threading
+from collections import deque
+from concurrent import futures
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
+
+MAX_WORKERS = 4
+_T = TypeVar("_T")
+_pool: futures.ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
 
 
 def dagger(mats: np.ndarray) -> np.ndarray:
@@ -110,7 +130,7 @@ def ordered_product(mats: np.ndarray) -> np.ndarray:
 
 def chunk_size(dim: int) -> int:
     """Matrices per batch of dim x dim matrices."""
-    return max(64, 2**21 // (dim * dim))
+    return max(64, 2**19 // (dim * dim))
 
 
 def chunk_ranges(lo: int, hi: int, dim: int) -> Iterator[tuple[int, int]]:
@@ -119,3 +139,62 @@ def chunk_ranges(lo: int, hi: int, dim: int) -> Iterator[tuple[int, int]]:
     for start in range(lo, hi, step):
         yield start, min(start + step, hi)
 
+
+def _workers() -> int:
+    """W: the CPUs this process may run on, at most MAX_WORKERS."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, MAX_WORKERS)
+
+
+def _executor() -> futures.ThreadPoolExecutor:
+    """The process's chunk pool, created on first use (which also imports
+    the executor's module); its threads start only as chunks are submitted,
+    at most W of them per ``chunk_map``."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = futures.ThreadPoolExecutor(
+                MAX_WORKERS, thread_name_prefix="adialab-chunk"
+            )
+        return _pool
+
+
+def chunk_map(
+    fn: Callable[[int, int], _T], lo: int, hi: int, dim: int
+) -> Iterator[_T]:
+    """Yield fn(start, stop) for each chunk of ``chunk_ranges(lo, hi, dim)``,
+    in order.
+
+    A range of one chunk, or W = 1, calls fn inline as the loop advances.
+    Otherwise the calls run on the pool: up to W chunks are computed while
+    the caller waits for the next result, and up to W - 1 while it uses
+    one.  fn is then called from several threads at once.  An exception of
+    fn is raised at its chunk's turn, so an earlier chunk's result is
+    always seen first.  Closing the generator, as ``contextlib.closing``
+    does when the caller raises or stops early, cancels the chunks not yet
+    started and waits for the running ones: no call of fn outlives it.
+    """
+    ranges = list(chunk_ranges(lo, hi, dim))
+    workers = _workers()
+    if len(ranges) < 2 or workers < 2:
+        for start, stop in ranges:
+            yield fn(start, stop)
+        return
+    pool = _executor()
+    pending: deque = deque()
+    try:
+        for start, stop in ranges:
+            pending.append(pool.submit(fn, start, stop))
+            if len(pending) == workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+        # a later chunk's own failure is dropped: an earlier error, or the
+        # caller's, is the one that propagates
+        futures.wait(pending)

@@ -19,15 +19,20 @@ the nearest other eigenvalue.  The tracker measures it once, for its
 degeneracy check, and no gap is computed anywhere else.
 ``eigen_residuals`` measures how well sampled states solve the eigenvalue
 equation of a Hamiltonian; the zero-eigenvalue shift gates on it.
+Both evaluate and decompose their chunks through ``chunk_map``, on worker
+threads when the grid spans several chunks; the tracker's walk over the
+results stays in grid order, in the calling thread.
 """
 
 from __future__ import annotations
 
+import numbers
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import chunk_ranges, eigh_batch
+from ._linalg import chunk_map, chunk_ranges, eigh_batch
 from .errors import DomainError, GapCollapseError, UnderResolvedGridError
 from .hamiltonians import TimeDependentHamiltonian, eval_batch
 
@@ -89,10 +94,17 @@ def track_eigenpath(
 
     One batched overlap computation covers each batch.  With
     m_j = <v_r(s_j), v_r(s_{j-1})> on the raw eigenvectors, state j is
-    v_r(s_j) R_j with R_j = R_{j-1} m_j/|m_j|.
+    v_r(s_j) R_j with R_j = R_{j-1} m_j/|m_j|.  Each batch is evaluated
+    and decomposed by ``chunk_map``, so the instance's evaluator may be
+    called from worker threads; it must be a pure function of s.
+    ``grid_size`` must be an integer of at least 2 (``DomainError``).
     """
-    if grid_size < 2:
-        raise DomainError("grid_size must be at least 2")
+    if (
+        not isinstance(grid_size, numbers.Integral)
+        or isinstance(grid_size, bool)
+        or grid_size < 2
+    ):
+        raise DomainError(f"grid_size must be an integer >= 2, got {grid_size!r}")
     if isinstance(selector, str):
         if selector != "ground":
             raise DomainError(f"unknown selector {selector!r}")
@@ -114,67 +126,72 @@ def track_eigenpath(
     spectra = np.empty((grid_size, dim))
     gaps = np.empty(grid_size)
 
+    def decompose(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        return eigh_batch(eval_batch(h, grid[lo:hi]))
+
     carried = 1.0
     rank = previous = None
-    for lo, hi in chunk_ranges(0, grid_size, dim):
-        evals, evecs = eigh_batch(eval_batch(h, grid[lo:hi]))
-        if lo == 0:
-            rank = 0 if match_vector is None else int(
-                np.argmax(np.abs(evecs[0].conj().T @ match_vector))
-            )
-            neighbours = [k for k in (rank - 1, rank + 1) if 0 <= k < dim]
-            # s = 0 is matched against itself: overlap |v|^2, so R_0 = 1
-            previous = evecs[0, :, rank]
-        column = evecs[:, :, rank]
-        # every point against its predecessor's rank-r column (|overlap|
-        # ignores the phase); conjugating the (n, d) side instead of the
-        # (n, d, d) batch saves a copy, and the einsum gives conj(<v_k, back>)
-        back = np.concatenate([previous[None], column[:-1]])
-        conj_overlaps = np.einsum("nik,ni->nk", evecs, back.conj())
-        magnitudes = np.abs(conj_overlaps)
-        best = magnitudes.argmax(axis=1)
-        overlap = conj_overlaps[:, rank].conj()
-        magnitude = magnitudes[:, rank]
-
-        point_norm = np.abs(evals).max(axis=1)
-        gammas[lo:hi] = evals[:, rank]
-        margin = np.abs(evals[:, neighbours] - gammas[lo:hi, None]).min(
-            axis=1, initial=np.inf, out=gaps[lo:hi]
-        )
-        low = magnitudes.max(axis=1) < MIN_BRANCH_OVERLAP
-        crossed = best != rank
-        degenerate = (margin <= DEGENERACY_RTOL * point_norm) | (point_norm == 0.0)
-        failed = np.flatnonzero(low | crossed | degenerate)
-        if failed.size:
-            r = failed[0]
-            s = grid[lo + r]
-            if low[r]:
-                raise UnderResolvedGridError(
-                    f"consecutive overlap {magnitudes[r].max():.3f} < "
-                    f"{MIN_BRANCH_OVERLAP} at s={s:.6g}; refine the grid"
+    # closing: a raise below cancels the chunks still queued and waits for
+    # the running ones, so no evaluation outlives this call
+    with closing(chunk_map(decompose, 0, grid_size, dim)) as batches:
+        for (lo, hi), (evals, evecs) in zip(chunk_ranges(0, grid_size, dim), batches):
+            if lo == 0:
+                rank = 0 if match_vector is None else int(
+                    np.argmax(np.abs(evecs[0].conj().T @ match_vector))
                 )
-            # in a degenerate eigenspace the best rank is LAPACK's choice
-            if degenerate[r]:
+                neighbours = [k for k in (rank - 1, rank + 1) if 0 <= k < dim]
+                # s = 0 is matched against itself: overlap |v|^2, so R_0 = 1
+                previous = evecs[0, :, rank]
+            column = evecs[:, :, rank]
+            # every point against its predecessor's rank-r column (|overlap|
+            # ignores the phase); conjugating the (n, d) side instead of the
+            # (n, d, d) batch saves a copy, and the einsum gives conj(<v_k, back>)
+            back = np.concatenate([previous[None], column[:-1]])
+            conj_overlaps = np.einsum("nik,ni->nk", evecs, back.conj())
+            magnitudes = np.abs(conj_overlaps)
+            best = magnitudes.argmax(axis=1)
+            overlap = conj_overlaps[:, rank].conj()
+            magnitude = magnitudes[:, rank]
+
+            point_norm = np.abs(evals).max(axis=1)
+            gammas[lo:hi] = evals[:, rank]
+            margin = np.abs(evals[:, neighbours] - gammas[lo:hi, None]).min(
+                axis=1, initial=np.inf, out=gaps[lo:hi]
+            )
+            low = magnitudes.max(axis=1) < MIN_BRANCH_OVERLAP
+            crossed = best != rank
+            degenerate = (margin <= DEGENERACY_RTOL * point_norm) | (point_norm == 0.0)
+            failed = np.flatnonzero(low | crossed | degenerate)
+            if failed.size:
+                r = failed[0]
+                s = grid[lo + r]
+                if low[r]:
+                    raise UnderResolvedGridError(
+                        f"consecutive overlap {magnitudes[r].max():.3f} < "
+                        f"{MIN_BRANCH_OVERLAP} at s={s:.6g}; refine the grid"
+                    )
+                # in a degenerate eigenspace the best rank is LAPACK's choice
+                if degenerate[r]:
+                    raise GapCollapseError(
+                        f"tracked eigenvalue degenerate at s={s:.6g}: "
+                        f"nearest branch at distance {margin[r]:.3e} "
+                        f"(tolerance {DEGENERACY_RTOL:.0e} * {point_norm[r]:.3e})"
+                    )
                 raise GapCollapseError(
-                    f"tracked eigenvalue degenerate at s={s:.6g}: "
-                    f"nearest branch at distance {margin[r]:.3e} "
-                    f"(tolerance {DEGENERACY_RTOL:.0e} * {point_norm[r]:.3e})"
+                    f"tracked branch leaves sorted rank {rank} between "
+                    f"s={grid[lo + r - 1]:.6g} and s={s:.6g}: it crosses "
+                    f"rank {best[r]} there"
                 )
-            raise GapCollapseError(
-                f"tracked branch leaves sorted rank {rank} between "
-                f"s={grid[lo + r - 1]:.6g} and s={s:.6g}: it crosses "
-                f"rank {best[r]} there"
-            )
 
-        # R_j = R_{j-1} m_j/|m_j| makes <state_{j-1}, state_j> real and
-        # nonnegative; the cumulative product is renormalized to modulus 1
-        # (``carried`` is the previous batch's last R, and 1 when lo = 0)
-        phases = carried * np.cumprod(overlap / magnitude)
-        rotation = phases / np.abs(phases)
-        np.multiply(column, rotation[:, None], out=states[lo:hi])
-        spectra[lo:hi] = evals
-        previous = column[-1].copy()
-        carried = rotation[-1]
+            # R_j = R_{j-1} m_j/|m_j| makes <state_{j-1}, state_j> real and
+            # nonnegative; the cumulative product is renormalized to modulus 1
+            # (``carried`` is the previous batch's last R, and 1 when lo = 0)
+            phases = carried * np.cumprod(overlap / magnitude)
+            rotation = phases / np.abs(phases)
+            np.multiply(column, rotation[:, None], out=states[lo:hi])
+            spectra[lo:hi] = evals
+            previous = column[-1].copy()
+            carried = rotation[-1]
 
     return EigenPath(
         grid=grid,
@@ -192,14 +209,21 @@ def eigen_residuals(
     states: np.ndarray,
     values: np.ndarray,
 ) -> np.ndarray:
-    """||H(s_j) psi_j - c_j psi_j|| for every grid point s_j."""
-    residuals = np.empty(grid.size)
-    for lo, hi in chunk_ranges(0, grid.size, h.dim):
-        # the batch dies with the einsum, before the next one is evaluated
+    """||H(s_j) psi_j - c_j psi_j|| for every grid point s_j.
+
+    The chunks run through ``chunk_map``, so H's evaluator may be called
+    from worker threads.
+    """
+
+    def residual(lo: int, hi: int) -> np.ndarray:
+        # the batch dies with the einsum, before its thread evaluates another
         applied = np.einsum("nij,nj->ni", eval_batch(h, grid[lo:hi]), states[lo:hi])
-        residuals[lo:hi] = np.linalg.norm(
-            applied - values[lo:hi, None] * states[lo:hi], axis=1
-        )
+        return np.linalg.norm(applied - values[lo:hi, None] * states[lo:hi], axis=1)
+
+    residuals = np.empty(grid.size)
+    ranges = chunk_ranges(0, grid.size, h.dim)
+    for (lo, hi), part in zip(ranges, chunk_map(residual, 0, grid.size, h.dim)):
+        residuals[lo:hi] = part
     return residuals
 
 

@@ -6,7 +6,7 @@ import pytest
 
 import adialab as al
 from adialab import evolution
-from adialab._linalg import expm_i_hermitian
+from adialab._linalg import chunk_size, expm_i_hermitian
 from adialab.errors import (
     DomainError,
     FeasibilityError,
@@ -119,8 +119,9 @@ class TestEvolveDiscrete:
             assert np.linalg.norm(state - rebuilt) < 1e-9
 
     def test_fast_path_equals_sequential(self, grover2):
-        # 10,000 steps at d = 16 span two batches of 8,192; the stride-L
-        # snapshot run must agree too
+        # 10,000 steps at d = 16 span several batches of chunk_size(16);
+        # the stride-L snapshot run must agree too
+        assert chunk_size(16) < 10_000
         cases = ((grover2, 4.0, 256), (al.random_interpolation(16, 7), 20.0, 10_000))
         for inst, total_time, steps in cases:
             psi0 = _ground(inst)
@@ -133,12 +134,15 @@ class TestEvolveDiscrete:
                 assert np.linalg.norm(fast.final_state - slow) < 1e-11
 
     def test_half_state_equals_half_grid_evolution(self, lz, grover3):
-        # d = 7 batches hold 42,799 steps, so later batches start at odd
-        # indices; the last batch of 128,398 steps holds only step 128,397
+        # d = 7 batches hold an odd b = chunk_size(7) steps, so later
+        # batches start at odd indices; the last batch of 11 b + 1 steps
+        # holds only step 11 b
+        b = chunk_size(7)
+        assert b % 2 == 1
         cases = (
             (lz, 300.0, 4096),
             (grover3, 200.0, 30_000),
-            (al.random_interpolation(7, 3), 50.0, 128_398),
+            (al.random_interpolation(7, 3), 50.0, 11 * b + 1),
         )
         for inst, total_time, steps in cases:
             psi0 = _ground(inst)

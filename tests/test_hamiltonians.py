@@ -8,7 +8,7 @@ from scipy.interpolate import CubicSpline
 import adialab as al
 from adialab.errors import DomainError, IntegrityError, NumericalError
 from adialab import hamiltonians
-from adialab._linalg import chunk_ranges, dagger, opnorm, opnorm_hermitian
+from adialab._linalg import chunk_ranges, chunk_size, dagger, opnorm, opnorm_hermitian
 from adialab.evolution import _step_batch
 from adialab.hamiltonians import eval_batch
 from adialab.problems import PAULI_X, PAULI_Z
@@ -353,8 +353,8 @@ class TestNormBundle:
 
     def test_spectra_match_whole_grid_batches(self, monkeypatch):
         # a shifted d = 32 frame with 2,049 knots: its spectrum is sampled
-        # in two chunk_ranges batches, and eigvalsh works matrix by matrix,
-        # so batching changes no bit
+        # in several chunk_ranges batches of chunk_size(32), and eigvalsh
+        # works matrix by matrix, so batching changes no bit
         inst = al.random_interpolation(32, seed=1)
         shifted = al.shift_to_zero_eigenvalue(inst, al.track_eigenpath(inst, 2049))
         knots = shifted.affine.shift.x
@@ -367,7 +367,8 @@ class TestNormBundle:
         )
         sizes = [hi - lo for lo, hi in chunk_ranges(0, knots.size, inst.dim)]
         chunked = al.norm_bundle(shifted)
-        assert len(sizes) == 2 and batches == sizes
+        assert len(sizes) == -(-knots.size // chunk_size(inst.dim)) > 1
+        assert batches == sizes
         # a spectrum handed to norm_bundle is used as it is: nothing is
         # sampled, and only ||H~|| reads it
         batches.clear()

@@ -1,4 +1,8 @@
 import dataclasses
+import functools
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -6,9 +10,14 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 import adialab as al
-from adialab import _linalg
-from adialab._linalg import chunk_ranges, eigh_batch, opnorm_hermitian
-from adialab.errors import DomainError, GapCollapseError, UnderResolvedGridError
+from adialab import _linalg, spectral
+from adialab._linalg import chunk_ranges, chunk_size, eigh_batch, opnorm_hermitian
+from adialab.errors import (
+    DomainError,
+    GapCollapseError,
+    IntegrityError,
+    UnderResolvedGridError,
+)
 from adialab.hamiltonians import eval_batch
 from adialab.problems import (
     PAULI_X,
@@ -220,6 +229,12 @@ class TestTrackEigenpath:
     def test_grid_validation(self, lz):
         with pytest.raises(DomainError):
             al.track_eigenpath(lz, 1)
+        # only an integer is a grid size: no float, string or bool
+        for grid_size in (2.5, 1e3, "1025", True):
+            for build in (al.track_eigenpath, al.zero_frame):
+                with pytest.raises(DomainError, match="integer"):
+                    build(lz, grid_size)
+        assert al.track_eigenpath(lz, np.int64(3)).npoints == 3
         with pytest.raises(DomainError):
             al.track_eigenpath(lz, 9, selector="excited")
 
@@ -233,8 +248,10 @@ class TestTrackerMatchesSequentialWalk:
         assert path.tracked_index != 0  # a branch other than the ground
 
     def test_chunks_carry_the_previous_vector(self):
-        # 4,097 points at d = 32 are three batches of 2,048, 2,048 and 1;
-        # the complex random instance also carries the gauge rotation
+        # 4,097 points at d = 32 are batches of chunk_size(32) points and a
+        # last one of 1; the complex random instance also carries the gauge
+        # rotation
+        assert 4096 % chunk_size(32) == 0 and chunk_size(32) < 2049
         assert_matches_oracle(al.grover(5), 4097)
         assert_matches_oracle(al.random_interpolation(32, seed=1), 2049)
 
@@ -253,10 +270,13 @@ class TestTrackerMatchesSequentialWalk:
         )
 
     def test_crossing_at_chunk_boundary_raises(self):
-        # d = 32, 4,097 points: batches start at 2,048 and 4,096.  Crossings
-        # just before point 2,048 (first point of a batch, matched against
-        # the carried vector) and before 2,047 (last point of a batch)
-        for j in (2048, 2047):
+        # d = 32, 4,097 points: batches start at the multiples of b =
+        # chunk_size(32).  Crossings just before point b (first point of a
+        # batch, matched against the carried vector) and before b - 1 (last
+        # point of a batch)
+        b = chunk_size(32)
+        assert b < 4097
+        for j in (b, b - 1):
             h = level_crossing(32, (j - 0.5) / 4096)
             where = f"between s={(j - 1) / 4096:.6g} and s={j / 4096:.6g}:"
             assert_same_error_as_oracle(h, 4097, GapCollapseError, where)
@@ -293,6 +313,24 @@ class TestTrackerMatchesSequentialWalk:
             assert_same_error_as_oracle(three_point(mats), 3, error, where)
 
 
+def residual_peak(monkeypatch, workers):
+    """Peak traced memory of ``eigen_residuals`` over 4 batches of 256
+    d = 16 matrices with ``workers`` workers, in batch sizes."""
+    monkeypatch.setattr(_linalg, "chunk_size", lambda dim: 256)
+    monkeypatch.setattr(_linalg, "_workers", lambda: workers)
+    inst = al.random_interpolation(16, seed=1)
+    grid = np.linspace(0.0, 1.0, 1024)
+    states = np.ones((1024, 16), dtype=complex)
+    batch_nbytes = eval_batch(inst, grid[:256]).nbytes
+    tracemalloc.start()
+    try:
+        eigen_residuals(inst, grid, states, np.zeros(1024))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / batch_nbytes
+
+
 def gap_minimum(path):
     """(lambda_min, argmin_s) of the path's gap curve."""
     j = int(np.argmin(path.gap_values))
@@ -318,7 +356,8 @@ class TestSpectralGap:
         assert argmin_s == pytest.approx(0.5, abs=1e-6)
 
     def test_grover(self, grover2):
-        # grover(5) at 4097 points spans three batches of 2048 at d = 32
+        # grover(5) at 4097 points spans several batches at d = 32
+        assert chunk_size(32) < 4097
         for inst, grid_size in ((grover2, 1025), (al.grover(5), 4097)):
             path = al.track_eigenpath(inst, grid_size)
             n = inst.params["n"]
@@ -333,18 +372,11 @@ class TestSpectralGap:
         # itself costs at most two batch-sized buffers; holding the
         # previous batch made a third one and set verify's peak at d = 32
         # (1 MiB batches: numpy reuses temporaries only from 256 KiB on)
-        monkeypatch.setattr(_linalg, "chunk_size", lambda dim: 256)
-        inst = al.random_interpolation(16, seed=1)
-        grid = np.linspace(0.0, 1.0, 1024)
-        states = np.ones((1024, 16), dtype=complex)
-        batch_nbytes = eval_batch(inst, grid[:256]).nbytes
-        tracemalloc.start()
-        try:
-            eigen_residuals(inst, grid, states, np.zeros(1024))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * batch_nbytes
+        assert residual_peak(monkeypatch, workers=1) <= 2.5
+
+    def test_eigen_residuals_keep_two_batches_alive_per_worker(self, monkeypatch):
+        # with the pool, each chunk in flight holds its own two batches
+        assert residual_peak(monkeypatch, workers=2) <= 2 * 2.5
 
     def test_gap_stable_under_grid_refinement(self, suite):
         for inst in suite:
@@ -352,6 +384,113 @@ class TestSpectralGap:
             gap_coarse = al.track_eigenpath(inst, 513).gap
             gap_fine = al.track_eigenpath(inst, 1025).gap
             assert abs(gap_fine - gap_coarse) < 1e-6 * norm_h
+
+
+def crossing_then_broken(spans=None, *, fails=True):
+    """diag(0, 2s - 1) without an affine record: the ground branch crosses
+    zero between points 511 and 512 of a 1,024-point grid, in the ninth of
+    its 64-point chunks; from s = 0.5625, inside the tenth chunk, every
+    sample is non-Hermitian.  With ``fails`` false it is diag(0, -1 - s),
+    which tracks.  Each evaluation appends its (start, end) time to
+    ``spans`` when given, after a short sleep."""
+
+    def evaluator(s_values):
+        start = time.perf_counter()
+        mats = np.zeros((s_values.size, 2, 2), dtype=complex)
+        if fails:
+            mats[:, 1, 1] = 2.0 * s_values - 1.0
+            mats[s_values >= 0.5625, 0, 1] = 1.0
+        else:
+            mats[:, 1, 1] = -1.0 - s_values
+        if spans is not None:
+            time.sleep(0.002)
+            spans.append((start, time.perf_counter()))
+        return mats
+
+    return al.TimeDependentHamiltonian(dim=2, evaluator=evaluator)
+
+
+class TestPooledChunks:
+    """The chunk pool's worker count is patched, so the threaded path runs
+    on any host; chunk boundaries never depend on it."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            functools.partial(al.random_interpolation, 32, seed=1),
+            functools.partial(al.grover, 5),
+        ],
+        ids=["random_interpolation(32,1)", "grover(5)"],
+    )
+    def test_one_and_two_workers_agree_bit_for_bit(self, monkeypatch, make):
+        inst = make()
+        threads = []
+        monkeypatch.setattr(
+            spectral,
+            "eval_batch",
+            lambda h, s: threads.append(threading.current_thread()) or eval_batch(h, s),
+        )
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(_linalg, "_workers", lambda w=workers: w)
+            threads.clear()
+            path = al.track_eigenpath(inst, 4097)
+            residuals = eigen_residuals(inst, path.grid, path.states, path.gammas)
+            pooled = {t is not threading.main_thread() for t in threads}
+            runs.append((path, residuals, pooled))
+        (one, residuals_one, pooled_one), (two, residuals_two, pooled_two) = runs
+        assert pooled_one == {False} and pooled_two == {True}
+        for name in ("states", "gammas", "eigenvalues", "gap_values"):
+            assert np.array_equal(getattr(one, name), getattr(two, name))
+        assert one.tracked_index == two.tracked_index
+        assert np.array_equal(residuals_one, residuals_two)
+
+    def test_crossing_raises_before_a_later_chunks_failure(self, monkeypatch):
+        monkeypatch.setattr(_linalg, "chunk_size", lambda dim: 64)
+        inst = crossing_then_broken()
+        grid = np.linspace(0.0, 1.0, 1024)
+        with pytest.raises(IntegrityError):
+            eval_batch(inst, grid[576:640])  # the tenth chunk fails alone
+        messages = []
+        for workers in (1, 2):
+            monkeypatch.setattr(_linalg, "_workers", lambda w=workers: w)
+            with pytest.raises(GapCollapseError, match="between s=0.499511 and") as got:
+                al.track_eigenpath(inst, 1024)
+            messages.append(str(got.value))
+        assert messages[0] == messages[1]
+
+    def test_no_chunk_runs_after_the_tracker_raises_or_returns(self, monkeypatch):
+        monkeypatch.setattr(_linalg, "chunk_size", lambda dim: 64)
+        monkeypatch.setattr(_linalg, "_workers", lambda: 2)
+        spans = []
+        with pytest.raises(GapCollapseError):
+            al.track_eigenpath(crossing_then_broken(spans), 1024)
+        raised = time.perf_counter()
+        # the first nine chunks ran; the pool held at most one more, and it
+        # finished before the raise
+        assert 9 <= len(spans) <= 10
+        assert max(end for _, end in spans) < raised
+        time.sleep(0.05)
+        assert len(spans) <= 10 and max(end for _, end in spans) < raised
+
+        spans.clear()
+        al.track_eigenpath(crossing_then_broken(spans, fails=False), 1024)
+        returned = time.perf_counter()
+        assert len(spans) == 16 and max(end for _, end in spans) < returned
+
+    def test_order_holds_under_fast_thread_switching(self, monkeypatch):
+        # more workers than cores, and a thread switch every microsecond
+        monkeypatch.setattr(_linalg, "chunk_size", lambda dim: 64)
+        monkeypatch.setattr(_linalg, "_workers", lambda: 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            chunks = _linalg.chunk_map(lambda lo, hi: np.arange(lo, hi), 0, 5000, 2)
+            got = [(int(part[0]), int(part.sum())) for part in chunks]
+        finally:
+            sys.setswitchinterval(interval)
+        ranges = chunk_ranges(0, 5000, 2)
+        assert got == [(lo, sum(range(lo, hi))) for lo, hi in ranges]
 
 
 class TestPathDerivatives:

@@ -5,41 +5,41 @@ arbitrary leading batch axis, so step unitaries and grid scans can be
 vectorized in chunks.  No norm takes an SVD: the 2x2 Hermitian norm has a
 closed form, and the operator norm of A is the root of that of A^H A.
 
-Every chunked loop in the package sizes its batches by ``chunk_size``, most
-of them through ``chunk_ranges``: max(64, 2**19 // d^2) matrices, i.e.
-2**19 entries (8 MiB of complex128).
-Each batch is copied several times through evaluation, eigendecomposition
-and exponentiation, so this budget bounds peak memory while leaving every
-numpy call enough matrices to amortize Python overhead.  For power-of-two
-d the batch size is a power of two, so a pairwise product split at batch
-boundaries reproduces the unsplit product tree exactly.
+Every chunked loop in the package is cut here, by ``chunk_ranges`` or
+``chunk_map``, into batches of ``chunk_size`` = max(64, 2**19 // d^2)
+matrices, i.e. 2**19 entries (8 MiB of complex128); no other module sizes
+a batch.  Each batch is copied several times through evaluation,
+eigendecomposition and exponentiation, so this budget bounds peak memory
+while leaving every numpy call enough matrices to amortize Python
+overhead.  For power-of-two d the batch size is a power of two, so a
+pairwise product split at batch boundaries reproduces the unsplit product
+tree exactly.
 
-``chunk_map`` runs a loop's per-chunk work on a thread pool of W =
-min(usable CPUs, 4) threads, with at most W chunks in flight: together
-they hold 2**21 entries, one batch's budget before the pool.  Chunk
-boundaries depend on d alone, never on W, so results do not depend on the
-core count.  The tracker and the null-state check use it: their per-chunk
-work is evaluation plus per-matrix LAPACK or einsum, which releases the
-interpreter lock, and each chunk's result is independent of the others.
-The evolution and proof-check folds stay sequential on ``chunk_ranges``:
-each chunk's product feeds a running product, and their d = 2 closed-form
-steps ran slower threaded than serial.
+``chunk_map`` runs a loop's per-chunk work on a pool of W = min(usable
+CPUs, 4) threads made for that call, with at most W chunks in flight:
+together they hold 2**21 entries, one batch's budget before the pool.
+Chunk boundaries depend on d alone, never on W, so results do not depend
+on the core count.  The tracker and the null-state check use it: their
+per-chunk work is evaluation plus per-matrix LAPACK or einsum, which
+releases the interpreter lock.  The evolution and proof-check folds stay
+sequential on ``chunk_ranges``, as each chunk's product feeds a running
+product and their d = 2 closed-form steps ran slower threaded; both
+reduce a chunk through ``segment_products``, the one fold, cut at their
+snapshot stride or block length.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from collections import deque
 from concurrent import futures
+from itertools import islice
 from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
 MAX_WORKERS = 4
 _T = TypeVar("_T")
-_pool: futures.ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
 
 
 def dagger(mats: np.ndarray) -> np.ndarray:
@@ -128,6 +128,28 @@ def ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
+def segment_products(mats: np.ndarray, start: int, stride: int) -> np.ndarray:
+    """Ordered products of the runs of one chunk, cut at multiples of stride.
+
+    Row i of ``mats`` is step start + i.  A run ends at each multiple of
+    ``stride`` inside the chunk and at the chunk's end, so the result is
+    (runs, d, d), in step order.  The whole runs reduce together in one
+    batched ``ordered_product``; a partial head and tail run each reduce
+    alone.
+    """
+    n, shape = len(mats), mats.shape[1:]
+    head = min(-start % stride, n)
+    whole = (n - head) // stride
+    tail = head + whole * stride
+    runs = [ordered_product(mats[:head])[None]] if head else []
+    if whole:
+        rows = mats[head:tail].reshape(whole, stride, *shape)
+        runs.append(ordered_product(rows.swapaxes(0, 1)))
+    if tail < n:
+        runs.append(ordered_product(mats[tail:])[None])
+    return np.concatenate(runs)
+
+
 def chunk_size(dim: int) -> int:
     """Matrices per batch of dim x dim matrices."""
     return max(64, 2**19 // (dim * dim))
@@ -149,52 +171,38 @@ def _workers() -> int:
     return min(cpus, MAX_WORKERS)
 
 
-def _executor() -> futures.ThreadPoolExecutor:
-    """The process's chunk pool, created on first use (which also imports
-    the executor's module); its threads start only as chunks are submitted,
-    at most W of them per ``chunk_map``."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = futures.ThreadPoolExecutor(
-                MAX_WORKERS, thread_name_prefix="adialab-chunk"
-            )
-        return _pool
-
-
 def chunk_map(
     fn: Callable[[int, int], _T], lo: int, hi: int, dim: int
-) -> Iterator[_T]:
-    """Yield fn(start, stop) for each chunk of ``chunk_ranges(lo, hi, dim)``,
-    in order.
+) -> Iterator[tuple[int, int, _T]]:
+    """Yield (start, stop, fn(start, stop)) for each chunk of
+    ``chunk_ranges(lo, hi, dim)``, in order.
 
     A range of one chunk, or W = 1, calls fn inline as the loop advances.
-    Otherwise the calls run on the pool: up to W chunks are computed while
-    the caller waits for the next result, and up to W - 1 while it uses
-    one.  fn is then called from several threads at once.  An exception of
-    fn is raised at its chunk's turn, so an earlier chunk's result is
-    always seen first.  Closing the generator, as ``contextlib.closing``
-    does when the caller raises or stops early, cancels the chunks not yet
-    started and waits for the running ones: no call of fn outlives it.
+    Otherwise the calls run on a pool of W threads made for this call: up
+    to W chunks are computed while the caller waits for the next result,
+    and up to W - 1 while it uses one.  fn is then called from several
+    threads at once.  An exception of fn is raised at its chunk's turn, so
+    an earlier chunk's result is always seen first.  Closing the
+    generator, as ``contextlib.closing`` does when the caller raises or
+    stops early, cancels the chunks not yet started and joins the pool's
+    threads: no call of fn, and no thread, outlives it.
     """
     ranges = list(chunk_ranges(lo, hi, dim))
     workers = _workers()
     if len(ranges) < 2 or workers < 2:
         for start, stop in ranges:
-            yield fn(start, stop)
+            yield start, stop, fn(start, stop)
         return
-    pool = _executor()
+    pool = futures.ThreadPoolExecutor(workers, thread_name_prefix="adialab-chunk")
     pending: deque = deque()
+    queued = iter(ranges)
     try:
         for start, stop in ranges:
-            pending.append(pool.submit(fn, start, stop))
-            if len(pending) == workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+            # top up to W chunks in flight, then wait for this one
+            for later in islice(queued, workers - len(pending)):
+                pending.append(pool.submit(fn, *later))
+            yield start, stop, pending.popleft().result()
     finally:
-        for future in pending:
-            future.cancel()
         # a later chunk's own failure is dropped: an earlier error, or the
         # caller's, is the one that propagates
-        futures.wait(pending)
+        pool.shutdown(cancel_futures=True)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check."""
+
+import numbers
 
 
 class AdialabError(Exception):
@@ -40,3 +42,11 @@ class FeasibilityError(AdialabError):
 
 class ConfigError(AdialabError):
     """A run configuration file is malformed or inconsistent."""
+
+
+def require_count(value, name: str, minimum: int) -> None:
+    """``DomainError`` unless value is an integer >= minimum, bool excluded."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{name} must be at least {minimum}, got {value}")

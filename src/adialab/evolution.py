@@ -27,12 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import chunk_ranges, expm_i_hermitian, ordered_product
+from ._linalg import chunk_ranges, expm_i_hermitian, ordered_product, segment_products
 from .errors import (
     DomainError,
     FeasibilityError,
     NonConvergenceError,
     NumericalInstabilityError,
+    require_count,
 )
 from .hamiltonians import TimeDependentHamiltonian, eval_batch
 
@@ -53,10 +54,9 @@ class EvolutionConfig:
             raise DomainError(
                 f"total_time must be positive and finite, got {self.total_time}"
             )
-        if self.steps < 1:
-            raise DomainError("steps must be at least 1")
-        if self.snapshot_stride is not None and self.snapshot_stride < 1:
-            raise DomainError("snapshot_stride must be positive when given")
+        require_count(self.steps, "steps", 1)
+        if self.snapshot_stride is not None:
+            require_count(self.snapshot_stride, "snapshot_stride", 1)
 
     @property
     def epsilon(self) -> float:
@@ -136,14 +136,15 @@ def evolve_discrete(
 ) -> EvolutionResult:
     """Apply U_0, then U_1, ..., then U_{L-1} to psi0.
 
-    The step unitaries are combined by pairwise products in vectorized
-    chunks, and the running product is applied to psi0 where a state is
-    reported.  With ``snapshot_stride`` set, chunks are also cut at its
-    multiples and the state at each cut is recorded, with the initial and
-    final states.  Every reported state passes the aggregate norm-drift
-    guard of its step count.  For even L the same pass also multiplies the
-    squared even-index unitaries U_{2j}^2 into ``half_state``, the
-    L/2-step final state.
+    Each chunk of step unitaries is cut at the multiples of the snapshot
+    stride (of L when none is set) and reduced by ``segment_products``;
+    each run's product is composed into the running product, which is
+    applied to psi0 where a state is reported.  With ``snapshot_stride``
+    set, the state at each cut is recorded, with the initial and final
+    states.  Every reported state passes the aggregate norm-drift guard of
+    its step count.  For even L the same pass also multiplies the squared
+    even-index unitaries U_{2j}^2 into ``half_state``, the L/2-step final
+    state.
     """
     psi = _check_state(psi0, h.dim)
     L = cfg.steps
@@ -153,14 +154,12 @@ def evolve_discrete(
     product = half = None
     for lo, hi in chunk_ranges(0, L, h.dim):
         unitaries = _step_batch(h, lo, hi, cfg)
-        start = lo
-        # cut at the multiples of the stride inside the chunk, then at its end
-        for stop in [*range(lo - lo % stride + stride, hi, stride), hi]:
-            partial = ordered_product(unitaries[start - lo : stop - lo])
+        # runs end at the multiples of the stride inside the chunk, then at its end
+        stops = [*range(lo - lo % stride + stride, hi, stride), hi]
+        for stop, partial in zip(stops, segment_products(unitaries, lo, stride)):
             product = partial if product is None else partial @ product
             if stop % stride == 0 or stop == L:
                 snapshots.append((stop, _guarded(product @ psi, stop)))
-            start = stop
         # a chunk may start at an odd index, and then hold no even one
         even = unitaries[lo % 2 :: 2]
         if L % 2 == 0 and len(even):
@@ -200,8 +199,7 @@ def evolve_adaptive(
         raise DomainError(
             f"total_time must be positive and finite, got {total_time}"
         )
-    if step_ceiling < 2:
-        raise DomainError("step_ceiling must be at least 2, the smallest level")
+    require_count(step_ceiling, "step_ceiling", 2)  # the smallest level
     if not 0.0 <= norm_H < math.inf:
         raise DomainError(f"norm_H must be finite and >= 0, got {norm_H}")
     L = _initial_steps(total_time, norm_H, step_ceiling)

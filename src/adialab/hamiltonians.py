@@ -44,18 +44,16 @@ def _check_hermitian(mats: np.ndarray, what: str) -> None:
     """Reject non-finite entries, and any matrix of the batch whose defect
     |A - A^dagger| exceeds HERMITICITY_RTOL times its own largest entry."""
     batch = mats.reshape(-1, *mats.shape[-2:])
-    for lo, hi in chunk_ranges(0, batch.shape[0], batch.shape[-1]):
-        part = batch[lo:hi]
-        scales = np.abs(part).max(axis=(1, 2))
-        if not np.isfinite(scales).all():
-            raise NumericalError(f"{what} contains non-finite entries")
-        defects = np.abs(part - dagger(part)).max(axis=(1, 2))
-        bad = np.flatnonzero(defects > HERMITICITY_RTOL * scales)
-        if bad.size:
-            raise IntegrityError(
-                f"{what} is not Hermitian: defect {defects[bad[0]]:.3e} exceeds "
-                f"{HERMITICITY_RTOL:.0e} * {scales[bad[0]]:.3e}"
-            )
+    scales = np.abs(batch).max(axis=(1, 2))
+    if not np.isfinite(scales).all():
+        raise NumericalError(f"{what} contains non-finite entries")
+    defects = np.abs(batch - dagger(batch)).max(axis=(1, 2))
+    bad = np.flatnonzero(defects > HERMITICITY_RTOL * scales)
+    if bad.size:
+        raise IntegrityError(
+            f"{what} is not Hermitian: defect {defects[bad[0]]:.3e} exceeds "
+            f"{HERMITICITY_RTOL:.0e} * {scales[bad[0]]:.3e}"
+        )
 
 
 @dataclass(frozen=True, eq=False)

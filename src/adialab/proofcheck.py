@@ -16,10 +16,12 @@ gamma'' is the ||H~''|| that the special-case T uses.
 The error sum is the affine fold S <- U_j S + w_{j+1}, and affine maps
 compose as matrices: with A_j = [[U_j, w_{j+1}], [0, 1]], the sum is
 column d of the ordered product A_{L-1} ... A_0.  ``fold_blocks`` forms
-that product block by block with ``ordered_product``, one extra column
-carrying each block's frozen-w sum.  One pass over the step unitaries
-thus yields the block checks, the total error vector and the step drift
-max_j ||U_{j+1} - U_j||.
+that product block by block, one extra column carrying each block's
+frozen-w sum: it streams the steps in plain chunks, and
+``segment_products`` cuts each chunk at the block boundaries, the same
+fold ``evolve_discrete`` cuts at its snapshots.  One pass over the step
+unitaries thus yields the block checks, the total error vector and the
+step drift max_j ||U_{j+1} - U_j||.
 
 Asymptotic O(...) remainders carry unspecified constants, so each
 asymptotic claim is checked as a scaling-exponent fit over step-count
@@ -34,8 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import chunk_ranges, chunk_size, opnorm, ordered_product
-from .errors import DomainError, FeasibilityError
+from ._linalg import chunk_ranges, opnorm, ordered_product, segment_products
+from .errors import DomainError, FeasibilityError, require_count
 from .evolution import EvolutionConfig, _step_batch
 from .hamiltonians import NormBundle, TimeDependentHamiltonian
 from .spectral import EigenPath, gauge_residual, path_derivatives, track_eigenpath
@@ -123,12 +125,13 @@ class ProofCheckConfig:
     block_starts: tuple = field(init=False)
 
     def __post_init__(self) -> None:
+        require_count(self.L, "L", 1)
         # written so that NaN, which fails every comparison, is rejected too
         positive = all(0.0 < x < math.inf for x in (self.T, self.delta, self.lam))
-        if not (self.L >= 1 and positive and 0.0 <= self.norm_h1 < math.inf):
+        if not (positive and 0.0 <= self.norm_h1 < math.inf):
             raise DomainError(
-                "L, T, delta and lambda must be positive and norm_h1 >= 0, all "
-                f"finite: {self.L}, {self.T}, {self.delta}, {self.lam}, {self.norm_h1}"
+                "T, delta and lambda must be positive and norm_h1 >= 0, all "
+                f"finite: {self.T}, {self.delta}, {self.lam}, {self.norm_h1}"
             )
         _check_delta(self.delta)
         delta_blocks = expected_block_length(
@@ -253,12 +256,6 @@ def check_error_vector_norm(
     )
 
 
-def _check_k_max(k_max: int | None) -> None:
-    """The drift check needs at least one lag: ``DomainError`` for k_max < 1."""
-    if k_max is not None and k_max < 1:
-        raise DomainError(f"k_max must be at least 1, got {k_max}")
-
-
 def check_error_vector_drift(
     path: EigenPath,
     cfg: ProofCheckConfig,
@@ -270,13 +267,13 @@ def check_error_vector_drift(
     The mean-value bound is the slope in k; the k-independent remainder is
     the fitted intercept.  Both the slope comparison and the per-k absolute
     checks must pass.  ``k_max`` (default min(Delta, 64)) is clamped to
-    L - 1; below 1 it raises ``DomainError``.
+    L - 1; one that is not an integer >= 1 raises ``DomainError``.
     """
-    _check_k_max(k_max)
-    L = cfg.L
-    w = error_vectors(path)
     if k_max is None:
         k_max = min(cfg.Delta, 64)
+    require_count(k_max, "k_max", 1)  # the drift check needs one lag
+    L = cfg.L
+    w = error_vectors(path)
     k_max = min(k_max, L - 1)
     ks = np.arange(1, k_max + 1)
     rows = w.view(float)  # real and imaginary parts side by side
@@ -383,50 +380,40 @@ def fold_blocks(
     the start of the block holding step j; block k covers steps k-1 ..
     k+Delta-2.  As w_k enters in the column of step k-1, a block's product
     holds the block total sum_j U_{K-1}..U_j w_j in column d and the fold
-    with w_j frozen at w_k in column d+1.  The blocks of a batch reduce
-    together on a (Delta, blocks, d+2, d+2) array; a block longer than one
-    batch composes its per-batch products, and a trimmed last block is
-    padded with identities.  The power sum sum_{m<n} U_k^m w_k of an
-    n-step block is column d of [[U_k, w_k], [0, 1]]^n.
+    with w_j frozen at w_k in column d+1.  The steps stream in plain
+    ``chunk_ranges`` chunks; ``segment_products`` cuts each chunk at the
+    multiples of Delta, and one batched matmul multiplies its runs into
+    the identity-initialised products of the blocks they belong to.  The
+    power sum sum_{m<n} U_k^m w_k of an n-step block is column d of
+    [[U_k, w_k], [0, 1]]^n.
 
     Returns the (blocks, d+2, d+2) products, the (blocks, d) power sums and
-    max_j ||U_{j+1} - U_j||, as the batches list steps 0..L-1 once, in order.
+    max_j ||U_{j+1} - U_j||, as the chunks list steps 0..L-1 once, in order.
     """
     d, L, delta_blocks = h_shifted.dim, cfg.L, cfg.Delta
     e = d + 2
     n_blocks = len(cfg.block_starts)
     step_cfg = EvolutionConfig(cfg.T, L)
-    products = np.empty((n_blocks, e, e), dtype=complex)
+    products = np.broadcast_to(np.eye(e, dtype=complex), (n_blocks, e, e)).copy()
+    w_k = w[::delta_blocks]  # w[j] holds w_{j+1}, and block k starts at step k-1
     bases = np.zeros((n_blocks, d + 1, d + 1), dtype=complex)
-    bases[:, d, d] = 1.0
-    per_batch = max(1, chunk_size(e) // delta_blocks)
+    bases[:, :d, d], bases[:, d, d] = w_k, 1.0
     drift, previous = 0.0, None
-    for b0 in range(0, n_blocks, per_batch):
-        b1 = min(b0 + per_batch, n_blocks)
-        w_k = w[b0 * delta_blocks : b1 * delta_blocks : delta_blocks]
-        product = None
-        for r0, r1 in chunk_ranges(0, delta_blocks, e):
-            lo, hi = b0 * delta_blocks + r0, min((b1 - 1) * delta_blocks + r1, L)
-            if lo >= hi:  # the trimmed last block ended in an earlier batch
-                break
-            # one block per row, so the flat view lists steps lo..hi-1 in order
-            aug = np.zeros((b1 - b0, r1 - r0, e, e), dtype=complex)
-            flat = aug.reshape(-1, e, e)
-            flat[: hi - lo, :d, :d] = _step_batch(h_shifted, lo, hi, step_cfg)
-            drift = max(drift, _step_drift(flat[: hi - lo, :d, :d], previous))
-            previous = flat[hi - lo - 1, :d, :d].copy()
-            flat[: hi - lo, :d, d] = w[lo:hi]  # w[j] holds w_{j+1}
-            aug[:, :, :d, d + 1] = w_k[:, None]
-            flat[:, d, d] = flat[:, d + 1, d + 1] = 1.0
-            flat[hi - lo :] = np.eye(e)
-            if r0 == 0:
-                # U_k is the block's second step; the power sum of a
-                # one-step block is w_k, whatever stands in for U_k
-                bases[b0:b1, :d, :d] = aug[:, min(1, r1 - 1), :d, :d]
-                bases[b0:b1, :d, d] = w_k
-            partial = ordered_product(aug.swapaxes(0, 1))
-            product = partial if product is None else partial @ product
-        products[b0:b1] = product
+    for lo, hi in chunk_ranges(0, L, e):
+        unitaries = _step_batch(h_shifted, lo, hi, step_cfg)
+        drift = max(drift, _step_drift(unitaries, previous))
+        previous = unitaries[-1].copy()
+        block = np.arange(lo, hi) // delta_blocks
+        aug = np.zeros((hi - lo, e, e), dtype=complex)
+        aug[:, :d, :d] = unitaries
+        aug[:, :d, d], aug[:, :d, d + 1] = w[lo:hi], w_k[block]
+        aug[:, d, d] = aug[:, d + 1, d + 1] = 1.0
+        # U_k is the block's second step, j = 1 mod Delta; the power sum of
+        # a one-step block is w_k, whatever stands in for U_k
+        seconds = slice((1 - lo) % delta_blocks, None, delta_blocks)
+        bases[block[seconds], :d, :d] = unitaries[seconds]
+        touched = slice(block[0], block[-1] + 1)
+        products[touched] = segment_products(aug, lo, delta_blocks) @ products[touched]
 
     lengths = np.minimum(delta_blocks, L + 1 - np.array(cfg.block_starts))
     power_sums = np.empty((n_blocks, d), dtype=complex)
@@ -571,13 +558,13 @@ def run_proofcheck(
     Delta-block's four bounds, the total error sum with its foil
     comparison, and the eigenvalue derivative bounds.
     """
-    if L < DEFAULT_FIT_LENGTHS[0]:
-        raise DomainError(f"L={L} too small for the doubling studies")
+    require_count(L, "L", DEFAULT_FIT_LENGTHS[0])  # the doubling studies' first
     times = (delta,) if total_time is None else (delta, total_time)
     if not all(0.0 < x < math.inf for x in times):
         raise DomainError(f"need positive finite delta and T: {delta=}, {total_time=}")
     _check_delta(delta)
-    _check_k_max(k_max)
+    if k_max is not None:
+        require_count(k_max, "k_max", 1)
     if L > TOTAL_SUM_MAX_L or h.dim > TOTAL_SUM_MAX_DIM:
         raise FeasibilityError(
             f"proofcheck limited to L <= {TOTAL_SUM_MAX_L} at dim <= "

@@ -26,14 +26,13 @@ results stays in grid order, in the calling thread.
 
 from __future__ import annotations
 
-import numbers
 from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import chunk_map, chunk_ranges, eigh_batch
-from .errors import DomainError, GapCollapseError, UnderResolvedGridError
+from ._linalg import chunk_map, eigh_batch
+from .errors import DomainError, GapCollapseError, UnderResolvedGridError, require_count
 from .hamiltonians import TimeDependentHamiltonian, eval_batch
 
 DEGENERACY_RTOL = 1e-8
@@ -99,12 +98,7 @@ def track_eigenpath(
     called from worker threads; it must be a pure function of s.
     ``grid_size`` must be an integer of at least 2 (``DomainError``).
     """
-    if (
-        not isinstance(grid_size, numbers.Integral)
-        or isinstance(grid_size, bool)
-        or grid_size < 2
-    ):
-        raise DomainError(f"grid_size must be an integer >= 2, got {grid_size!r}")
+    require_count(grid_size, "grid_size", 2)
     if isinstance(selector, str):
         if selector != "ground":
             raise DomainError(f"unknown selector {selector!r}")
@@ -134,7 +128,7 @@ def track_eigenpath(
     # closing: a raise below cancels the chunks still queued and waits for
     # the running ones, so no evaluation outlives this call
     with closing(chunk_map(decompose, 0, grid_size, dim)) as batches:
-        for (lo, hi), (evals, evecs) in zip(chunk_ranges(0, grid_size, dim), batches):
+        for lo, hi, (evals, evecs) in batches:
             if lo == 0:
                 rank = 0 if match_vector is None else int(
                     np.argmax(np.abs(evecs[0].conj().T @ match_vector))
@@ -221,8 +215,7 @@ def eigen_residuals(
         return np.linalg.norm(applied - values[lo:hi, None] * states[lo:hi], axis=1)
 
     residuals = np.empty(grid.size)
-    ranges = chunk_ranges(0, grid.size, h.dim)
-    for (lo, hi), part in zip(ranges, chunk_map(residual, 0, grid.size, h.dim)):
+    for lo, hi, part in chunk_map(residual, 0, grid.size, h.dim):
         residuals[lo:hi] = part
     return residuals
 

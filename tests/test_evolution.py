@@ -6,7 +6,7 @@ import pytest
 
 import adialab as al
 from adialab import evolution
-from adialab._linalg import chunk_size, expm_i_hermitian
+from adialab._linalg import chunk_size, expm_i_hermitian, segment_products
 from adialab.errors import (
     DomainError,
     FeasibilityError,
@@ -175,6 +175,40 @@ class TestEvolveDiscrete:
         for total_time in (math.inf, math.nan, -math.inf, 0.0):
             with pytest.raises(DomainError, match="total_time"):
                 al.EvolutionConfig(total_time, 4)
+
+
+def _per_step_runs(mats, start, stride):
+    """Oracle for ``segment_products``: one matmul per step, and a run
+    closed at each multiple of the stride and at the chunk's end."""
+    runs, product = [], np.eye(mats.shape[-1], dtype=complex)
+    for i, u in enumerate(mats):
+        product = u @ product
+        if (start + i + 1) % stride == 0 or i == len(mats) - 1:
+            runs.append(product)
+            product = np.eye(mats.shape[-1], dtype=complex)
+    return np.stack(runs)
+
+
+class TestSegmentProducts:
+    @pytest.mark.parametrize(
+        "start, stride, runs",
+        [
+            (5, 4, 4),  # a start inside a run: head 5..7, 2 whole, tail 16..18
+            (8, 4, 4),  # an aligned start: 3 whole runs, tail 20..21
+            (3, 40, 1),  # a run longer than the chunk, on both sides of it
+            (7, 1, 14),  # stride 1: every step is a run
+            (0, 20, 1),  # stride > chunk length, from an aligned start
+            (2, 4, 4),  # the chunk ends exactly on a cut, at step 16
+        ],
+    )
+    def test_matches_per_step_products(self, start, stride, runs):
+        rng = np.random.default_rng(start * 100 + stride)
+        a = rng.standard_normal((14, 3, 3)) + 1j * rng.standard_normal((14, 3, 3))
+        mats = expm_i_hermitian(a + np.conj(np.swapaxes(a, -1, -2)), 0.3)
+        got = segment_products(mats, start, stride)
+        expected = _per_step_runs(mats, start, stride)
+        assert got.shape == expected.shape == (runs, 3, 3)
+        assert np.abs(got - expected).max() < 1e-12
 
 
 class TestEvolveAdaptive:

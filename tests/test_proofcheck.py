@@ -294,10 +294,10 @@ class TestStepUnitaryDrift:
 
 
     def test_fold_carries_the_drift_across_batches(self, monkeypatch):
-        # H jumps from Z to X between steps 63 and 64, where 64-matrix
-        # batches meet, so the only nonzero drift sits on that seam
-        for module in (_linalg, proofcheck):
-            monkeypatch.setattr(module, "chunk_size", lambda dim: 64)
+        # H jumps from Z to X between steps 63 and 64, where 64-step chunks
+        # meet inside the first 128-step block, so the only nonzero drift
+        # sits on that seam
+        monkeypatch.setattr(_linalg, "chunk_size", lambda dim: 64)
         L = 256
         jump = al.TimeDependentHamiltonian(
             dim=2,
@@ -365,18 +365,18 @@ class TestBlocks:
                 )
 
     def test_batched_folds_match_per_step_oracle(self, lz, monkeypatch):
-        # with 64-matrix batches, Delta = 26 puts two blocks in each batch
-        # and pads the last batch's trimmed 11-step block with identities;
-        # Delta = 128 splits every block over two batches, and the
-        # one-step last block ends within its first
-        for module in (_linalg, proofcheck):
-            monkeypatch.setattr(module, "chunk_size", lambda dim: 64)
+        # with 64-step chunks, Delta = 26 runs straddle chunk boundaries
+        # (the block of steps 52..77 spans the first two chunks), and the
+        # trimmed 11-step last block, steps 1014..1024, straddles the last
+        # two; Delta = 128 spans every block over two chunks, and the
+        # one-step last block is the last chunk, step 1024 alone
+        monkeypatch.setattr(_linalg, "chunk_size", lambda dim: 64)
         for Delta, last_len in ((26, 11), (128, 1)):
             path, cfg, shifted, *_ = _shifted_context(lz, 1025, Delta=Delta)
             assert cfg.L - cfg.block_starts[-1] + 1 == last_len
             w = al.error_vectors(path)
             products, power_sums, drift = fold_blocks(shifted, cfg, w)
-            # the fold's batches are blocks, _max_step_drift's plain runs
+            # both stream the steps in the same plain chunks
             assert drift == _max_step_drift(shifted, cfg.T, cfg.L)
             blocks, total = per_step_folds(shifted, cfg, w)
             entries = check_block_cancellation(products, power_sums, cfg)

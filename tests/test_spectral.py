@@ -486,11 +486,36 @@ class TestPooledChunks:
         sys.setswitchinterval(1e-6)
         try:
             chunks = _linalg.chunk_map(lambda lo, hi: np.arange(lo, hi), 0, 5000, 2)
-            got = [(int(part[0]), int(part.sum())) for part in chunks]
+            got = [(lo, hi, int(part[0]), int(part.sum())) for lo, hi, part in chunks]
         finally:
             sys.setswitchinterval(interval)
         ranges = chunk_ranges(0, 5000, 2)
-        assert got == [(lo, sum(range(lo, hi))) for lo, hi in ranges]
+        assert got == [(lo, hi, lo, sum(range(lo, hi))) for lo, hi in ranges]
+
+    def test_no_pool_thread_outlives_the_tracker(self, monkeypatch):
+        monkeypatch.setattr(_linalg, "chunk_size", lambda dim: 64)
+        monkeypatch.setattr(_linalg, "_workers", lambda: 2)
+        names = []
+        monkeypatch.setattr(
+            spectral,
+            "eval_batch",
+            lambda h, s: names.append(threading.current_thread().name) or eval_batch(h, s),
+        )
+
+        def pool_threads():
+            return [t for t in threading.enumerate() if t.name.startswith("adialab-chunk")]
+
+        with pytest.raises(GapCollapseError):
+            al.track_eigenpath(crossing_then_broken(), 1024)
+        # the chunks ran on the pool, and its threads are joined
+        assert names and all(name.startswith("adialab-chunk") for name in names)
+        assert pool_threads() == []
+
+        names.clear()
+        al.track_eigenpath(crossing_then_broken(fails=False), 1024)
+        assert len(names) == 16
+        assert all(name.startswith("adialab-chunk") for name in names)
+        assert pool_threads() == []
 
 
 class TestPathDerivatives:

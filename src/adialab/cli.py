@@ -1,7 +1,9 @@
 """Batch experiment runner over the library.
 
-Subcommands: verify, sweep, gap-scan, proof-check, simulate.  Runs are
-described by a JSON config file; unknown fields are rejected with the
+Subcommands: verify, sweep, gap-scan, proof-check, simulate.  verify,
+sweep and proof-check run in the space of the instance's ``zero_frame``
+(its ``evolved_dim``); gap-scan and simulate track the full space.  Runs
+are described by a JSON config file; unknown fields are rejected with the
 offending field named, every field is type-checked (an integer is accepted
 where a number is expected, never a string or a boolean), and syntax errors
 carry line/column positions.

@@ -13,11 +13,8 @@ exponentials, so the only error under study is the O(1/L)
 discretization error itself.  ``_step_batch`` is the one place that
 computes them; the proof instrumentation draws its U_j from it too.
 
-The state lives in the instance's own dimension.  ``theorem.verify`` may
-hand in a frame compressed to a certified invariant subspace V of the
-start state (2 x 2 for Grover, where the steps take the closed form of
-``expm_i_hermitian``), with the full-space sup ||H|| as ``norm_H``, so the
-first L tried, and with it L_used, is the full-space one.
+The state lives in the instance's own dimension: ``theorem.verify`` hands
+in its frame's, whose 2 x 2 Grover steps take ``expm_i_hermitian``'s closed form.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ family is driven by a seeded generator), so experiment outputs are exactly
 reproducible.  Closed-form spectral facts, where available, are exposed as
 plain functions for use as independent test oracles.
 
-transverse_ising at s = 1 has a doubly degenerate ground space; it is the
-documented fixture for exercising the gap-collapse error path.
+transverse_ising at s = 1 has a doubly degenerate ground space: tracked in
+full space it is the fixture for the gap-collapse error path.
 """
 
 from __future__ import annotations
@@ -82,7 +82,8 @@ def transverse_ising(n: int, J: float = 1.0) -> TimeDependentHamiltonian:
     """Open-chain anneal H(s) = -(1-s) sum X_i - s J sum Z_i Z_{i+1}.
 
     At s = 1 the classical term has a doubly degenerate ground space, so
-    eigenpath tracking is expected to fail there with a gap-collapse error.
+    full-space tracking fails there with a gap-collapse error; the second
+    ground state is parity-odd, outside the subspace ``zero_frame`` runs in.
     """
     if not (1 <= n <= 8):
         raise DomainError(f"transverse_ising requires 1 <= n <= 8, got n={n}")

@@ -552,11 +552,13 @@ def run_proofcheck(
 ) -> ProofReport:
     """Instrument every inequality for one instance and discretization.
 
-    Builds the ``zero_frame`` on the j/L grid, takes T as its special-case
-    required time when not given, and runs: gauge residual, the w Taylor
-    form, the w norm bound, w drift, step-unitary drift, every
-    Delta-block's four bounds, the total error sum with its foil
-    comparison, and the eigenvalue derivative bounds.
+    Builds the ``zero_frame`` on the j/L grid and checks in its space, of
+    dimension ``metadata.evolved_dim``, with T its special-case required
+    time when not given: gauge residual, the w Taylor form, the w norm
+    bound, w drift, step-unitary drift, every Delta-block's four bounds,
+    the total error sum with its foil comparison, and the eigenvalue
+    derivative bounds.  The fit paths track the frame's instance from its
+    start state.
     """
     require_count(L, "L", DEFAULT_FIT_LENGTHS[0])  # the doubling studies' first
     times = (delta,) if total_time is None else (delta, total_time)
@@ -591,7 +593,9 @@ def run_proofcheck(
     cfg = ProofCheckConfig(L, total_time, delta, norms_shifted.norm_H1, lam)
     w = error_vectors(path)
 
-    fit_paths = [track_eigenpath(h, n + 1, selector) for n in DEFAULT_FIT_LENGTHS]
+    fit_paths = [
+        track_eigenpath(frame.h, n + 1, path.states[0]) for n in DEFAULT_FIT_LENGTHS
+    ]
     entries: list[CheckEntry] = [check_gauge_residual(path)]
     entries.append(check_error_vector_taylor(path, fit_paths))
     entries.append(check_error_vector_norm(path, cfg, fit_paths))
@@ -614,6 +618,7 @@ def run_proofcheck(
         "norms": norms.to_dict(),
         "norms_shifted": norms_shifted.to_dict(),
         "selector": selector if isinstance(selector, str) else "vector",
+        "evolved_dim": frame.h.dim,
     }
     return ProofReport(entries=tuple(entries), metadata=metadata)
 

@@ -72,6 +72,28 @@ class EigenPath:
         return self.states.shape[1]
 
 
+def select_branch(evals: np.ndarray, evecs: np.ndarray, selector="ground") -> int:
+    """The rank of the branch ``selector`` picks from H(0)'s eigenvalues
+    ``evals`` (ascending) and eigenvectors ``evecs``: 0 for ``"ground"``,
+    else the column of largest overlap with the vector ``selector``, which
+    must be finite, nonzero and of matching shape (``DomainError``).  A
+    degenerate pick, by the tracker's rule, raises ``GapCollapseError``."""
+    rank = 0
+    if not isinstance(selector, str):
+        vector = np.asarray(selector, dtype=complex)
+        if vector.shape != evecs.shape[:1]:
+            raise DomainError(f"selector shape {vector.shape} is not {evecs.shape[:1]}")
+        if not (np.isfinite(vector).all() and vector.any()):
+            raise DomainError("selector vector must be finite and nonzero")
+        rank = int(np.argmax(np.abs(evecs.conj().T @ vector)))
+    elif selector != "ground":
+        raise DomainError(f"unknown selector {selector!r}")
+    margin = np.sort(np.abs(evals - evals[rank]))[1]
+    if margin <= DEGENERACY_RTOL * np.abs(evals).max():
+        raise GapCollapseError(f"branch picked at s=0 is degenerate (gap {margin:.3e})")
+    return rank
+
+
 def track_eigenpath(
     h: TimeDependentHamiltonian,
     grid_size: int = DEFAULT_GRID,
@@ -79,11 +101,10 @@ def track_eigenpath(
 ) -> EigenPath:
     """Track one nondegenerate branch of H over a uniform grid.
 
-    ``selector`` is either ``"ground"`` (lowest eigenvalue at s = 0) or a
-    vector, in which case the branch with the largest initial overlap is
-    taken.  Its sorted rank r at s = 0 is kept for the whole grid.  At each
-    further point the raw eigenvectors are compared with the previous
-    point's rank-r eigenvector, and the first failing point raises:
+    ``selector`` picks the branch at s = 0 (``select_branch``), and its
+    sorted rank r there is kept for the whole grid.  At each further point
+    the raw eigenvectors are compared with the previous point's rank-r
+    eigenvector, and the first failing point raises:
     UnderResolvedGridError if the best overlap is below 0.5 in magnitude;
     GapCollapseError if a neighbouring rank r +- 1 comes within
     1e-8 * ||H(s)|| of the tracked eigenvalue, or else if the best overlap
@@ -99,20 +120,6 @@ def track_eigenpath(
     ``grid_size`` must be an integer of at least 2 (``DomainError``).
     """
     require_count(grid_size, "grid_size", 2)
-    if isinstance(selector, str):
-        if selector != "ground":
-            raise DomainError(f"unknown selector {selector!r}")
-        match_vector = None
-    else:
-        match_vector = np.asarray(selector, dtype=complex)
-        if match_vector.shape != (h.dim,):
-            raise DomainError(
-                f"selector vector has shape {match_vector.shape}, "
-                f"expected ({h.dim},)"
-            )
-        if not (np.isfinite(match_vector).all() and match_vector.any()):
-            raise DomainError("selector vector must be finite and nonzero")
-
     grid = np.linspace(0.0, 1.0, grid_size)
     dim = h.dim
     states = np.empty((grid_size, dim), dtype=complex)
@@ -130,9 +137,7 @@ def track_eigenpath(
     with closing(chunk_map(decompose, 0, grid_size, dim)) as batches:
         for lo, hi, (evals, evecs) in batches:
             if lo == 0:
-                rank = 0 if match_vector is None else int(
-                    np.argmax(np.abs(evecs[0].conj().T @ match_vector))
-                )
+                rank = select_branch(evals[0], evecs[0], selector)
                 neighbours = [k for k in (rank - 1, rank + 1) if 0 <= k < dim]
                 # s = 0 is matched against itself: overlap |v|^2, so R_0 = 1
                 previous = evecs[0, :, rank]
@@ -249,6 +254,7 @@ def gauge_residual(path: EigenPath) -> float:
 
 __all__ = [
     "EigenPath",
+    "select_branch",
     "track_eigenpath",
     "eigen_residuals",
     "path_derivatives",

@@ -13,14 +13,13 @@ evolves a frame adaptively for the prescribed time and compares against
 the tracked endpoint in both the phase-invariant and the gauge-fixed
 metric, so a sweep over T reuses one frame.
 
-The evolution starts in the tracked state psi0 and never leaves V, the
-smallest subspace that holds psi0 and is invariant under H0 and D = H1 - H0,
-and so under every H~(s).  ``zero_frame`` builds a basis P of V once, and
-``verify`` evolves P^H H~ P and lifts the result with P whenever
-``ZeroFrame.certified_basis`` certifies V for that T; otherwise it evolves
-in full space.  For Grover, V is the textbook two-level subspace.  lambda,
-the norms, tracking and the step floor stay in full space, so L_used is
-the full-space one.
+The evolution from the branch's state psi0 at s = 0 never leaves V, the
+smallest subspace that holds psi0 and is invariant under H0 and D = H1 - H0.
+It is the evolution under P^H H P for an orthonormal basis P of V, and the
+theorem needs only that Hamiltonian's gap and norms.  ``zero_frame`` picks
+the space once: P^H H P when V is proper and at least two-dimensional (for
+Grover, the textbook two-level subspace), else H.  lambda is that space's
+gap, and nothing is lifted back to full space.
 
 Identity shifts commute with everything, so evolutions under H and H~
 agree up to a global phase; the gauge-fixed l2 distance is therefore
@@ -37,7 +36,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from ._linalg import dagger, opnorm, opnorm_hermitian
-from .errors import DomainError, IntegrityError
+from .errors import DomainError, FeasibilityError, IntegrityError
 from .evolution import (
     DEFAULT_STEP_CEILING,
     distance_l2,
@@ -48,6 +47,7 @@ from .hamiltonians import (
     AffineRecord,
     NormBundle,
     TimeDependentHamiltonian,
+    _record,
     _shift_by,
     norm_bundle,
 )
@@ -56,6 +56,7 @@ from .spectral import (
     DEGENERACY_RTOL,
     EigenPath,
     eigen_residuals,
+    select_branch,
     track_eigenpath,
 )
 
@@ -63,10 +64,8 @@ GENERAL_CONSTANT = 1.0e5
 SPECIAL_CONSTANT = 1000.0
 SHIFT_NORM_SLACK = 0.05
 MAX_DELTA = math.sqrt(2.0)
-# closure rank cut, relative to max(||H0||, ||D||), and how far psi0 and
-# the target may lie from V
+# closure rank cut, relative to max(||H0||, ||D||)
 CLOSURE_RTOL = 1e-10
-SUBSPACE_ATOL = 1e-12
 
 
 def _check_delta(delta: float) -> None:
@@ -147,13 +146,24 @@ def _invariant_subspace(
     return basis, float(opnorm(leak).sum())
 
 
+def _projected(
+    h: TimeDependentHamiltonian, basis: np.ndarray
+) -> TimeDependentHamiltonian:
+    """P^H H P: the instance's record on V, with its name and params."""
+    h0, h1 = (dagger(basis) @ end @ basis for end in (h.affine.h0, h.affine.h1))
+    reduced = replace(h.affine, h0=h0, h1=h1)
+    return TimeDependentHamiltonian(basis.shape[1], reduced, h.name, h.params)
+
+
 @dataclass(frozen=True)
 class ZeroFrame:
     """An instance H, its tracked branch, its zero-eigenvalue frame H~ and
     the norms of both: every input of the bound, built by ``zero_frame``.
 
-    ``basis`` is an orthonormal basis P of V (see ``_invariant_subspace``)
-    for the branch's start state, and ``invariance_residual`` its residual.
+    ``h`` is the instance the state evolves under, P^H H P or H itself
+    (see ``zero_frame``); its dimension is the verdict's ``evolved_dim``.
+    ``invariance_residual`` is V's residual r when ``h`` is P^H H P, else 0:
+    by Duhamel, T r bounds the distance from the full evolution.
     """
 
     h: TimeDependentHamiltonian
@@ -161,31 +171,11 @@ class ZeroFrame:
     shifted: TimeDependentHamiltonian
     norms: NormBundle
     norms_shifted: NormBundle
-    basis: np.ndarray
     invariance_residual: float
 
     @property
     def lam(self) -> float:
         return self.path.gap
-
-    def certified_basis(self, total_time: float, disc_tol: float) -> np.ndarray | None:
-        """P when an evolution for ``total_time`` may run in V, else None.
-
-        V must be proper and at least two-dimensional, hold psi0 and the
-        target within SUBSPACE_ATOL, and satisfy T r <= disc_tol / 100 for
-        its invariance residual r: by Duhamel, T r bounds the distance
-        between the reduced product, lifted, and the full one.
-        """
-        k = self.basis.shape[1]
-        if not 2 <= k < self.h.dim:
-            return None
-        if total_time * self.invariance_residual > disc_tol / 100.0:
-            return None
-        states = self.path.states[[0, -1]].T
-        outside = states - self.basis @ (dagger(self.basis) @ states)
-        if np.linalg.norm(outside, axis=0).max() > SUBSPACE_ATOL:
-            return None
-        return self.basis
 
     def required_time(self, delta: float, case: str = "general") -> float:
         """``required_time`` with H's norms in the general case and H~'s in
@@ -199,22 +189,31 @@ def zero_frame(
     grid_size: int = DEFAULT_GRID,
     selector="ground",
 ) -> ZeroFrame:
-    """Track H's branch, build H~(s) = H(s) - gamma(s) I and measure the
-    norms of H and H~ on the path's grid.
+    """Pick the space, track H's branch there, build H~(s) = H(s) - gamma(s) I
+    and measure the norms of H and H~ on the path's grid.
 
-    Both bundles come from ``norm_bundle``, which raises ``DomainError``
-    for an instance without an ``AffineRecord``; a shifted frame is refused
-    by ``shift_to_zero_eigenvalue``.  H's are exact.  H~'s ||H~'|| and
+    ``selector`` picks psi0 among H(0)'s eigenvectors (``select_branch``).
+    When psi0's invariant subspace V has 2 <= dim V < d, H becomes P^H H P
+    and the tracker's selector P^H psi0.  An instance without an
+    ``AffineRecord`` raises ``DomainError`` before anything is evaluated;
+    a shifted frame is refused by ``shift_to_zero_eigenvalue``.  Both
+    bundles come from ``norm_bundle``.  H's are exact.  H~'s ||H~'|| and
     ||H~''|| are closed-form sups over the pieces of the spline gamma, and
     ||H~|| a per-cell bound from its spectrum at the grid points:
     subtracting a real scalar times I only translates a spectrum, so that
     is the tracked path's minus gamma.  No derivative matrix is formed.
     Postconditions: the tracked states are null vectors of H~ at every
     path grid point, and the shifted norms obey ||H~'|| <= 2||H'|| and
-    ||H~''|| <= 2||H''|| + 4||H'||^2/lambda within 5% slack.  The frame
-    also holds V's basis and residual from ``_invariant_subspace`` of the
-    tracked start state, for ``verify`` to certify per T.
+    ||H~''|| <= 2||H''|| + 4||H'||^2/lambda within 5% slack.
     """
+    record = _record(h, "zero_frame")
+    evals, evecs = np.linalg.eigh(record.h0)
+    psi0 = evecs[:, select_branch(evals, evecs, selector)]
+    basis, residual = _invariant_subspace(record, psi0)
+    if 2 <= basis.shape[1] < h.dim:
+        h, selector = _projected(h, basis), dagger(basis) @ psi0
+    else:
+        residual = 0.0
     path = track_eigenpath(h, grid_size, selector)
     shifted = shift_to_zero_eigenvalue(h, path)
     base_norms = norm_bundle(h)
@@ -234,8 +233,7 @@ def zero_frame(
             f"shifted ||H''|| = {shifted_norms.norm_H2:.6g} exceeds "
             f"2||H''|| + 4||H'||^2/lambda = {bound_h2:.6g} beyond 5% slack"
         )
-    basis, residual = _invariant_subspace(h.affine, path.states[0])
-    return ZeroFrame(h, path, shifted, base_norms, shifted_norms, basis, residual)
+    return ZeroFrame(h, path, shifted, base_norms, shifted_norms, residual)
 
 
 @dataclass(frozen=True)
@@ -283,17 +281,6 @@ class TheoremVerdict:
         }
 
 
-def _projected(
-    shifted: TimeDependentHamiltonian, basis: np.ndarray
-) -> TimeDependentHamiltonian:
-    """P^H H~ P: the frame's record on V, with the same spline shift."""
-    record = shifted.affine
-    h0, h1 = (dagger(basis) @ end @ basis for end in (record.h0, record.h1))
-    reduced = replace(record, h0=h0, h1=h1)
-    k = basis.shape[1]
-    return TimeDependentHamiltonian(k, reduced, shifted.name, shifted.params)
-
-
 def verify(
     frame: ZeroFrame,
     delta: float = 0.5,
@@ -306,15 +293,14 @@ def verify(
     """Bound, evolve the frame for the prescribed time, and compare.
 
     The gap and the norms are the frame's, so one ``zero_frame`` serves
-    any number of runs.  The evolution runs in the shifted frame from the
-    gauge-fixed initial state with disc_tol = delta/100 unless overridden
-    (positive and finite), so discretization noise stays two orders below
-    the claim under test.  It runs in the invariant subspace V when
-    ``ZeroFrame.certified_basis`` certifies V for this T, with the
-    full-space sup ||H~|| as its step floor, and in full space otherwise;
-    the verdict's ``evolved_dim`` says which (dim V or d).  If the
-    required step count exceeds ``step_ceiling`` the run refuses up front
-    and reports the largest feasible T instead of silently truncating.
+    any number of runs.  The evolution runs in the frame's space, from the
+    gauge-fixed initial state, with the frame's sup ||H~|| as its step
+    floor and disc_tol = delta/100 unless overridden (positive and
+    finite), so discretization noise stays two orders below the claim
+    under test.  If T r exceeds disc_tol/100 for the frame's invariance
+    residual r, or the required step count exceeds ``step_ceiling``, the
+    run refuses up front (``FeasibilityError``) and reports the largest T
+    it could take instead of silently truncating.
     """
     _check_delta(delta)
     if T_override is not None and not (0.0 <= T_override < math.inf):
@@ -327,25 +313,26 @@ def verify(
     t_required = frame.required_time(delta, case)
     t_used = float(T_override) if T_override is not None else t_required
 
+    residual = frame.invariance_residual
+    if t_used * residual > disc_tol / 100.0:
+        raise FeasibilityError(
+            f"T={t_used:.6g} times V's invariance residual {residual:.3e} "
+            f"exceeds disc_tol/100; largest certified T is about "
+            f"{disc_tol / (100.0 * residual):.6g}"
+        )
     psi0, target = frame.path.states[[0, -1]]
-    basis = frame.certified_basis(t_used, disc_tol)
     if t_used == 0.0:
         final, l_used = psi0, 0
     else:
-        h_run, start = frame.shifted, psi0
-        if basis is not None:
-            h_run, start = _projected(frame.shifted, basis), dagger(basis) @ psi0
         result = evolve_adaptive(
-            h_run,
-            start,
+            frame.shifted,
+            psi0,
             t_used,
             disc_tol,
             norm_H=frame.norms_shifted.norm_H,
             step_ceiling=step_ceiling,
         )
         final, l_used = result.final_state, result.L_used
-        if basis is not None:
-            final = basis @ final
 
     d_phase = distance_phase_invariant(final, target)
     d_gauge = distance_l2(final, target)
@@ -354,7 +341,7 @@ def verify(
         T_required=t_required,
         T_used=t_used,
         L_used=l_used,
-        evolved_dim=frame.h.dim if basis is None else basis.shape[1],
+        evolved_dim=frame.h.dim,
         distance_phase_invariant=d_phase,
         distance_gauge_fixed=d_gauge,
         delta=delta,

@@ -1,12 +1,14 @@
 import json
 import math
+from functools import reduce
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from adialab import cli, landau_zener, proofcheck, theorem, verify, zero_frame
-from adialab.problems import InstanceSpec
+from adialab.problems import PAULI_X, InstanceSpec, transverse_ising
 from test_proofcheck import (
     BLOCK_LABELS,
     ONE_STEP_BLOCK_L,
@@ -112,6 +114,43 @@ def test_gap_scan_json_and_csv(tmp_path, capsys):
     assert [row[2] for row in rows] == payload["gap_values"]
 
 
+def _sector_basis(n: int) -> np.ndarray:
+    """An orthonormal basis of the chain's parity- and reflection-even
+    sector: the joint +1 eigenspace of prod_i X_i and of the site reversal
+    i -> n-1-i, two commuting symmetries of transverse_ising."""
+    size = 2**n
+    parity = reduce(np.kron, [PAULI_X.real] * n)
+    reversal = np.zeros((size, size))
+    for index in range(size):
+        reversal[int(format(index, f"0{n}b")[::-1], 2), index] = 1.0
+    projector = (np.eye(size) + parity) @ (np.eye(size) + reversal) / 4.0
+    values, vectors = np.linalg.eigh(projector)
+    return vectors[:, values > 0.5]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_transverse_ising_verifies_in_its_sector(tmp_path, capsys, n):
+    # the full-space tracker meets the doubly degenerate ground space at
+    # s = 1; the evolution from H0's ground state stays in the even sector,
+    # whose gap stays open, and verify runs there
+    instance = {"kind": "transverse_ising", "params": {"n": n}}
+    config = {"instance": instance, "delta": 1, "case": "special", "T_override": 50.0}
+    code, out, _ = _run(tmp_path, capsys, "verify", config)
+    payload = json.loads(out)
+    jsonschema.validate(payload, _schema("verdict"))
+    assert code == cli.EXIT_PASS and payload["passed"]
+    basis = _sector_basis(n)
+    assert payload["evolved_dim"] == basis.shape[1]
+    record = transverse_ising(n).affine
+    grid = np.linspace(0.0, 1.0, 1025)[:, None, None]
+    sector = basis.T @ (record.h0 + grid * record.diff) @ basis
+    levels = np.linalg.eigvalsh(sector)
+    assert abs(payload["lambda"] - (levels[:, 1] - levels[:, 0]).min()) <= 1e-10
+    code, out, err = _run(tmp_path, capsys, "gap-scan", {"instance": instance})
+    assert code == cli.EXIT_NUMERICAL
+    assert out == "" and "degenerate" in err
+
+
 def test_gap_scan_of_a_degenerate_endpoint_fails(tmp_path, capsys):
     # transverse_ising's classical end s = 1 has a doubly degenerate ground
     # space, and the tracker's per-point check is the scan's only one
@@ -130,6 +169,14 @@ def test_proof_check_output_matches_schema(tmp_path, capsys):
     jsonschema.validate(payload, _schema("proof_report"))
     assert code == (cli.EXIT_PASS if payload["passed"] else cli.EXIT_CLAIM_FAILED)
     assert payload["metadata"]["L"] == 256
+    assert payload["metadata"]["evolved_dim"] == 2
+    # grover(3)'s checks run in its two-level invariant subspace
+    config = {"instance": {"kind": "grover", "params": {"n": 3}}, "delta": 1,
+              "L": 1024, "T": 1000.0}
+    code, out, _ = _run(tmp_path, capsys, "proof-check", config)
+    payload = json.loads(out)
+    jsonschema.validate(payload, _schema("proof_report"))
+    assert payload["metadata"]["evolved_dim"] == 2
 
 
 @pytest.mark.parametrize(

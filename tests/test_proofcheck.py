@@ -534,14 +534,16 @@ class TestRunProofcheck:
         assert len(rows) == len(report.entries) + 1
 
     def test_shifted_norms_match_per_matrix_path(self, lz, grover2):
-        # norms_shifted are those of the frame shifted along the path's
-        # L + 1 points, and Delta follows them (grover(2)'s bound time
-        # needs more steps, so it runs at T = 2000)
+        # norms_shifted are those of the frame's instance shifted along the
+        # path's L + 1 points, and Delta follows them (grover(2)'s bound
+        # time needs more steps, so it runs at T = 2000)
         L, delta = 8192, 1.0
         for inst, total_time in ((lz, None), (grover2, 2000.0)):
             report = al.run_proofcheck(inst, L=L, delta=delta, total_time=total_time)
-            path = al.track_eigenpath(inst, L + 1)
-            shifted = al.shift_to_zero_eigenvalue(inst, path)
+            frame = al.zero_frame(inst, L + 1)
+            assert report.metadata["evolved_dim"] == frame.h.dim == 2
+            path = al.track_eigenpath(frame.h, L + 1, frame.path.states[0])
+            shifted = al.shift_to_zero_eigenvalue(frame.h, path)
             want = al.norm_bundle(shifted)
             got = report.metadata["norms_shifted"]
             for key in ("norm_H", "norm_H1", "norm_H2"):

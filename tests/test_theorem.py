@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +5,12 @@ import pytest
 
 import adialab as al
 from adialab import hamiltonians, theorem
-from adialab.errors import DomainError, FeasibilityError, IntegrityError
+from adialab.errors import (
+    DomainError,
+    FeasibilityError,
+    GapCollapseError,
+    IntegrityError,
+)
 from adialab.hamiltonians import NormBundle
 from adialab.problems import landau_zener_eigenvalue
 
@@ -242,13 +246,22 @@ class TestVerifyNorms:
             assert verdict.norms_shifted.norm_H1 <= spread * (1.0 + 1e-9), inst.name
 
     def test_non_hermitian_evaluator_is_integrity_error(self, lz):
+        calls = []
+
         def evaluator(s_values):
+            calls.append(len(s_values))
             upper = np.array([[0.0, 1.0], [0.0, 0.0]])
             return lz.evaluator(s_values) + (s_values == 0.5)[:, None, None] * upper
 
         bad = al.TimeDependentHamiltonian(dim=2, evaluator=evaluator)
         with pytest.raises(IntegrityError, match="evaluator output"):
+            al.track_eigenpath(bad, 65)
+        # an instance without a record has no norms, so no frame: refused
+        # before anything is evaluated
+        calls.clear()
+        with pytest.raises(DomainError, match="zero_frame needs"):
             al.zero_frame(bad, 65)
+        assert not calls
 
 
 class TestVerify:
@@ -321,18 +334,33 @@ class TestVerify:
         json.dumps(payload)  # must be JSON-serializable as-is
 
 
-def _full_space_run(frame, total_time, disc_tol):
-    """The oracle: the frame's d x d evolution, as verify ran it before V."""
-    psi0, target = frame.path.states[[0, -1]]
-    result = al.evolve_adaptive(
-        frame.shifted, psi0, total_time, disc_tol, norm_H=frame.norms_shifted.norm_H
-    )
-    return result.L_used, al.distance_phase_invariant(result.final_state, target)
+def _full_space_run(inst, total_time, steps):
+    """The oracle: the instance's d x d evolution in its own full-space
+    frame, at a given step count; the distance to the tracked endpoint."""
+    path = al.track_eigenpath(inst)
+    shifted = al.shift_to_zero_eigenvalue(inst, path)
+    cfg = al.EvolutionConfig(total_time, steps)
+    final = al.evolve_discrete(shifted, path.states[0], cfg).final_state
+    return al.distance_phase_invariant(final, path.states[-1])
+
+
+@pytest.fixture
+def tracked_dims(monkeypatch):
+    """The dimension of every instance ``zero_frame`` tracks."""
+    dims, track = [], theorem.track_eigenpath
+
+    def spy(h, *args):
+        dims.append(h.dim)
+        return track(h, *args)
+
+    monkeypatch.setattr(theorem, "track_eigenpath", spy)
+    return dims
 
 
 class TestInvariantSubspace:
-    """verify evolves in V, the smallest subspace holding psi0 and invariant
-    under H0 and D, when V is certified, and in full space otherwise."""
+    """zero_frame runs in V, the smallest subspace holding psi0 and
+    invariant under H0 and D, when V is proper and at least 2-dimensional,
+    and in full space otherwise."""
 
     @pytest.mark.parametrize("inst,dim_v", [
         *((al.grover(n), 2) for n in range(2, 6)),
@@ -340,17 +368,16 @@ class TestInvariantSubspace:
         (al.random_interpolation(8, seed=1), 8),
     ], ids=["grover2", "grover3", "grover4", "grover5", "landau_zener", "random8"])
     def test_closure_dimensions(self, inst, dim_v):
-        frame = al.zero_frame(inst, 65)
-        basis = frame.basis
+        psi0 = np.linalg.eigh(inst.affine.h0)[1][:, 0]
+        basis, residual = theorem._invariant_subspace(inst.affine, psi0)
         assert basis.shape == (inst.dim, dim_v)
         assert np.allclose(basis.conj().T @ basis, np.eye(dim_v), atol=1e-14)
-        assert frame.invariance_residual < 1e-13
-        psi0 = frame.path.states[0]
+        assert residual < 1e-13
         assert np.linalg.norm(psi0 - basis @ (basis.conj().T @ psi0)) < 1e-14
+        assert al.zero_frame(inst, 65).h.dim == dim_v
 
     def test_transverse_ising_closure(self):
-        # its tracking fails at the degenerate end s = 1, so the closure is
-        # taken directly from H0's ground state: 6 of 16 dimensions
+        # 6 of 16 dimensions: the parity- and reflection-even sector
         inst = al.transverse_ising(4)
         psi0 = np.linalg.eigh(inst.affine.h0)[1][:, 0]
         basis, residual = theorem._invariant_subspace(inst.affine, psi0)
@@ -359,12 +386,13 @@ class TestInvariantSubspace:
 
     def test_projected_frame_is_the_compressed_frame(self, grover3):
         frame = al.zero_frame(grover3, 129)
-        basis = frame.basis
-        reduced = theorem._projected(frame.shifted, basis)
+        psi0 = np.linalg.eigh(grover3.affine.h0)[1][:, 0]
+        basis, _ = theorem._invariant_subspace(grover3.affine, psi0)
         s_values = np.linspace(0.0, 1.0, 17)
-        want = basis.conj().T @ frame.shifted.evaluator(s_values) @ basis
-        assert reduced.dim == 2
-        assert np.abs(reduced.evaluator(s_values) - want).max() < 1e-14
+        want = basis.conj().T @ grover3.evaluator(s_values) @ basis
+        assert frame.h.dim == 2
+        assert (frame.h.name, frame.h.params) == (grover3.name, grover3.params)
+        assert np.abs(frame.h.evaluator(s_values) - want).max() < 1e-14
 
     @pytest.mark.parametrize("inst,total_time,evolved_dim", [
         (al.grover(2), 2e4, 2),
@@ -375,12 +403,28 @@ class TestInvariantSubspace:
         # the verify-evolve benchmark's settings: delta 1, special case
         frame = al.zero_frame(inst)
         verdict = al.verify(frame, 1.0, case="special", T_override=total_time)
-        l_full, d_full = _full_space_run(frame, total_time, verdict.disc_tol)
+        d_full = _full_space_run(inst, total_time, verdict.L_used)
         assert verdict.evolved_dim == evolved_dim
-        assert verdict.L_used == l_full
         assert verdict.distance_phase_invariant == pytest.approx(d_full, abs=1e-10)
 
-    def test_perturbed_grover_falls_back(self, grover3):
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_frame_in_v_matches_the_full_space_frame(self, n, tracked_dims):
+        # lambda and T_required of grover's 2 x 2 frame against a frame
+        # tracked, shifted and measured in full space
+        inst = al.grover(n)
+        frame = al.zero_frame(inst)
+        assert tracked_dims == [2]
+        path = al.track_eigenpath(inst)
+        norms = al.norm_bundle(inst)
+        norms_shifted = al.norm_bundle(al.shift_to_zero_eigenvalue(inst, path))
+        assert frame.lam == pytest.approx(path.gap, rel=1e-11, abs=0.0)
+        for delta in (0.5, 1.0):
+            for case, bundle in (("general", norms), ("special", norms_shifted)):
+                want = al.required_time(delta, bundle, path.gap, case)
+                got = frame.required_time(delta, case)
+                assert got == pytest.approx(want, rel=1e-11, abs=0.0), (case, delta)
+
+    def test_perturbed_grover_falls_back(self, grover3, tracked_dims):
         # a 1e-6 Hermitian perturbation of h1 closes V on the whole space
         rng = np.random.default_rng(3)
         noise = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
@@ -388,23 +432,31 @@ class TestInvariantSubspace:
         inst = al.affine_hamiltonian(grover3.affine.h0, h1, name="perturbed")
         frame = al.zero_frame(inst)
         verdict = al.verify(frame, 1.0, case="special", T_override=2e3)
-        assert frame.basis.shape == (8, 8)
+        assert tracked_dims == [8]
+        assert frame.h is inst and frame.invariance_residual == 0.0
         assert verdict.evolved_dim == 8
         assert verdict.passed
 
-    def test_certificate_checks_residual_and_target(self, grover3):
+    def test_degenerate_start_is_refused(self, tracked_dims):
+        # H(0)'s ground space is two-dimensional, so "ground" picks no state:
+        # refused before V, which would hold LAPACK's choice of it, is built
+        h1 = np.array([[1.0, 0.0, 1.0], [0.0, 0.5, 0.0], [1.0, 0.0, 1.0]])
+        inst = al.affine_hamiltonian(np.diag([0.0, 0.0, 2.0]), h1)
+        for call in (lambda: al.zero_frame(inst), lambda: al.track_eigenpath(inst)):
+            with pytest.raises(GapCollapseError, match="s=0 is degenerate"):
+                call()
+        assert not tracked_dims
+
+    def test_duhamel_gate_is_a_feasibility_error(self, grover3, monkeypatch):
+        # T r must stay within disc_tol / 100 for V's invariance residual r;
+        # past it the run is refused before any evolution
         frame = al.zero_frame(grover3, 129)
-        assert frame.certified_basis(2e3, 0.01) is frame.basis
-        # Duhamel: T times the residual must stay below disc_tol / 100
-        limit = 1e-4 / frame.invariance_residual
-        assert frame.certified_basis(0.5 * limit, 0.01) is frame.basis
-        assert frame.certified_basis(2.0 * limit, 0.01) is None
-        # span{psi0, e_1} is a basis of a plane that misses the target |0>
-        psi0 = frame.path.states[0]
-        other = np.eye(8)[1] - np.vdot(psi0, np.eye(8)[1]) * psi0
-        plane = np.stack([psi0, other / np.linalg.norm(other)], axis=1)
-        frame = dataclasses.replace(frame, basis=plane)
-        assert frame.certified_basis(2e3, 0.01) is None
+        residual = frame.invariance_residual
+        assert 0.0 < residual < 1e-13
+        monkeypatch.setattr(theorem, "evolve_adaptive", None)
+        with pytest.raises(FeasibilityError, match="largest certified T") as info:
+            al.verify(frame, 1.0, case="special", T_override=2e3, disc_tol=1e-12)
+        assert f"about {1e-14 / residual:.6g}" in str(info.value)
 
     def test_unpinned_grover3(self, grover3):
         # the theorem's own T (3.8e5) needs 483,752 steps; in V they are 2 x 2

@@ -21,11 +21,14 @@ together they hold 2**21 entries, one batch's budget before the pool.
 Chunk boundaries depend on d alone, never on W, so results do not depend
 on the core count.  The tracker and the null-state check use it: their
 per-chunk work is evaluation plus per-matrix LAPACK or einsum, which
-releases the interpreter lock.  The evolution and proof-check folds stay
-sequential on ``chunk_ranges``, as each chunk's product feeds a running
-product and their d = 2 closed-form steps ran slower threaded; both
-reduce a chunk through ``segment_products``, the one fold, cut at their
-snapshot stride or block length.
+releases the interpreter lock.  The tracker's LAPACK work is
+``branch_eigenpairs``: ``eigvalsh`` and one batched shifted solve per
+chunk (the closed form at d = 2), with no (n, d, d) eigenvector batch.
+The evolution and proof-check folds stay sequential on ``chunk_ranges``,
+as each chunk's product feeds a running product and their d = 2
+closed-form steps ran slower threaded; both reduce a chunk through
+``segment_products``, the one fold, cut at their snapshot stride or block
+length.
 """
 
 from __future__ import annotations
@@ -39,6 +42,11 @@ from typing import Callable, Iterator, TypeVar
 import numpy as np
 
 MAX_WORKERS = 4
+# branch_eigenpairs shifts its solve SHIFT_ULPS ulps of ||A|| above gamma_r,
+# so that an exactly computed eigenvalue (of a diagonal A, say) does not
+# make the solve singular
+SHIFT_ULPS = 8
+BRANCH_RESIDUAL_RTOL = 1e-13
 _T = TypeVar("_T")
 
 
@@ -49,9 +57,9 @@ def dagger(mats: np.ndarray) -> np.ndarray:
 def opnorm_hermitian(mats: np.ndarray) -> np.ndarray:
     """Operator norm (largest |eigenvalue|) of Hermitian input, batched; NaN
     for a NaN entry, where LAPACK can return finite eigenvalues."""
-    if mats.shape[-1] == 2:  # |(a+d)/2| + hypot((a-d)/2, |b|): nothing cancels
-        a, d = mats[..., 0, 0].real, mats[..., 1, 1].real
-        return np.abs(0.5 * (a + d)) + np.hypot(0.5 * (a - d), np.abs(mats[..., 0, 1]))
+    if mats.shape[-1] == 2:  # |c| + r: nothing cancels
+        c, _, _, r = _two_level(mats)
+        return np.abs(c) + r
     nan = np.isnan(mats).any(axis=(-2, -1))
     if nan.any():
         mats = np.where(nan[..., None, None], 0.0, mats)
@@ -64,11 +72,98 @@ def opnorm(mats: np.ndarray) -> np.ndarray:
     return np.sqrt(opnorm_hermitian(dagger(mats) @ mats))
 
 
+def _real_if_exact(mats: np.ndarray) -> np.ndarray:
+    """The real part of complex input whose imaginary part is exactly zero:
+    LAPACK's real routines are the fast path for such Hermitian matrices."""
+    if np.iscomplexobj(mats) and not mats.imag.any():
+        return mats.real
+    return mats
+
+
 def eigh_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.eigh with a fast path for exactly-real Hermitian input."""
-    if np.iscomplexobj(mats) and not mats.imag.any():
-        return np.linalg.eigh(mats.real)
-    return np.linalg.eigh(mats)
+    return np.linalg.eigh(_real_if_exact(mats))
+
+
+def _two_level(mats: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(c, mu, b, r) of 2x2 Hermitian input A = c I + [[mu, b], [b*, -mu]],
+    whose eigenvalues are c -+ r with r = hypot(mu, |b|)."""
+    a, d = mats[..., 0, 0].real, mats[..., 1, 1].real
+    b = mats[..., 0, 1]
+    mu = 0.5 * (a - d)
+    return 0.5 * (a + d), mu, b, np.hypot(mu, np.abs(b))
+
+
+def _two_level_eigenpairs(mats: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    # [[mu, b], [b*, -mu]] has the eigenvector (p, b*) or (b, p) for +r and
+    # (-b, p) or (p, -b*) for -r, with p = r + |mu|: the first form of each
+    # when mu >= 0.  p >= |b| adds no cancellation; b = mu = 0 (a multiple
+    # of I) takes a unit vector
+    c, mu, b, r = _two_level(mats)
+    p = np.where(r > 0.0, r + np.abs(mu), 1.0)
+    upper = rank == 1
+    leading = (mu >= 0.0) == upper  # p sits in component 0
+    off = np.conj(b) if upper else -np.conj(b)
+    column = np.empty(mats.shape[:-1], dtype=complex)
+    column[..., 0] = np.where(leading, p, np.conj(off))
+    column[..., 1] = np.where(leading, off, p)
+    column /= np.hypot(p, np.abs(b))[..., None]
+    return np.stack([c - r, c + r], axis=-1), column
+
+
+def branch_eigenpairs(
+    mats: np.ndarray, rank: int, start: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every eigenvalue, ascending, and the unit rank-``rank`` eigenvector of
+    each Hermitian matrix of a batch: (..., d) and (..., d).
+
+    For d = 2 both come in closed form and ``start`` is unused.  Otherwise
+    the eigenvalues are LAPACK's ``eigvalsh`` (real routines for exactly
+    real input), and the vector is one shifted solve
+    (A - (gamma_r + eta) I) x = start with eta = SHIFT_ULPS ulps of ||A||,
+    so ``start`` must not be orthogonal to the wanted vector.  Each x is
+    certified by its residual: ||A x - gamma_r x|| <= BRANCH_RESIDUAL_RTOL
+    * ||A||, which bounds sin(angle(x, v_r)) by that residual over the
+    distance from gamma_r to the other eigenvalues (Davis-Kahan).  If the
+    solve is singular or not finite, or any x fails its certificate, the
+    whole batch takes its vectors from ``eigh_batch``; the eigenvalues stay.
+    """
+    mats = np.asarray(mats)
+    if mats.shape[-1] == 2:
+        return _two_level_eigenpairs(mats, rank)
+    mats = _real_if_exact(mats)
+    evals = np.linalg.eigvalsh(mats)
+    gamma = evals[..., rank]
+    scale = np.abs(evals).max(axis=-1)
+    column = _shifted_solve(mats, gamma + SHIFT_ULPS * np.spacing(scale), start)
+    if column is not None:
+        applied = (mats @ column[..., None])[..., 0]
+        residual = np.linalg.norm(applied - gamma[..., None] * column, axis=-1)
+        if (residual <= BRANCH_RESIDUAL_RTOL * scale).all():
+            return evals, column
+    return evals, eigh_batch(mats)[1][..., rank]
+
+
+def _shifted_solve(
+    mats: np.ndarray, shift: np.ndarray, start: np.ndarray
+) -> np.ndarray | None:
+    """Unit solutions of (A - shift I) x = start, or None when LAPACK finds
+    a matrix singular or a solution is not finite."""
+    shifted = mats.copy()
+    diagonal = np.arange(mats.shape[-1])
+    shifted[..., diagonal, diagonal] -= shift[..., None]
+    rhs = np.broadcast_to(start, mats.shape[:-1])[..., None]
+    try:
+        raw = np.linalg.solve(shifted, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        return None
+    # scale by the largest entry first: no overflow in the norm, no 0/0
+    peak = np.abs(raw).max(axis=-1, keepdims=True)
+    if not (np.isfinite(peak).all() and peak.all()):
+        return None
+    raw /= peak
+    raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
+    return raw
 
 
 def _expm_i_two_level(mats: np.ndarray, t: float) -> np.ndarray:

@@ -267,12 +267,15 @@ def check_error_vector_drift(
     The mean-value bound is the slope in k; the k-independent remainder is
     the fitted intercept.  Both the slope comparison and the per-k absolute
     checks must pass.  ``k_max`` (default min(Delta, 64)) is clamped to
-    L - 1; one that is not an integer >= 1 raises ``DomainError``.
+    L - 1; one that is not an integer >= 1 raises ``DomainError``, and so
+    does L < 2, which leaves no lag to measure.
     """
     if k_max is None:
         k_max = min(cfg.Delta, 64)
     require_count(k_max, "k_max", 1)  # the drift check needs one lag
     L = cfg.L
+    if L < 2:
+        raise DomainError(f"the error-vector drift check needs L >= 2, got L={L}")
     w = error_vectors(path)
     k_max = min(k_max, L - 1)
     ks = np.arange(1, k_max + 1)

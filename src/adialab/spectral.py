@@ -2,10 +2,20 @@
 
 A branch selected at s = 0 keeps its sorted rank r over the whole grid:
 while its gap stays positive it cannot change rank, so a change of rank is
-a crossing and raises GapCollapseError.  Each point's eigenvectors are
-compared with the previous point's rank-r eigenvector, one batched overlap
-computation per batch; the best overlap must stay at rank r, which also
-holds when two untracked branches cross.  Each rank-r state is then
+a crossing and raises GapCollapseError.  The tracker needs every
+eigenvalue (for the gap) but only the rank-r eigenvector:
+``_linalg.branch_eigenpairs`` gives each chunk's eigenvalues from
+``eigvalsh`` (or the 2x2 closed form) and the rank-r vector from one
+shifted solve started at the rank-r ``eigh`` column of the chunk's first
+point.  Each vector is certified by its residual ||H x - gamma_r x||
+relative to ||H||, which by Davis-Kahan bounds its angle to the true
+eigenvector by residual/gap; a chunk with a failed solve or certificate
+takes its vectors from ``eigh`` instead.  Each point's vector is compared
+with the previous point's: an overlap m with |m|^2 > 1/2 makes rank r the
+unique best match (Parseval: the others' squared overlaps sum to less than
+1/2), and any other point is decomposed by ``eigh`` and judged on every
+rank's overlap, so the best overlap must stay at rank r, which also holds
+when two untracked branches cross.  Each rank-r state is then
 phase-rotated so that the overlap with its predecessor is real and
 nonnegative — the discrete form of the parallel-transport gauge
 <Psi'(s), Psi(s)> = 0; the rotations are one cumulative product of the
@@ -31,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import chunk_map, eigh_batch
+from ._linalg import branch_eigenpairs, chunk_map, eigh_batch
 from .errors import DomainError, GapCollapseError, UnderResolvedGridError, require_count
 from .hamiltonians import TimeDependentHamiltonian, eval_batch
 
@@ -94,6 +104,14 @@ def select_branch(evals: np.ndarray, evecs: np.ndarray, selector="ground") -> in
     return rank
 
 
+def _ambiguous(overlaps: np.ndarray) -> np.ndarray:
+    """Points whose overlap |m| with the previous state leaves the best rank
+    open.  |m|^2 > 1/2 settles it: the squared overlaps of all ranks sum to
+    1 (Parseval), so every other rank's is below 1/2 and r is the unique
+    best, above MIN_BRANCH_OVERLAP."""
+    return np.abs(overlaps) ** 2 <= 0.5
+
+
 def track_eigenpath(
     h: TimeDependentHamiltonian,
     grid_size: int = DEFAULT_GRID,
@@ -102,21 +120,27 @@ def track_eigenpath(
     """Track one nondegenerate branch of H over a uniform grid.
 
     ``selector`` picks the branch at s = 0 (``select_branch``), and its
-    sorted rank r there is kept for the whole grid.  At each further point
-    the raw eigenvectors are compared with the previous point's rank-r
-    eigenvector, and the first failing point raises:
-    UnderResolvedGridError if the best overlap is below 0.5 in magnitude;
-    GapCollapseError if a neighbouring rank r +- 1 comes within
+    sorted rank r there is kept for the whole grid.  Each point's state is
+    compared with the previous point's, and the first failing point raises:
+    UnderResolvedGridError if the best overlap of any rank is below 0.5 in
+    magnitude; GapCollapseError if a neighbouring rank r +- 1 comes within
     1e-8 * ||H(s)|| of the tracked eigenvalue, or else if the best overlap
     is at another rank (the branch crosses a neighbour between the two
     points).  That nearest-neighbour distance is kept as the path's
     ``gap_values``.
 
-    One batched overlap computation covers each batch.  With
-    m_j = <v_r(s_j), v_r(s_{j-1})> on the raw eigenvectors, state j is
-    v_r(s_j) R_j with R_j = R_{j-1} m_j/|m_j|.  Each batch is evaluated
-    and decomposed by ``chunk_map``, so the instance's evaluator may be
-    called from worker threads; it must be a pure function of s.
+    Each chunk of the grid is evaluated by ``chunk_map``, so the instance's
+    evaluator may be called from worker threads; it must be a pure function
+    of s.  The chunk's rank-r column of one ``eigh`` at its first point is
+    the start of ``branch_eigenpairs``, which gives every eigenvalue and
+    the rank-r vector x_j, certified by its residual or else taken from
+    ``eigh`` for the whole chunk.  The overlap m_j = <x_j, x_{j-1}> decides
+    the rank test wherever |m_j|^2 > 1/2 (``_ambiguous``); at any other
+    point one ``eigh`` of that matrix gives every rank's overlap, and the
+    rule above is applied to them.  State j is x_j R_j with
+    R_j = R_{j-1} m_j/|m_j|, and x_{-1} is the rank-r ``eigh`` column at
+    s = 0, so state 0 is that column.  Results depend on the chunk
+    boundaries only, never on the number of workers.
     ``grid_size`` must be an integer of at least 2 (``DomainError``).
     """
     require_count(grid_size, "grid_size", 2)
@@ -127,48 +151,61 @@ def track_eigenpath(
     spectra = np.empty((grid_size, dim))
     gaps = np.empty(grid_size)
 
-    def decompose(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        return eigh_batch(eval_batch(h, grid[lo:hi]))
+    # the ground branch is rank 0, and its pick is checked on the first
+    # chunk's eigh at s = 0 below; a vector's pick needs H(0) first
+    ground = isinstance(selector, str) and selector == "ground"
+    if ground:
+        rank = 0
+    else:
+        rank = select_branch(*eigh_batch(eval_batch(h, grid[:1])[0]), selector)
+    neighbours = [k for k in (rank - 1, rank + 1) if 0 <= k < dim]
+
+    def decompose(lo: int, hi: int):
+        mats = eval_batch(h, grid[lo:hi])
+        # offset -> eigh's (eigenvalues, eigenvectors): the chunk's first
+        # point, and every inner point whose overlap leaves the rank open
+        eigh_at = {0: eigh_batch(mats[0])}
+        evals, column = branch_eigenpairs(mats, rank, eigh_at[0][1][:, rank])
+        # m_j at the inner points; m at lo needs the previous chunk's vector
+        overlap = np.empty(hi - lo, dtype=complex)
+        overlap[1:] = np.einsum("ni,ni->n", column[1:].conj(), column[:-1])
+        inner = np.flatnonzero(_ambiguous(overlap[1:])) + 1
+        if inner.size:
+            eigh_at.update(zip(inner, zip(*eigh_batch(mats[inner]))))
+        return evals, column, overlap, eigh_at
 
     carried = 1.0
-    rank = previous = None
+    previous = None
     # closing: a raise below cancels the chunks still queued and waits for
     # the running ones, so no evaluation outlives this call
     with closing(chunk_map(decompose, 0, grid_size, dim)) as batches:
-        for lo, hi, (evals, evecs) in batches:
+        for lo, hi, (evals, column, overlap, eigh_at) in batches:
             if lo == 0:
-                rank = select_branch(evals[0], evecs[0], selector)
-                neighbours = [k for k in (rank - 1, rank + 1) if 0 <= k < dim]
-                # s = 0 is matched against itself: overlap |v|^2, so R_0 = 1
-                previous = evecs[0, :, rank]
-            column = evecs[:, :, rank]
-            # every point against its predecessor's rank-r column (|overlap|
-            # ignores the phase); conjugating the (n, d) side instead of the
-            # (n, d, d) batch saves a copy, and the einsum gives conj(<v_k, back>)
-            back = np.concatenate([previous[None], column[:-1]])
-            conj_overlaps = np.einsum("nik,ni->nk", evecs, back.conj())
-            magnitudes = np.abs(conj_overlaps)
-            best = magnitudes.argmax(axis=1)
-            overlap = conj_overlaps[:, rank].conj()
-            magnitude = magnitudes[:, rank]
+                if ground:
+                    select_branch(*eigh_at[0], selector)
+                previous = eigh_at[0][1][:, rank]
+            overlap[0] = np.vdot(column[0], previous)
+            magnitude = np.abs(overlap)
 
             point_norm = np.abs(evals).max(axis=1)
             gammas[lo:hi] = evals[:, rank]
             margin = np.abs(evals[:, neighbours] - gammas[lo:hi, None]).min(
                 axis=1, initial=np.inf, out=gaps[lo:hi]
             )
-            low = magnitudes.max(axis=1) < MIN_BRANCH_OVERLAP
-            crossed = best != rank
+            ambiguous = _ambiguous(overlap)
             degenerate = (margin <= DEGENERACY_RTOL * point_norm) | (point_norm == 0.0)
-            failed = np.flatnonzero(low | crossed | degenerate)
-            if failed.size:
-                r = failed[0]
+            for r in np.flatnonzero(ambiguous | degenerate):
                 s = grid[lo + r]
-                if low[r]:
-                    raise UnderResolvedGridError(
-                        f"consecutive overlap {magnitudes[r].max():.3f} < "
-                        f"{MIN_BRANCH_OVERLAP} at s={s:.6g}; refine the grid"
-                    )
+                best = rank
+                if ambiguous[r]:
+                    back = column[r - 1] if r else previous
+                    magnitudes = np.abs(eigh_at[r][1].conj().T @ back)
+                    best = int(magnitudes.argmax())
+                    if magnitudes[best] < MIN_BRANCH_OVERLAP:
+                        raise UnderResolvedGridError(
+                            f"consecutive overlap {magnitudes[best]:.3f} < "
+                            f"{MIN_BRANCH_OVERLAP} at s={s:.6g}; refine the grid"
+                        )
                 # in a degenerate eigenspace the best rank is LAPACK's choice
                 if degenerate[r]:
                     raise GapCollapseError(
@@ -176,11 +213,12 @@ def track_eigenpath(
                         f"nearest branch at distance {margin[r]:.3e} "
                         f"(tolerance {DEGENERACY_RTOL:.0e} * {point_norm[r]:.3e})"
                     )
-                raise GapCollapseError(
-                    f"tracked branch leaves sorted rank {rank} between "
-                    f"s={grid[lo + r - 1]:.6g} and s={s:.6g}: it crosses "
-                    f"rank {best[r]} there"
-                )
+                if best != rank:
+                    raise GapCollapseError(
+                        f"tracked branch leaves sorted rank {rank} between "
+                        f"s={grid[lo + r - 1]:.6g} and s={s:.6g}: it crosses "
+                        f"rank {best} there"
+                    )
 
             # R_j = R_{j-1} m_j/|m_j| makes <state_{j-1}, state_j> real and
             # nonnegative; the cumulative product is renormalized to modulus 1
@@ -189,7 +227,7 @@ def track_eigenpath(
             rotation = phases / np.abs(phases)
             np.multiply(column, rotation[:, None], out=states[lo:hi])
             spectra[lo:hi] = evals
-            previous = column[-1].copy()
+            previous = column[-1]
             carried = rotation[-1]
 
     return EigenPath(

@@ -259,6 +259,15 @@ class TestDriftChecks:
             with pytest.raises(DomainError, match=f"at least 1, got {k_max}"):
                 check_error_vector_drift(path, cfg, shifted_norms, k_max=k_max)
 
+    def test_one_step_is_refused(self, lz):
+        # L = 1 leaves no lag k <= L - 1: a typed error, where an empty
+        # array of drifts was indexed (IndexError)
+        path = al.track_eigenpath(lz, 2)
+        norms = al.norm_bundle(lz)
+        cfg = ProofCheckConfig(1, 1e6, 0.5, norms.norm_H1, path.gap)
+        with pytest.raises(DomainError, match="needs L >= 2, got L=1"):
+            check_error_vector_drift(path, cfg, norms)
+
     def test_landau_zener_drift_scales_linearly_in_k(self, lz):
         L = 8192
         path = al.track_eigenpath(lz, L + 1)

@@ -11,7 +11,13 @@ from scipy.interpolate import CubicSpline
 
 import adialab as al
 from adialab import _linalg, spectral
-from adialab._linalg import chunk_ranges, chunk_size, eigh_batch, opnorm_hermitian
+from adialab._linalg import (
+    branch_eigenpairs,
+    chunk_ranges,
+    chunk_size,
+    eigh_batch,
+    opnorm_hermitian,
+)
 from adialab.errors import (
     DomainError,
     GapCollapseError,
@@ -66,14 +72,105 @@ class TestDecompose:
         assert np.allclose(v @ coeffs, vec)
 
 
+def phase_aligned_distance(got, want):
+    """max_j min over phases |got_j - e^{i phi} want_j| for unit rows."""
+    inner = np.einsum("ni,ni->n", want.conj(), got)
+    return np.abs(got - want * (inner / np.abs(inner))[:, None]).max(initial=0.0)
+
+
+def in_v(make):
+    """The instance ``make()`` restricted to its start state's invariant
+    subspace V, as ``zero_frame`` builds it."""
+    return lambda: al.zero_frame(make(), 65).h
+
+
+# the instances the tracker's eigenpair provider is checked on, by name
+PROVIDER_CASES = {
+    "landau_zener": al.landau_zener,
+    **{f"grover({n})": functools.partial(al.grover, n) for n in (2, 3, 4, 5)},
+    **{f"grover({n}) in V": in_v(functools.partial(al.grover, n)) for n in (2, 3, 4, 5)},
+    **{
+        f"random_interpolation({d}, 1)": functools.partial(al.random_interpolation, d, seed=1)
+        for d in (8, 16, 32)
+    },
+    "transverse_ising(4) in V": in_v(functools.partial(al.transverse_ising, 4)),
+}
+
+
+class TestBranchEigenpairs:
+    # eigvalsh and eigh are both backward stable; their eigenvalues differ
+    # by up to 28 ulps of ||H|| on these instances (at d = 32)
+    ULPS = 64
+
+    @pytest.mark.parametrize("name", PROVIDER_CASES)
+    def test_matches_eigh(self, name):
+        inst = PROVIDER_CASES[name]()
+        grid = np.linspace(0.0, 1.0, 1025)
+        for lo, hi in chunk_ranges(0, grid.size, inst.dim):
+            mats = eval_batch(inst, grid[lo:hi])
+            w, v = np.linalg.eigh(mats)
+            norms = np.abs(w).max(axis=1)
+            for rank in range(min(inst.dim, 3)):
+                # the tracker's start: the chunk's first rank-r column
+                evals, column = branch_eigenpairs(mats, rank, v[0, :, rank])
+                assert (np.abs(evals - w) <= self.ULPS * np.spacing(norms)[:, None]).all()
+                assert np.abs(np.linalg.norm(column, axis=1) - 1.0).max() <= 1e-14
+                # a vector is defined where its level is apart from the others:
+                # grover's full space has degenerate levels, rank 1 included at
+                # s = 0 and 1
+                margin = np.abs(np.delete(w, rank, axis=1) - w[:, rank, None]).min(axis=1)
+                apart = margin >= 1e-2 * norms
+                distance = phase_aligned_distance(column[apart], v[apart, :, rank])
+                if rank == 0:
+                    # the branch every one of these instances tracks
+                    assert apart.all() and distance <= 1e-13, name
+                else:
+                    # Davis-Kahan: sin(angle) <= residual / margin, and the
+                    # certified residual is at most 1e-13 ||H||
+                    bound = 2e-13 * (norms[apart] / margin[apart]).max(initial=0.0)
+                    assert distance <= bound, (name, rank)
+
+    def test_two_level_closed_form(self):
+        # mu > 0, mu < 0 and b = 0 (both signs of mu), complex and real b
+        mats = np.array(
+            [
+                [[1.5, 0.3 - 0.4j], [0.3 + 0.4j, -0.5]],
+                [[-2.0, 1e-3j], [-1e-3j, 1.0]],
+                [[0.25, 0.0], [0.0, -0.75]],
+                [[-0.25, 0.0], [0.0, 0.75]],
+                [[0.0, 2.0], [2.0, 0.0]],
+                [[3.0, -1e-9], [-1e-9, 3.0 + 1e-12]],
+            ]
+        )
+        w, v = np.linalg.eigh(mats)
+        for rank in (0, 1):
+            evals, column = branch_eigenpairs(mats, rank, None)
+            ulp = np.spacing(np.abs(w).max(axis=1))[:, None]
+            assert (np.abs(evals - w) <= 4 * ulp).all()
+            assert phase_aligned_distance(column, v[..., rank]) <= 1e-15
+        # b = 0: exact eigenvalues and basis vectors, in order
+        evals, column = branch_eigenpairs(mats[2:4], 1, None)
+        assert np.array_equal(evals, [[-0.75, 0.25], [-0.25, 0.75]])
+        assert np.array_equal(np.abs(column), [[1.0, 0.0], [0.0, 1.0]])
+
+    def test_two_level_multiple_of_identity(self):
+        # r = 0: a degenerate pair and a unit vector, with no 0/0
+        for rank in (0, 1):
+            evals, column = branch_eigenpairs(2.0 * np.eye(2)[None], rank, None)
+            assert np.array_equal(evals, [[2.0, 2.0]])
+            assert np.linalg.norm(column) == 1.0
+
+
 def sequential_track(h, grid_size, selector="ground"):
     """Per-point fixed-rank walk: the oracle for ``track_eigenpath``.
 
-    Same chunks, evaluation and eigh_batch calls as the library, then one
-    point at a time: keep the sorted rank chosen at s = 0, match against
-    the previous gauge-fixed state, check the best overlap, then the
-    margin, then that the best overlap lies at that rank, and rotate the
-    overlap to be real and nonnegative.
+    Same chunks and evaluation as the library, and its eigenvalues from the
+    library's provider (``branch_eigenpairs``: LAPACK's eigvalsh, or the
+    2x2 closed form); every eigenvector and overlap is eigh_batch's.  Then
+    one point at a time: keep the sorted rank chosen at s = 0, match
+    against the previous gauge-fixed state, check the best overlap, then
+    the margin, then that the best overlap lies at that rank, and rotate
+    the overlap to be real and nonnegative.
     Returns (states, gammas, eigenvalues, tracked_index, gaps), where
     gaps[j] is the distance from the tracked eigenvalue to the nearest of
     all the others at point j.
@@ -86,14 +183,17 @@ def sequential_track(h, grid_size, selector="ground"):
     gaps = np.empty(grid_size)
     rank = previous = None
     for lo, hi in chunk_ranges(0, grid_size, h.dim):
-        evals, evecs = eigh_batch(eval_batch(h, grid[lo:hi]))
+        mats = eval_batch(h, grid[lo:hi])
+        _, evecs = eigh_batch(mats)
+        if lo == 0:
+            rank = 0
+            if match_vector is not None:
+                rank = int(np.argmax(np.abs(evecs[0].conj().T @ match_vector)))
+        evals = branch_eigenpairs(mats, rank, evecs[0, :, rank])[0]
         for offset in range(hi - lo):
             j = lo + offset
             w, v = evals[offset], evecs[offset]
             if j == 0:
-                rank = 0
-                if match_vector is not None:
-                    rank = int(np.argmax(np.abs(v.conj().T @ match_vector)))
                 state = v[:, rank]
             else:
                 overlaps = v.conj().T @ previous
@@ -311,6 +411,108 @@ class TestTrackerMatchesSequentialWalk:
         )
         for mats, error, where in cases:
             assert_same_error_as_oracle(three_point(mats), 3, error, where)
+
+
+def reflection_to(v):
+    """The Householder reflection P = I - 2 w w^T with P e_0 = v, for a real
+    unit v other than e_0; P is symmetric, so row 0 of P is v too."""
+    w = np.eye(len(v))[0] - v
+    w /= np.linalg.norm(w)
+    return np.eye(len(v)) - 2.0 * np.outer(w, w)
+
+
+def fault_one_chunk(monkeypatch, h, grid_size, lo, fault):
+    """Make ``np.linalg.solve`` misbehave on the tracker's chunk of ``h``
+    that starts at grid point ``lo``, recognised by its right-hand side
+    (the ground column of eigh at that point): ``fault`` is "singular"
+    (raises LinAlgError), "non-finite" (a NaN entry) or "uncertified"
+    (returns the right-hand side, which fails the residual certificate
+    away from the chunk's first point).  Returns the list of faulted calls."""
+    first = eval_batch(h, np.linspace(0.0, 1.0, grid_size)[lo : lo + 1])[0]
+    target = eigh_batch(first)[1][:, 0]
+    solve, faulted = np.linalg.solve, []
+
+    def faulty(a, b):
+        if not np.array_equal(b[0, :, 0], target):
+            return solve(a, b)
+        faulted.append(len(a))
+        if fault == "singular":
+            raise np.linalg.LinAlgError("Singular matrix")
+        if fault == "non-finite":
+            x = solve(a, b)
+            x[-1, 0, 0] = np.nan
+            return x
+        return np.array(b, dtype=a.dtype)
+
+    monkeypatch.setattr(np.linalg, "solve", faulty)
+    return faulted
+
+
+class TestRareRoutes:
+    """Routes the benchmark never takes: a chunk whose shifted solve fails
+    or is not certified, and a point whose overlap leaves the best rank
+    open.  Each must give the oracle's path."""
+
+    @pytest.mark.parametrize("fault", ["singular", "non-finite", "uncertified"])
+    @pytest.mark.parametrize(
+        "make, lo",
+        [
+            (functools.partial(al.random_interpolation, 32, seed=1), 512),
+            (functools.partial(al.grover, 5), 1024),
+        ],
+        ids=["random_interpolation(32,1)", "grover(5)"],
+    )
+    def test_failed_chunk_takes_eigh_columns(self, monkeypatch, make, lo, fault):
+        inst = make()
+        assert lo % chunk_size(32) == 0
+        states, gammas, spectra, _, gaps = sequential_track(inst, 2049)
+        faulted = fault_one_chunk(monkeypatch, inst, 2049, lo, fault)
+        path = al.track_eigenpath(inst, 2049)
+        assert faulted == [chunk_size(32)]
+        assert np.array_equal(path.gammas, gammas)
+        assert np.array_equal(path.eigenvalues, spectra)
+        assert np.array_equal(path.gap_values, gaps)
+        assert np.abs(path.states - states).max() <= 1e-12
+
+    @pytest.mark.parametrize("chunk", [3, 1], ids=["inner point", "chunk start"])
+    def test_open_overlap_that_keeps_the_rank(self, monkeypatch, chunk):
+        # H(1/2) = P diag(0, 1, 2, 3) P has ground state v = P e_0 with
+        # <v, e_0> = 0.6, in [0.5, 1/sqrt(2)): not decided by |m|^2 > 1/2,
+        # but every other rank overlaps e_0 by 0.8/sqrt(3) = 0.46 < 0.6, so
+        # the rank holds.  With one-point chunks the point starts a chunk
+        monkeypatch.setattr(_linalg, "chunk_size", lambda dim: chunk)
+        v = np.array([0.6, *np.full(3, 0.8 / np.sqrt(3.0))])
+        levels = np.diag([0.0, 1.0, 2.0, 3.0])
+        turned = reflection_to(v) @ levels @ reflection_to(v)
+        path = assert_matches_oracle(three_point((levels, turned, turned)), 3)
+        assert abs(np.vdot(path.states[0], path.states[1])) == pytest.approx(0.6)
+
+    @pytest.mark.parametrize("chunk", [3, 1], ids=["inner point", "chunk start"])
+    def test_open_overlap_that_loses_the_rank(self, monkeypatch, chunk):
+        # the same overlap 0.6 at rank 0, but rotated in the (e_0, e_1)
+        # plane: rank 1 overlaps e_0 by 0.8, so the branch crosses
+        monkeypatch.setattr(_linalg, "chunk_size", lambda dim: chunk)
+        rotation = np.eye(4)
+        rotation[:2, :2] = [[0.6, -0.8], [0.8, 0.6]]
+        levels = np.diag([0.0, 1.0, 2.0, 3.0])
+        turned = rotation @ levels @ rotation.T
+        assert_same_error_as_oracle(
+            three_point((levels, turned, turned)), 3, GapCollapseError,
+            "between s=0 and s=0.5: it crosses rank 1",
+        )
+
+    def test_eigh_only_at_chunk_starts(self, monkeypatch):
+        # one eigh per chunk start, plus at most one at s = 0: the other
+        # 4,088 points take eigvalsh and one shifted solve
+        inst = al.random_interpolation(32, seed=1)
+        eigh, shapes = np.linalg.eigh, []
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda a: shapes.append(np.shape(a)[:-2]) or eigh(a)
+        )
+        al.track_eigenpath(inst, 4097)
+        chunks = len(list(chunk_ranges(0, 4097, 32)))
+        assert chunks == 9
+        assert sum(int(np.prod(shape)) for shape in shapes) <= 1 + chunks
 
 
 def residual_peak(monkeypatch, workers):

@@ -29,7 +29,9 @@ class GapCollapseError(NumericalError):
 
 
 class UnderResolvedGridError(NumericalError):
-    """Consecutive eigenpath samples overlap too little to identify the branch."""
+    """The grid is too coarse: consecutive eigenpath samples overlap too
+    little to identify the branch, or the spline of the tracked eigenvalue
+    overshoots the eigenvalue lemma's bounds."""
 
 
 class NonConvergenceError(NumericalError):

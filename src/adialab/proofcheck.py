@@ -508,8 +508,9 @@ def check_total_error_norm(
 def check_eigenvalue_derivative_bounds(frame: ZeroFrame) -> list[CheckEntry]:
     """|gamma'| <= ||H'|| and |gamma''| <= ||H''|| + 4||H'||^2/lambda.
 
-    gamma is the frame's shift, the spline through the tracked eigenvalues,
-    so these are the derivatives the bound uses: H~'' = -gamma'' I makes
+    gamma is the frame's shift, the not-a-knot cubic spline through the
+    tracked eigenvalues (``hamiltonians.NotAKnotSpline``), so these are the
+    derivatives the bound uses: H~'' = -gamma'' I makes
     sup |gamma''| the frame's ||H~''||, a closed-form sup over the spline's
     pieces, and |gamma'| is read at the path's grid points.  The bounds
     take H's norms and the frame's lambda.  The stated bound is on gamma'

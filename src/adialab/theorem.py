@@ -33,10 +33,14 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ._linalg import dagger, opnorm, opnorm_hermitian
-from .errors import DomainError, FeasibilityError, IntegrityError
+from .errors import (
+    DomainError,
+    FeasibilityError,
+    IntegrityError,
+    UnderResolvedGridError,
+)
 from .evolution import (
     DEFAULT_STEP_CEILING,
     distance_l2,
@@ -46,6 +50,7 @@ from .evolution import (
 from .hamiltonians import (
     AffineRecord,
     NormBundle,
+    NotAKnotSpline,
     TimeDependentHamiltonian,
     _record,
     _shift_by,
@@ -106,16 +111,17 @@ def shift_to_zero_eigenvalue(
 ) -> TimeDependentHamiltonian:
     """Subtract the tracked eigenvalue: H~(s) = H(s) - gamma(s) I.
 
-    gamma between grid points is the cubic spline through the path's
-    gammas (a C^2 interpolant, so H~'' exists).  H~'s record carries the
-    spline, from whose pieces H~' and H~'' follow.  An instance without an
+    gamma between grid points is the not-a-knot cubic spline through the
+    path's gammas (``NotAKnotSpline``, a C^2 interpolant, so H~'' exists),
+    which returns every tracked gamma exactly at its grid point.  H~'s
+    record carries the spline, from whose pieces H~' and H~'' follow.  An instance without an
     ``AffineRecord``, or a frame that is shifted already, raises
     ``DomainError``.  The tracked states must be null vectors of H~ at
     every grid point (``IntegrityError`` otherwise).
     """
     name = (h.name + "_shifted") if h.name else "shifted"
     params = {**h.params, "shifted_by": "tracked_eigenvalue"}
-    shifted = _shift_by(h, CubicSpline(path.grid, path.gammas), name, params)
+    shifted = _shift_by(h, NotAKnotSpline(path.grid, path.gammas), name, params)
     _check_null_states(shifted, path)
     return shifted
 
@@ -198,13 +204,17 @@ def zero_frame(
     ``AffineRecord`` raises ``DomainError`` before anything is evaluated;
     a shifted frame is refused by ``shift_to_zero_eigenvalue``.  Both
     bundles come from ``norm_bundle``.  H's are exact.  H~'s ||H~'|| and
-    ||H~''|| are closed-form sups over the pieces of the spline gamma, and
+    ||H~''|| are closed-form sups over the pieces of gamma, the not-a-knot
+    spline through the tracked eigenvalues, and
     ||H~|| a per-cell bound from its spectrum at the grid points:
     subtracting a real scalar times I only translates a spectrum, so that
     is the tracked path's minus gamma.  No derivative matrix is formed.
     Postconditions: the tracked states are null vectors of H~ at every
-    path grid point, and the shifted norms obey ||H~'|| <= 2||H'|| and
-    ||H~''|| <= 2||H''|| + 4||H'||^2/lambda within 5% slack.
+    path grid point (``IntegrityError`` otherwise), and the shifted norms
+    obey ||H~'|| <= 2||H'|| and ||H~''|| <= 2||H''|| + 4||H'||^2/lambda
+    within 5% slack.  The true gamma obeys both; a spline on too few points
+    overshoots them (grover(2) at 3 points does), which raises
+    ``UnderResolvedGridError`` naming ``grid_size``.
     """
     record = _record(h, "zero_frame")
     evals, evecs = np.linalg.eigh(record.h0)
@@ -223,15 +233,19 @@ def zero_frame(
     slack = 1.0 + SHIFT_NORM_SLACK
     bound_h1 = 2.0 * base_norms.norm_H1
     bound_h2 = 2.0 * base_norms.norm_H2 + 4.0 * base_norms.norm_H1**2 / path.gap
+    refine = (
+        f"beyond 5% slack: the spline of gamma overshoots on grid_size="
+        f"{path.npoints} points; refine the grid"
+    )
     if shifted_norms.norm_H1 > bound_h1 * slack + 1e-12:
-        raise IntegrityError(
+        raise UnderResolvedGridError(
             f"shifted ||H'|| = {shifted_norms.norm_H1:.6g} exceeds "
-            f"2||H'|| = {bound_h1:.6g} beyond 5% slack"
+            f"2||H'|| = {bound_h1:.6g} {refine}"
         )
     if shifted_norms.norm_H2 > bound_h2 * slack + 1e-12:
-        raise IntegrityError(
+        raise UnderResolvedGridError(
             f"shifted ||H''|| = {shifted_norms.norm_H2:.6g} exceeds "
-            f"2||H''|| + 4||H'||^2/lambda = {bound_h2:.6g} beyond 5% slack"
+            f"2||H''|| + 4||H'||^2/lambda = {bound_h2:.6g} {refine}"
         )
     return ZeroFrame(h, path, shifted, base_norms, shifted_norms, residual)
 

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from functools import reduce
 from pathlib import Path
 
@@ -7,6 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import adialab
 from adialab import cli, landau_zener, proofcheck, theorem, verify, zero_frame
 from adialab.problems import PAULI_X, InstanceSpec, transverse_ising
 from test_proofcheck import (
@@ -356,3 +360,51 @@ def test_mistyped_field_is_a_config_error(tmp_path, capsys, command, config, fie
     assert out == ""
     assert f"field {field!r} has type" in err
     assert "<class" not in err
+
+
+def test_coarse_grid_exits_numerical_and_names_the_grid(tmp_path, capsys):
+    config = {"instance": {"kind": "grover", "params": {"n": 2}}, "delta": 1,
+              "case": "special", "grid_size": 3}
+    code, _, err = _run(tmp_path, capsys, "verify", config)
+    assert code == cli.EXIT_NUMERICAL
+    assert "grid_size=3 points; refine the grid" in err
+
+
+_NO_SCIPY_SCRIPT = """
+import json, sys
+from adialab import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded = {"import": scipy_modules()}
+for command, config in json.loads(sys.argv[1]):
+    code = cli.main([command, "--config", config, "--out", config + ".out"])
+    loaded[command] = (code, scipy_modules())
+print(json.dumps(loaded))
+"""
+
+
+def test_the_cli_runs_without_scipy(tmp_path):
+    # a fresh interpreter, so no earlier import counts: importing the CLI and
+    # running verify and proof-check load no scipy module, lazily or not
+    runs = [
+        ("verify", {"instance": LZ, "delta": 1, "case": "special", "T_override": 100}),
+        ("proof-check", {"instance": {"kind": "grover", "params": {"n": 2}},
+                         "delta": 1, "L": 2048, "T": 500}),
+    ]
+    configs = []
+    for command, config in runs:
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(config))
+        configs.append((command, str(path)))
+    src = str(Path(adialab.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(configs)],
+        capture_output=True, text=True, timeout=300, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    # proof-check reports the files it wrote on stdout first
+    loaded = json.loads(result.stdout.splitlines()[-1])
+    assert loaded == {"import": [], "verify": [cli.EXIT_PASS, []],
+                      "proof-check": [cli.EXIT_PASS, []]}

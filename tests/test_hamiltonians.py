@@ -10,7 +10,7 @@ from adialab.errors import DomainError, IntegrityError, NumericalError
 from adialab import hamiltonians
 from adialab._linalg import chunk_ranges, chunk_size, dagger, opnorm, opnorm_hermitian
 from adialab.evolution import _step_batch
-from adialab.hamiltonians import eval_batch
+from adialab.hamiltonians import NotAKnotSpline, eval_batch
 from adialab.problems import PAULI_X, PAULI_Z
 
 from conftest import (
@@ -22,9 +22,9 @@ from conftest import (
 )
 
 
-def _sine_spline(knots: int = 9) -> CubicSpline:
+def _sine_spline(knots: int = 9) -> NotAKnotSpline:
     x = np.linspace(0.0, 1.0, knots)
-    return CubicSpline(x, np.sin(x))
+    return NotAKnotSpline(x, np.sin(x))
 
 
 class TestEval:
@@ -173,6 +173,89 @@ class TestAffineRecord:
         assert not checked
         eval_batch(plain, grid)
         assert checked == ["evaluator output"]
+
+
+def _smooth(x: np.ndarray) -> np.ndarray:
+    return np.sin(7.0 * x) + np.cos(3.0 * x) ** 2
+
+
+EPS = np.finfo(float).eps
+
+
+class TestNotAKnotSpline:
+    """The library's spline against scipy's not-a-knot ``CubicSpline``, the
+    test-only oracle, on the smooth data above at 4n + 3 uniform points.
+
+    Errors are relative to max|y|.  Values and slopes differ by rounding
+    alone; the second derivative divides by h^2, so its tolerance grows like
+    (knots - 1)^2.  Worst errors measured, orders 0 / 1 / 2:
+    2 knots 0 / 0 / 0; 3: 1.4e-16 / 5.4e-16 / 2.2e-15;
+    4: 4.1e-16 / 2.7e-15 / 1.7e-14; 5: 2.7e-16 / 2.2e-15 / 3.9e-14;
+    9: 1.4e-16 / 4.3e-15 / 1.0e-13; 1,025: 1.3e-16 / 3.2e-15 / 1.6e-11;
+    4,097: 1.3e-16 / 3.2e-15 / 6.8e-11; 65,537: 1.3e-16 / 4.2e-15 / 1.1e-9.
+    """
+
+    @staticmethod
+    def _assert_matches_scipy(x, tol_second):
+        y = _smooth(x)
+        ours, oracle = NotAKnotSpline(x, y), CubicSpline(x, y)
+        s = np.linspace(0.0, 1.0, 4 * x.size + 3)
+        for nu, tol in zip((0, 1, 2), (16.0 * EPS, 64.0 * EPS, tol_second)):
+            error = np.abs(ours(s, nu) - oracle(s, nu)).max() / np.abs(y).max()
+            assert error <= tol, (x.size, nu, error)
+        # every knot, the closed last one included, returns its value exactly
+        assert np.array_equal(ours(x), y)
+        assert ours.c.shape == oracle.c.shape == (4, x.size - 1)
+
+    @pytest.mark.parametrize("knots", [2, 3, 4, 5, 9, 1025, 4097, 65537])
+    def test_matches_scipy_on_uniform_knots(self, knots):
+        self._assert_matches_scipy(
+            np.linspace(0.0, 1.0, knots), 16.0 * EPS * (knots - 1) ** 2
+        )
+
+    @pytest.mark.parametrize("knots", [17, 257])
+    def test_matches_scipy_on_jittered_knots(self, knots):
+        # each inner knot moved by up to 30% of the spacing, so every row of
+        # the tridiagonal system has its own widths
+        x = np.linspace(0.0, 1.0, knots)
+        x[1:-1] += np.random.default_rng(5).uniform(-0.3, 0.3, knots - 2) / (knots - 1)
+        self._assert_matches_scipy(x, 16.0 * EPS / np.diff(x).min() ** 2)
+
+    def test_two_knots_give_the_line_and_three_the_parabola(self):
+        line = NotAKnotSpline([0.0, 1.0], [1.0, 4.0])
+        assert np.array_equal(line.c, [[0.0], [0.0], [3.0], [1.0]])
+        x = np.array([0.0, 0.3, 1.0])
+        parabola = NotAKnotSpline(x, 2.0 - x + 3.0 * x**2)
+        s = np.linspace(0.0, 1.0, 11)
+        assert np.allclose(parabola(s), 2.0 - s + 3.0 * s**2, rtol=0.0, atol=1e-14)
+        assert np.allclose(parabola(s, 2), 6.0, rtol=1e-13, atol=0.0)
+
+    def test_cubics_are_reproduced(self):
+        # not-a-knot leaves a cubic's third derivative continuous everywhere
+        x = np.linspace(0.0, 1.0, 33)
+        spline = NotAKnotSpline(x, 1.0 - 2.0 * x + x**3)
+        s = np.linspace(0.0, 1.0, 101)
+        assert np.allclose(spline(s, 1), -2.0 + 3.0 * s**2, rtol=0.0, atol=1e-12)
+        assert np.allclose(spline(s, 2), 6.0 * s, rtol=0.0, atol=1e-10)
+
+    def test_scalar_points_and_refusals(self):
+        x = np.linspace(0.0, 1.0, 9)
+        spline = NotAKnotSpline(x, _smooth(x))
+        for nu in (0, 1, 2):
+            assert spline(0.37, nu) == spline(np.array([0.37]), nu)[0]
+        with pytest.raises(DomainError, match="order"):
+            spline(0.5, 3)
+        with pytest.raises(DomainError, match="increasing"):
+            NotAKnotSpline([0.0, 0.5, 0.5, 1.0], [0.0, 1.0, 2.0, 3.0])
+        for bad in (np.inf, np.nan):
+            with pytest.raises(DomainError, match="finite"):
+                NotAKnotSpline([0.0, 0.5, bad], [0.0, 1.0, 2.0])
+            with pytest.raises(DomainError, match="finite"):
+                NotAKnotSpline([0.0, 0.5, 1.0], [0.0, bad, 2.0])
+        with pytest.raises(DomainError, match="2 knots"):
+            NotAKnotSpline([0.0], [1.0])
+        with pytest.raises(DomainError, match="2 knots"):
+            NotAKnotSpline(x, _smooth(x)[:-1])
 
 
 class TestDerivative:
@@ -383,7 +466,7 @@ class TestNormBundle:
         # piece, away from the knots, whose largest |c'| is 29.41 against a
         # sup of 51.179043
         x = np.linspace(0.0, 1.0, 17)
-        spline = CubicSpline(x, np.random.default_rng(0).normal(size=17))
+        spline = NotAKnotSpline(x, np.random.default_rng(0).normal(size=17))
         shifted = hamiltonians._shift_by(const_instance, spline, "shifted", {})
         got = al.norm_bundle(shifted)
         want_h1, want_h2 = dense_derivative_norms(shifted, 4096)
@@ -402,13 +485,13 @@ class TestNormBundle:
         # The spline through s^3 is s^3, whose c' and c'' peak at s = 1, the
         # right end of the last piece
         x = np.linspace(0.0, 1.0, 17)
-        constant = hamiltonians._shift_by(lz, CubicSpline(x, 0.0 * x), "c", {})
+        constant = hamiltonians._shift_by(lz, NotAKnotSpline(x, 0.0 * x), "c", {})
         norms = al.norm_bundle(constant)
         assert (norms.norm_H1, norms.norm_H2) == (al.norm_bundle(lz).norm_H1, 0.0)
-        slope_3 = CubicSpline(x, 3.0 * x)
+        slope_3 = NotAKnotSpline(x, 3.0 * x)
         linear = hamiltonians._shift_by(const_instance, slope_3, "linear", {})
         assert al.norm_bundle(linear).norm_H1 == pytest.approx(3.0, rel=1e-14)
-        cubic = hamiltonians._shift_by(const_instance, CubicSpline(x, x**3), "cubic", {})
+        cubic = hamiltonians._shift_by(const_instance, NotAKnotSpline(x, x**3), "cubic", {})
         norms = al.norm_bundle(cubic)
         assert (norms.norm_H1, norms.norm_H2) == pytest.approx((3.0, 6.0), rel=1e-12)
         frame = al.zero_frame(const_instance, 65)

@@ -10,6 +10,7 @@ from adialab.errors import (
     FeasibilityError,
     GapCollapseError,
     IntegrityError,
+    UnderResolvedGridError,
 )
 from adialab.hamiltonians import NormBundle
 from adialab.problems import landau_zener_eigenvalue
@@ -162,6 +163,18 @@ class TestShift:
         path = al.track_eigenpath(const_instance, 65)
         with pytest.raises(IntegrityError, match="annihilate"):
             al.shift_to_zero_eigenvalue(lz, path)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_coarse_grid_is_under_resolved(self, n):
+        # the spline of gamma through 3 points overshoots |gamma'| <= ||H'||;
+        # the grid is too coarse, no invariant is broken
+        with pytest.raises(UnderResolvedGridError, match="grid_size=3 points; refine"):
+            al.zero_frame(al.grover(n), 3)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_five_points_resolve_grover(self, n):
+        frame = al.zero_frame(al.grover(n), 5)
+        assert frame.norms_shifted.norm_H1 <= 2.0 * frame.norms.norm_H1 * 1.05
 
     def test_shift_invariance_of_evolution(self, suite):
         # identity shifts commute away: same evolution up to global phase

@@ -170,12 +170,7 @@ def _expm_i_two_level(mats: np.ndarray, t: float) -> np.ndarray:
     # Closed-form spectral exponential for 2x2 Hermitian input:
     # A = c*I + M0 with traceless M0, M0^2 = r^2 * I, so
     # exp(i t A) = e^{i t c} (cos(t r) I + i sin(t r)/r * M0).
-    a = mats[..., 0, 0].real
-    d = mats[..., 1, 1].real
-    b = mats[..., 0, 1]
-    c = 0.5 * (a + d)
-    mu = 0.5 * (a - d)
-    r = np.sqrt(mu * mu + np.abs(b) ** 2)
+    c, mu, b, r = _two_level(mats)
     co = np.cos(t * r)
     safe_r = np.where(r > 0.0, r, 1.0)
     f = np.where(r > 0.0, np.sin(t * r) / safe_r, t)  # limit sin(tr)/r -> t

@@ -25,10 +25,7 @@ from .errors import (
     ConfigError,
     DomainError,
     FeasibilityError,
-    GapCollapseError,
-    NonConvergenceError,
     NumericalError,
-    UnderResolvedGridError,
 )
 from .evolution import (
     DEFAULT_STEP_CEILING,
@@ -48,14 +45,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 _NUMBER = (int, float)
-
-_NUMERICAL_ERRORS = (
-    FeasibilityError,
-    GapCollapseError,
-    NonConvergenceError,
-    UnderResolvedGridError,
-    NumericalError,
-)
 
 _ALLOWED_KEYS = {
     "verify": {"instance", "delta", "case", "T_override", "grid_size", "disc_tol",
@@ -333,15 +322,12 @@ def main(argv=None) -> int:
         args.format = _DEFAULT_FORMAT[args.command]
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NUMERICAL_ERRORS as exc:
+    except (FeasibilityError, NumericalError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except DomainError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except AdialabError as exc:  # residual library failures
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -5,7 +5,7 @@ The discrete evolution leaks, at every step, an error vector
     w_{j+1} = P_{g_{j+1}^perp}(g_j - g_{j+1}),
 
 the component of the eigenpath's step change orthogonal to the new
-eigenvector.  In the zero-eigenvalue frame the final-state error is the
+eigenvector, for the branch of one sorted rank at s = 0.  In the zero-eigenvalue frame the final-state error is the
 norm of sum_j U_{L-1}...U_j w_j, and the cancellation of that sum in
 blocks of Delta consecutive terms is what makes slow evolution work.
 Every intermediate inequality of that argument is turned here into a
@@ -286,8 +286,7 @@ def check_error_vector_drift(
 
     scaled = drifts * L**2
     if k_max >= 2:
-        design = np.stack([ks.astype(float), np.ones_like(ks, dtype=float)], axis=1)
-        (alpha, intercept), *_ = np.linalg.lstsq(design, scaled, rcond=None)
+        alpha, intercept = _fit_remainder(ks, scaled, (-1.0, 0.0))
     else:
         alpha, intercept = float(scaled[0]), 0.0
     intercept = max(float(intercept), 0.0)
@@ -551,18 +550,19 @@ def run_proofcheck(
     delta: float = 0.5,
     total_time: float | None = None,
     *,
-    selector="ground",
+    rank: int = 0,
     k_max: int | None = None,
 ) -> ProofReport:
     """Instrument every inequality for one instance and discretization.
 
-    Builds the ``zero_frame`` on the j/L grid and checks in its space, of
+    Builds the ``zero_frame`` of the branch of sorted rank ``rank`` at
+    s = 0 (``metadata.rank``) on the j/L grid and checks in its space, of
     dimension ``metadata.evolved_dim``, with T its special-case required
     time when not given: gauge residual, the w Taylor form, the w norm
     bound, w drift, step-unitary drift, every Delta-block's four bounds,
     the total error sum with its foil comparison, and the eigenvalue
-    derivative bounds.  The fit paths track the frame's instance from its
-    start state.
+    derivative bounds.  The fit paths track the frame's instance at its
+    path's rank, which in V may differ from ``rank``.
     """
     require_count(L, "L", DEFAULT_FIT_LENGTHS[0])  # the doubling studies' first
     times = (delta,) if total_time is None else (delta, total_time)
@@ -577,7 +577,7 @@ def run_proofcheck(
             f"{TOTAL_SUM_MAX_DIM}; got L={L}, dim={h.dim}"
         )
 
-    frame = zero_frame(h, L + 1, selector)
+    frame = zero_frame(h, L + 1, rank)
     path, shifted, lam = frame.path, frame.shifted, frame.lam
     norms, norms_shifted = frame.norms, frame.norms_shifted
     if total_time is None:
@@ -598,7 +598,8 @@ def run_proofcheck(
     w = error_vectors(path)
 
     fit_paths = [
-        track_eigenpath(frame.h, n + 1, path.states[0]) for n in DEFAULT_FIT_LENGTHS
+        track_eigenpath(frame.h, n + 1, path.tracked_index)
+        for n in DEFAULT_FIT_LENGTHS
     ]
     entries: list[CheckEntry] = [check_gauge_residual(path)]
     entries.append(check_error_vector_taylor(path, fit_paths))
@@ -621,7 +622,7 @@ def run_proofcheck(
         "lambda": lam,
         "norms": norms.to_dict(),
         "norms_shifted": norms_shifted.to_dict(),
-        "selector": selector if isinstance(selector, str) else "vector",
+        "rank": int(rank),
         "evolved_dim": frame.h.dim,
     }
     return ProofReport(entries=tuple(entries), metadata=metadata)

@@ -1,8 +1,9 @@
 """Gauge-fixed eigenpath tracking, spectral gaps and path derivatives.
 
-A branch selected at s = 0 keeps its sorted rank r over the whole grid:
+The branch of sorted rank r at s = 0 keeps that rank over the whole grid:
 while its gap stays positive it cannot change rank, so a change of rank is
-a crossing and raises GapCollapseError.  The tracker needs every
+a crossing (GapCollapseError) unless Weyl's inequality keeps the gap open
+over that cell, which makes the grid too coarse.  The tracker needs every
 eigenvalue (for the gap) but only the rank-r eigenvector:
 ``_linalg.branch_eigenpairs`` gives each chunk's eigenvalues from
 ``eigvalsh`` (or the 2x2 closed form) and the rank-r vector from one
@@ -82,22 +83,19 @@ class EigenPath:
         return self.states.shape[1]
 
 
-def select_branch(evals: np.ndarray, evecs: np.ndarray, selector="ground") -> int:
-    """The rank of the branch ``selector`` picks from H(0)'s eigenvalues
-    ``evals`` (ascending) and eigenvectors ``evecs``: 0 for ``"ground"``,
-    else the column of largest overlap with the vector ``selector``, which
-    must be finite, nonzero and of matching shape (``DomainError``).  A
-    degenerate pick, by the tracker's rule, raises ``GapCollapseError``."""
-    rank = 0
-    if not isinstance(selector, str):
-        vector = np.asarray(selector, dtype=complex)
-        if vector.shape != evecs.shape[:1]:
-            raise DomainError(f"selector shape {vector.shape} is not {evecs.shape[:1]}")
-        if not (np.isfinite(vector).all() and vector.any()):
-            raise DomainError("selector vector must be finite and nonzero")
-        rank = int(np.argmax(np.abs(evecs.conj().T @ vector)))
-    elif selector != "ground":
-        raise DomainError(f"unknown selector {selector!r}")
+def _check_rank(rank: int, dim: int) -> int:
+    """``rank`` as an int; ``DomainError`` unless an integer 0 <= rank < dim."""
+    require_count(rank, "rank", 0)
+    if rank >= dim:
+        raise DomainError(f"rank must be below the dimension {dim}, got {rank}")
+    return int(rank)
+
+
+def check_branch(evals: np.ndarray, rank: int) -> int:
+    """``rank`` as an int once checked as a branch of H(0)'s ascending
+    eigenvalues ``evals``: ``DomainError`` unless an integer in 0..d-1,
+    ``GapCollapseError`` if its level is degenerate (the tracker's rule)."""
+    rank = _check_rank(rank, evals.size)
     margin = np.sort(np.abs(evals - evals[rank]))[1]
     if margin <= DEGENERACY_RTOL * np.abs(evals).max():
         raise GapCollapseError(f"branch picked at s=0 is degenerate (gap {margin:.3e})")
@@ -112,22 +110,49 @@ def _ambiguous(overlaps: np.ndarray) -> np.ndarray:
     return np.abs(overlaps) ** 2 <= 0.5
 
 
+def _rank_change(
+    h: TimeDependentHamiltonian, rank: int, best: int, cell: tuple, ends: np.ndarray
+) -> GapCollapseError | UnderResolvedGridError:
+    """The error for a best overlap at rank k = ``best`` on the cell
+    (s_a, s_b) with spectra ``ends``.  With an ``AffineRecord``, H moves by
+    (s - s_a) D plus a multiple of I, so by Weyl the gap g from rank r to
+    its neighbour on k's side obeys min g >= (g(s_a) + g(s_b) - spread(D)
+    (s_b - s_a)) / 2, spread(D) = lambda_max(D) - lambda_min(D).  Above
+    1e-8 max ||H|| the levels cannot meet: UnderResolvedGridError.  Else,
+    and without a record, the branch crossed: GapCollapseError."""
+    s_a, s_b = cell
+    side = rank + 1 if best > rank else rank - 1
+    where = f"between s={s_a:.6g} and s={s_b:.6g}"
+    if h.affine is not None:
+        levels = np.linalg.eigvalsh(h.affine.diff)
+        gaps = np.abs(ends[:, side] - ends[:, rank])
+        floor = 0.5 * (gaps.sum() - (levels[-1] - levels[0]) * (s_b - s_a))
+        if floor > DEGENERACY_RTOL * np.abs(ends).max():
+            return UnderResolvedGridError(
+                f"best overlap moves from rank {rank} to rank {best} {where}, but the "
+                f"gap to rank {side} stays above {floor:.3e} there; refine the grid"
+            )
+    return GapCollapseError(
+        f"tracked branch leaves sorted rank {rank} {where}: "
+        f"it crosses rank {best} there"
+    )
+
+
 def track_eigenpath(
     h: TimeDependentHamiltonian,
     grid_size: int = DEFAULT_GRID,
-    selector="ground",
+    rank: int = 0,
 ) -> EigenPath:
-    """Track one nondegenerate branch of H over a uniform grid.
-
-    ``selector`` picks the branch at s = 0 (``select_branch``), and its
-    sorted rank r there is kept for the whole grid.  Each point's state is
-    compared with the previous point's, and the first failing point raises:
+    """Track the branch of sorted rank r = ``rank`` at s = 0 over a uniform
+    grid, at rank r throughout.  ``check_branch`` refuses r on the first
+    chunk's ``eigh`` at s = 0 (a non-integer, or one outside 0..d-1, before
+    any chunk runs).  Each point's state is compared with the previous
+    point's, and the first failing point raises:
     UnderResolvedGridError if the best overlap of any rank is below 0.5 in
     magnitude; GapCollapseError if a neighbouring rank r +- 1 comes within
-    1e-8 * ||H(s)|| of the tracked eigenvalue, or else if the best overlap
-    is at another rank (the branch crosses a neighbour between the two
-    points).  That nearest-neighbour distance is kept as the path's
-    ``gap_values``.
+    1e-8 * ||H(s)|| of the tracked eigenvalue; else, if the best overlap is
+    at another rank, the error ``_rank_change`` picks.  That
+    nearest-neighbour distance is kept as the path's ``gap_values``.
 
     Each chunk of the grid is evaluated by ``chunk_map``, so the instance's
     evaluator may be called from worker threads; it must be a pure function
@@ -144,20 +169,13 @@ def track_eigenpath(
     ``grid_size`` must be an integer of at least 2 (``DomainError``).
     """
     require_count(grid_size, "grid_size", 2)
-    grid = np.linspace(0.0, 1.0, grid_size)
     dim = h.dim
+    rank = _check_rank(rank, dim)
+    grid = np.linspace(0.0, 1.0, grid_size)
     states = np.empty((grid_size, dim), dtype=complex)
     gammas = np.empty(grid_size)
     spectra = np.empty((grid_size, dim))
     gaps = np.empty(grid_size)
-
-    # the ground branch is rank 0, and its pick is checked on the first
-    # chunk's eigh at s = 0 below; a vector's pick needs H(0) first
-    ground = isinstance(selector, str) and selector == "ground"
-    if ground:
-        rank = 0
-    else:
-        rank = select_branch(*eigh_batch(eval_batch(h, grid[:1])[0]), selector)
     neighbours = [k for k in (rank - 1, rank + 1) if 0 <= k < dim]
 
     def decompose(lo: int, hi: int):
@@ -181,8 +199,7 @@ def track_eigenpath(
     with closing(chunk_map(decompose, 0, grid_size, dim)) as batches:
         for lo, hi, (evals, column, overlap, eigh_at) in batches:
             if lo == 0:
-                if ground:
-                    select_branch(*eigh_at[0], selector)
+                check_branch(eigh_at[0][0], rank)
                 previous = eigh_at[0][1][:, rank]
             overlap[0] = np.vdot(column[0], previous)
             magnitude = np.abs(overlap)
@@ -214,11 +231,8 @@ def track_eigenpath(
                         f"(tolerance {DEGENERACY_RTOL:.0e} * {point_norm[r]:.3e})"
                     )
                 if best != rank:
-                    raise GapCollapseError(
-                        f"tracked branch leaves sorted rank {rank} between "
-                        f"s={grid[lo + r - 1]:.6g} and s={s:.6g}: it crosses "
-                        f"rank {best} there"
-                    )
+                    ends = np.stack([evals[r - 1] if r else spectra[lo - 1], evals[r]])
+                    raise _rank_change(h, rank, best, (grid[lo + r - 1], s), ends)
 
             # R_j = R_{j-1} m_j/|m_j| makes <state_{j-1}, state_j> real and
             # nonnegative; the cumulative product is renormalized to modulus 1
@@ -292,7 +306,7 @@ def gauge_residual(path: EigenPath) -> float:
 
 __all__ = [
     "EigenPath",
-    "select_branch",
+    "check_branch",
     "track_eigenpath",
     "eigen_residuals",
     "path_derivatives",

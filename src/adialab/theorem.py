@@ -17,9 +17,9 @@ The evolution from the branch's state psi0 at s = 0 never leaves V, the
 smallest subspace that holds psi0 and is invariant under H0 and D = H1 - H0.
 It is the evolution under P^H H P for an orthonormal basis P of V, and the
 theorem needs only that Hamiltonian's gap and norms.  ``zero_frame`` picks
-the space once: P^H H P when V is proper and at least two-dimensional (for
-Grover, the textbook two-level subspace), else H.  lambda is that space's
-gap, and nothing is lifted back to full space.
+the space and the branch's rank in it once: P^H H P when V is proper and
+at least two-dimensional (for Grover, the textbook two-level subspace),
+else H.  lambda is that space's gap, and nothing is lifted back.
 
 Identity shifts commute with everything, so evolutions under H and H~
 agree up to a global phase; the gauge-fixed l2 distance is therefore
@@ -60,8 +60,8 @@ from .spectral import (
     DEFAULT_GRID,
     DEGENERACY_RTOL,
     EigenPath,
+    check_branch,
     eigen_residuals,
-    select_branch,
     track_eigenpath,
 )
 
@@ -114,8 +114,8 @@ def shift_to_zero_eigenvalue(
     gamma between grid points is the not-a-knot cubic spline through the
     path's gammas (``NotAKnotSpline``, a C^2 interpolant, so H~'' exists),
     which returns every tracked gamma exactly at its grid point.  H~'s
-    record carries the spline, from whose pieces H~' and H~'' follow.  An instance without an
-    ``AffineRecord``, or a frame that is shifted already, raises
+    record carries the spline, from whose pieces H~' and H~'' follow.  An
+    instance without an ``AffineRecord``, or a shifted frame, raises
     ``DomainError``.  The tracked states must be null vectors of H~ at
     every grid point (``IntegrityError`` otherwise).
     """
@@ -193,14 +193,16 @@ class ZeroFrame:
 def zero_frame(
     h: TimeDependentHamiltonian,
     grid_size: int = DEFAULT_GRID,
-    selector="ground",
+    rank: int = 0,
 ) -> ZeroFrame:
     """Pick the space, track H's branch there, build H~(s) = H(s) - gamma(s) I
     and measure the norms of H and H~ on the path's grid.
 
-    ``selector`` picks psi0 among H(0)'s eigenvectors (``select_branch``).
-    When psi0's invariant subspace V has 2 <= dim V < d, H becomes P^H H P
-    and the tracker's selector P^H psi0.  An instance without an
+    psi0 is H(0)'s eigenvector of sorted rank ``rank``, which
+    ``check_branch`` refuses before V is built.  When psi0's invariant
+    subspace V has 2 <= dim V < d, H becomes P^H H P, tracked at the rank
+    of the eigenvector of P^H H(0) P that P^H psi0 overlaps most (V is
+    invariant under H(0), so P^H psi0 is one).  An instance without an
     ``AffineRecord`` raises ``DomainError`` before anything is evaluated;
     a shifted frame is refused by ``shift_to_zero_eigenvalue``.  Both
     bundles come from ``norm_bundle``.  H's are exact.  H~'s ||H~'|| and
@@ -218,13 +220,14 @@ def zero_frame(
     """
     record = _record(h, "zero_frame")
     evals, evecs = np.linalg.eigh(record.h0)
-    psi0 = evecs[:, select_branch(evals, evecs, selector)]
+    psi0 = evecs[:, check_branch(evals, rank)]
     basis, residual = _invariant_subspace(record, psi0)
     if 2 <= basis.shape[1] < h.dim:
-        h, selector = _projected(h, basis), dagger(basis) @ psi0
+        h, psi0 = _projected(h, basis), dagger(basis) @ psi0
+        rank = int(np.abs(dagger(np.linalg.eigh(h.affine.h0)[1]) @ psi0).argmax())
     else:
         residual = 0.0
-    path = track_eigenpath(h, grid_size, selector)
+    path = track_eigenpath(h, grid_size, rank)
     shifted = shift_to_zero_eigenvalue(h, path)
     base_norms = norm_bundle(h)
     gammas = shifted.affine.shift(path.grid)

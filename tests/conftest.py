@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -98,3 +100,18 @@ def dense_norm(h: al.TimeDependentHamiltonian, per_cell: int = 64) -> float:
         float(svd_norm(eval_batch(h, s[lo : lo + 4096])).max())
         for lo in range(0, s.size, 4096)
     )
+
+
+def sector_basis(n: int, parity: int = 1) -> np.ndarray:
+    """An orthonormal basis of transverse_ising(n)'s reflection-even sector
+    of spin-flip parity ``parity``: the joint eigenspace of prod_i X_i for
+    ``parity`` and of the site reversal i -> n-1-i for +1, two commuting
+    symmetries of the chain."""
+    size = 2**n
+    flip = reduce(np.kron, [PAULI_X.real] * n)
+    reversal = np.zeros((size, size))
+    for index in range(size):
+        reversal[int(format(index, f"0{n}b")[::-1], 2), index] = 1.0
+    projector = (np.eye(size) + parity * flip) @ (np.eye(size) + reversal) / 4.0
+    values, vectors = np.linalg.eigh(projector)
+    return vectors[:, values > 0.5]

@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-from functools import reduce
 from pathlib import Path
 
 import jsonschema
@@ -12,7 +11,8 @@ import pytest
 
 import adialab
 from adialab import cli, landau_zener, proofcheck, theorem, verify, zero_frame
-from adialab.problems import PAULI_X, InstanceSpec, transverse_ising
+from adialab.problems import InstanceSpec, transverse_ising
+from conftest import sector_basis
 from test_proofcheck import (
     BLOCK_LABELS,
     ONE_STEP_BLOCK_L,
@@ -118,20 +118,6 @@ def test_gap_scan_json_and_csv(tmp_path, capsys):
     assert [row[2] for row in rows] == payload["gap_values"]
 
 
-def _sector_basis(n: int) -> np.ndarray:
-    """An orthonormal basis of the chain's parity- and reflection-even
-    sector: the joint +1 eigenspace of prod_i X_i and of the site reversal
-    i -> n-1-i, two commuting symmetries of transverse_ising."""
-    size = 2**n
-    parity = reduce(np.kron, [PAULI_X.real] * n)
-    reversal = np.zeros((size, size))
-    for index in range(size):
-        reversal[int(format(index, f"0{n}b")[::-1], 2), index] = 1.0
-    projector = (np.eye(size) + parity) @ (np.eye(size) + reversal) / 4.0
-    values, vectors = np.linalg.eigh(projector)
-    return vectors[:, values > 0.5]
-
-
 @pytest.mark.parametrize("n", range(2, 7))
 def test_transverse_ising_verifies_in_its_sector(tmp_path, capsys, n):
     # the full-space tracker meets the doubly degenerate ground space at
@@ -143,7 +129,7 @@ def test_transverse_ising_verifies_in_its_sector(tmp_path, capsys, n):
     payload = json.loads(out)
     jsonschema.validate(payload, _schema("verdict"))
     assert code == cli.EXIT_PASS and payload["passed"]
-    basis = _sector_basis(n)
+    basis = sector_basis(n)
     assert payload["evolved_dim"] == basis.shape[1]
     record = transverse_ising(n).affine
     grid = np.linspace(0.0, 1.0, 1025)[:, None, None]
@@ -174,6 +160,7 @@ def test_proof_check_output_matches_schema(tmp_path, capsys):
     assert code == (cli.EXIT_PASS if payload["passed"] else cli.EXIT_CLAIM_FAILED)
     assert payload["metadata"]["L"] == 256
     assert payload["metadata"]["evolved_dim"] == 2
+    assert payload["metadata"]["rank"] == 0
     # grover(3)'s checks run in its two-level invariant subspace
     config = {"instance": {"kind": "grover", "params": {"n": 3}}, "delta": 1,
               "L": 1024, "T": 1000.0}
@@ -257,6 +244,24 @@ def test_overflowing_time_is_infeasible(tmp_path, capsys, command, config, messa
     assert code == cli.EXIT_NUMERICAL
     assert out == ""
     assert err.startswith("numerical error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "command, config, flag, message",
+    [
+        ("verify", {"instance": LZ, "delta": 1, "T_override": 10.0}, "csv",
+         "verify emits a JSON verdict; use --format json"),
+        ("simulate", {"instance": LZ, "T": 10.0, "L": 200}, "json",
+         "simulate emits CSV snapshots; use --format csv"),
+    ],
+)
+def test_unsupported_format_is_a_config_error(
+    tmp_path, capsys, command, config, flag, message
+):
+    code, out, err = _run(tmp_path, capsys, command, config, "--format", flag)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err == f"config error: {message}\n"
 
 
 def test_simulate_csv_snapshots(tmp_path, capsys):

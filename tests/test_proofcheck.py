@@ -551,7 +551,7 @@ class TestRunProofcheck:
             report = al.run_proofcheck(inst, L=L, delta=delta, total_time=total_time)
             frame = al.zero_frame(inst, L + 1)
             assert report.metadata["evolved_dim"] == frame.h.dim == 2
-            path = al.track_eigenpath(frame.h, L + 1, frame.path.states[0])
+            path = al.track_eigenpath(frame.h, L + 1, frame.path.tracked_index)
             shifted = al.shift_to_zero_eigenvalue(frame.h, path)
             want = al.norm_bundle(shifted)
             got = report.metadata["norms_shifted"]
@@ -562,6 +562,22 @@ class TestRunProofcheck:
             assert report.metadata["T"] == pytest.approx(total_time, rel=1e-12)
             cfg = ProofCheckConfig(L, total_time, delta, want.norm_H1, path.gap)
             assert report.metadata["Delta"] == cfg.Delta
+
+    def test_excited_rank_is_tracked_at_every_fit_length(self, monkeypatch):
+        # transverse_ising(3)'s top state, rank 7 of 8, is rank 2 of its
+        # three-dimensional V: the report echoes the requested rank, and
+        # the fit paths track V's
+        inst = al.transverse_ising(3)
+        ranks, track = [], proofcheck.track_eigenpath
+        monkeypatch.setattr(
+            proofcheck, "track_eigenpath",
+            lambda h, n, rank: ranks.append((h.dim, rank)) or track(h, n, rank),
+        )
+        report = al.run_proofcheck(inst, L=1024, delta=1.0, total_time=100.0, rank=7)
+        assert report.metadata["rank"] == 7
+        assert report.metadata["evolved_dim"] == 3
+        assert ranks == [(3, 2)] * len(proofcheck.DEFAULT_FIT_LENGTHS)
+        assert report.metadata["lambda"] == al.zero_frame(inst, 1025, rank=7).lam
 
     def test_step_unitaries_stream_once(self, lz, monkeypatch):
         # the fold streams U_0..U_{L-1} once and yields the reported step

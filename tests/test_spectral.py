@@ -161,34 +161,32 @@ class TestBranchEigenpairs:
             assert np.linalg.norm(column) == 1.0
 
 
-def sequential_track(h, grid_size, selector="ground"):
+def sequential_track(h, grid_size, rank=0):
     """Per-point fixed-rank walk: the oracle for ``track_eigenpath``.
 
     Same chunks and evaluation as the library, and its eigenvalues from the
     library's provider (``branch_eigenpairs``: LAPACK's eigvalsh, or the
     2x2 closed form); every eigenvector and overlap is eigh_batch's.  Then
-    one point at a time: keep the sorted rank chosen at s = 0, match
+    one point at a time: keep the sorted rank ``rank`` of s = 0, match
     against the previous gauge-fixed state, check the best overlap, then
     the margin, then that the best overlap lies at that rank, and rotate
-    the overlap to be real and nonnegative.
+    the overlap to be real and nonnegative.  A best overlap at rank k is a
+    crossing unless the instance's record bounds the gap to the neighbour
+    on k's side away from zero over the cell (Weyl), which makes the grid
+    under-resolved.
     Returns (states, gammas, eigenvalues, tracked_index, gaps), where
     gaps[j] is the distance from the tracked eigenvalue to the nearest of
     all the others at point j.
     """
-    match_vector = None if isinstance(selector, str) else np.asarray(selector, complex)
     grid = np.linspace(0.0, 1.0, grid_size)
     states = np.empty((grid_size, h.dim), dtype=complex)
     gammas = np.empty(grid_size)
     spectra = np.empty((grid_size, h.dim))
     gaps = np.empty(grid_size)
-    rank = previous = None
+    previous = None
     for lo, hi in chunk_ranges(0, grid_size, h.dim):
         mats = eval_batch(h, grid[lo:hi])
         _, evecs = eigh_batch(mats)
-        if lo == 0:
-            rank = 0
-            if match_vector is not None:
-                rank = int(np.argmax(np.abs(evecs[0].conj().T @ match_vector)))
         evals = branch_eigenpairs(mats, rank, evecs[0, :, rank])[0]
         for offset in range(hi - lo):
             j = lo + offset
@@ -214,11 +212,26 @@ def sequential_track(h, grid_size, selector="ground"):
                     f"(tolerance {DEGENERACY_RTOL:.0e} * {point_norm:.3e})"
                 )
             if j > 0:
+                where = f"between s={grid[j - 1]:.6g} and s={grid[j]:.6g}"
+                if best != rank and h.affine is not None:
+                    side = rank + 1 if best > rank else rank - 1
+                    spread = np.ptp(np.linalg.eigvalsh(h.affine.h1 - h.affine.h0))
+                    before = spectra[j - 1]
+                    floor = (
+                        abs(before[side] - before[rank]) + abs(w[side] - w[rank])
+                        - spread * (grid[j] - grid[j - 1])
+                    ) / 2.0
+                    point_norms = max(np.abs(before).max(), point_norm)
+                    if floor > DEGENERACY_RTOL * point_norms:
+                        raise UnderResolvedGridError(
+                            f"best overlap moves from rank {rank} to rank {best} "
+                            f"{where}, but the gap to rank {side} stays above "
+                            f"{floor:.3e} there; refine the grid"
+                        )
                 if best != rank:
                     raise GapCollapseError(
-                        f"tracked branch leaves sorted rank {rank} between "
-                        f"s={grid[j - 1]:.6g} and s={grid[j]:.6g}: it crosses "
-                        f"rank {best} there"
+                        f"tracked branch leaves sorted rank {rank} {where}: "
+                        f"it crosses rank {best} there"
                     )
                 rotation = overlaps[rank] / abs(overlaps[rank])
                 state = v[:, rank] * rotation
@@ -247,11 +260,9 @@ def three_point(mats):
     )
 
 
-def assert_matches_oracle(h, grid_size, selector="ground"):
-    states, gammas, spectra, tracked, gaps = sequential_track(
-        h, grid_size, selector
-    )
-    path = al.track_eigenpath(h, grid_size, selector)
+def assert_matches_oracle(h, grid_size, rank=0):
+    states, gammas, spectra, tracked, gaps = sequential_track(h, grid_size, rank)
+    path = al.track_eigenpath(h, grid_size, rank)
     assert np.array_equal(path.gammas, gammas)
     assert np.array_equal(path.eigenvalues, spectra)
     assert path.tracked_index == tracked
@@ -295,17 +306,27 @@ class TestTrackEigenpath:
             assert np.abs(overlaps.imag).max() < 1e-12
             assert overlaps.real.min() >= 0.99  # default-density continuity
 
-    def test_match_selector(self, const_instance):
-        # select the eigenvalue-2 branch by initial vector
-        e2 = np.array([0.0, 1.0], dtype=complex)
-        path = al.track_eigenpath(const_instance, 33, selector=e2)
+    def test_excited_rank(self, const_instance):
+        # the eigenvalue-2 branch is sorted rank 1
+        path = al.track_eigenpath(const_instance, 33, rank=1)
+        assert path.tracked_index == 1
         assert np.allclose(path.gammas, 2.0)
+        assert np.array_equal(np.abs(path.states), np.tile([0.0, 1.0], (33, 1)))
 
-    def test_zero_or_non_finite_selector_is_refused(self, grover2):
-        # no overlap picks a branch, so no rank is taken by default
-        for vector in (np.zeros(4), np.full(4, np.nan), np.array([1.0, np.inf, 0, 0])):
-            with pytest.raises(DomainError, match="finite and nonzero"):
-                al.track_eigenpath(grover2, 65, selector=vector)
+    def test_invalid_rank_is_refused(self, monkeypatch, grover2):
+        # only an integer 0 <= rank < d names a branch, and the tracker
+        # refuses any other before it evaluates H
+        evaluated = []
+        monkeypatch.setattr(
+            spectral, "eval_batch", lambda h, s: evaluated.append(s) or eval_batch(h, s)
+        )
+        for rank in (-1, 4, 1.5, True, "0"):
+            for build in (al.track_eigenpath, al.zero_frame):
+                with pytest.raises(DomainError, match="rank must be"):
+                    build(grover2, 65, rank)
+            with pytest.raises(DomainError, match="rank must be"):
+                al.run_proofcheck(grover2, 256, rank=rank)
+        assert not evaluated
 
     @pytest.mark.parametrize("grid_size", [65, 129, 257, 513, 1025, 2049, 4097])
     def test_degenerate_instance_collapses(self, grid_size):
@@ -335,17 +356,19 @@ class TestTrackEigenpath:
                 with pytest.raises(DomainError, match="integer"):
                     build(lz, grid_size)
         assert al.track_eigenpath(lz, np.int64(3)).npoints == 3
-        with pytest.raises(DomainError):
-            al.track_eigenpath(lz, 9, selector="excited")
+        # the rank, like the grid size, is an integer of numpy's too
+        assert al.track_eigenpath(lz, 9, np.int64(1)).tracked_index == 1
+        with pytest.raises(DomainError, match="rank must be below the dimension 2"):
+            al.track_eigenpath(lz, 9, 2)
 
 
 class TestTrackerMatchesSequentialWalk:
-    def test_suite_and_match_selector(self, suite, rand4):
+    def test_suite_and_excited_ranks(self, suite, rand4):
         for inst in suite:
             assert_matches_oracle(inst, 1025)
-        vector = np.random.default_rng(3).standard_normal(4).astype(complex)
-        path = assert_matches_oracle(rand4, 1025, vector)
-        assert path.tracked_index != 0  # a branch other than the ground
+        # every branch above the ground
+        for rank in (1, 2, 3):
+            assert assert_matches_oracle(rand4, 1025, rank).tracked_index == rank
 
     def test_chunks_carry_the_previous_vector(self):
         # 4,097 points at d = 32 are batches of chunk_size(32) points and a
@@ -353,7 +376,8 @@ class TestTrackerMatchesSequentialWalk:
         # rotation
         assert 4096 % chunk_size(32) == 0 and chunk_size(32) < 2049
         assert_matches_oracle(al.grover(5), 4097)
-        assert_matches_oracle(al.random_interpolation(32, seed=1), 2049)
+        for rank in (0, 1, 31):
+            assert_matches_oracle(al.random_interpolation(32, seed=1), 2049, rank)
 
     def test_crossing_raises(self):
         # diag(0, 2s - 1): the ground branch crosses the zero level at s = 1/2,
@@ -380,6 +404,29 @@ class TestTrackerMatchesSequentialWalk:
             h = level_crossing(32, (j - 0.5) / 4096)
             where = f"between s={(j - 1) / 4096:.6g} and s={j / 4096:.6g}:"
             assert_same_error_as_oracle(h, 4097, GapCollapseError, where)
+
+    @pytest.mark.parametrize("grid_size", [4, 6])
+    def test_coarse_grid_across_a_narrow_gap_is_under_resolved(self, grid_size):
+        # grover(5)'s gap never falls below 1/sqrt(32), but across s = 1/2
+        # its ground state turns by nearly 90 degrees between two samples,
+        # so the best overlap is at rank 1.  Weyl's inequality bounds the
+        # gap over that cell below by (g(s_a) + g(s_b) - spread(D) h) / 2,
+        # 0.0446 (4 points) or 0.0677 (6 points) with spread(D) =
+        # 2 sqrt(1 - 1/32): far above 1e-8 ||H||, so the levels cannot meet
+        j = grid_size // 2  # the cell [s_a, s_b] holds s = 1/2
+        s_a, s_b = (j - 1) / (grid_size - 1), j / (grid_size - 1)
+        spread = 2.0 * np.sqrt(1.0 - 2.0**-5)
+        floor = 0.5 * (grover_gap(5, s_a) + grover_gap(5, s_b) - spread * (s_b - s_a))
+        assert floor > 0.04
+        for inst in (al.grover(5), al.zero_frame(al.grover(5), 7).h):
+            assert_same_error_as_oracle(
+                inst, grid_size, UnderResolvedGridError,
+                rf"to rank 1 between s={s_a:.6g} and s={s_b:.6g}, but the gap to "
+                rf"rank 1 stays above {floor:.3e} there; refine the grid$",
+            )
+        with pytest.raises(UnderResolvedGridError, match="refine the grid$"):
+            al.zero_frame(al.grover(5), grid_size)
+        assert_matches_oracle(al.grover(5), 7)
 
     def test_untracked_crossing_keeps_rank(self):
         # diag(-2 + s, 0, 2s - 1, 3) in a random real basis: the untracked
@@ -502,17 +549,19 @@ class TestRareRoutes:
         )
 
     def test_eigh_only_at_chunk_starts(self, monkeypatch):
-        # one eigh per chunk start, plus at most one at s = 0: the other
-        # 4,088 points take eigvalsh and one shifted solve
+        # one eigh per chunk start, at any rank, and none more at s = 0:
+        # the other 4,088 points take eigvalsh and one shifted solve
         inst = al.random_interpolation(32, seed=1)
         eigh, shapes = np.linalg.eigh, []
         monkeypatch.setattr(
             np.linalg, "eigh", lambda a: shapes.append(np.shape(a)[:-2]) or eigh(a)
         )
-        al.track_eigenpath(inst, 4097)
         chunks = len(list(chunk_ranges(0, 4097, 32)))
         assert chunks == 9
-        assert sum(int(np.prod(shape)) for shape in shapes) <= 1 + chunks
+        for rank in (0, 5):
+            shapes.clear()
+            al.track_eigenpath(inst, 4097, rank)
+            assert sum(int(np.prod(shape)) for shape in shapes) == chunks
 
 
 def residual_peak(monkeypatch, workers):
@@ -543,9 +592,9 @@ class TestSpectralGap:
     def test_constant_three_level(self):
         # the middle level 0 sits at distance 1 from both others
         inst = al.constant((0.0, 1.0, -1.0))
-        e1 = np.array([1.0, 0.0, 0.0], dtype=complex)
-        path = al.track_eigenpath(inst, 65, selector=e1)
+        path = al.track_eigenpath(inst, 65, rank=1)
         assert path.tracked_index == 1
+        assert np.array_equal(path.gammas, np.zeros(65))
         assert np.abs(path.gap_values - 1.0).max() <= 1e-15
         assert path.gap == pytest.approx(1.0)
 
@@ -617,14 +666,18 @@ class TestPooledChunks:
     on any host; chunk boundaries never depend on it."""
 
     @pytest.mark.parametrize(
-        "make",
+        "make, rank",
         [
-            functools.partial(al.random_interpolation, 32, seed=1),
-            functools.partial(al.grover, 5),
+            (functools.partial(al.random_interpolation, 32, seed=1), 0),
+            (functools.partial(al.random_interpolation, 32, seed=1), 5),
+            (functools.partial(al.grover, 5), 0),
         ],
-        ids=["random_interpolation(32,1)", "grover(5)"],
+        ids=["random_interpolation(32,1)", "random_interpolation(32,1) rank 5",
+             "grover(5)"],
     )
-    def test_one_and_two_workers_agree_bit_for_bit(self, monkeypatch, make):
+    def test_one_and_two_workers_agree_bit_for_bit(self, monkeypatch, make, rank):
+        # with two workers no evaluation, whatever the rank, runs in the
+        # calling thread
         inst = make()
         threads = []
         monkeypatch.setattr(
@@ -636,7 +689,7 @@ class TestPooledChunks:
         for workers in (1, 2):
             monkeypatch.setattr(_linalg, "_workers", lambda w=workers: w)
             threads.clear()
-            path = al.track_eigenpath(inst, 4097)
+            path = al.track_eigenpath(inst, 4097, rank)
             residuals = eigen_residuals(inst, path.grid, path.states, path.gammas)
             pooled = {t is not threading.main_thread() for t in threads}
             runs.append((path, residuals, pooled))
@@ -644,7 +697,7 @@ class TestPooledChunks:
         assert pooled_one == {False} and pooled_two == {True}
         for name in ("states", "gammas", "eigenvalues", "gap_values"):
             assert np.array_equal(getattr(one, name), getattr(two, name))
-        assert one.tracked_index == two.tracked_index
+        assert one.tracked_index == two.tracked_index == rank
         assert np.array_equal(residuals_one, residuals_two)
 
     def test_crossing_raises_before_a_later_chunks_failure(self, monkeypatch):
@@ -707,17 +760,21 @@ class TestPooledChunks:
         def pool_threads():
             return [t for t in threading.enumerate() if t.name.startswith("adialab-chunk")]
 
-        with pytest.raises(GapCollapseError):
-            al.track_eigenpath(crossing_then_broken(), 1024)
-        # the chunks ran on the pool, and its threads are joined
-        assert names and all(name.startswith("adialab-chunk") for name in names)
-        assert pool_threads() == []
+        # both branches cross at s = 1/2; at either rank the chunks run on
+        # the pool alone, and its threads are joined
+        for rank in (0, 1):
+            names.clear()
+            with pytest.raises(GapCollapseError, match=f"leaves sorted rank {rank} "):
+                al.track_eigenpath(crossing_then_broken(), 1024, rank)
+            assert names and all(name.startswith("adialab-chunk") for name in names)
+            assert pool_threads() == []
 
-        names.clear()
-        al.track_eigenpath(crossing_then_broken(fails=False), 1024)
-        assert len(names) == 16
-        assert all(name.startswith("adialab-chunk") for name in names)
-        assert pool_threads() == []
+            names.clear()
+            path = al.track_eigenpath(crossing_then_broken(fails=False), 1024, rank)
+            assert path.tracked_index == rank
+            assert len(names) == 16
+            assert all(name.startswith("adialab-chunk") for name in names)
+            assert pool_threads() == []
 
 
 class TestPathDerivatives:

@@ -15,7 +15,7 @@ from adialab.errors import (
 from adialab.hamiltonians import NormBundle
 from adialab.problems import landau_zener_eigenvalue
 
-from conftest import dense_derivative_norms, dense_norm, svd_norm
+from conftest import dense_derivative_norms, dense_norm, sector_basis, svd_norm
 
 
 def _required(delta, h1, h2, lam, case):
@@ -396,6 +396,28 @@ class TestInvariantSubspace:
         basis, residual = theorem._invariant_subspace(inst.affine, psi0)
         assert basis.shape == (16, 6)
         assert residual < 1e-13
+
+    @pytest.mark.parametrize("n, rank, dim_v, lam", [
+        (3, 7, 3, 1.394568),
+        (4, 15, 6, 1.120208),
+    ])
+    def test_top_branch_of_transverse_ising(self, n, rank, dim_v, lam):
+        # H(0)'s top state, all spins |->, is even under reflection and has
+        # spin-flip parity (-1)^n; both symmetries commute with H(s), so it
+        # evolves in that sector, built here from the symmetries alone
+        inst = al.transverse_ising(n)
+        frame = al.zero_frame(inst, rank=rank)
+        assert frame.h.dim == dim_v
+        assert frame.path.tracked_index == dim_v - 1  # the top of V too
+        basis = sector_basis(n, (-1) ** n)
+        assert basis.shape[1] == dim_v
+        spectra = np.linalg.eigvalsh(
+            basis.T @ inst.evaluator(frame.path.grid) @ basis
+        )
+        assert np.abs(frame.path.gammas - spectra[:, -1]).max() < 1e-12
+        gaps = spectra[:, -1] - spectra[:, -2]
+        assert frame.lam == pytest.approx(gaps.min(), rel=1e-12, abs=0.0)
+        assert frame.lam == pytest.approx(lam, abs=1e-6)
 
     def test_projected_frame_is_the_compressed_frame(self, grover3):
         frame = al.zero_frame(grover3, 129)

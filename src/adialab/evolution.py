@@ -187,11 +187,12 @@ def evolve_adaptive(
     largest power-of-two multiple of L within the step ceiling.  Raises
     FeasibilityError, naming the largest feasible T, if the first L already
     exceeds the ceiling, and NonConvergenceError once even 2L would.
-    DomainError is raised for a non-finite T and for a norm_H, the sup of
-    ||H(s)||, that is negative or not finite.
+    DomainError is raised for a non-finite T, for a disc_tol that is not
+    positive and finite, and for a norm_H, the sup of ||H(s)||, that is
+    negative or not finite.
     """
-    if not disc_tol > 0.0:
-        raise DomainError("disc_tol must be positive")
+    if not 0.0 < disc_tol < math.inf:
+        raise DomainError(f"disc_tol must be positive and finite, got {disc_tol}")
     if not 0.0 < total_time < math.inf:
         raise DomainError(
             f"total_time must be positive and finite, got {total_time}"

@@ -9,7 +9,11 @@ eigenvector, for the branch of one sorted rank at s = 0.  In the zero-eigenvalue
 norm of sum_j U_{L-1}...U_j w_j, and the cancellation of that sum in
 blocks of Delta consecutive terms is what makes slow evolution work.
 Every intermediate inequality of that argument is turned here into a
-measured value, a bound, a slack factor, and a pass flag.  The eigenvalue
+``CheckEntry`` of a measured value, a bound, a slack factor and an
+allowance, the fitted remainder C/L^p of an asymptotic claim (else 0).
+The entry derives its pass flag from one rule, measured <= bound *
+(1 + slack) + allowance, or measured >= bound for a scaling exponent;
+no check states a flag.  The eigenvalue
 lemma is checked on the zero-eigenvalue frame's spline gamma, whose
 gamma'' is the ||H~''|| that the special-case T uses.
 
@@ -56,16 +60,25 @@ MIN_TAYLOR_EXPONENT = 1.7
 class CheckEntry:
     """One measured quantity against one bound.
 
-    ``direction`` is "<=" for bound checks and ">=" for scaling exponents.
+    A "<=" entry passes when measured <= bound * (1 + slack) + allowance;
+    the allowance is a fitted remainder C/L^p, whose C the note names.  A
+    ">=" entry, a scaling exponent, passes when measured >= bound.  The
+    allowance enters only the flag, not the serialized fields.
     """
 
     name: str
     measured: float
     bound: float
-    slack: float
-    passed: bool
-    direction: str = "<="
+    slack: float = 0.0
+    allowance: float = 0.0
     note: str = ""
+    direction: str = "<="
+
+    @property
+    def passed(self) -> bool:
+        if self.direction == ">=":
+            return bool(self.measured >= self.bound)
+        return bool(self.measured <= self.bound * (1.0 + self.slack) + self.allowance)
 
     def to_dict(self) -> dict:
         # an infinite scaling exponent (residuals at roundoff) is not
@@ -197,14 +210,7 @@ def _fit_remainder(lengths, values, powers) -> np.ndarray:
 
 def check_gauge_residual(path: EigenPath) -> CheckEntry:
     """max_j |<Psi'(s_j), Psi(s_j)>| must sit at finite-difference noise."""
-    measured = gauge_residual(path)
-    return CheckEntry(
-        name="gauge_residual",
-        measured=measured,
-        bound=GAUGE_RESIDUAL_LIMIT,
-        slack=0.0,
-        passed=measured <= GAUGE_RESIDUAL_LIMIT,
-    )
+    return CheckEntry("gauge_residual", gauge_residual(path), GAUGE_RESIDUAL_LIMIT)
 
 
 def _taylor_residual(path: EigenPath) -> float:
@@ -224,15 +230,10 @@ def check_error_vector_taylor(path: EigenPath, fit_paths) -> CheckEntry:
     exponent = _fit_exponent(
         [p.npoints - 1 for p in fit_paths], [_taylor_residual(p) for p in fit_paths]
     )
-    target_residual = _taylor_residual(path)
+    note = f"residual at target L: {_taylor_residual(path):.3e}"
     return CheckEntry(
-        name="error_vector_taylor_exponent",
-        measured=exponent,
-        bound=MIN_TAYLOR_EXPONENT,
-        slack=0.0,
-        passed=exponent >= MIN_TAYLOR_EXPONENT,
-        direction=">=",
-        note=f"residual at target L: {target_residual:.3e}",
+        "error_vector_taylor_exponent", exponent, MIN_TAYLOR_EXPONENT,
+        note=note, direction=">=",
     )
 
 
@@ -241,18 +242,13 @@ def check_error_vector_norm(
 ) -> CheckEntry:
     """max_j ||w_j|| <= ||H'|| / (lambda L), with a 1/L^2 remainder fitted
     over ``fit_paths`` (as in ``check_error_vector_taylor``)."""
-    measured = float(np.linalg.norm(error_vectors(path), axis=1).max())
-    bound = cfg.norm_h1 / (cfg.lam * cfg.L)
     values = [float(np.linalg.norm(error_vectors(p), axis=1).max()) for p in fit_paths]
     _, c2 = _fit_remainder([p.npoints - 1 for p in fit_paths], values, (1.0, 2.0))
-    remainder = max(float(c2), 0.0) / cfg.L**2
+    c2 = max(float(c2), 0.0)
+    measured = float(np.linalg.norm(error_vectors(path), axis=1).max())
     return CheckEntry(
-        name="error_vector_norm",
-        measured=measured,
-        bound=bound,
-        slack=LEMMA_SLACK,
-        passed=measured <= bound * (1.0 + LEMMA_SLACK) + remainder,
-        note=f"fitted remainder C/L^2 with C={max(float(c2), 0.0):.3e}",
+        "error_vector_norm", measured, cfg.norm_h1 / (cfg.lam * cfg.L), LEMMA_SLACK,
+        c2 / cfg.L**2, f"fitted remainder C/L^2 with C={c2:.3e}",
     )
 
 
@@ -265,10 +261,12 @@ def check_error_vector_drift(
     """||w_{j+k} - w_j|| <= (k/L^2)(||H''||/lambda + 3||H'||^2/lambda^2) + C/L^2.
 
     The mean-value bound is the slope in k; the k-independent remainder is
-    the fitted intercept.  Both the slope comparison and the per-k absolute
-    checks must pass.  ``k_max`` (default min(Delta, 64)) is clamped to
-    L - 1; one that is not an integer >= 1 raises ``DomainError``, and so
-    does L < 2, which leaves no lag to measure.
+    the fitted intercept, every lag's allowance C/L^2.  The all-k entry
+    reports the lag k whose drift most exceeds its limit, against the bound
+    (k/L^2) * beta, so it passes exactly when every lag does.  ``k_max``
+    (default min(Delta, 64)) is clamped to L - 1; one that is not an
+    integer >= 1 raises ``DomainError``, and so does L < 2, which leaves no
+    lag to measure.
     """
     if k_max is None:
         k_max = min(cfg.Delta, 64)
@@ -288,30 +286,22 @@ def check_error_vector_drift(
     if k_max >= 2:
         alpha, intercept = _fit_remainder(ks, scaled, (-1.0, 0.0))
     else:
-        alpha, intercept = float(scaled[0]), 0.0
-    intercept = max(float(intercept), 0.0)
-    per_k_bounds = (ks / L**2) * beta * (1.0 + LEMMA_SLACK) + intercept / L**2
-    all_k_pass = bool((drifts <= per_k_bounds).all())
-
-    entries = [
+        alpha, intercept = scaled[0], 0.0
+    alpha, intercept = float(alpha), max(float(intercept), 0.0)
+    allowance = intercept / L**2
+    limits = (ks / L**2) * beta
+    worst = int(np.argmax(drifts - (limits * (1.0 + LEMMA_SLACK) + allowance)))
+    worst_note = f"intercept C={intercept:.3e}; worst k={int(ks[worst])}"
+    return [
         CheckEntry(
-            name="error_vector_drift_slope",
-            measured=float(alpha),
-            bound=beta,
-            slack=LEMMA_SLACK,
-            passed=float(alpha) <= beta * (1.0 + LEMMA_SLACK),
+            "error_vector_drift_slope", alpha, beta, LEMMA_SLACK,
             note=f"k-slope of L^2 * drift over k=1..{k_max}",
         ),
         CheckEntry(
-            name="error_vector_drift_all_k",
-            measured=float(drifts.max()),
-            bound=float(per_k_bounds.max()),
-            slack=LEMMA_SLACK,
-            passed=all_k_pass,
-            note=f"intercept C={intercept:.3e}; worst k={int(ks[np.argmax(drifts)])}",
+            "error_vector_drift_all_k", float(drifts[worst]), float(limits[worst]),
+            LEMMA_SLACK, allowance, worst_note,
         ),
     ]
-    return entries
 
 
 def _step_drift(batch: np.ndarray, previous: np.ndarray | None) -> float:
@@ -344,8 +334,6 @@ def check_step_unitary_drift(
     lengths where the drift saturates near 2 (two arbitrary unitaries)
     carry no information about the asymptote and are dropped.
     """
-    bound = cfg.T * norms_shifted.norm_H1 / cfg.L**2
-
     lengths, values = [], []
     for n in DEFAULT_FIT_LENGTHS:
         value = _max_step_drift(h_shifted, cfg.T, n)
@@ -359,13 +347,10 @@ def check_step_unitary_drift(
     else:
         remainder_c = 0.0
         note = "remainder fit skipped (drift saturated at coarse L); C=0"
+    bound = cfg.T * norms_shifted.norm_H1 / cfg.L**2
+    allowance = remainder_c / cfg.L**3
     return CheckEntry(
-        name="step_unitary_drift",
-        measured=measured,
-        bound=bound,
-        slack=LEMMA_SLACK,
-        passed=measured <= bound * (1.0 + LEMMA_SLACK) + remainder_c / cfg.L**3,
-        note=note,
+        "step_unitary_drift", measured, bound, LEMMA_SLACK, allowance, note
     )
 
 
@@ -450,14 +435,7 @@ def check_block_cancellation(
         scale = cfg.delta * block_len / cfg.L
         targets = (scale, scale / 4.0, scale / 4.0, scale / 2.0)
         entries.extend(
-            CheckEntry(
-                name=f"block[{k}]:{label}",
-                measured=value,
-                bound=target,
-                slack=BLOCK_SLACK,
-                passed=value <= target * (1.0 + BLOCK_SLACK),
-                note=note,
-            )
+            CheckEntry(f"block[{k}]:{label}", value, target, BLOCK_SLACK, note=note)
             for label, value, target in zip(labels, measured, targets)
         )
     return entries
@@ -481,22 +459,10 @@ def check_total_error_norm(
     triangle-inequality foil ||H'||/lambda that ignores cancellation."""
     measured = float(np.linalg.norm(total_error_vector(products)))
     foil = norms_shifted.norm_H1 / cfg.lam
+    note = f"triangle-inequality foil ||H'||/lambda = {foil:.6g}"
     return [
-        CheckEntry(
-            name="total_error_norm",
-            measured=measured,
-            bound=cfg.delta,
-            slack=0.0,
-            passed=measured <= cfg.delta,
-        ),
-        CheckEntry(
-            name="total_error_vs_foil",
-            measured=measured,
-            bound=0.1 * foil,
-            slack=0.0,
-            passed=measured <= 0.1 * foil,
-            note=f"triangle-inequality foil ||H'||/lambda = {foil:.6g}",
-        ),
+        CheckEntry("total_error_norm", measured, cfg.delta),
+        CheckEntry("total_error_vs_foil", measured, 0.1 * foil, note=note),
     ]
 
 
@@ -520,23 +486,10 @@ def check_eigenvalue_derivative_bounds(frame: ZeroFrame) -> list[CheckEntry]:
     d1 = float(np.abs(gamma(frame.path.grid, 1)).max())
     d2 = frame.norms_shifted.norm_H2
     norms = frame.norms
-    bound1 = norms.norm_H1
     bound2 = norms.norm_H2 + 4.0 * norms.norm_H1**2 / frame.lam
     return [
-        CheckEntry(
-            name="eigenvalue_derivative",
-            measured=d1,
-            bound=bound1,
-            slack=LEMMA_SLACK,
-            passed=d1 <= bound1 * (1.0 + LEMMA_SLACK),
-        ),
-        CheckEntry(
-            name="eigenvalue_second_derivative",
-            measured=d2,
-            bound=bound2,
-            slack=LEMMA_SLACK,
-            passed=d2 <= bound2 * (1.0 + LEMMA_SLACK),
-        ),
+        CheckEntry("eigenvalue_derivative", d1, norms.norm_H1, LEMMA_SLACK),
+        CheckEntry("eigenvalue_second_derivative", d2, bound2, LEMMA_SLACK),
     ]
 
 
@@ -562,7 +515,9 @@ def run_proofcheck(
     bound, w drift, step-unitary drift, every Delta-block's four bounds,
     the total error sum with its foil comparison, and the eigenvalue
     derivative bounds.  The fit paths track the frame's instance at its
-    path's rank, which in V may differ from ``rank``.
+    path's rank, which in V may differ from ``rank``.  ``FeasibilityError``
+    refuses L above ``TOTAL_SUM_MAX_L`` before the frame is built, and a
+    frame space of dimension above ``TOTAL_SUM_MAX_DIM`` once it is.
     """
     require_count(L, "L", DEFAULT_FIT_LENGTHS[0])  # the doubling studies' first
     times = (delta,) if total_time is None else (delta, total_time)
@@ -571,13 +526,12 @@ def run_proofcheck(
     _check_delta(delta)
     if k_max is not None:
         require_count(k_max, "k_max", 1)
-    if L > TOTAL_SUM_MAX_L or h.dim > TOTAL_SUM_MAX_DIM:
-        raise FeasibilityError(
-            f"proofcheck limited to L <= {TOTAL_SUM_MAX_L} at dim <= "
-            f"{TOTAL_SUM_MAX_DIM}; got L={L}, dim={h.dim}"
-        )
-
+    cap = f"proofcheck limited to L <= {TOTAL_SUM_MAX_L} at dim <= {TOTAL_SUM_MAX_DIM}"
+    if L > TOTAL_SUM_MAX_L:
+        raise FeasibilityError(f"{cap}; got L={L}")
     frame = zero_frame(h, L + 1, rank)
+    if frame.h.dim > TOTAL_SUM_MAX_DIM:
+        raise FeasibilityError(f"{cap}; got evolved dim={frame.h.dim}")
     path, shifted, lam = frame.path, frame.shifted, frame.lam
     norms, norms_shifted = frame.norms, frame.norms_shifted
     if total_time is None:

@@ -230,7 +230,7 @@ def zero_frame(
     path = track_eigenpath(h, grid_size, rank)
     shifted = shift_to_zero_eigenvalue(h, path)
     base_norms = norm_bundle(h)
-    gammas = shifted.affine.shift(path.grid)
+    gammas = path.gammas  # the spline of gamma takes these values at its knots
     shifted_norms = norm_bundle(shifted, spectrum=path.eigenvalues - gammas[:, None])
 
     slack = 1.0 + SHIFT_NORM_SLACK
@@ -255,9 +255,9 @@ def zero_frame(
 
 @dataclass(frozen=True)
 class TheoremVerdict:
-    """Outcome of one verification run, with all inputs echoed."""
+    """Outcome of one verification run, with all inputs echoed.  ``passed``
+    is derived, never stored: the phase-invariant distance is <= delta."""
 
-    passed: bool
     T_required: float
     T_used: float
     L_used: int
@@ -274,9 +274,9 @@ class TheoremVerdict:
     instance_name: str
     instance_params: dict
 
-    def __post_init__(self) -> None:
-        if self.passed != (self.distance_phase_invariant <= self.delta):
-            raise IntegrityError("verdict pass flag inconsistent with distances")
+    @property
+    def passed(self) -> bool:
+        return bool(self.distance_phase_invariant <= self.delta)
 
     def to_dict(self) -> dict:
         return {
@@ -351,16 +351,13 @@ def verify(
         )
         final, l_used = result.final_state, result.L_used
 
-    d_phase = distance_phase_invariant(final, target)
-    d_gauge = distance_l2(final, target)
     return TheoremVerdict(
-        passed=d_phase <= delta,
         T_required=t_required,
         T_used=t_used,
         L_used=l_used,
         evolved_dim=frame.h.dim,
-        distance_phase_invariant=d_phase,
-        distance_gauge_fixed=d_gauge,
+        distance_phase_invariant=distance_phase_invariant(final, target),
+        distance_gauge_fixed=distance_l2(final, target),
         delta=delta,
         lam=frame.lam,
         case=case,

@@ -311,8 +311,10 @@ class TestEvolveAdaptive:
         assert f"largest feasible T is about {feasible:.6g}" in str(err.value)
 
     def test_tolerance_validation(self, lz):
-        with pytest.raises(DomainError):
-            al.evolve_adaptive(lz, _ground(lz), 1.0, 0.0, norm_H=_norm_H(lz))
+        # an infinite disc_tol would accept the first level unchecked
+        for disc_tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="positive and finite, got"):
+                al.evolve_adaptive(lz, _ground(lz), 1.0, disc_tol, norm_H=_norm_H(lz))
         # every level has L >= 2; a zero Hamiltonian needs exactly 2 steps
         zero = al.affine_hamiltonian(np.zeros((2, 2)), np.zeros((2, 2)))
         psi0 = np.array([1.0, 0.0], dtype=complex)

@@ -240,17 +240,33 @@ class TestDriftChecks:
 
     def test_drift_entries_match_the_per_k_norm_loop(self, lz):
         # oracle: the complex norm of every difference, one k at a time;
-        # the check sums real squares, so it may differ by rounding only
+        # the check sums real squares, so it may differ by rounding only.
+        # Norms shrunk by a tenth make some lags exceed their limits
         path, cfg, shifted, shifted_norms, *_ = _shifted_context(lz, 4096)
-        slope, all_k = check_error_vector_drift(path, cfg, shifted_norms, k_max=32)
         w = al.error_vectors(path)
         ks = np.arange(1, 33)
         drifts = np.array([np.linalg.norm(w[k:] - w[:-k], axis=1).max() for k in ks])
         design = np.stack([ks.astype(float), np.ones(32)], axis=1)
-        (alpha, _), *_ = np.linalg.lstsq(design, drifts * cfg.L**2, rcond=None)
-        assert all_k.measured == pytest.approx(drifts.max(), rel=1e-14)
-        assert f"worst k={int(ks[np.argmax(drifts)])}" in all_k.note
-        assert slope.measured == pytest.approx(alpha, rel=1e-12)
+        (alpha, c), *_ = np.linalg.lstsq(design, drifts * cfg.L**2, rcond=None)
+        allowance = max(c, 0.0) / cfg.L**2
+        for scale, all_pass in ((1.0, True), (0.1, False)):
+            norms = dataclasses.replace(
+                shifted_norms,
+                norm_H1=shifted_norms.norm_H1 * math.sqrt(scale),
+                norm_H2=shifted_norms.norm_H2 * scale,
+            )
+            slope, all_k = check_error_vector_drift(path, cfg, norms, k_max=32)
+            beta = norms.norm_H2 / cfg.lam + 3.0 * norms.norm_H1**2 / cfg.lam**2
+            limits = (ks / cfg.L**2) * beta * (1.0 + proofcheck.LEMMA_SLACK)
+            limits += allowance
+            k = int(ks[np.argmax(drifts - limits)])  # the lag of the largest excess
+            assert f"worst k={k}" in all_k.note
+            assert all_k.measured == pytest.approx(drifts[k - 1], rel=1e-14)
+            assert all_k.bound == pytest.approx(k / cfg.L**2 * beta, rel=1e-14)
+            assert all_k.slack == proofcheck.LEMMA_SLACK
+            assert all_k.allowance == pytest.approx(allowance, rel=1e-9)
+            assert all_k.passed == bool((drifts <= limits).all()) == all_pass
+            assert slope.measured == pytest.approx(alpha, rel=1e-12)
 
     def test_k_max_below_one_is_refused(self, lz):
         # called directly, not only through run_proofcheck: no silent clamp
@@ -522,6 +538,20 @@ class TestGaugeEntry:
         assert entry.measured == pytest.approx(1.0, abs=1e-3)
 
 
+class TestCheckEntry:
+    def test_the_rule_at_its_edges(self):
+        # a "<=" entry's edge is bound (1 + slack) + allowance; a ">=" entry
+        # compares with the bound alone
+        edge = 1.0 * (1.0 + 0.05) + 0.2
+        for measured, want in ((edge, True), (math.nextafter(edge, 2.0), False)):
+            assert proofcheck.CheckEntry("x", measured, 1.0, 0.05, 0.2).passed is want
+        for measured in (1.0, math.nextafter(1.0, 0.0)):
+            entry = proofcheck.CheckEntry("x", measured, 1.0, 0.5, 0.5, direction=">=")
+            assert entry.passed is (measured >= 1.0)
+        with pytest.raises(TypeError, match="passed"):
+            proofcheck.CheckEntry("x", 0.0, 1.0, passed=True)
+
+
 class TestRunProofcheck:
     def test_landau_zener_moderate_scale_all_pass(self, lz):
         report = al.run_proofcheck(lz, L=16384, delta=1.0)
@@ -599,6 +629,46 @@ class TestRunProofcheck:
         shifted = al.shift_to_zero_eigenvalue(lz, path)
         entry = next(e for e in report.entries if e.name == "step_unitary_drift")
         assert entry.measured == _max_step_drift(shifted, report.metadata["T"], L)
+
+    @pytest.mark.parametrize("inst, total_time", [("lz", None), ("grover2", 2000.0)])
+    def test_every_flag_follows_the_one_rule(self, inst, total_time, request):
+        # passed is measured <= bound (1 + slack) + allowance, or measured >=
+        # bound for an exponent; the allowance is C/L^p for the C a note names
+        L = 8192
+        report = al.run_proofcheck(
+            request.getfixturevalue(inst), L=L, delta=1.0, total_time=total_time
+        )
+        powers = {"error_vector_norm": 2, "step_unitary_drift": 3}
+        for e in report.entries:
+            if e.direction == ">=":
+                rule = e.measured >= e.bound
+            else:
+                rule = e.measured <= e.bound * (1.0 + e.slack) + e.allowance
+            assert e.passed == rule == e.to_dict()["passed"], e.name
+            if e.name in powers or e.name == "error_vector_drift_all_k":
+                c = float(e.note.split("C=")[1].split(";")[0])
+                power = powers.get(e.name, 2)  # the drift intercept is C/L^2
+                assert e.allowance == pytest.approx(c / L**power, rel=1e-3), e.name
+            else:
+                assert e.allowance == 0.0, e.name
+
+    def test_dimension_cap_reads_the_frame(self, monkeypatch):
+        # grover(5) evolves in its two-dimensional V; random_interpolation's
+        # V is the whole 32-dimensional space, refused once its frame is built
+        report = al.run_proofcheck(al.grover(5), L=2048, delta=1.0, total_time=1000.0)
+        assert report.metadata["evolved_dim"] == 2
+        frames, build = [], proofcheck.zero_frame
+
+        def spy(*args):
+            frames.append(build(*args))
+            return frames[-1]
+
+        monkeypatch.setattr(proofcheck, "zero_frame", spy)
+        with pytest.raises(FeasibilityError, match="got evolved dim=32"):
+            al.run_proofcheck(
+                al.random_interpolation(32, seed=1), L=256, delta=1.0, total_time=50.0
+            )
+        assert [f.h.dim for f in frames] == [32]
 
     def test_one_step_last_block(self, lz):
         # Delta = 64 divides L - 1 = 1024, so the last block starts at k = L

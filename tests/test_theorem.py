@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -345,6 +346,21 @@ class TestVerify:
         import json
 
         json.dumps(payload)  # must be JSON-serializable as-is
+
+    def test_pass_flag_follows_the_distance(self, lz_frame):
+        # passed is derived from (distance, delta), never stored or accepted
+        quench = al.verify(lz_frame, delta=0.5, T_override=0.01)
+        d = quench.distance_phase_invariant
+        for delta, want in ((d, True), (math.nextafter(d, 0.0), False), (1.4, True)):
+            verdict = dataclasses.replace(quench, delta=delta)
+            assert verdict.passed is want
+            assert verdict.to_dict()["passed"] is want
+        with pytest.raises(TypeError, match="passed"):
+            dataclasses.replace(quench, passed=True)
+        fields = {f.name: getattr(quench, f.name) for f in dataclasses.fields(quench)}
+        assert "passed" not in fields
+        with pytest.raises(TypeError, match="passed"):
+            al.TheoremVerdict(passed=False, **fields)
 
 
 def _full_space_run(inst, total_time, steps):

@@ -7,17 +7,18 @@ from scipy.interpolate import CubicSpline
 
 import adialab as al
 from adialab import _linalg, proofcheck
-from adialab.errors import DomainError, FeasibilityError
+from adialab.errors import DomainError, FeasibilityError, UnderResolvedGridError
 from adialab.evolution import _step_batch
 from adialab.problems import PAULI_X, PAULI_Z
 from adialab.proofcheck import (
     ProofCheckConfig,
-    _max_step_drift,
     check_block_cancellation,
     check_error_vector_drift,
+    check_error_vector_norm,
     check_eigenvalue_derivative_bounds,
     check_gauge_residual,
     check_error_vector_taylor,
+    check_step_unitary_drift,
     expected_block_length,
     fold_blocks,
     total_error_vector,
@@ -48,6 +49,12 @@ def _shifted_context(inst, L, delta=1.0, total_time=None, Delta=None):
         total_time = al.required_time(delta, shifted_norms, lam, "special")
     cfg = ProofCheckConfig(L, total_time, delta, shifted_norms.norm_H1, lam)
     return path, cfg, shifted, shifted_norms, norms, lam
+
+
+def max_step_drift(h, total_time, L):
+    """Oracle: max_j ||U_{j+1} - U_j|| over the L step unitaries, in one batch."""
+    u = _step_batch(h, 0, L, al.EvolutionConfig(total_time, L))
+    return float(_linalg.opnorm(np.diff(u, axis=0)).max(initial=0.0))
 
 
 def _fold(path, cfg, shifted):
@@ -306,16 +313,22 @@ class TestDriftChecks:
 
 class TestStepUnitaryDrift:
     def test_constant_instance_zero(self, const_instance):
-        assert _max_step_drift(const_instance, 10.0, 256) < 1e-14
+        assert max_step_drift(const_instance, 10.0, 256) < 1e-14
 
     def test_linear_ramp_closed_form(self):
-        # H(s) = s Z: U_{j+1} - U_j has operator norm |e^{i T/L^2} - 1|
+        # H(s) = s Z: U_{j+1} - U_j has operator norm |e^{i T/L^2} - 1|,
+        # just below the entry's bound T ||H'|| / L^2 with ||H'|| = 1
         inst = al.affine_hamiltonian(np.zeros((2, 2)), PAULI_Z)
         T, L = 7.0, 64
-        measured = _max_step_drift(inst, T, L)
+        measured = max_step_drift(inst, T, L)
         expected = abs(np.exp(1j * T / L**2) - 1.0)
         assert measured == pytest.approx(expected, rel=1e-10)
-        assert measured <= T * 1.0 / L**2  # bound with ||H'|| = 1
+        cfg = ProofCheckConfig(L, T, 1.0, 1.0, 4.0)  # lambda here only sets Delta
+        _, _, drift = fold_blocks(inst, cfg, np.zeros((L, 2), dtype=complex))
+        entry = check_step_unitary_drift(cfg, al.norm_bundle(inst), drift)
+        assert entry.measured == measured
+        assert entry.bound == T / L**2
+        assert measured <= entry.bound
 
 
     def test_fold_carries_the_drift_across_batches(self, monkeypatch):
@@ -333,7 +346,65 @@ class TestStepUnitaryDrift:
         _, _, drift = fold_blocks(jump, cfg, np.zeros((L, 2), dtype=complex))
         u = _step_batch(jump, 0, L, al.EvolutionConfig(cfg.T, L))
         assert drift == float(_linalg.opnorm(u[64] - u[63])) > 0.0
-        assert _max_step_drift(jump, cfg.T, L) == drift
+        assert max_step_drift(jump, cfg.T, L) == drift
+
+
+SMALL_L = (2, 3, 4, 8, 16, 32, 64)
+# (instance, the step counts whose L + 1 points zero_frame refuses)
+FINITE_L_CASES = {
+    "landau_zener": (al.landau_zener, ()),
+    "grover(2)": (lambda: al.grover(2), (2,)),
+    "grover(3)": (lambda: al.grover(3), (2, 3)),
+    "grover(4)": (lambda: al.grover(4), (2, 3)),
+    "grover(5)": (lambda: al.grover(5), (2, 3, 4)),
+    "random_interpolation(8,1)": (lambda: al.random_interpolation(8, seed=1), ()),
+}
+
+
+def small_frames(make, refused):
+    """(L, zero_frame(h, L + 1)) for each L in SMALL_L not in ``refused``;
+    each L in ``refused`` must raise UnderResolvedGridError."""
+    h = make()
+    for L in SMALL_L:
+        if L in refused:
+            with pytest.raises(UnderResolvedGridError):
+                al.zero_frame(h, L + 1)
+        else:
+            yield L, al.zero_frame(h, L + 1)
+
+
+@pytest.mark.parametrize("make, refused", FINITE_L_CASES.values(), ids=FINITE_L_CASES)
+class TestFiniteLLemmas:
+    """The error-vector norm and step drift bounds hold at every L, down to
+    the coarsest grids a frame accepts, with no fitted remainder."""
+
+    def test_error_vector_norm_below_each_cells_floor(self, make, refused):
+        # ||w_j|| <= ||H~'|| / (L f_j), with f_j = (g_{j-1} + g_j -
+        # spread(D)/L)/2 the Weyl floor of the gap on cell j, which does not
+        # rest on the grid lambda; cells with f_j <= 0 are skipped
+        checked = 0
+        for L, frame in small_frames(make, refused):
+            n1 = frame.norms_shifted.norm_H1
+            g = frame.path.gap_values
+            evals = np.linalg.eigvalsh(frame.h.affine.diff)
+            floor = (g[:-1] + g[1:] - (evals[-1] - evals[0]) / L) / 2.0
+            w = np.linalg.norm(al.error_vectors(frame.path), axis=1)
+            kept = floor > 0.0
+            assert (w[kept] <= n1 / (L * floor[kept])).all(), L
+            checked += int(kept.sum())
+            # the reported entry, against the grid lambda, with no slack
+            cfg = ProofCheckConfig(L, 1e12, 1.0, n1, frame.lam)
+            entry = check_error_vector_norm(frame.path, cfg)
+            assert entry.measured == w.max() <= entry.bound, L
+        assert checked > 0
+
+    def test_step_drift_below_duhamel_bound(self, make, refused):
+        # ||U_{j+1} - U_j|| <= T ||H~'|| / L^2 at every T, up to rounding
+        for L, frame in small_frames(make, refused):
+            n1 = frame.norms_shifted.norm_H1
+            for T in (1.0, L / 4, L, 10 * L, 100 * L):
+                drift = max_step_drift(frame.shifted, T, L)
+                assert drift <= T * n1 / L**2 * (1.0 + 1e-12), (L, T)
 
 
 class TestGeometricSums:
@@ -381,7 +452,7 @@ class TestBlocks:
                 assert cfg.L - cfg.block_starts[-1] + 1 == last_len
                 w = al.error_vectors(path)
                 products, power_sums, drift = fold_blocks(shifted, cfg, w)
-                assert drift == _max_step_drift(shifted, cfg.T, cfg.L)
+                assert drift == max_step_drift(shifted, cfg.T, cfg.L)
                 blocks, total = per_step_folds(shifted, cfg, w)
                 entries = check_block_cancellation(products, power_sums, cfg)
                 assert_blocks_match_oracle(entries, blocks)
@@ -401,8 +472,8 @@ class TestBlocks:
             assert cfg.L - cfg.block_starts[-1] + 1 == last_len
             w = al.error_vectors(path)
             products, power_sums, drift = fold_blocks(shifted, cfg, w)
-            # both stream the steps in the same plain chunks
-            assert drift == _max_step_drift(shifted, cfg.T, cfg.L)
+            # the per-step values do not depend on the chunking
+            assert drift == max_step_drift(shifted, cfg.T, cfg.L)
             blocks, total = per_step_folds(shifted, cfg, w)
             entries = check_block_cancellation(products, power_sums, cfg)
             assert_blocks_match_oracle(entries, blocks)
@@ -611,7 +682,7 @@ class TestRunProofcheck:
 
     def test_step_unitaries_stream_once(self, lz, monkeypatch):
         # the fold streams U_0..U_{L-1} once and yields the reported step
-        # drift; only the fit lengths stream their own unitaries
+        # drift; no other check streams a step unitary
         L, streamed = 8192, []
 
         def counting_step_batch(h, lo, hi, cfg):
@@ -623,32 +694,31 @@ class TestRunProofcheck:
         counts = {}
         for steps, n in streamed:
             counts[steps] = counts.get(steps, 0) + n
-        assert counts == {n: n for n in (L, *proofcheck.DEFAULT_FIT_LENGTHS)}
+        assert counts == {L: L}
 
         path = al.track_eigenpath(lz, L + 1)
         shifted = al.shift_to_zero_eigenvalue(lz, path)
         entry = next(e for e in report.entries if e.name == "step_unitary_drift")
-        assert entry.measured == _max_step_drift(shifted, report.metadata["T"], L)
+        assert entry.measured == max_step_drift(shifted, report.metadata["T"], L)
 
     @pytest.mark.parametrize("inst, total_time", [("lz", None), ("grover2", 2000.0)])
     def test_every_flag_follows_the_one_rule(self, inst, total_time, request):
         # passed is measured <= bound (1 + slack) + allowance, or measured >=
-        # bound for an exponent; the allowance is C/L^p for the C a note names
+        # bound for an exponent; only the drift's fitted intercept keeps an
+        # allowance, C/L^2 for the C its note names, and every other is 0
         L = 8192
         report = al.run_proofcheck(
             request.getfixturevalue(inst), L=L, delta=1.0, total_time=total_time
         )
-        powers = {"error_vector_norm": 2, "step_unitary_drift": 3}
         for e in report.entries:
             if e.direction == ">=":
                 rule = e.measured >= e.bound
             else:
                 rule = e.measured <= e.bound * (1.0 + e.slack) + e.allowance
             assert e.passed == rule == e.to_dict()["passed"], e.name
-            if e.name in powers or e.name == "error_vector_drift_all_k":
+            if e.name == "error_vector_drift_all_k":
                 c = float(e.note.split("C=")[1].split(";")[0])
-                power = powers.get(e.name, 2)  # the drift intercept is C/L^2
-                assert e.allowance == pytest.approx(c / L**power, rel=1e-3), e.name
+                assert e.allowance == pytest.approx(c / L**2, rel=1e-3), e.name
             else:
                 assert e.allowance == 0.0, e.name
 

@@ -19,11 +19,10 @@ tree exactly.
 CPUs, 4) threads made for that call, with at most W chunks in flight:
 together they hold 2**21 entries, one batch's budget before the pool.
 Chunk boundaries depend on d alone, never on W, so results do not depend
-on the core count.  The tracker and the null-state check use it: their
-per-chunk work is evaluation plus per-matrix LAPACK or einsum, which
-releases the interpreter lock.  The tracker's LAPACK work is
-``branch_eigenpairs``: ``eigvalsh`` and one batched shifted solve per
-chunk (the closed form at d = 2), with no (n, d, d) eigenvector batch.
+on the core count.  Its one caller is the tracker, whose per-chunk work,
+evaluation plus ``branch_eigenpairs``' ``eigvalsh`` and one batched
+shifted solve (the closed form at d = 2), releases the interpreter lock
+and forms no (n, d, d) eigenvector batch.
 The evolution and proof-check folds stay sequential on ``chunk_ranges``,
 as each chunk's product feeds a running product and their d = 2
 closed-form steps ran slower threaded; both reduce a chunk through

@@ -52,7 +52,7 @@ _ALLOWED_KEYS = {
     "sweep": {"instance", "delta", "case", "T_values", "grid_size", "disc_tol",
               "step_ceiling"},
     "gap-scan": {"instance", "grid_size"},
-    "proof-check": {"instance", "delta", "L", "T", "k_max"},
+    "proof-check": {"instance", "delta", "L", "T"},
     "simulate": {"instance", "T", "L", "snapshot_stride", "grid_size"},
 }
 
@@ -239,7 +239,6 @@ def cmd_proof_check(args) -> int:
         L=_expect(data, "L", int),
         delta=float(_expect(data, "delta", _NUMBER)),
         total_time=_expect(data, "T", _NUMBER),
-        k_max=_expect(data, "k_max", int),
     )
     payload = report.to_dict()
     payload["config"] = data

@@ -218,8 +218,8 @@ class TimeDependentHamiltonian:
     """Sampler for H(s), with instance metadata.
 
     ``evaluator`` maps an array of n values of s to H at each, shape
-    (n, dim, dim), and must be a pure function of s: the tracker and the
-    null-state check call it from worker threads (``_linalg.chunk_map``).
+    (n, dim, dim), and must be a pure function of s: the tracker calls it
+    from worker threads (``_linalg.chunk_map``).
     All values are immutable after construction, so instances are safe to
     share across threads.  ``affine`` is the evaluator when it is an
     ``AffineRecord`` and None otherwise; without a record the instance has

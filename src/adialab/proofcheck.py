@@ -5,17 +5,16 @@ The discrete evolution leaks, at every step, an error vector
     w_{j+1} = P_{g_{j+1}^perp}(g_j - g_{j+1}),
 
 the component of the eigenpath's step change orthogonal to the new
-eigenvector, for the branch of one sorted rank at s = 0.  In the zero-eigenvalue frame the final-state error is the
-norm of sum_j U_{L-1}...U_j w_j, and the cancellation of that sum in
-blocks of Delta consecutive terms is what makes slow evolution work.
+eigenvector, for the branch of one sorted rank at s = 0.  In the
+zero-eigenvalue frame the final-state error is the norm of
+sum_j U_{L-1}...U_j w_j, and the cancellation of that sum in blocks of
+Delta consecutive terms is what makes slow evolution work.
 Every intermediate inequality of that argument is turned here into a
-``CheckEntry`` of a measured value, a bound, a slack factor and an
-allowance, the fitted remainder of the one claim that keeps one (else 0).
-The entry derives its pass flag from one rule, measured <= bound *
-(1 + slack) + allowance, or measured >= bound for a scaling exponent;
-no check states a flag.  The eigenvalue
-lemma is checked on the zero-eigenvalue frame's spline gamma, whose
-gamma'' is the ||H~''|| that the special-case T uses.
+``CheckEntry`` of a measured value, a bound and a slack factor.  The
+entry derives its pass flag from one rule, measured <= bound * (1 +
+slack), or measured >= bound for a scaling exponent; no check states a
+flag.  The eigenvalue lemma is checked on the zero-eigenvalue frame's
+spline gamma, whose gamma'' is the ||H~''|| that the special-case T uses.
 
 The error sum is the affine fold S <- U_j S + w_{j+1}, and affine maps
 compose as matrices: with A_j = [[U_j, w_{j+1}], [0, 1]], the sum is
@@ -27,13 +26,14 @@ fold ``evolve_discrete`` cuts at its snapshots.  One pass over the step
 unitaries thus yields the block checks, the total error vector and the
 step drift max_j ||U_{j+1} - U_j||.
 
-Two lemmas hold exactly at every L and are checked as bare inequalities
-at cfg.L: the error-vector norm ||w_j|| <= ||H~'||/(lambda L), by arc
-length, and the step drift ||U_{j+1} - U_j|| <= T ||H~'||/L^2, by
-Duhamel.  Claims with an O(...) remainder of unspecified constant are
-fitted instead: the Taylor form of w_j by its decay exponent over
-step-count doublings, and the error-vector drift by its intercept over
-the lags at cfg.L, which is the drift entry's allowance.
+Three lemmas hold at every L and are checked as bare inequalities at
+cfg.L: the error-vector norm ||w_j|| <= ||H~'||/(lambda L), by arc
+length; the step drift ||U_{j+1} - U_j|| <= T ||H~'||/L^2, by Duhamel;
+and the error-vector drift ||w_{j+k} - w_j|| <= (k/L^2)(beta + eps_L),
+from sup ||Psi''|| <= beta with an explicit finite-L term eps_L.  Only
+the Taylor form of w_j, a claim with an O(1/L^2) remainder of unspecified
+constant, is still fitted: by its decay exponent over step-count
+doublings.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .spectral import EigenPath, gauge_residual, path_derivatives, track_eigenpa
 from .theorem import ZeroFrame, _check_delta, zero_frame
 
 LEMMA_SLACK = 0.05  # rounding margin on lemma inequalities, some nearly attained
-BLOCK_SLACK = 0.10  # accumulated roundoff allowance on block bounds
+BLOCK_SLACK = 0.10  # accumulated roundoff margin on block bounds
 GAUGE_RESIDUAL_LIMIT = 1e-4
 TOTAL_SUM_MAX_L = 200_000
 TOTAL_SUM_MAX_DIM = 16
@@ -63,18 +63,15 @@ MIN_TAYLOR_EXPONENT = 1.7
 class CheckEntry:
     """One measured quantity against one bound.
 
-    A "<=" entry passes when measured <= bound * (1 + slack) + allowance.
-    The allowance is 0 but on ``error_vector_drift_all_k``, where it is
-    the fitted intercept C/L^2 that the note names.  A ">=" entry, a
-    scaling exponent, passes when measured >= bound.  The allowance enters
-    only the flag, not the serialized fields.
+    A "<=" entry passes when measured <= bound * (1 + slack); a ">="
+    entry, a scaling exponent, passes when measured >= bound.  No entry
+    carries a fitted remainder.
     """
 
     name: str
     measured: float
     bound: float
     slack: float = 0.0
-    allowance: float = 0.0
     note: str = ""
     direction: str = "<="
 
@@ -82,7 +79,7 @@ class CheckEntry:
     def passed(self) -> bool:
         if self.direction == ">=":
             return bool(self.measured >= self.bound)
-        return bool(self.measured <= self.bound * (1.0 + self.slack) + self.allowance)
+        return bool(self.measured <= self.bound * (1.0 + self.slack))
 
     def to_dict(self) -> dict:
         # an infinite scaling exponent (residuals at roundoff) is not
@@ -250,56 +247,74 @@ def check_error_vector_norm(path: EigenPath, cfg: ProofCheckConfig) -> CheckEntr
 
 
 def check_error_vector_drift(
-    path: EigenPath,
-    cfg: ProofCheckConfig,
-    norms_shifted: NormBundle,
-    k_max: int | None = None,
+    path: EigenPath, cfg: ProofCheckConfig, norms_shifted: NormBundle
 ) -> list[CheckEntry]:
-    """||w_{j+k} - w_j|| <= (k/L^2)(||H''||/lambda + 3||H'||^2/lambda^2) + C/L^2.
+    """||w_{j+k} - w_j|| <= (k/L^2)(beta + eps_L), k <= min(Delta, 64, L - 1).
 
-    The mean-value bound is the slope in k; the k-independent remainder is
-    the fitted intercept, every lag's allowance C/L^2.  It stays a fit: it
-    is a Taylor term whose constant needs a bound on Psi''', which is not
-    derived here, and the fit is over the lags at one L, so it tracks no
-    extra path.  The all-k entry reports the lag k whose drift most
-    exceeds its limit, against the bound (k/L^2) * beta, so it passes
-    exactly when every lag does.  ``k_max``
-    (default min(Delta, 64)) is clamped to L - 1; one that is not an
-    integer >= 1 raises ``DomainError``, and so does L < 2, which leaves no
-    lag to measure.
+    B1 = ||H~'||/lambda, beta = ||H~''||/lambda + 3 B1^2, eps_L = 3 B1^3/(2L)
+    + B1^2 beta/L^2 and h = 1/L; Psi is the branch in the continuous
+    parallel-transport gauge and g(s) its gap.  beta bounds sup ||Psi''||
+    with room to spare: for affine H, Psi' = -R D Psi and P_perp Psi'' =
+    -2 R (D - E') Psi', with R the reduced resolvent (||R|| <= 1/g), E' =
+    <Psi, D Psi> and <Psi, Psi''> = -||Psi'||^2.  With p = lambda_max(D) -
+    E' and q = E' - lambda_min(D), D's variance in Psi is at most pq
+    (Bhatia-Davis) and D - E' on Psi's complement has norm <= max(p, q)
+    (interlacing), so ||Psi''|| g^2 <= (4 pq max(p, q)^2 + p^2 q^2)^(1/2)
+    < 2.72 (spread(D)/2)^2.  As spread(D)/2 <= ||D - cI|| for every c,
+    ||Psi'|| <= B1 and ||Psi''|| <= 3 B1^2 whatever the spline: beta's
+    ||H~''||/lambda term is unused for affine H.
+
+    The discrete gauge gives w_j = e^{i phi_{j-1}} f(s_j, h) with f(s, t)
+    = P_perp(Psi(s)) Psi(s - t).  As f(s, 0) = 0, ||f(s_{j+k}, h) -
+    f(s_j, h)|| <= (k/L) sup_s int_0^h ||d_t d_s f|| dt, where, with u =
+    s - t, d_t d_s f = -P_perp(Psi(s)) Psi''(u) + <Psi'(s), Psi'(u)> Psi(s)
+    + <Psi(s), Psi'(u)> Psi'(s), which is -Psi''(s) at t = 0.  For a =
+    ||Psi'(u)||^2, the Psi(s) part is at most a + t beta sqrt(a), and the
+    last term at most t B1^3.  If a >= t B1 beta, |<Psi(s), Psi''(u)>| >= a
+    - t B1 beta trims P_perp Psi''(u) and the squares sum to at most (beta +
+    3 t B1^3)^2; else the Psi(s) part is below 2 t B1 beta.  Either way
+    ||d_t d_s f|| <= beta + 3 t B1^3 + 2 t^2 B1^2 beta, which integrates to
+    (k/L^2)(beta + 3 B1^3/(2L) + 2 B1^2 beta/(3 L^2)); no Psi''' enters.
+    The gauge phases add at most k h B1 max |arg <Psi(s - h), Psi(s)>|,
+    and that overlap's imaginary part is at most B1 beta h^3/6 and its real
+    part at least 1 - (h B1)^2/2: for h B1 < 2/3, below (k/L^2)(3/14) B1^2
+    beta/L^2, and 2/3 + 3/14 < 1.  For h B1 >= 2/3, (k/L^2) beta >= 2 B1/L
+    already bounds ||w_{j+k}|| + ||w_j|| by the norm lemma.
+
+    Like the norm lemma it is exact once lambda lower-bounds the gap on
+    every cell (lambda is still the grid minimum).  The slope entry is the
+    fitted k-slope of L^2 * drift against beta; the all-k entry reports the
+    lag whose drift most exceeds its limit, so it passes exactly when every
+    lag does.  L < 2 leaves no lag (``DomainError``).
     """
-    if k_max is None:
-        k_max = min(cfg.Delta, 64)
-    require_count(k_max, "k_max", 1)  # the drift check needs one lag
     L = cfg.L
     if L < 2:
         raise DomainError(f"the error-vector drift check needs L >= 2, got L={L}")
     w = error_vectors(path)
-    k_max = min(k_max, L - 1)
+    k_max = min(cfg.Delta, 64, L - 1)
     ks = np.arange(1, k_max + 1)
     rows = w.view(float)  # real and imaginary parts side by side
     diffs = (rows[k:] - rows[:-k] for k in ks)
     drifts = np.sqrt([np.einsum("ij,ij->i", x, x).max() for x in diffs])
     beta = norms_shifted.norm_H2 / cfg.lam + 3.0 * norms_shifted.norm_H1**2 / cfg.lam**2
+    b1 = norms_shifted.norm_H1 / cfg.lam
+    eps = 1.5 * b1**3 / L + b1**2 * beta / L**2
 
     scaled = drifts * L**2
     if k_max >= 2:
-        alpha, intercept = np.linalg.lstsq(np.vander(ks, 2), scaled, rcond=None)[0]
+        alpha = np.linalg.lstsq(np.vander(ks, 2), scaled, rcond=None)[0][0]
     else:
-        alpha, intercept = scaled[0], 0.0
-    alpha, intercept = float(alpha), max(float(intercept), 0.0)
-    allowance = intercept / L**2
-    limits = (ks / L**2) * beta
-    worst = int(np.argmax(drifts - (limits * (1.0 + LEMMA_SLACK) + allowance)))
-    worst_note = f"intercept C={intercept:.3e}; worst k={int(ks[worst])}"
+        alpha = scaled[0]
+    limits = (ks / L**2) * (beta + eps)
+    worst = int(np.argmax(drifts - limits * (1.0 + LEMMA_SLACK)))
     return [
         CheckEntry(
-            "error_vector_drift_slope", alpha, beta, LEMMA_SLACK,
+            "error_vector_drift_slope", float(alpha), beta, LEMMA_SLACK,
             note=f"k-slope of L^2 * drift over k=1..{k_max}",
         ),
         CheckEntry(
             "error_vector_drift_all_k", float(drifts[worst]), float(limits[worst]),
-            LEMMA_SLACK, allowance, worst_note,
+            LEMMA_SLACK, f"worst k={int(ks[worst])}; eps_L={eps:.3e}",
         ),
     ]
 
@@ -471,7 +486,6 @@ def run_proofcheck(
     total_time: float | None = None,
     *,
     rank: int = 0,
-    k_max: int | None = None,
 ) -> ProofReport:
     """Instrument every inequality for one instance and discretization.
 
@@ -482,18 +496,18 @@ def run_proofcheck(
     bound, w drift, step-unitary drift, every Delta-block's four bounds,
     the total error sum with its foil comparison, and the eigenvalue
     derivative bounds.  The Taylor exponent's fit paths track the frame's
-    instance at its path's rank, which in V may differ from ``rank``.
+    instance at its path's rank, which in V may differ from ``rank``, at
+    ``DEFAULT_FIT_LENGTHS`` whatever L.  L must be an integer >= 2, the
+    drift check's one lag (``DomainError``).
     ``FeasibilityError`` refuses L above ``TOTAL_SUM_MAX_L`` before the
     frame is built, and a frame space of dimension above
     ``TOTAL_SUM_MAX_DIM`` once it is.
     """
-    require_count(L, "L", DEFAULT_FIT_LENGTHS[0])  # the doubling studies' first
+    require_count(L, "L", 2)  # the drift check's one lag
     times = (delta,) if total_time is None else (delta, total_time)
     if not all(0.0 < x < math.inf for x in times):
         raise DomainError(f"need positive finite delta and T: {delta=}, {total_time=}")
     _check_delta(delta)
-    if k_max is not None:
-        require_count(k_max, "k_max", 1)
     cap = f"proofcheck limited to L <= {TOTAL_SUM_MAX_L} at dim <= {TOTAL_SUM_MAX_DIM}"
     if L > TOTAL_SUM_MAX_L:
         raise FeasibilityError(f"{cap}; got L={L}")
@@ -525,7 +539,7 @@ def run_proofcheck(
         for n in DEFAULT_FIT_LENGTHS
     ]))
     entries.append(check_error_vector_norm(path, cfg))
-    entries.extend(check_error_vector_drift(path, cfg, norms_shifted, k_max))
+    entries.extend(check_error_vector_drift(path, cfg, norms_shifted))
     products, power_sums, step_drift = fold_blocks(shifted, cfg, w)
     entries.append(check_step_unitary_drift(cfg, norms_shifted, step_drift))
     entries.extend(check_block_cancellation(products, power_sums, cfg))

@@ -28,10 +28,8 @@ The path carries its per-point gap: the distance from the tracked
 eigenvalue to ranks r +- 1, which in a sorted spectrum is its distance to
 the nearest other eigenvalue.  The tracker measures it once, for its
 degeneracy check, and no gap is computed anywhere else.
-``eigen_residuals`` measures how well sampled states solve the eigenvalue
-equation of a Hamiltonian; the zero-eigenvalue shift gates on it.
-Both evaluate and decompose their chunks through ``chunk_map``, on worker
-threads when the grid spans several chunks; the tracker's walk over the
+The tracker evaluates and decomposes its chunks through ``chunk_map``, on
+worker threads when the grid spans several chunks; its walk over the
 results stays in grid order, in the calling thread.
 """
 
@@ -176,6 +174,7 @@ def track_eigenpath(
     gammas = np.empty(grid_size)
     spectra = np.empty((grid_size, dim))
     gaps = np.empty(grid_size)
+    overlaps = np.empty(grid_size, dtype=complex)
     neighbours = [k for k in (rank - 1, rank + 1) if 0 <= k < dim]
 
     def decompose(lo: int, hi: int):
@@ -183,9 +182,13 @@ def track_eigenpath(
         # offset -> eigh's (eigenvalues, eigenvectors): the chunk's first
         # point, and every inner point whose overlap leaves the rank open
         eigh_at = {0: eigh_batch(mats[0])}
-        evals, column = branch_eigenpairs(mats, rank, eigh_at[0][1][:, rank])
+        start = eigh_at[0][1][:, rank]
+        # each chunk fills its own rows of the path's arrays, so no result
+        # of a worker outlives its chunk in that worker's malloc arena
+        spectra[lo:hi], states[lo:hi] = branch_eigenpairs(mats, rank, start)
+        evals, column = spectra[lo:hi], states[lo:hi]
         # m_j at the inner points; m at lo needs the previous chunk's vector
-        overlap = np.empty(hi - lo, dtype=complex)
+        overlap = overlaps[lo:hi]
         overlap[1:] = np.einsum("ni,ni->n", column[1:].conj(), column[:-1])
         inner = np.flatnonzero(_ambiguous(overlap[1:])) + 1
         if inner.size:
@@ -239,9 +242,8 @@ def track_eigenpath(
             # (``carried`` is the previous batch's last R, and 1 when lo = 0)
             phases = carried * np.cumprod(overlap / magnitude)
             rotation = phases / np.abs(phases)
-            np.multiply(column, rotation[:, None], out=states[lo:hi])
-            spectra[lo:hi] = evals
-            previous = column[-1]
+            previous = column[-1].copy()
+            column *= rotation[:, None]
             carried = rotation[-1]
 
     return EigenPath(
@@ -252,29 +254,6 @@ def track_eigenpath(
         tracked_index=rank,
         gap_values=gaps,
     )
-
-
-def eigen_residuals(
-    h: TimeDependentHamiltonian,
-    grid: np.ndarray,
-    states: np.ndarray,
-    values: np.ndarray,
-) -> np.ndarray:
-    """||H(s_j) psi_j - c_j psi_j|| for every grid point s_j.
-
-    The chunks run through ``chunk_map``, so H's evaluator may be called
-    from worker threads.
-    """
-
-    def residual(lo: int, hi: int) -> np.ndarray:
-        # the batch dies with the einsum, before its thread evaluates another
-        applied = np.einsum("nij,nj->ni", eval_batch(h, grid[lo:hi]), states[lo:hi])
-        return np.linalg.norm(applied - values[lo:hi, None] * states[lo:hi], axis=1)
-
-    residuals = np.empty(grid.size)
-    for lo, hi, part in chunk_map(residual, 0, grid.size, h.dim):
-        residuals[lo:hi] = part
-    return residuals
 
 
 def _check_uniform(grid: np.ndarray) -> float:
@@ -308,7 +287,6 @@ __all__ = [
     "EigenPath",
     "check_branch",
     "track_eigenpath",
-    "eigen_residuals",
     "path_derivatives",
     "gauge_residual",
     "DEFAULT_GRID",

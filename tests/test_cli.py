@@ -184,15 +184,16 @@ def test_proof_check_config_errors(tmp_path, capsys, extra, message):
     assert message in err
 
 
-@pytest.mark.parametrize("k_max", [-5, 0])
-def test_proof_check_refuses_k_max_below_one(tmp_path, capsys, monkeypatch, k_max):
-    # refused up front, before the frame is built
+@pytest.mark.parametrize("k_max", [-5, 0, 32])
+def test_proof_check_refuses_the_k_max_field(tmp_path, capsys, monkeypatch, k_max):
+    # the drift lags are min(Delta, 64, L - 1), not a knob: refused up
+    # front, before the frame is built
     monkeypatch.setattr(proofcheck, "zero_frame", None)
     config = {"instance": LZ, "delta": 1, "L": 512, "T": 100.0, "k_max": k_max}
     code, out, err = _run(tmp_path, capsys, "proof-check", config)
     assert code == cli.EXIT_CONFIG
     assert out == ""
-    assert f"k_max must be at least 1, got {k_max}" in err
+    assert "unknown field 'k_max'" in err
 
 
 def test_proof_check_one_step_last_block(tmp_path, capsys):

@@ -13,9 +13,7 @@ COUNT_ENTRY_POINTS = {
     "snapshot_stride": lambda v: al.EvolutionConfig(1.0, 10, snapshot_stride=v),
     "L": lambda v: ProofCheckConfig(v, 1000.0, 0.5, 1.0, 1.0),
     "run_proofcheck L": lambda v: al.run_proofcheck(al.landau_zener(), v, 1.0, 100.0),
-    "k_max": lambda v: al.run_proofcheck(
-        al.landau_zener(), 512, 1.0, 100.0, k_max=v
-    ),
+    "rank": lambda v: al.track_eigenpath(al.landau_zener(), 65, v),
     "step_ceiling": lambda v: al.evolve_adaptive(
         al.landau_zener(), [1.0, 0.0], 1.0, 1e-3, norm_H=1.0, step_ceiling=v
     ),

@@ -3,7 +3,6 @@ import functools
 import sys
 import threading
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +31,7 @@ from adialab.problems import (
     landau_zener_eigenvalue,
     landau_zener_gap,
 )
-from adialab.spectral import DEGENERACY_RTOL, MIN_BRANCH_OVERLAP, eigen_residuals
+from adialab.spectral import DEGENERACY_RTOL, MIN_BRANCH_OVERLAP
 
 from conftest import rotating_two_level
 
@@ -564,24 +563,6 @@ class TestRareRoutes:
             assert sum(int(np.prod(shape)) for shape in shapes) == chunks
 
 
-def residual_peak(monkeypatch, workers):
-    """Peak traced memory of ``eigen_residuals`` over 4 batches of 256
-    d = 16 matrices with ``workers`` workers, in batch sizes."""
-    monkeypatch.setattr(_linalg, "chunk_size", lambda dim: 256)
-    monkeypatch.setattr(_linalg, "_workers", lambda: workers)
-    inst = al.random_interpolation(16, seed=1)
-    grid = np.linspace(0.0, 1.0, 1024)
-    states = np.ones((1024, 16), dtype=complex)
-    batch_nbytes = eval_batch(inst, grid[:256]).nbytes
-    tracemalloc.start()
-    try:
-        eigen_residuals(inst, grid, states, np.zeros(1024))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak / batch_nbytes
-
-
 def gap_minimum(path):
     """(lambda_min, argmin_s) of the path's gap curve."""
     j = int(np.argmin(path.gap_values))
@@ -617,17 +598,6 @@ class TestSpectralGap:
             lambda_min, argmin_s = gap_minimum(path)
             assert lambda_min == pytest.approx(grover_gap(n, 0.5), abs=1e-9)
             assert argmin_s == pytest.approx(0.5, abs=1e-6)
-
-    def test_eigen_residuals_keep_two_batches_alive(self, monkeypatch):
-        # each batch dies before the next is evaluated, and evaluation
-        # itself costs at most two batch-sized buffers; holding the
-        # previous batch made a third one and set verify's peak at d = 32
-        # (1 MiB batches: numpy reuses temporaries only from 256 KiB on)
-        assert residual_peak(monkeypatch, workers=1) <= 2.5
-
-    def test_eigen_residuals_keep_two_batches_alive_per_worker(self, monkeypatch):
-        # with the pool, each chunk in flight holds its own two batches
-        assert residual_peak(monkeypatch, workers=2) <= 2 * 2.5
 
     def test_gap_stable_under_grid_refinement(self, suite):
         for inst in suite:
@@ -690,15 +660,13 @@ class TestPooledChunks:
             monkeypatch.setattr(_linalg, "_workers", lambda w=workers: w)
             threads.clear()
             path = al.track_eigenpath(inst, 4097, rank)
-            residuals = eigen_residuals(inst, path.grid, path.states, path.gammas)
             pooled = {t is not threading.main_thread() for t in threads}
-            runs.append((path, residuals, pooled))
-        (one, residuals_one, pooled_one), (two, residuals_two, pooled_two) = runs
+            runs.append((path, pooled))
+        (one, pooled_one), (two, pooled_two) = runs
         assert pooled_one == {False} and pooled_two == {True}
         for name in ("states", "gammas", "eigenvalues", "gap_values"):
             assert np.array_equal(getattr(one, name), getattr(two, name))
         assert one.tracked_index == two.tracked_index == rank
-        assert np.array_equal(residuals_one, residuals_two)
 
     def test_crossing_raises_before_a_later_chunks_failure(self, monkeypatch):
         monkeypatch.setattr(_linalg, "chunk_size", lambda dim: 64)

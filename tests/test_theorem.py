@@ -165,6 +165,18 @@ class TestShift:
         with pytest.raises(IntegrityError, match="annihilate"):
             al.shift_to_zero_eigenvalue(lz, path)
 
+    def test_record_residual_matches_evaluated_matrices(self, suite):
+        # the null-state check reads H~(s_j) psi_j off the record; each
+        # H~(s_j) evaluated as a matrix gives the same residual up to rounding
+        for inst in suite:
+            path = al.track_eigenpath(inst, 1025)
+            shifted = al.shift_to_zero_eigenvalue(inst, path)
+            mats = al.eval_batch(shifted, path.grid)
+            applied = np.einsum("nij,nj->ni", mats, path.states)
+            want = np.linalg.norm(applied, axis=1)
+            got = theorem._null_residuals(shifted, path)
+            assert np.abs(got - want).max() <= 1e-14 * al.norm_bundle(inst).norm_H
+
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_coarse_grid_is_under_resolved(self, n):
         # the spline of gamma through 3 points overshoots |gamma'| <= ||H'||;

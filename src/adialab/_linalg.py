@@ -22,7 +22,9 @@ Chunk boundaries depend on d alone, never on W, so results do not depend
 on the core count.  Its one caller is the tracker, whose per-chunk work,
 evaluation plus ``branch_eigenpairs``' ``eigvalsh`` and one batched
 shifted solve (the closed form at d = 2), releases the interpreter lock
-and forms no (n, d, d) eigenvector batch.
+and forms no (n, d, d) eigenvector batch.  Closing the pool calls glibc's
+``malloc_trim``: each thread's arena keeps up to two freed batches
+resident, so peak memory would otherwise depend on which thread ran what.
 The evolution and proof-check folds stay sequential on ``chunk_ranges``,
 as each chunk's product feeds a running product and their d = 2
 closed-form steps ran slower threaded; both reduce a chunk through
@@ -32,6 +34,7 @@ length.
 
 from __future__ import annotations
 
+import ctypes
 import os
 from collections import deque
 from concurrent import futures
@@ -41,6 +44,8 @@ from typing import Callable, Iterator, TypeVar
 import numpy as np
 
 MAX_WORKERS = 4
+_LIBC = ctypes.CDLL(None) if os.name == "posix" else None
+_MALLOC_TRIM = getattr(_LIBC, "malloc_trim", None)  # glibc only
 # branch_eigenpairs shifts its solve SHIFT_ULPS ulps of ||A|| above gamma_r,
 # so that an exactly computed eigenvalue (of a diagonal A, say) does not
 # make the solve singular
@@ -295,3 +300,5 @@ def chunk_map(
         # a later chunk's own failure is dropped: an earlier error, or the
         # caller's, is the one that propagates
         pool.shutdown(cancel_futures=True)
+        if _MALLOC_TRIM is not None:
+            _MALLOC_TRIM(0)

@@ -744,6 +744,32 @@ class TestPooledChunks:
             assert all(name.startswith("adialab-chunk") for name in names)
             assert pool_threads() == []
 
+    @pytest.mark.parametrize("stop_early", [False, True])
+    def test_closing_the_pool_trims_the_heap_once(self, monkeypatch, stop_early):
+        # the trim runs after the pool's threads are joined; inline runs skip it
+        def pool_threads():
+            return [t for t in threading.enumerate() if t.name.startswith("adialab-chunk")]
+
+        trims = []
+        monkeypatch.setattr(
+            _linalg, "_MALLOC_TRIM", lambda pad: trims.append((pad, pool_threads()))
+        )
+        monkeypatch.setattr(_linalg, "chunk_size", lambda dim: 64)
+        monkeypatch.setattr(_linalg, "_workers", lambda: 2)
+        chunks = _linalg.chunk_map(lambda lo, hi: hi - lo, 0, 640, 2)
+        if stop_early:
+            next(chunks)
+            chunks.close()
+        else:
+            assert sum(part for _, _, part in chunks) == 640
+        assert trims == [(0, [])]
+
+        trims.clear()
+        monkeypatch.setattr(_linalg, "_workers", lambda: 1)
+        inline = _linalg.chunk_map(lambda lo, hi: hi - lo, 0, 640, 2)
+        assert sum(part for _, _, part in inline) == 640
+        assert trims == []
+
 
 class TestPathDerivatives:
     def test_constant_path_zero(self, const_instance):

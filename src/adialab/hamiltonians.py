@@ -18,13 +18,15 @@ stored as their Hermitian part, so every sample, whatever the real shift
 c, is exactly Hermitian in floating point and is not checked again.
 With c = 0 the norms are exact: s -> ||H(s)|| is convex, so sup ||H|| =
 max(||H(0)||, ||H(1)||), ||H'|| = ||D|| with D = H1 - H0, and ||H''|| = 0.
-A shift c is a ``NotAKnotSpline``, the module's own not-a-knot cubic
-spline (numpy only: its knot slopes come from one tridiagonal solve by
-cyclic reduction), and H'(s) = D - c'(s) I, H''(s) = -c''(s) I,
+A shift c is a ``CubicHermiteSpline``, the module's own cubic Hermite
+spline (numpy only: its knot values and slopes are given, and none is
+solved for), and H'(s) = D - c'(s) I, H''(s) = -c''(s) I,
 so ||H'(s)|| = max(lambda_max(D) - c'(s), c'(s) - lambda_min(D)) and
 ||H''(s)|| = |c''(s)|.  On each spline piece c'' is linear and c' is
 quadratic, so both sups are read off the pieces' coefficients in closed
-form.  sup ||H - cI|| is bounded per cell from the spectrum at the knots:
+form, c'' at both ends of every piece: the spline is C^1, and c'' may
+jump at a knot, so sup ||H''|| is the Lipschitz constant of H'.
+sup ||H - cI|| is bounded per cell from the spectrum at the knots:
 H - cI is Lipschitz with constant sup ||D - c'I||.
 """
 
@@ -57,95 +59,34 @@ def _check_hermitian(mats: np.ndarray, what: str) -> None:
         )
 
 
-def _solve_tridiagonal(
-    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray
-) -> np.ndarray:
-    """x with lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i], where
-    lower[0] and upper[-1] must be 0, by odd-even cyclic reduction.
-
-    Each level eliminates the even unknowns from the odd rows, halving the
-    system, so the work is a few array operations per level and no loop
-    runs over the rows.  Without pivoting it is stable for a strictly
-    diagonally dominant system, which every level keeps dominant.
-    """
-    n = diag.size
-    if n == 1:
-        return rhs / diag
-    if n % 2 == 0:
-        # a trailing row x = 0 gives every odd row two even neighbours
-        lower, diag, upper, rhs = (
-            np.append(v, pad) for v, pad in zip((lower, diag, upper, rhs), (0, 1, 0, 0))
-        )
-    left, right = slice(0, -1, 2), slice(2, None, 2)
-    alpha = -lower[1::2] / diag[left]
-    gamma = -upper[1::2] / diag[right]
-    x = np.empty_like(diag)
-    x[1::2] = _solve_tridiagonal(
-        alpha * lower[left],
-        diag[1::2] + alpha * upper[left] + gamma * lower[right],
-        gamma * upper[right],
-        rhs[1::2] + alpha * rhs[left] + gamma * rhs[right],
-    )
-    x_prev, x_next = np.append(0.0, x[1::2]), np.append(x[1::2], 0.0)
-    x[::2] = (rhs[::2] - lower[::2] * x_prev - upper[::2] * x_next) / diag[::2]
-    return x[:n]
-
-
-def _knot_slopes(dx: np.ndarray, secant: np.ndarray) -> np.ndarray:
-    """The not-a-knot spline's first derivative at each knot.
-
-    Two knots give the line and three the parabola through them.  From four
-    knots on, the interior rows are the C^2 conditions and the end rows ask
-    c''' to be continuous at the second and the second-to-last knot.  Those
-    end rows are not diagonally dominant, so each is subtracted from its
-    neighbour, which removes the end slope from it, and read back for that
-    slope after the dominant inner system is solved.
-    """
-    if dx.size == 1:
-        return np.repeat(secant, 2)
-    if dx.size == 2:
-        mid = (dx[1] * secant[0] + dx[0] * secant[1]) / (dx[0] + dx[1])
-        return np.array([2.0 * secant[0] - mid, mid, 2.0 * secant[1] - mid])
-    # row 0: dx1 s0 + d0 s1 = b0; row n-1: d1 s_{n-2} + dx_{-2} s_{n-1} = b_{n-1}
-    d0, d1 = dx[0] + dx[1], dx[-1] + dx[-2]
-    b0 = ((dx[0] + 2.0 * d0) * dx[1] * secant[0] + dx[0] ** 2 * secant[1]) / d0
-    b1 = (dx[-1] ** 2 * secant[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * secant[-1]) / d1
-    rhs = 3.0 * (dx[1:] * secant[:-1] + dx[:-1] * secant[1:])
-    diag = 2.0 * (dx[:-1] + dx[1:])
-    lower, upper = dx[1:].copy(), dx[:-1].copy()
-    lower[0] = upper[-1] = 0.0
-    diag[0] -= d0
-    diag[-1] -= d1
-    rhs[0] -= b0
-    rhs[-1] -= b1
-    inner = _solve_tridiagonal(lower, diag, upper, rhs)
-    first = (b0 - d0 * inner[0]) / dx[1]
-    last = (b1 - d1 * inner[-1]) / dx[-2]
-    return np.concatenate([[first], inner, [last]])
-
-
-class NotAKnotSpline:
-    """The not-a-knot cubic spline through (x_j, y_j), numpy only.
+class CubicHermiteSpline:
+    """The cubic Hermite spline through (x_j, y_j) with slope slopes[j] at
+    x_j, numpy only.
 
     ``x`` holds the increasing knots and ``c`` the pieces, shape
     (4, knots - 1), highest power first: on [x_j, x_{j+1}] the spline is
     c[0, j] t^3 + c[1, j] t^2 + c[2, j] t + c[3, j] with t = s - x_j.
+    Each piece is fixed by its ends' values and slopes, so the spline is
+    C^1, not C^2: c'' is linear on each piece and may jump at a knot.
     Calling it on an s array gives the spline or its ``nu``-th derivative,
     nu = 0, 1, 2.  Each s reads the piece with x_j <= s < x_{j+1}, the last
-    piece closed; x_{-1} itself reads that piece re-expanded about x_{-1},
-    so every knot, the last included, returns its y_j bit for bit.
+    piece closed, so an inner knot's c'' is its right-hand piece's;
+    x_{-1} reads that piece re-expanded about x_{-1}, so every knot
+    returns its y_j and its slope bit for bit.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
-        x, y = np.array(x, dtype=float), np.array(y, dtype=float)
-        if x.ndim != 1 or x.shape != y.shape or x.size < 2:
-            raise DomainError("a spline needs at least 2 knots and one value per knot")
+    def __init__(self, x: np.ndarray, y: np.ndarray, slopes: np.ndarray) -> None:
+        x, y, slopes = (np.array(v, dtype=float) for v in (x, y, slopes))
+        if x.ndim != 1 or not x.shape == y.shape == slopes.shape or x.size < 2:
+            raise DomainError(
+                "a spline needs at least 2 knots and one value and one slope per knot"
+            )
         dx = np.diff(x)
-        if not (np.isfinite(x).all() and np.isfinite(y).all() and (dx > 0.0).all()):
+        finite = np.isfinite(np.concatenate([x, y, slopes])).all()
+        if not (finite and (dx > 0.0).all()):
             raise DomainError("spline knots must be finite and strictly increasing, "
-                              "and its values finite")
+                              "and its values and slopes finite")
         secant = np.diff(y) / dx
-        slopes = _knot_slopes(dx, secant)
         t = (slopes[:-1] + slopes[1:] - 2.0 * secant) / dx
         a, b = t / dx, (secant - slopes[:-1]) / dx - t
         # one more column: the last piece about x_{-1}, where t = 0
@@ -178,14 +119,14 @@ class AffineRecord:
     Both endpoints are certified Hermitian at construction (``IntegrityError``
     otherwise) and stored as their Hermitian part (A + A^dagger)/2, which
     leaves an exactly Hermitian endpoint bit-identical.  ``diff`` is
-    D = h1 - h0.  ``shift``, when given, is the not-a-knot cubic spline c
-    (``NotAKnotSpline``).  Calling the record on an s array returns H there,
+    D = h1 - h0.  ``shift``, when given, is the cubic Hermite spline c
+    (``CubicHermiteSpline``).  Calling the record on an s array returns H there,
     shape (n, dim, dim).
     """
 
     h0: np.ndarray
     h1: np.ndarray
-    shift: NotAKnotSpline | None = None
+    shift: CubicHermiteSpline | None = None
     diff: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -256,9 +197,9 @@ def affine_hamiltonian(
 
 
 def _shift_by(
-    h: TimeDependentHamiltonian, shift: NotAKnotSpline, name: str, params: dict
+    h: TimeDependentHamiltonian, shift: CubicHermiteSpline, name: str, params: dict
 ) -> TimeDependentHamiltonian:
-    """H(s) - c(s) I for the not-a-knot spline c = ``shift``.
+    """H(s) - c(s) I for the cubic Hermite spline c = ``shift``.
 
     The shifted frame is the instance's record carrying the spline.  An
     instance without a record raises ``DomainError``, since its frame would
@@ -320,7 +261,8 @@ def derivative(h: TimeDependentHamiltonian, s: float, order: int) -> np.ndarray:
     """H'(s) = D - c'(s) I or H''(s) = -c''(s) I from the affine record,
     with c'(s) or c''(s) read off the shift's piece at s (``shift(s, order)``)
     and c = 0 when the instance is not shifted: a (dim, dim) array, exactly
-    Hermitian because D is and c is real."""
+    Hermitian because D is and c is real.  The shift is only C^1, so at an
+    interior knot, where c'' may jump, H''(s) is the right-hand piece's."""
     s = _check_s(s)
     if order not in (1, 2):
         raise DomainError(f"derivative order must be 1 or 2, got {order}")
@@ -408,7 +350,7 @@ def norm_bundle(
 
 __all__ = [
     "AffineRecord",
-    "NotAKnotSpline",
+    "CubicHermiteSpline",
     "TimeDependentHamiltonian",
     "NormBundle",
     "affine_hamiltonian",

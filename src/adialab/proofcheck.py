@@ -455,11 +455,14 @@ def check_total_error_norm(
 def check_eigenvalue_derivative_bounds(frame: ZeroFrame) -> list[CheckEntry]:
     """|gamma'| <= ||H'|| and |gamma''| <= ||H''|| + 4||H'||^2/lambda.
 
-    gamma is the frame's shift, the not-a-knot cubic spline through the
-    tracked eigenvalues (``hamiltonians.NotAKnotSpline``), so these are the
-    derivatives the bound uses: H~'' = -gamma'' I makes
+    gamma is the frame's shift, the cubic Hermite spline through the
+    tracked eigenvalues (``hamiltonians.CubicHermiteSpline``), so these are
+    the derivatives the bound uses: H~'' = -gamma'' I makes
     sup |gamma''| the frame's ||H~''||, a closed-form sup over the spline's
-    pieces, and |gamma'| is read at the path's grid points.  The bounds
+    pieces that reads both one-sided gamma'' at every grid point (the
+    spline is C^1, and gamma'' may jump there).  |gamma'| is read at the
+    path's grid points, where the spline's slopes are the exact
+    Hellmann-Feynman gamma'_j = Re<psi_j, D psi_j>.  The bounds
     take H's norms and the frame's lambda.  The stated bound is on gamma'
     without absolute value; the absolute value is checked here since the
     underlying estimate is on a magnitude.

@@ -49,8 +49,8 @@ from .evolution import (
 )
 from .hamiltonians import (
     AffineRecord,
+    CubicHermiteSpline,
     NormBundle,
-    NotAKnotSpline,
     TimeDependentHamiltonian,
     _record,
     _shift_by,
@@ -120,17 +120,27 @@ def shift_to_zero_eigenvalue(
 ) -> TimeDependentHamiltonian:
     """Subtract the tracked eigenvalue: H~(s) = H(s) - gamma(s) I.
 
-    gamma between grid points is the not-a-knot cubic spline through the
-    path's gammas (``NotAKnotSpline``, a C^2 interpolant, so H~'' exists),
-    which returns every tracked gamma exactly at its grid point.  H~'s
-    record carries the spline, from whose pieces H~' and H~'' follow.  An
-    instance without an ``AffineRecord``, or a shifted frame, raises
-    ``DomainError``.  The tracked states must be null vectors of H~ at
-    every grid point (``IntegrityError`` otherwise).
+    gamma is the cubic Hermite spline (``CubicHermiteSpline``) through the
+    path's gammas with the exact Hellmann-Feynman slopes
+    gamma'_j = Re<psi_j, D psi_j>, so it returns every tracked gamma and
+    its slope exactly at its grid point.  The spline is C^1, not C^2:
+    gamma'' is linear on each piece and may jump at a grid point, so H~' is
+    Lipschitz with constant sup |gamma''|, the form every bound that reads
+    ||H~''|| needs.  H~'s record carries the spline, from whose pieces H~'
+    and H~'' follow.  An instance without an ``AffineRecord`` raises
+    ``DomainError`` before anything is computed, and a shifted frame
+    raises it too.  The tracked states must be null vectors of H~ at every
+    grid point (``IntegrityError`` otherwise).
     """
+    psi = path.states
+    diff = _record(h, "the zero-eigenvalue shift").diff
+    # psi D^T is not kept for the null-state check: held while the spline
+    # is allocated, it raised verify-bound's peak memory by 2 MB at d = 32
+    slopes = np.einsum("ni,ni->n", psi.conj(), psi @ diff.T).real
     name = (h.name + "_shifted") if h.name else "shifted"
     params = {**h.params, "shifted_by": "tracked_eigenvalue"}
-    shifted = _shift_by(h, NotAKnotSpline(path.grid, path.gammas), name, params)
+    spline = CubicHermiteSpline(path.grid, path.gammas, slopes)
+    shifted = _shift_by(h, spline, name, params)
     _check_null_states(shifted, path)
     return shifted
 
@@ -215,17 +225,19 @@ def zero_frame(
     ``AffineRecord`` raises ``DomainError`` before anything is evaluated;
     a shifted frame is refused by ``shift_to_zero_eigenvalue``.  Both
     bundles come from ``norm_bundle``.  H's are exact.  H~'s ||H~'|| and
-    ||H~''|| are closed-form sups over the pieces of gamma, the not-a-knot
-    spline through the tracked eigenvalues, and
-    ||H~|| a per-cell bound from its spectrum at the grid points:
-    subtracting a real scalar times I only translates a spectrum, so that
-    is the tracked path's minus gamma.  No derivative matrix is formed.
-    Postconditions: the tracked states are null vectors of H~ at every
-    path grid point (``IntegrityError`` otherwise), and the shifted norms
-    obey ||H~'|| <= 2||H'|| and ||H~''|| <= 2||H''|| + 4||H'||^2/lambda
-    within 5% slack.  The true gamma obeys both; a spline on too few points
-    overshoots them (grover(2) at 3 points does), which raises
-    ``UnderResolvedGridError`` naming ``grid_size``.
+    ||H~''|| are closed-form sups over the pieces of gamma, the C^1 spline
+    with exact knot slopes (``shift_to_zero_eigenvalue``): ||H~''|| reads
+    gamma'' on both sides of every grid point, so it is the Lipschitz
+    constant of H~'.  ||H~|| is a per-cell bound from its spectrum at the grid
+    points: subtracting a real scalar times I only translates a spectrum,
+    so that is the tracked path's minus gamma.  No derivative matrix is
+    formed.  Postconditions: the tracked states are null vectors of H~ at
+    every path grid point (``IntegrityError`` otherwise), and the shifted
+    norms obey ||H~'|| <= 2||H'|| and ||H~''|| <= 2||H''|| +
+    4||H'||^2/lambda within 5% slack.  The true gamma obeys both; a spline
+    on too few points overshoots them between its knots (grover(5) at 3
+    points does), which raises ``UnderResolvedGridError`` naming
+    ``grid_size``.
     """
     record = _record(h, "zero_frame")
     evals, evecs = np.linalg.eigh(record.h0)

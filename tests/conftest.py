@@ -69,10 +69,13 @@ def svd_norm(mats: np.ndarray) -> np.ndarray:
 
 def dense_sample(h: al.TimeDependentHamiltonian, per_cell: int = 64) -> np.ndarray:
     """``per_cell`` points in each cell of a shifted frame's spline, its
-    knots included."""
+    knots included, and the point just below each inner knot: the spline
+    is C^1, so c'' may jump at a knot, and a knot reads its right-hand
+    piece, while the point below it reads the left-hand one."""
     knots = h.affine.shift.x
     offsets = np.diff(knots)[:, None] * np.arange(per_cell) / per_cell
-    return np.append((knots[:-1, None] + offsets).ravel(), knots[-1])
+    below = np.nextafter(knots[1:-1], -np.inf)
+    return np.concatenate([(knots[:-1, None] + offsets).ravel(), below, knots[-1:]])
 
 
 def dense_derivative_norms(h: al.TimeDependentHamiltonian, per_cell: int = 64):

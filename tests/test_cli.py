@@ -369,7 +369,7 @@ def test_mistyped_field_is_a_config_error(tmp_path, capsys, command, config, fie
 
 
 def test_coarse_grid_exits_numerical_and_names_the_grid(tmp_path, capsys):
-    config = {"instance": {"kind": "grover", "params": {"n": 2}}, "delta": 1,
+    config = {"instance": {"kind": "grover", "params": {"n": 5}}, "delta": 1,
               "case": "special", "grid_size": 3}
     code, _, err = _run(tmp_path, capsys, "verify", config)
     assert code == cli.EXIT_NUMERICAL

@@ -3,14 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline as ScipyHermite
 
 import adialab as al
 from adialab.errors import DomainError, IntegrityError, NumericalError
 from adialab import hamiltonians
 from adialab._linalg import chunk_ranges, chunk_size, dagger, opnorm, opnorm_hermitian
 from adialab.evolution import _step_batch
-from adialab.hamiltonians import NotAKnotSpline, eval_batch
+from adialab.hamiltonians import CubicHermiteSpline, eval_batch
 from adialab.problems import PAULI_X, PAULI_Z
 
 from conftest import (
@@ -22,9 +22,9 @@ from conftest import (
 )
 
 
-def _sine_spline(knots: int = 9) -> NotAKnotSpline:
+def _sine_spline(knots: int = 9) -> CubicHermiteSpline:
     x = np.linspace(0.0, 1.0, knots)
-    return NotAKnotSpline(x, np.sin(x))
+    return CubicHermiteSpline(x, np.sin(x), np.cos(x))
 
 
 class TestEval:
@@ -179,83 +179,117 @@ def _smooth(x: np.ndarray) -> np.ndarray:
     return np.sin(7.0 * x) + np.cos(3.0 * x) ** 2
 
 
+def _smooth_slopes(x: np.ndarray) -> np.ndarray:
+    return 7.0 * np.cos(7.0 * x) - 3.0 * np.sin(6.0 * x)
+
+
 EPS = np.finfo(float).eps
 
 
-class TestNotAKnotSpline:
-    """The library's spline against scipy's not-a-knot ``CubicSpline``, the
-    test-only oracle, on the smooth data above at 4n + 3 uniform points.
+def _jittered(knots: int) -> np.ndarray:
+    # each inner knot moved by up to 30% of the spacing, so every piece has
+    # its own width
+    x = np.linspace(0.0, 1.0, knots)
+    x[1:-1] += np.random.default_rng(5).uniform(-0.3, 0.3, knots - 2) / (knots - 1)
+    return x
 
-    Errors are relative to max|y|.  Values and slopes differ by rounding
-    alone; the second derivative divides by h^2, so its tolerance grows like
-    (knots - 1)^2.  Worst errors measured, orders 0 / 1 / 2:
-    2 knots 0 / 0 / 0; 3: 1.4e-16 / 5.4e-16 / 2.2e-15;
-    4: 4.1e-16 / 2.7e-15 / 1.7e-14; 5: 2.7e-16 / 2.2e-15 / 3.9e-14;
-    9: 1.4e-16 / 4.3e-15 / 1.0e-13; 1,025: 1.3e-16 / 3.2e-15 / 1.6e-11;
-    4,097: 1.3e-16 / 3.2e-15 / 6.8e-11; 65,537: 1.3e-16 / 4.2e-15 / 1.1e-9.
+
+class TestCubicHermiteSpline:
+    """The library's spline against scipy's ``CubicHermiteSpline``, the
+    test-only oracle, on the smooth data above with its exact slopes, at
+    4n + 3 uniform points.
+
+    Both build each piece from its ends' values and slopes, so the pieces
+    agree bit for bit and the evaluations differ by rounding alone.
+    Errors are relative to each order's largest value.  Measured relative
+    to max|y| instead, the worst errors of orders 0 / 1 / 2 were
+    3.1 / 15 / 40 eps at 2 to 5 knots and 0.6 / 4.7 / 19 eps from 9 on.
     """
 
     @staticmethod
-    def _assert_matches_scipy(x, tol_second):
-        y = _smooth(x)
-        ours, oracle = NotAKnotSpline(x, y), CubicSpline(x, y)
+    def _assert_matches_scipy(x):
+        y, slopes = _smooth(x), _smooth_slopes(x)
+        ours, oracle = CubicHermiteSpline(x, y, slopes), ScipyHermite(x, y, slopes)
+        assert ours.c.shape == (4, x.size - 1)
+        assert np.array_equal(ours.c, oracle.c)
         s = np.linspace(0.0, 1.0, 4 * x.size + 3)
-        for nu, tol in zip((0, 1, 2), (16.0 * EPS, 64.0 * EPS, tol_second)):
-            error = np.abs(ours(s, nu) - oracle(s, nu)).max() / np.abs(y).max()
-            assert error <= tol, (x.size, nu, error)
-        # every knot, the closed last one included, returns its value exactly
-        assert np.array_equal(ours(x), y)
-        assert ours.c.shape == oracle.c.shape == (4, x.size - 1)
+        for nu in (0, 1, 2):
+            want = oracle(s, nu)
+            error = np.abs(ours(s, nu) - want).max() / np.abs(want).max()
+            assert error <= 16.0 * EPS, (x.size, nu, error)
 
     @pytest.mark.parametrize("knots", [2, 3, 4, 5, 9, 1025, 4097, 65537])
     def test_matches_scipy_on_uniform_knots(self, knots):
-        self._assert_matches_scipy(
-            np.linspace(0.0, 1.0, knots), 16.0 * EPS * (knots - 1) ** 2
-        )
+        self._assert_matches_scipy(np.linspace(0.0, 1.0, knots))
 
     @pytest.mark.parametrize("knots", [17, 257])
     def test_matches_scipy_on_jittered_knots(self, knots):
-        # each inner knot moved by up to 30% of the spacing, so every row of
-        # the tridiagonal system has its own widths
-        x = np.linspace(0.0, 1.0, knots)
-        x[1:-1] += np.random.default_rng(5).uniform(-0.3, 0.3, knots - 2) / (knots - 1)
-        self._assert_matches_scipy(x, 16.0 * EPS / np.diff(x).min() ** 2)
+        self._assert_matches_scipy(_jittered(knots))
+
+    @pytest.mark.parametrize("knots", [2, 9, 1025])
+    def test_knots_return_their_values_and_slopes_exactly(self, knots):
+        # the last knot too, which reads the last piece re-expanded about it
+        x = _jittered(knots)
+        y, slopes = _smooth(x), _smooth_slopes(x)
+        spline = CubicHermiteSpline(x, y, slopes)
+        assert np.array_equal(spline(x), y)
+        assert np.array_equal(spline(x, 1), slopes)
+
+    def test_cubics_are_reproduced(self):
+        # a cubic's values and slopes at both ends fix each piece to it
+        x = _jittered(33)
+        spline = CubicHermiteSpline(x, 1.0 - 2.0 * x + x**3, -2.0 + 3.0 * x**2)
+        s = np.linspace(0.0, 1.0, 101)
+        assert np.allclose(spline(s), 1.0 - 2.0 * s + s**3, rtol=0.0, atol=1e-14)
+        assert np.allclose(spline(s, 1), -2.0 + 3.0 * s**2, rtol=0.0, atol=1e-12)
+        assert np.allclose(spline(s, 2), 6.0 * s, rtol=0.0, atol=1e-10)
 
     def test_two_knots_give_the_line_and_three_the_parabola(self):
-        line = NotAKnotSpline([0.0, 1.0], [1.0, 4.0])
+        # with the slopes of the line and of the parabola
+        line = CubicHermiteSpline([0.0, 1.0], [1.0, 4.0], [3.0, 3.0])
         assert np.array_equal(line.c, [[0.0], [0.0], [3.0], [1.0]])
         x = np.array([0.0, 0.3, 1.0])
-        parabola = NotAKnotSpline(x, 2.0 - x + 3.0 * x**2)
+        parabola = CubicHermiteSpline(x, 2.0 - x + 3.0 * x**2, -1.0 + 6.0 * x)
         s = np.linspace(0.0, 1.0, 11)
         assert np.allclose(parabola(s), 2.0 - s + 3.0 * s**2, rtol=0.0, atol=1e-14)
         assert np.allclose(parabola(s, 2), 6.0, rtol=1e-13, atol=0.0)
 
-    def test_cubics_are_reproduced(self):
-        # not-a-knot leaves a cubic's third derivative continuous everywhere
-        x = np.linspace(0.0, 1.0, 33)
-        spline = NotAKnotSpline(x, 1.0 - 2.0 * x + x**3)
-        s = np.linspace(0.0, 1.0, 101)
-        assert np.allclose(spline(s, 1), -2.0 + 3.0 * s**2, rtol=0.0, atol=1e-12)
-        assert np.allclose(spline(s, 2), 6.0 * s, rtol=0.0, atol=1e-10)
+    def test_second_derivative_may_jump_and_reads_the_right_piece(self):
+        # zero values, and slope 1 at the middle knot: the pieces are
+        # 4t^3 - 2t^2 and 4t^3 - 4t^2 + t, so c'' is 8 just left of the knot
+        # and -8 at it, while c' is 1 on both sides
+        spline = CubicHermiteSpline([0.0, 0.5, 1.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+        left = np.nextafter(0.5, -np.inf)
+        assert spline(left, 2) == pytest.approx(8.0, rel=1e-12)
+        assert spline(0.5, 2) == -8.0
+        assert spline(left, 1) == pytest.approx(1.0, rel=1e-12)
+        assert spline(0.5, 1) == 1.0
 
     def test_scalar_points_and_refusals(self):
         x = np.linspace(0.0, 1.0, 9)
-        spline = NotAKnotSpline(x, _smooth(x))
+        y, slopes = _smooth(x), _smooth_slopes(x)
+        spline = CubicHermiteSpline(x, y, slopes)
         for nu in (0, 1, 2):
             assert spline(0.37, nu) == spline(np.array([0.37]), nu)[0]
         with pytest.raises(DomainError, match="order"):
             spline(0.5, 3)
         with pytest.raises(DomainError, match="increasing"):
-            NotAKnotSpline([0.0, 0.5, 0.5, 1.0], [0.0, 1.0, 2.0, 3.0])
-        for bad in (np.inf, np.nan):
-            with pytest.raises(DomainError, match="finite"):
-                NotAKnotSpline([0.0, 0.5, bad], [0.0, 1.0, 2.0])
-            with pytest.raises(DomainError, match="finite"):
-                NotAKnotSpline([0.0, 0.5, 1.0], [0.0, bad, 2.0])
+            CubicHermiteSpline([0.0, 0.5, 0.5, 1.0], [0.0, 1.0, 2.0, 3.0], np.zeros(4))
+        # a non-finite knot, value or slope
+        for bad in (np.inf, -np.inf, np.nan):
+            for row in range(3):
+                args = np.array([[0.0, 0.5, 1.0], [0.0, 1.0, 2.0], [1.0, 1.0, 1.0]])
+                args[row, 1] = bad
+                with pytest.raises(DomainError, match="finite"):
+                    CubicHermiteSpline(*args)
         with pytest.raises(DomainError, match="2 knots"):
-            NotAKnotSpline([0.0], [1.0])
-        with pytest.raises(DomainError, match="2 knots"):
-            NotAKnotSpline(x, _smooth(x)[:-1])
+            CubicHermiteSpline([0.0], [1.0], [0.0])
+        for args in ((x, y[:-1], slopes), (x, y, slopes[:-1]), (x, y, slopes[:, None])):
+            with pytest.raises(DomainError, match="one slope per knot"):
+                CubicHermiteSpline(*args)
+        # the slopes are required: nothing is solved for in their place
+        with pytest.raises(TypeError):
+            CubicHermiteSpline(x, y)
 
 
 class TestDerivative:
@@ -462,15 +496,17 @@ class TestNormBundle:
         assert doubled.norm_H > chunked.norm_H
 
     def test_sups_bound_a_dense_sample_of_the_spline(self, const_instance):
-        # c is a cubic spline through 17 random values: |c'| peaks inside a
-        # piece, away from the knots, whose largest |c'| is 29.41 against a
-        # sup of 51.179043
+        # c is a cubic Hermite spline through 17 random values, with their
+        # central-difference slopes: |c'| peaks inside a piece, away from
+        # the knots, whose largest |c'| is 17.70 against a sup of 53.0535,
+        # and c'' jumps at every inner knot
         x = np.linspace(0.0, 1.0, 17)
-        spline = NotAKnotSpline(x, np.random.default_rng(0).normal(size=17))
+        values = np.random.default_rng(0).normal(size=17)
+        spline = CubicHermiteSpline(x, values, np.gradient(values, x))
         shifted = hamiltonians._shift_by(const_instance, spline, "shifted", {})
         got = al.norm_bundle(shifted)
         want_h1, want_h2 = dense_derivative_norms(shifted, 4096)
-        assert got.norm_H1 > 51.179
+        assert got.norm_H1 > 53.053
         # c' = c'(t*) + 3a (t - t*)^2 near an inner peak t*, and the sample
         # comes within half its spacing of it
         missed = 3.0 * np.abs(spline.c[0]).max() * (x[1] / 4096 / 2) ** 2
@@ -482,16 +518,18 @@ class TestNormBundle:
     def test_polynomial_pieces(self, lz, const_instance):
         # a = 0 on every piece of a constant spline, and nearly so on a
         # linear one: no vertex is divided out (warnings are errors here).
-        # The spline through s^3 is s^3, whose c' and c'' peak at s = 1, the
-        # right end of the last piece
+        # The spline through s^3 with slopes 3s^2 is s^3, whose c' and c''
+        # peak at s = 1, the right end of the last piece
         x = np.linspace(0.0, 1.0, 17)
-        constant = hamiltonians._shift_by(lz, NotAKnotSpline(x, 0.0 * x), "c", {})
+        zero = 0.0 * x
+        constant = hamiltonians._shift_by(lz, CubicHermiteSpline(x, zero, zero), "c", {})
         norms = al.norm_bundle(constant)
         assert (norms.norm_H1, norms.norm_H2) == (al.norm_bundle(lz).norm_H1, 0.0)
-        slope_3 = NotAKnotSpline(x, 3.0 * x)
+        slope_3 = CubicHermiteSpline(x, 3.0 * x, zero + 3.0)
         linear = hamiltonians._shift_by(const_instance, slope_3, "linear", {})
         assert al.norm_bundle(linear).norm_H1 == pytest.approx(3.0, rel=1e-14)
-        cubic = hamiltonians._shift_by(const_instance, NotAKnotSpline(x, x**3), "cubic", {})
+        cube = CubicHermiteSpline(x, x**3, 3.0 * x**2)
+        cubic = hamiltonians._shift_by(const_instance, cube, "cubic", {})
         norms = al.norm_bundle(cubic)
         assert (norms.norm_H1, norms.norm_H2) == pytest.approx((3.0, 6.0), rel=1e-12)
         frame = al.zero_frame(const_instance, 65)

@@ -370,10 +370,10 @@ SMALL_L = (2, 3, 4, 8, 16, 32, 64)
 # (instance, the step counts whose L + 1 points zero_frame refuses)
 FINITE_L_CASES = {
     "landau_zener": (al.landau_zener, ()),
-    "grover(2)": (lambda: al.grover(2), (2,)),
-    "grover(3)": (lambda: al.grover(3), (2, 3)),
-    "grover(4)": (lambda: al.grover(4), (2, 3)),
-    "grover(5)": (lambda: al.grover(5), (2, 3, 4)),
+    "grover(2)": (lambda: al.grover(2), ()),
+    "grover(3)": (lambda: al.grover(3), ()),
+    "grover(4)": (lambda: al.grover(4), (3,)),
+    "grover(5)": (lambda: al.grover(5), (2, 3)),
     "random_interpolation(8,1)": (lambda: al.random_interpolation(8, seed=1), ()),
 }
 
@@ -638,6 +638,20 @@ class TestGammaBounds:
             grover_ground_energy(2, 0.0 + h) - grover_ground_energy(2, 0.0)
         ) / h
         assert abs(fd) <= entries[0].measured + 1e-3
+
+    @pytest.mark.parametrize(
+        "make, L, exact",
+        [(al.landau_zener, 65536, 1.0), (lambda: al.grover(2), 32768, 0.75)],
+        ids=["landau_zener", "grover(2)"],
+    )
+    def test_slope_entry_is_exact_on_the_benchmark_grids(self, make, L, exact):
+        # the two proof-check jobs' grids: max|gamma'| is gamma'(0) = 1 for
+        # landau_zener and 3/4 = <u|D|u> for grover(2), read off the exact
+        # knot slopes, not a fitted spline's
+        frame = al.zero_frame(make(), L + 1)
+        named = {e.name: e for e in check_eigenvalue_derivative_bounds(frame)}
+        measured = named["eigenvalue_derivative"].measured
+        assert abs(measured - exact) <= 4.0 * np.spacing(exact)
 
 
 class TestGaugeEntry:

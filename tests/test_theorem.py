@@ -177,12 +177,45 @@ class TestShift:
             got = theorem._null_residuals(shifted, path)
             assert np.abs(got - want).max() <= 1e-14 * al.norm_bundle(inst).norm_H
 
-    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("n", [5])
     def test_coarse_grid_is_under_resolved(self, n):
-        # the spline of gamma through 3 points overshoots |gamma'| <= ||H'||;
-        # the grid is too coarse, no invariant is broken
+        # the spline of gamma through 3 points overshoots |gamma'| <= ||H'||
+        # between them; the grid is too coarse, no invariant is broken
         with pytest.raises(UnderResolvedGridError, match="grid_size=3 points; refine"):
             al.zero_frame(al.grover(n), 3)
+
+    def test_knot_slopes_are_hellmann_feynman(self, suite):
+        # gamma'_j = Re<psi_j, D psi_j> at every grid point, bit for bit,
+        # and within rounding of the same product taken row by row
+        for inst in suite:
+            path = al.track_eigenpath(inst, 257)
+            spline = al.shift_to_zero_eigenvalue(inst, path).affine.shift
+            psi, diff = path.states, inst.affine.diff
+            want = np.einsum("ni,ni->n", psi.conj(), psi @ diff.T).real
+            assert np.array_equal(spline(path.grid, 1), want), inst.name
+            assert np.array_equal(spline.c[2], want[:-1]), inst.name
+            rows = np.array([np.vdot(v, diff @ v).real for v in psi])
+            assert np.abs(rows - want).max() <= 1e-14 * np.abs(diff).max()
+
+    @pytest.mark.parametrize("grid_size", [1025, 65537])
+    def test_landau_zener_shifted_slope_norm_is_one_plus_sqrt2(self, lz, grid_size):
+        # gamma' = (1 - 2s)/sqrt(1 - 2s + 2s^2) falls from 1 to -1 and D =
+        # X - Z has eigenvalues +-sqrt(2), so sup ||H~'|| = 1 + sqrt(2),
+        # reached at s = 0 and s = 1, both grid points
+        exact = 1.0 + math.sqrt(2.0)
+        got = al.zero_frame(lz, grid_size).norms_shifted.norm_H1
+        assert abs(got - exact) <= 4.0 * np.spacing(exact)
+
+    @pytest.mark.parametrize("grid_size", [3, 5, 1025])
+    def test_grover2_shifted_slope_norm_on_coarse_grids(self, grid_size):
+        # in grover(2)'s two-level space gamma' runs from 3/4 down and D has
+        # eigenvalues +-sqrt(3)/2, so sup ||H~'|| = 3/4 + sqrt(3)/2 at s = 0;
+        # the exact knot slopes give it on 3 points as on 1,025
+        exact = 0.75 + math.sqrt(3.0) / 2.0
+        got = al.zero_frame(al.grover(2), grid_size).norms_shifted.norm_H1
+        fine = al.zero_frame(al.grover(2), 1025).norms_shifted.norm_H1
+        assert got == fine
+        assert abs(got - exact) <= 4.0 * np.spacing(exact)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_five_points_resolve_grover(self, n):
@@ -254,12 +287,16 @@ class TestVerifyNorms:
 
     def test_norm_grid_is_the_spline_knots(self, lz):
         # |gamma''| of landau_zener peaks at s = 1/2, a knot of the spline
-        # tracked at 1025 points: the closed form reads it there, and no
-        # other grid is taken for the frame
+        # tracked at 1025 points, where the C^1 spline's c'' may jump: the
+        # closed form reads the larger one-sided value there, and no other
+        # grid is taken for the frame
         path = al.track_eigenpath(lz, 1025)
         shifted = al.shift_to_zero_eigenvalue(lz, path)
         got = al.norm_bundle(shifted)
-        assert got.norm_H2 == np.abs(shifted.affine.shift(0.5, 2))
+        spline = shifted.affine.shift
+        sides = np.abs(spline(np.array([np.nextafter(0.5, -np.inf), 0.5]), 2))
+        assert sides[0] != sides[1]
+        assert got.norm_H2 == pytest.approx(sides.max(), rel=1e-15, abs=0.0)
         with pytest.raises(DomainError, match="1025 spline knots"):
             al.norm_bundle(shifted, spectrum=path.eigenvalues[:-1])
 

@@ -3,10 +3,12 @@
 Subcommands: verify, sweep, gap-scan, proof-check, simulate.  verify,
 sweep and proof-check run in the space of the instance's ``zero_frame``
 (its ``evolved_dim``); gap-scan and simulate track the full space.  Runs
-are described by a JSON config file; unknown fields are rejected with the
-offending field named, every field is type-checked (an integer is accepted
-where a number is expected, never a string or a boolean), and syntax errors
-carry line/column positions.
+are described by a JSON config file.  Each command's handler, default
+``--format`` and config fields, with every field's accepted types and its
+default, live in one table, ``_COMMANDS``.  Unknown fields are rejected
+with the offending field named, every field is type-checked (an integer is
+accepted where a number is expected, never a string or a boolean), and
+syntax errors carry line/column positions.
 
 Exit codes: 0 = pass, 1 = claim failed, 2 = configuration error,
 3 = numerical or feasibility error.
@@ -33,7 +35,6 @@ from .evolution import (
     distance_phase_invariant,
     evolve_discrete,
 )
-from .hamiltonians import TimeDependentHamiltonian
 from .problems import InstanceSpec
 from .proofcheck import run_proofcheck
 from .spectral import DEFAULT_GRID, track_eigenpath
@@ -45,27 +46,13 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 _NUMBER = (int, float)
-
-_ALLOWED_KEYS = {
-    "verify": {"instance", "delta", "case", "T_override", "grid_size", "disc_tol",
-               "step_ceiling"},
-    "sweep": {"instance", "delta", "case", "T_values", "grid_size", "disc_tol",
-              "step_ceiling"},
-    "gap-scan": {"instance", "grid_size"},
-    "proof-check": {"instance", "delta", "L", "T"},
-    "simulate": {"instance", "T", "L", "snapshot_stride", "grid_size"},
-}
-
-_REQUIRED_KEYS = {
-    "verify": {"instance", "delta"},
-    "sweep": {"instance", "delta", "T_values"},
-    "gap-scan": {"instance"},
-    "proof-check": {"instance", "delta", "L"},
-    "simulate": {"instance", "T", "L"},
-}
+_REQUIRED = object()  # the default of a field every config must give
 
 
-def _load_config(path: str, command: str) -> dict:
+def _load_config(path: str, command: str) -> tuple[dict, dict]:
+    """The config at ``path`` checked against ``command``'s fields: the raw
+    config, echoed in every output, and each field's value with the
+    defaults of the fields it leaves out filled in."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -78,51 +65,57 @@ def _load_config(path: str, command: str) -> dict:
         ) from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    allowed = _ALLOWED_KEYS[command]
+    fields = _COMMANDS[command][2]
     for key in data:
-        if key not in allowed:
+        if key not in fields:
             raise ConfigError(
                 f"{path}: unknown field {key!r} for command {command!r}; "
-                f"allowed: {sorted(allowed)}"
+                f"allowed: {sorted(fields)}"
             )
-    missing = _REQUIRED_KEYS[command] - set(data)
+    missing = [k for k, (_, default) in fields.items()
+               if default is _REQUIRED and k not in data]
     if missing:
         raise ConfigError(
             f"{path}: missing required field(s) {sorted(missing)} "
             f"for command {command!r}"
         )
-    return data
+    for key, value in data.items():
+        _check(key, value, fields[key][0])
+    return data, {k: data.get(k, default) for k, (_, default) in fields.items()}
 
 
-def _expect(data: dict, key: str, kinds, default=None):
-    if key not in data:
-        return default
-    value = data[key]
-    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
-    if not isinstance(value, kinds) or isinstance(value, bool):
+def _check(key: str, value, rule) -> None:
+    """Refuse ``value`` unless it passes ``rule``: a tuple of accepted types,
+    which no bool passes, or a function that checks the value itself."""
+    if not isinstance(rule, tuple):
+        rule(value)
+    elif not isinstance(value, rule) or isinstance(value, bool):
         raise ConfigError(
             f"field {key!r} has type {type(value).__name__}, "
-            f"expected {'/'.join(k.__name__ for k in kinds)}"
+            f"expected {'/'.join(k.__name__ for k in rule)}"
         )
-    return value
 
 
-def _build_instance(data: dict) -> TimeDependentHamiltonian:
-    raw = data["instance"]
+def _instance(raw) -> None:
     if not isinstance(raw, dict):
         raise ConfigError("field 'instance' must be an object")
     unknown = set(raw) - {"kind", "params"}
     if unknown:
         raise ConfigError(f"field 'instance': unknown sub-field(s) {sorted(unknown)}")
-    if "kind" not in raw or not isinstance(raw["kind"], str):
+    if not isinstance(raw.get("kind"), str):
         raise ConfigError("field 'instance.kind' must be a string")
-    params = raw.get("params", {})
-    if not isinstance(params, dict):
+    if not isinstance(raw.get("params", {}), dict):
         raise ConfigError("field 'instance.params' must be an object")
-    try:
-        return InstanceSpec(raw["kind"], params).build()
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
+
+
+def _times(values) -> None:
+    if not isinstance(values, list) or not values:
+        raise ConfigError("field 'T_values' must be a nonempty list of numbers")
+    for i, t in enumerate(values):
+        if isinstance(t, bool) or not isinstance(t, _NUMBER) or not 0 <= t < math.inf:
+            raise ConfigError(
+                f"field 'T_values[{i}]' must be a finite number >= 0, got {t!r}"
+            )
 
 
 def _dump_json(payload: dict) -> str:
@@ -142,75 +135,48 @@ def _csv(header: str, rows: list[str]) -> str:
     return "\n".join([header] + rows) + "\n"
 
 
-def cmd_verify(args) -> int:
-    data = _load_config(args.config, "verify")
+def cmd_verify(args, data: dict, cfg: dict) -> int:
     if args.format == "csv":
         raise ConfigError("verify emits a JSON verdict; use --format json")
-    h = _build_instance(data)
-    t_override = _expect(data, "T_override", _NUMBER)
-    options = _verify_options(data)
-    frame = zero_frame(h, options.pop("grid_size"))
-    verdict = verify(frame, T_override=t_override, **options)
+    (verdict,) = _verdicts(cfg, [cfg["T_override"]])
     payload = verdict.to_dict()
     payload["config"] = data
     _write(args.out, _dump_json(payload))
     return EXIT_PASS if verdict.passed else EXIT_CLAIM_FAILED
 
 
-def _verify_options(data: dict) -> dict:
-    """The options that verify and sweep configs share: the frame's
-    grid_size and the `verify` keyword arguments."""
-    return {
-        "delta": float(_expect(data, "delta", _NUMBER)),
-        "case": _expect(data, "case", str, "general"),
-        "grid_size": _expect(data, "grid_size", int, DEFAULT_GRID),
-        "disc_tol": _expect(data, "disc_tol", _NUMBER),
-        "step_ceiling": _expect(data, "step_ceiling", int, DEFAULT_STEP_CEILING),
-    }
+def _verdicts(cfg: dict, t_values: list) -> list:
+    """One frame for a verify or sweep config, and a verdict at each T
+    (None: the frame's required time)."""
+    frame = zero_frame(InstanceSpec(**cfg["instance"]).build(), cfg["grid_size"])
+    return [
+        verify(frame, float(cfg["delta"]), case=cfg["case"], T_override=t,
+               disc_tol=cfg["disc_tol"], step_ceiling=cfg["step_ceiling"])
+        for t in t_values
+    ]
 
 
-def cmd_sweep(args) -> int:
-    data = _load_config(args.config, "sweep")
-    t_values = data["T_values"]
-    if not isinstance(t_values, list) or not t_values:
-        raise ConfigError("field 'T_values' must be a nonempty list of numbers")
-    for i, value in enumerate(t_values):
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"field 'T_values[{i}]' must be a number")
-    options = _verify_options(data)
-    frame = zero_frame(_build_instance(data), options.pop("grid_size"))
-    verdicts = [verify(frame, T_override=float(t), **options) for t in t_values]
-
-    if args.format == "json":
-        payload = {
-            "config": data,
-            "rows": [
-                {
-                    "T": v.T_used,
-                    "L_used": v.L_used,
-                    "evolved_dim": v.evolved_dim,
-                    "dist_phase_inv": v.distance_phase_invariant,
-                    "dist_gauge": v.distance_gauge_fixed,
-                }
-                for v in verdicts
-            ],
+def cmd_sweep(args, data: dict, cfg: dict) -> int:
+    rows = [
+        {
+            "T": v.T_used,
+            "L_used": v.L_used,
+            "evolved_dim": v.evolved_dim,
+            "dist_phase_inv": v.distance_phase_invariant,
+            "dist_gauge": v.distance_gauge_fixed,
         }
-        _write(args.out, _dump_json(payload))
+        for v in _verdicts(cfg, [float(t) for t in cfg["T_values"]])
+    ]
+    if args.format == "json":
+        _write(args.out, _dump_json({"config": data, "rows": rows}))
     else:
-        rows = [
-            f"{v.T_used!r},{v.L_used},{v.evolved_dim},"
-            f"{v.distance_phase_invariant!r},{v.distance_gauge_fixed!r}"
-            for v in verdicts
-        ]
-        _write(args.out, _csv("T,L_used,evolved_dim,dist_phase_inv,dist_gauge", rows))
+        lines = [",".join(map(repr, row.values())) for row in rows]
+        _write(args.out, _csv(",".join(rows[0]), lines))
     return EXIT_PASS
 
 
-def cmd_gap_scan(args) -> int:
-    data = _load_config(args.config, "gap-scan")
-    h = _build_instance(data)
-    grid_size = _expect(data, "grid_size", int, DEFAULT_GRID)
-    path = track_eigenpath(h, grid_size)
+def cmd_gap_scan(args, data: dict, cfg: dict) -> int:
+    path = track_eigenpath(InstanceSpec(**cfg["instance"]).build(), cfg["grid_size"])
     if args.format == "json":
         payload = {
             "grid": path.grid.tolist(),
@@ -232,14 +198,9 @@ def cmd_gap_scan(args) -> int:
     return EXIT_PASS
 
 
-def cmd_proof_check(args) -> int:
-    data = _load_config(args.config, "proof-check")
-    report = run_proofcheck(
-        _build_instance(data),
-        L=_expect(data, "L", int),
-        delta=float(_expect(data, "delta", _NUMBER)),
-        total_time=_expect(data, "T", _NUMBER),
-    )
+def cmd_proof_check(args, data: dict, cfg: dict) -> int:
+    h = InstanceSpec(**cfg["instance"]).build()
+    report = run_proofcheck(h, cfg["L"], float(cfg["delta"]), total_time=cfg["T"])
     payload = report.to_dict()
     payload["config"] = data
     json_text = _dump_json(payload)
@@ -254,27 +215,26 @@ def cmd_proof_check(args) -> int:
     return EXIT_PASS if report.passed else EXIT_CLAIM_FAILED
 
 
-def cmd_simulate(args) -> int:
-    data = _load_config(args.config, "simulate")
+def cmd_simulate(args, data: dict, cfg: dict) -> int:
     if args.format == "json":
         raise ConfigError("simulate emits CSV snapshots; use --format csv")
-    h = _build_instance(data)
-    total_time = float(_expect(data, "T", _NUMBER))
-    steps = _expect(data, "L", int)
-    stride = _expect(data, "snapshot_stride", int, max(1, steps // 100))
-    cfg = EvolutionConfig(total_time, steps, snapshot_stride=stride)
+    h = InstanceSpec(**cfg["instance"]).build()
+    steps, stride, grid_size = cfg["L"], cfg["snapshot_stride"], cfg["grid_size"]
+    if stride is None:
+        stride = max(1, steps // 100)
+    evolution = EvolutionConfig(float(cfg["T"]), steps, snapshot_stride=stride)
     # the snapshots (multiples of the stride, and L) lie at s = step/L, all
     # of them points of a grid of N + 1 when L / gcd(L, stride) divides N
     period = steps // math.gcd(steps, stride)
-    fitting = -(-(DEFAULT_GRID - 1) // period) * period
-    grid_size = _expect(data, "grid_size", int, fitting + 1)
+    if grid_size is None:
+        grid_size = -(-(DEFAULT_GRID - 1) // period) * period + 1
     cells = grid_size - 1
     if cells % period:
         fits = -(-max(cells, 1) // period) * period + 1
         raise ConfigError(f"grid_size {grid_size} misses a snapshot; {fits} holds all")
 
     path = track_eigenpath(h, grid_size)
-    result = evolve_discrete(h, path.states[0], cfg)
+    result = evolve_discrete(h, path.states[0], evolution)
     rows = []
     for step, state in result.snapshots:
         idx = step * cells // steps
@@ -284,20 +244,40 @@ def cmd_simulate(args) -> int:
     return EXIT_PASS
 
 
-_COMMANDS = {
-    "verify": cmd_verify,
-    "sweep": cmd_sweep,
-    "gap-scan": cmd_gap_scan,
-    "proof-check": cmd_proof_check,
-    "simulate": cmd_simulate,
+# Each command's handler, default --format and config fields.  A field maps
+# to (rule, default): the rule is a tuple of accepted types or a function
+# that checks the value; the default is _REQUIRED, or what a config that
+# leaves the field out gets, where None leaves the choice to the handler or
+# the library.
+_VERIFY_FIELDS = {
+    "instance": (_instance, _REQUIRED),
+    "delta": (_NUMBER, _REQUIRED),
+    "case": ((str,), "general"),
+    "grid_size": ((int,), DEFAULT_GRID),
+    "disc_tol": (_NUMBER, None),
+    "step_ceiling": ((int,), DEFAULT_STEP_CEILING),
 }
 
-_DEFAULT_FORMAT = {
-    "verify": "json",
-    "sweep": "csv",
-    "gap-scan": "csv",
-    "proof-check": "json",
-    "simulate": "csv",
+_COMMANDS = {
+    "verify": (cmd_verify, "json", {**_VERIFY_FIELDS, "T_override": (_NUMBER, None)}),
+    "sweep": (cmd_sweep, "csv", {**_VERIFY_FIELDS, "T_values": (_times, _REQUIRED)}),
+    "gap-scan": (cmd_gap_scan, "csv", {
+        "instance": (_instance, _REQUIRED),
+        "grid_size": ((int,), DEFAULT_GRID),
+    }),
+    "proof-check": (cmd_proof_check, "json", {
+        "instance": (_instance, _REQUIRED),
+        "delta": (_NUMBER, _REQUIRED),
+        "L": ((int,), _REQUIRED),
+        "T": (_NUMBER, None),
+    }),
+    "simulate": (cmd_simulate, "csv", {
+        "instance": (_instance, _REQUIRED),
+        "T": (_NUMBER, _REQUIRED),
+        "L": ((int,), _REQUIRED),
+        "snapshot_stride": ((int,), None),
+        "grid_size": ((int,), None),
+    }),
 }
 
 
@@ -307,20 +287,19 @@ def _parser() -> argparse.ArgumentParser:
         description="Adiabatic runtime-bound laboratory: batch experiment runner.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, default_format, _) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        p.add_argument("--format", choices=("csv", "json"), default=default_format)
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.format is None:
-        args.format = _DEFAULT_FORMAT[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        data, cfg = _load_config(args.config, args.command)
+        return _COMMANDS[args.command][0](args, data, cfg)
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -230,8 +230,9 @@ def check_error_vector_taylor(path: EigenPath, fit_paths) -> CheckEntry:
     )
 
 
-def check_error_vector_norm(path: EigenPath, cfg: ProofCheckConfig) -> CheckEntry:
-    """max_j ||w_j|| <= ||H~'|| / (lambda L), at every L.
+def check_error_vector_norm(w: np.ndarray, cfg: ProofCheckConfig) -> CheckEntry:
+    """max_j ||w_j|| <= ||H~'|| / (lambda L), at every L, for the rows ``w``
+    of ``error_vectors``.
 
     ||w_j|| = sin of the angle between g_{j-1} and g_j, at most the cell's
     Fubini-Study length, (1/L) max ||P_perp Psi'||.  And ||P_perp Psi'|| <=
@@ -241,15 +242,16 @@ def check_error_vector_norm(path: EigenPath, cfg: ProofCheckConfig) -> CheckEntr
     cell; lambda is still the grid minimum of the gap, so it rests on the
     gap not dipping below it between grid points.
     """
-    measured = float(np.linalg.norm(error_vectors(path), axis=1).max())
+    measured = float(np.linalg.norm(w, axis=1).max())
     bound = cfg.norm_h1 / (cfg.lam * cfg.L)
     return CheckEntry("error_vector_norm", measured, bound, LEMMA_SLACK)
 
 
 def check_error_vector_drift(
-    path: EigenPath, cfg: ProofCheckConfig, norms_shifted: NormBundle
+    w: np.ndarray, cfg: ProofCheckConfig, norms_shifted: NormBundle
 ) -> list[CheckEntry]:
-    """||w_{j+k} - w_j|| <= (k/L^2)(beta + eps_L), k <= min(Delta, 64, L - 1).
+    """||w_{j+k} - w_j|| <= (k/L^2)(beta + eps_L), k <= min(Delta, 64, L - 1),
+    for the rows ``w`` of ``error_vectors``.
 
     B1 = ||H~'||/lambda, beta = ||H~''||/lambda + 3 B1^2, eps_L = 3 B1^3/(2L)
     + B1^2 beta/L^2 and h = 1/L; Psi is the branch in the continuous
@@ -290,7 +292,6 @@ def check_error_vector_drift(
     L = cfg.L
     if L < 2:
         raise DomainError(f"the error-vector drift check needs L >= 2, got L={L}")
-    w = error_vectors(path)
     k_max = min(cfg.Delta, 64, L - 1)
     ks = np.arange(1, k_max + 1)
     rows = w.view(float)  # real and imaginary parts side by side
@@ -517,8 +518,7 @@ def run_proofcheck(
     frame = zero_frame(h, L + 1, rank)
     if frame.h.dim > TOTAL_SUM_MAX_DIM:
         raise FeasibilityError(f"{cap}; got evolved dim={frame.h.dim}")
-    path, shifted, lam = frame.path, frame.shifted, frame.lam
-    norms, norms_shifted = frame.norms, frame.norms_shifted
+    path, shifted, norms_shifted = frame.path, frame.shifted, frame.norms_shifted
     if total_time is None:
         total_time = frame.required_time(delta, "special")
 
@@ -533,7 +533,7 @@ def run_proofcheck(
             f"T={total_time:.6g}"
         )
 
-    cfg = ProofCheckConfig(L, total_time, delta, norms_shifted.norm_H1, lam)
+    cfg = ProofCheckConfig(L, total_time, delta, norms_shifted.norm_H1, frame.lam)
     w = error_vectors(path)
 
     entries: list[CheckEntry] = [check_gauge_residual(path)]
@@ -541,8 +541,8 @@ def run_proofcheck(
         track_eigenpath(frame.h, n + 1, path.tracked_index)
         for n in DEFAULT_FIT_LENGTHS
     ]))
-    entries.append(check_error_vector_norm(path, cfg))
-    entries.extend(check_error_vector_drift(path, cfg, norms_shifted))
+    entries.append(check_error_vector_norm(w, cfg))
+    entries.extend(check_error_vector_drift(w, cfg, norms_shifted))
     products, power_sums, step_drift = fold_blocks(shifted, cfg, w)
     entries.append(check_step_unitary_drift(cfg, norms_shifted, step_drift))
     entries.extend(check_block_cancellation(products, power_sums, cfg))
@@ -550,17 +550,13 @@ def run_proofcheck(
     entries.extend(check_eigenvalue_derivative_bounds(frame))
 
     metadata = {
-        "instance": {"name": h.name, "params": dict(h.params)},
+        **frame.describe(),
         "L": L,
         "T": total_time,
         "delta": delta,
         "Delta": cfg.Delta,
         "n_blocks": len(cfg.block_starts),
-        "lambda": lam,
-        "norms": norms.to_dict(),
-        "norms_shifted": norms_shifted.to_dict(),
         "rank": int(rank),
-        "evolved_dim": frame.h.dim,
     }
     return ProofReport(entries=tuple(entries), metadata=metadata)
 

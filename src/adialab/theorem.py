@@ -30,7 +30,7 @@ phase-invariant distance while reporting both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -208,6 +208,17 @@ class ZeroFrame:
         norms = self.norms_shifted if case == "special" else self.norms
         return required_time(delta, norms, self.lam, case)
 
+    def describe(self) -> dict:
+        """The frame's echo in the verdict and the proof report: the
+        instance, lambda, both norm bundles and ``evolved_dim``."""
+        return {
+            "instance": {"name": self.h.name, "params": dict(self.h.params)},
+            "lambda": self.lam,
+            "norms": self.norms.to_dict(),
+            "norms_shifted": self.norms_shifted.to_dict(),
+            "evolved_dim": self.h.dim,
+        }
+
 
 def zero_frame(
     h: TimeDependentHamiltonian,
@@ -254,50 +265,45 @@ def zero_frame(
     gammas = path.gammas  # the spline of gamma takes these values at its knots
     shifted_norms = norm_bundle(shifted, spectrum=path.eigenvalues - gammas[:, None])
 
-    slack = 1.0 + SHIFT_NORM_SLACK
-    bound_h1 = 2.0 * base_norms.norm_H1
-    bound_h2 = 2.0 * base_norms.norm_H2 + 4.0 * base_norms.norm_H1**2 / path.gap
-    refine = (
-        f"beyond 5% slack: the spline of gamma overshoots on grid_size="
-        f"{path.npoints} points; refine the grid"
-    )
-    if shifted_norms.norm_H1 > bound_h1 * slack + 1e-12:
-        raise UnderResolvedGridError(
-            f"shifted ||H'|| = {shifted_norms.norm_H1:.6g} exceeds "
-            f"2||H'|| = {bound_h1:.6g} {refine}"
-        )
-    if shifted_norms.norm_H2 > bound_h2 * slack + 1e-12:
-        raise UnderResolvedGridError(
-            f"shifted ||H''|| = {shifted_norms.norm_H2:.6g} exceeds "
-            f"2||H''|| + 4||H'||^2/lambda = {bound_h2:.6g} {refine}"
-        )
+    n1, n2 = base_norms.norm_H1, base_norms.norm_H2
+    for label, measured, rule, bound in (
+        ("||H'||", shifted_norms.norm_H1, "2||H'||", 2.0 * n1),
+        ("||H''||", shifted_norms.norm_H2, "2||H''|| + 4||H'||^2/lambda",
+         2.0 * n2 + 4.0 * n1**2 / path.gap),
+    ):
+        if measured > bound * (1.0 + SHIFT_NORM_SLACK) + 1e-12:
+            raise UnderResolvedGridError(
+                f"shifted {label} = {measured:.6g} exceeds {rule} = {bound:.6g} "
+                f"beyond 5% slack: the spline of gamma overshoots on "
+                f"grid_size={path.npoints} points; refine the grid"
+            )
     return ZeroFrame(h, path, shifted, base_norms, shifted_norms, residual)
 
 
 @dataclass(frozen=True)
 class TheoremVerdict:
-    """Outcome of one verification run, with all inputs echoed.  ``passed``
-    is derived, never stored: the phase-invariant distance is <= delta."""
+    """Outcome of one verification run, with all inputs echoed, the
+    frame's through ``ZeroFrame.describe``.  ``passed`` is derived, never
+    stored: the phase-invariant distance is <= delta.  ``frame`` takes no
+    part in ``==``, which its arrays would make ambiguous."""
 
     T_required: float
     T_used: float
     L_used: int
-    evolved_dim: int
     distance_phase_invariant: float
     distance_gauge_fixed: float
     delta: float
-    lam: float
     case: str
-    norms: NormBundle
-    norms_shifted: NormBundle
-    grid_size: int
     disc_tol: float
-    instance_name: str
-    instance_params: dict
+    frame: ZeroFrame = field(compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
         return bool(self.distance_phase_invariant <= self.delta)
+
+    @property
+    def evolved_dim(self) -> int:
+        return self.frame.h.dim
 
     def to_dict(self) -> dict:
         return {
@@ -305,17 +311,13 @@ class TheoremVerdict:
             "T_required": self.T_required,
             "T_used": self.T_used,
             "L_used": self.L_used,
-            "evolved_dim": self.evolved_dim,
             "distance_phase_invariant": self.distance_phase_invariant,
             "distance_gauge_fixed": self.distance_gauge_fixed,
             "delta": self.delta,
-            "lambda": self.lam,
             "case": self.case,
-            "norms": self.norms.to_dict(),
-            "norms_shifted": self.norms_shifted.to_dict(),
-            "grid_size": self.grid_size,
+            "grid_size": self.frame.path.npoints,
             "disc_tol": self.disc_tol,
-            "instance": {"name": self.instance_name, "params": self.instance_params},
+            **self.frame.describe(),
         }
 
 
@@ -376,18 +378,12 @@ def verify(
         T_required=t_required,
         T_used=t_used,
         L_used=l_used,
-        evolved_dim=frame.h.dim,
         distance_phase_invariant=distance_phase_invariant(final, target),
         distance_gauge_fixed=distance_l2(final, target),
         delta=delta,
-        lam=frame.lam,
         case=case,
-        norms=frame.norms,
-        norms_shifted=frame.norms_shifted,
-        grid_size=frame.path.npoints,
         disc_tol=disc_tol,
-        instance_name=frame.h.name,
-        instance_params=dict(frame.h.params),
+        frame=frame,
     )
 
 

@@ -221,7 +221,9 @@ def test_non_finite_time_is_a_config_error(tmp_path, capsys, command, total_time
     if command == "verify":
         config["T_override"] = total_time
     elif command == "sweep":
+        # refused at the CLI, naming the sweep's own field
         config["T_values"] = [5.0, total_time]
+        message = "field 'T_values[1]' must be a finite number >= 0"
     else:
         config = {"instance": LZ, "delta": 1, "L": 256, "T": total_time}
         message = "positive finite delta and T"
@@ -366,6 +368,91 @@ def test_mistyped_field_is_a_config_error(tmp_path, capsys, command, config, fie
     assert out == ""
     assert f"field {field!r} has type" in err
     assert "<class" not in err
+
+
+_MINIMAL = {
+    "verify": {"instance": LZ, "delta": 1},
+    "sweep": {"instance": LZ, "delta": 1, "T_values": [5.0]},
+    "gap-scan": {"instance": LZ},
+    "proof-check": {"instance": LZ, "delta": 1, "L": 256},
+    "simulate": {"instance": LZ, "T": 10.0, "L": 200},
+}
+_ALLOWED = {
+    "verify": ["T_override", "case", "delta", "disc_tol", "grid_size", "instance",
+               "step_ceiling"],
+    "sweep": ["T_values", "case", "delta", "disc_tol", "grid_size", "instance",
+              "step_ceiling"],
+    "gap-scan": ["grid_size", "instance"],
+    "proof-check": ["L", "T", "delta", "instance"],
+    "simulate": ["L", "T", "grid_size", "instance", "snapshot_stride"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_MINIMAL))
+def test_unknown_and_missing_fields_are_config_errors(tmp_path, capsys, command):
+    # the allowed list is the command's table entry; every field a minimal
+    # config gives is required
+    fields = cli._COMMANDS[command][2]
+    assert sorted(fields) == _ALLOWED[command]
+    code, out, err = _run(tmp_path, capsys, command, {**_MINIMAL[command], "bogus": 1})
+    assert code == cli.EXIT_CONFIG and out == ""
+    assert f"unknown field 'bogus' for command {command!r}; " in err
+    assert err.endswith(f"allowed: {_ALLOWED[command]}\n")
+    for field in _MINIMAL[command]:
+        config = {k: v for k, v in _MINIMAL[command].items() if k != field}
+        code, out, err = _run(tmp_path, capsys, command, config)
+        assert code == cli.EXIT_CONFIG and out == ""
+        assert err.endswith(
+            f"missing required field(s) [{field!r}] for command {command!r}\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("gap-scan", {"instance": [LZ]}, "field 'instance' must be an object"),
+        ("gap-scan", {"instance": "landau_zener"}, "field 'instance' must be an object"),
+        ("gap-scan", {"instance": {"kind": 3}}, "field 'instance.kind' must be a string"),
+        ("gap-scan", {"instance": {"params": {}}},
+         "field 'instance.kind' must be a string"),
+        ("gap-scan", {"instance": {"kind": "grover", "params": [2]}},
+         "field 'instance.params' must be an object"),
+        ("gap-scan", {"instance": {"kind": "grover", "n": 2}},
+         "field 'instance': unknown sub-field(s) ['n']"),
+        ("sweep", {"instance": LZ, "delta": 1, "T_values": []},
+         "field 'T_values' must be a nonempty list of numbers"),
+        ("sweep", {"instance": LZ, "delta": 1, "T_values": 5.0},
+         "field 'T_values' must be a nonempty list of numbers"),
+        ("sweep", {"instance": LZ, "delta": 1, "T_values": [5.0, "20"]},
+         "field 'T_values[1]' must be a finite number >= 0, got '20'"),
+        ("sweep", {"instance": LZ, "delta": 1, "T_values": [True]},
+         "field 'T_values[0]' must be a finite number >= 0, got True"),
+        ("sweep", {"instance": LZ, "delta": 1, "T_values": [5.0, 0, -1.0]},
+         "field 'T_values[2]' must be a finite number >= 0, got -1.0"),
+    ],
+)
+def test_malformed_structured_field_is_a_config_error(
+    tmp_path, capsys, monkeypatch, command, config, message
+):
+    # refused while the config is read, before any instance is built
+    monkeypatch.setattr(InstanceSpec, "build", None)
+    code, out, err = _run(tmp_path, capsys, command, config)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err == f"config error: {message}\n"
+
+
+def test_command_table_matches_the_parser():
+    # every command has a subparser with its table's default format, and
+    # every default a config may omit passes its own field's rule (None
+    # leaves the choice to the handler or the library)
+    parser = cli._parser()
+    for command, (_, default_format, fields) in cli._COMMANDS.items():
+        args = parser.parse_args([command, "--config", "x.json"])
+        assert (args.command, args.format) == (command, default_format)
+        for field, (rule, default) in fields.items():
+            if default is not cli._REQUIRED and default is not None:
+                cli._check(field, default, rule)
 
 
 def test_coarse_grid_exits_numerical_and_names_the_grid(tmp_path, capsys):

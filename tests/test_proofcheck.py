@@ -254,7 +254,8 @@ class TestDriftChecks:
         path, cfg, shifted, shifted_norms, norms, lam = _shifted_context(
             const_instance, 512, total_time=100.0
         )
-        entries = check_error_vector_drift(path, cfg, shifted_norms)
+        w = al.error_vectors(path)
+        entries = check_error_vector_drift(w, cfg, shifted_norms)
         assert all(e.passed for e in entries)
         assert entries[1].measured < 1e-14
 
@@ -275,7 +276,7 @@ class TestDriftChecks:
                 norm_H1=shifted_norms.norm_H1 * math.sqrt(scale),
                 norm_H2=shifted_norms.norm_H2 * scale,
             )
-            slope, all_k = check_error_vector_drift(path, cfg, norms)
+            slope, all_k = check_error_vector_drift(w, cfg, norms)
             b1 = norms.norm_H1 / cfg.lam
             beta = norms.norm_H2 / cfg.lam + 3.0 * b1**2
             eps = 1.5 * b1**3 / L + b1**2 * beta / L**2
@@ -296,7 +297,8 @@ class TestDriftChecks:
         # L = 8 with Delta = L only L - 1 = 7 lags exist
         for L, Delta, k_max in ((512, 5, 5), (8, 8, 7)):
             path, cfg, _, shifted_norms, *_ = _shifted_context(lz, L, Delta=Delta)
-            slope, _ = check_error_vector_drift(path, cfg, shifted_norms)
+            w = al.error_vectors(path)
+            slope, _ = check_error_vector_drift(w, cfg, shifted_norms)
             assert slope.note == f"k-slope of L^2 * drift over k=1..{k_max}"
 
     def test_one_step_is_refused(self, lz):
@@ -306,7 +308,7 @@ class TestDriftChecks:
         norms = al.norm_bundle(lz)
         cfg = ProofCheckConfig(1, 1e6, 0.5, norms.norm_H1, path.gap)
         with pytest.raises(DomainError, match="needs L >= 2, got L=1"):
-            check_error_vector_drift(path, cfg, norms)
+            check_error_vector_drift(al.error_vectors(path), cfg, norms)
 
     def test_landau_zener_drift_scales_linearly_in_k(self, lz):
         L = 8192
@@ -406,14 +408,15 @@ class TestFiniteLLemmas:
             g = frame.path.gap_values
             evals = np.linalg.eigvalsh(frame.h.affine.diff)
             floor = (g[:-1] + g[1:] - (evals[-1] - evals[0]) / L) / 2.0
-            w = np.linalg.norm(al.error_vectors(frame.path), axis=1)
+            w = al.error_vectors(frame.path)
+            w_norms = np.linalg.norm(w, axis=1)
             kept = floor > 0.0
-            assert (w[kept] <= n1 / (L * floor[kept])).all(), L
+            assert (w_norms[kept] <= n1 / (L * floor[kept])).all(), L
             checked += int(kept.sum())
             # the reported entry, against the grid lambda, with no slack
             cfg = ProofCheckConfig(L, 1e12, 1.0, n1, frame.lam)
-            entry = check_error_vector_norm(frame.path, cfg)
-            assert entry.measured == w.max() <= entry.bound, L
+            entry = check_error_vector_norm(w, cfg)
+            assert entry.measured == w_norms.max() <= entry.bound, L
         assert checked > 0
 
     def test_step_drift_below_duhamel_bound(self, make, refused):
@@ -442,9 +445,9 @@ class TestFiniteLLemmas:
             total_time = 8.0 * L * n1 / ((L - 0.5) * lam**2)
             cfg = ProofCheckConfig(L, total_time, 1.0, n1, lam)
             assert cfg.Delta == L
-            _, all_k = check_error_vector_drift(frame.path, cfg, frame.norms_shifted)
-            worst = int(all_k.note.split("worst k=")[1].split(";")[0])
             w = al.error_vectors(frame.path)
+            _, all_k = check_error_vector_drift(w, cfg, frame.norms_shifted)
+            worst = int(all_k.note.split("worst k=")[1].split(";")[0])
             ks = np.arange(1, min(64, L - 1) + 1)
             drifts = lag_drifts(w, ks)
             bounds = ks * (all_k.bound / worst)  # the bound is linear in k

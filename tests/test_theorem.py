@@ -266,7 +266,7 @@ class TestVerifyNorms:
             record = inst.affine
             ends = svd_norm(np.stack([record.h0, record.h1])).max()
             want = NormBundle(ends, svd_norm(record.diff), 0.0)
-            _assert_bundles_close(verdict.norms, want, 1e-12)
+            _assert_bundles_close(verdict.frame.norms, want, 1e-12)
         # ||H~'|| and ||H~''|| bound a sample of 64 points per spline cell
         # and lie within 1e-9 of it; ||H~|| bounds its own sample from
         # above by at most half a cell's Lipschitz growth.  That sample
@@ -306,7 +306,7 @@ class TestVerifyNorms:
         for inst, verdict in library_verdicts:
             d_eigenvalues = np.linalg.eigvalsh(inst.affine.diff)
             spread = d_eigenvalues[-1] - d_eigenvalues[0]
-            assert verdict.norms_shifted.norm_H1 <= spread * (1.0 + 1e-9), inst.name
+            assert verdict.frame.norms_shifted.norm_H1 <= spread * (1.0 + 1e-9), inst.name
 
     def test_non_hermitian_evaluator_is_integrity_error(self, lz):
         calls = []

@@ -46,6 +46,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 _NUMBER = (int, float)
+_FLOAT_MAX = sys.float_info.max  # NaN, infinities and larger ints fail <= it
 _REQUIRED = object()  # the default of a field every config must give
 
 
@@ -86,7 +87,8 @@ def _load_config(path: str, command: str) -> tuple[dict, dict]:
 
 def _check(key: str, value, rule) -> None:
     """Refuse ``value`` unless it passes ``rule``: a tuple of accepted types,
-    which no bool passes, or a function that checks the value itself."""
+    which no bool passes, or a function that checks the value itself.  A
+    number must also be finite as a float (a JSON integer may overflow it)."""
     if not isinstance(rule, tuple):
         rule(value)
     elif not isinstance(value, rule) or isinstance(value, bool):
@@ -94,6 +96,8 @@ def _check(key: str, value, rule) -> None:
             f"field {key!r} has type {type(value).__name__}, "
             f"expected {'/'.join(k.__name__ for k in rule)}"
         )
+    elif rule is _NUMBER and not abs(value) <= _FLOAT_MAX:
+        raise ConfigError(f"field {key!r} must be a finite number, got {value!r}")
 
 
 def _instance(raw) -> None:
@@ -112,7 +116,8 @@ def _times(values) -> None:
     if not isinstance(values, list) or not values:
         raise ConfigError("field 'T_values' must be a nonempty list of numbers")
     for i, t in enumerate(values):
-        if isinstance(t, bool) or not isinstance(t, _NUMBER) or not 0 <= t < math.inf:
+        number = isinstance(t, _NUMBER) and not isinstance(t, bool)
+        if not (number and 0 <= t <= _FLOAT_MAX):
             raise ConfigError(
                 f"field 'T_values[{i}]' must be a finite number >= 0, got {t!r}"
             )

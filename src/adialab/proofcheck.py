@@ -12,9 +12,9 @@ Delta consecutive terms is what makes slow evolution work.
 Every intermediate inequality of that argument is turned here into a
 ``CheckEntry`` of a measured value, a bound and a slack factor.  The
 entry derives its pass flag from one rule, measured <= bound * (1 +
-slack), or measured >= bound for a scaling exponent; no check states a
-flag.  The eigenvalue lemma is checked on the zero-eigenvalue frame's
-spline gamma, whose gamma'' is the ||H~''|| that the special-case T uses.
+slack); no check states a flag.  The eigenvalue lemma is checked on the
+zero-eigenvalue frame's spline gamma, whose gamma'' is the ||H~''|| that
+the special-case T uses.
 
 The error sum is the affine fold S <- U_j S + w_{j+1}, and affine maps
 compose as matrices: with A_j = [[U_j, w_{j+1}], [0, 1]], the sum is
@@ -26,14 +26,13 @@ fold ``evolve_discrete`` cuts at its snapshots.  One pass over the step
 unitaries thus yields the block checks, the total error vector and the
 step drift max_j ||U_{j+1} - U_j||.
 
-Three lemmas hold at every L and are checked as bare inequalities at
-cfg.L: the error-vector norm ||w_j|| <= ||H~'||/(lambda L), by arc
-length; the step drift ||U_{j+1} - U_j|| <= T ||H~'||/L^2, by Duhamel;
-and the error-vector drift ||w_{j+k} - w_j|| <= (k/L^2)(beta + eps_L),
-from sup ||Psi''|| <= beta with an explicit finite-L term eps_L.  Only
-the Taylor form of w_j, a claim with an O(1/L^2) remainder of unspecified
-constant, is still fitted: by its decay exponent over step-count
-doublings.
+Every lemma holds at every L and is checked as a bare inequality at
+cfg.L: the Taylor form ||w_j + Psi'(s_j)/L|| <= beta/(2L^2) (1 + eps_L),
+with Psi' exact (``spectral.path_derivatives``); the error-vector norm
+||w_j|| <= ||H~'||/(lambda L), by arc length; the step drift ||U_{j+1} -
+U_j|| <= T ||H~'||/L^2, by Duhamel; and the error-vector drift
+||w_{j+k} - w_j|| <= (k/L^2)(beta + eps_L), from sup ||Psi''|| <= beta.
+No lemma is fitted over extra step counts.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ from ._linalg import chunk_ranges, opnorm, ordered_product, segment_products
 from .errors import DomainError, FeasibilityError, require_count
 from .evolution import EvolutionConfig, _step_batch
 from .hamiltonians import NormBundle, TimeDependentHamiltonian
+# track_eigenpath is unused: perfbench pins it until ROADMAP item 3's benchmark change
 from .spectral import EigenPath, gauge_residual, path_derivatives, track_eigenpath
 from .theorem import ZeroFrame, _check_delta, zero_frame
 
@@ -55,42 +55,30 @@ BLOCK_SLACK = 0.10  # accumulated roundoff margin on block bounds
 GAUGE_RESIDUAL_LIMIT = 1e-4
 TOTAL_SUM_MAX_L = 200_000
 TOTAL_SUM_MAX_DIM = 16
-DEFAULT_FIT_LENGTHS = (256, 512, 1024, 2048, 4096)
-MIN_TAYLOR_EXPONENT = 1.7
 
 
 @dataclass(frozen=True)
 class CheckEntry:
-    """One measured quantity against one bound.
-
-    A "<=" entry passes when measured <= bound * (1 + slack); a ">="
-    entry, a scaling exponent, passes when measured >= bound.  No entry
-    carries a fitted remainder.
-    """
+    """One measured quantity against one bound: it passes when measured <=
+    bound * (1 + slack), with no fitted remainder."""
 
     name: str
     measured: float
     bound: float
     slack: float = 0.0
     note: str = ""
-    direction: str = "<="
 
     @property
     def passed(self) -> bool:
-        if self.direction == ">=":
-            return bool(self.measured >= self.bound)
         return bool(self.measured <= self.bound * (1.0 + self.slack))
 
     def to_dict(self) -> dict:
-        # an infinite scaling exponent (residuals at roundoff) is not
-        # representable in strict JSON; serialize it as null
         return {
             "name": self.name,
-            "measured": self.measured if math.isfinite(self.measured) else None,
+            "measured": self.measured,
             "bound": self.bound,
             "slack": self.slack,
             "passed": self.passed,
-            "direction": self.direction,
             "note": self.note,
         }
 
@@ -112,14 +100,17 @@ class ProofReport:
         }
 
     def csv_rows(self) -> list[str]:
-        rows = ["name,measured,bound,slack,direction,passed,note"]
-        for e in self.entries:
-            note = e.note.replace(",", ";")
-            rows.append(
-                f"{e.name},{e.measured!r},{e.bound!r},{e.slack!r},"
-                f"{e.direction},{str(e.passed).lower()},{note}"
-            )
-        return rows
+        """A header of ``CheckEntry.to_dict``'s keys, then one row per entry:
+        numbers as their repr, flags in lowercase, "," in text as ";"."""
+
+        def cell(value) -> str:
+            if isinstance(value, str):
+                return value.replace(",", ";")
+            return str(value).lower() if isinstance(value, bool) else repr(value)
+
+        rows = [entry.to_dict() for entry in self.entries]
+        header = ",".join(CheckEntry("", 0.0, 0.0).to_dict())
+        return [header] + [",".join(map(cell, row.values())) for row in rows]
 
 
 @dataclass(frozen=True)
@@ -183,50 +174,45 @@ def error_vectors(path: EigenPath) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# fits
-
-
-def _fit_exponent(lengths, values) -> float:
-    """Fitted p in values ~ C * L^-p (log-log least squares)."""
-    lengths = np.asarray(lengths, dtype=float)
-    values = np.asarray(values, dtype=float)
-    mask = values > 1e-14
-    if mask.sum() < 2:
-        return math.inf  # residuals at roundoff: decay is as fast as measurable
-    slope, _ = np.polyfit(np.log(lengths[mask]), np.log(values[mask]), 1)
-    return float(-slope)
-
-
-# ---------------------------------------------------------------------------
 # individual checks
 
 
 def check_gauge_residual(path: EigenPath) -> CheckEntry:
-    """max_j |<Psi'(s_j), Psi(s_j)>| must sit at finite-difference noise."""
+    """The discrete gauge's ``gauge_residual`` must sit at rounding."""
     return CheckEntry("gauge_residual", gauge_residual(path), GAUGE_RESIDUAL_LIMIT)
 
 
-def _taylor_residual(path: EigenPath) -> float:
-    L = path.npoints - 1
-    w = error_vectors(path)
-    d1 = path_derivatives(path)
-    return float(np.linalg.norm(w + d1[1:] / L, axis=1).max())
+def _path_constants(cfg: ProofCheckConfig, norms_shifted: NormBundle) -> tuple:
+    """B1 and beta, bounds on sup ||Psi'|| and sup ||Psi''|| (the drift lemma's)."""
+    n1, lam = norms_shifted.norm_H1, cfg.lam
+    return n1 / lam, norms_shifted.norm_H2 / lam + 3.0 * n1**2 / lam**2
 
 
-def check_error_vector_taylor(path: EigenPath, fit_paths) -> CheckEntry:
-    """w_{j+1} = -Psi'((j+1)/L)/L up to an O(1/L^2) remainder.
+def check_error_vector_taylor(
+    w: np.ndarray, x: np.ndarray, cfg: ProofCheckConfig, norms_shifted: NormBundle
+) -> CheckEntry:
+    """max_j ||w_j + x_j/L|| <= beta/(2L^2) (1 + eps_L), eps_L = (2/3)(B1/L)^2,
+    at every L, for the rows ``w`` of ``error_vectors`` and x_j = Psi'(s_j)
+    from ``spectral.path_derivatives``.
 
-    The remainder's decay exponent is fitted over ``fit_paths``, the same
-    branch tracked at doubling step counts L = npoints - 1; anything >= 1.7
-    certifies the quadratic falloff.
+    In the drift lemma's terms, g_j = e^{i phi_j} Psi(s_j), w_j = e^{i
+    phi_{j-1}} f(s_j, h) and x_j = e^{i phi_j} Psi'(s_j).  As f(s, 0) = 0,
+    d_t f(s, 0) = -Psi'(s) (Psi' is orthogonal to Psi) and d_t^2 f =
+    P_perp(Psi(s)) Psi''(s - t), ||f(s, h) + h Psi'(s)|| <= beta h^2/2.  The
+    gauge phase adds h B1 |arg z|, z = <Psi(s_j - h), Psi(s_j)>, as <g_{j-1},
+    g_j> >= 0; Im z <= B1 beta h^3/6 and Re z >= 1 - (h B1)^2/2 > 1/2 for
+    h B1 < 1, so it is below (beta h^2/2) eps_L.  For h B1 >= 1 the norm
+    lemma gives ||w_j|| + h ||x_j|| <= 2 h B1 <= (beta h^2/2)(1 + eps_L), as
+    beta >= 3 B1^2.  It is exact once lambda lower-bounds the gap on every
+    cell (lambda is still the grid minimum).
     """
-    exponent = _fit_exponent(
-        [p.npoints - 1 for p in fit_paths], [_taylor_residual(p) for p in fit_paths]
-    )
-    note = f"residual at target L: {_taylor_residual(path):.3e}"
+    # perfbench pins "_exponent" in the name until ROADMAP item 3's benchmark change
+    b1, beta = _path_constants(cfg, norms_shifted)
+    eps = 2.0 / 3.0 * (b1 / cfg.L) ** 2
+    measured = float(np.linalg.norm(w + x[1:] / cfg.L, axis=1).max())
+    bound = beta / (2.0 * cfg.L**2) * (1.0 + eps)
     return CheckEntry(
-        "error_vector_taylor_exponent", exponent, MIN_TAYLOR_EXPONENT,
-        note=note, direction=">=",
+        "error_vector_taylor_exponent", measured, bound, LEMMA_SLACK, f"eps_L={eps:.3e}"
     )
 
 
@@ -297,8 +283,7 @@ def check_error_vector_drift(
     rows = w.view(float)  # real and imaginary parts side by side
     diffs = (rows[k:] - rows[:-k] for k in ks)
     drifts = np.sqrt([np.einsum("ij,ij->i", x, x).max() for x in diffs])
-    beta = norms_shifted.norm_H2 / cfg.lam + 3.0 * norms_shifted.norm_H1**2 / cfg.lam**2
-    b1 = norms_shifted.norm_H1 / cfg.lam
+    b1, beta = _path_constants(cfg, norms_shifted)
     eps = 1.5 * b1**3 / L + b1**2 * beta / L**2
 
     scaled = drifts * L**2
@@ -499,10 +484,8 @@ def run_proofcheck(
     time when not given: gauge residual, the w Taylor form, the w norm
     bound, w drift, step-unitary drift, every Delta-block's four bounds,
     the total error sum with its foil comparison, and the eigenvalue
-    derivative bounds.  The Taylor exponent's fit paths track the frame's
-    instance at its path's rank, which in V may differ from ``rank``, at
-    ``DEFAULT_FIT_LENGTHS`` whatever L.  L must be an integer >= 2, the
-    drift check's one lag (``DomainError``).
+    derivative bounds, all read off the one path ``zero_frame`` tracks.  L
+    must be an integer >= 2, the drift check's one lag (``DomainError``).
     ``FeasibilityError`` refuses L above ``TOTAL_SUM_MAX_L`` before the
     frame is built, and a frame space of dimension above
     ``TOTAL_SUM_MAX_DIM`` once it is.
@@ -536,12 +519,14 @@ def run_proofcheck(
     cfg = ProofCheckConfig(L, total_time, delta, norms_shifted.norm_H1, frame.lam)
     w = error_vectors(path)
 
-    entries: list[CheckEntry] = [check_gauge_residual(path)]
-    entries.append(check_error_vector_taylor(path, [
-        track_eigenpath(frame.h, n + 1, path.tracked_index)
-        for n in DEFAULT_FIT_LENGTHS
-    ]))
-    entries.append(check_error_vector_norm(w, cfg))
+    entries: list[CheckEntry] = [
+        check_gauge_residual(path),
+        # Psi' is not kept: held through the fold, it would raise peak memory
+        check_error_vector_taylor(
+            w, path_derivatives(frame.h, path), cfg, norms_shifted
+        ),
+        check_error_vector_norm(w, cfg),
+    ]
     entries.extend(check_error_vector_drift(w, cfg, norms_shifted))
     products, power_sums, step_drift = fold_blocks(shifted, cfg, w)
     entries.append(check_step_unitary_drift(cfg, norms_shifted, step_drift))

@@ -20,10 +20,10 @@ when two untracked branches cross.  Each rank-r state is then
 phase-rotated so that the overlap with its predecessor is real and
 nonnegative — the discrete form of the parallel-transport gauge
 <Psi'(s), Psi(s)> = 0; the rotations are one cumulative product of the
-raw overlaps' phases.  ``gauge_residual`` certifies the gauge numerically
-from ``path_derivatives``, Psi' by finite differences of the states: the
-package's only finite difference, since gamma' and gamma'' are read off
-the zero-eigenvalue frame's spline.
+raw overlaps' phases.  ``gauge_residual`` certifies that gauge by the
+imaginary parts of consecutive overlaps, and ``path_derivatives`` gives
+Psi' exactly, by a bordered solve: the package takes no finite difference,
+as gamma' and gamma'' are read off the zero-eigenvalue frame's spline.
 The path carries its per-point gap: the distance from the tracked
 eigenvalue to ranks r +- 1, which in a sorted spectrum is its distance to
 the nearest other eigenvalue.  The tracker measures it once, for its
@@ -40,9 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import branch_eigenpairs, chunk_map, eigh_batch
+from ._linalg import branch_eigenpairs, chunk_map, chunk_ranges, eigh_batch
 from .errors import DomainError, GapCollapseError, UnderResolvedGridError, require_count
-from .hamiltonians import TimeDependentHamiltonian, eval_batch
+from .hamiltonians import TimeDependentHamiltonian, _record, eval_batch
 
 DEGENERACY_RTOL = 1e-8
 MIN_BRANCH_OVERLAP = 0.5
@@ -256,31 +256,41 @@ def track_eigenpath(
     )
 
 
-def _check_uniform(grid: np.ndarray) -> float:
-    steps = np.diff(grid)
-    h = float(steps[0])
-    if not np.allclose(steps, h, rtol=1e-9, atol=1e-15):
-        raise DomainError("path grid must be uniform for finite differences")
-    return h
+def path_derivatives(h: TimeDependentHamiltonian, path: EigenPath) -> np.ndarray:
+    """Psi'(s_j) exactly, in the parallel-transport gauge through each state
+    of ``path``, the branch that ``track_eigenpath`` gave on ``h``.
 
-
-def path_derivatives(path: EigenPath) -> np.ndarray:
-    """Finite-difference Psi'(s_j) on the gauge-fixed states.
-
-    ``np.gradient`` at second order: central differences inside and
-    one-sided ones at the grid ends.  Requires at least 3 grid points.
+    x_j solves [[H - gamma, psi], [psi^H, 0]] [x; mu] = [-(D - gamma') psi;
+    0], the derivative of (H - gamma) Psi = 0 with <psi, x> = 0, where D =
+    H1 - H0, gamma' = Re<psi, D psi> and so mu = 0, in ``chunk_ranges``
+    batches.  At d = 2, x = -<v, D psi>/(gamma_v - gamma) v, where v =
+    (-conj(psi_1), conj(psi_0)) is the eigenvector of the other eigenvalue
+    gamma_v.  ``DomainError`` unless ``h`` has an ``AffineRecord``.
     """
-    if path.npoints < 3:
-        raise DomainError("path too coarse: need at least 3 grid points")
-    spacing = _check_uniform(path.grid)
-    return np.gradient(path.states, spacing, axis=0, edge_order=2)
+    psi, d = path.states, h.dim
+    applied = psi @ _record(h, "path_derivatives").diff.T  # rows D psi_j
+    if d == 2:
+        v = np.stack([-psi[:, 1].conj(), psi[:, 0].conj()], axis=1)
+        gaps = path.eigenvalues[:, 1 - path.tracked_index] - path.gammas
+        return -(np.einsum("ni,ni->n", v.conj(), applied) / gaps)[:, None] * v
+    rhs = np.einsum("ni,ni->n", psi.conj(), applied).real[:, None] * psi - applied
+    diagonal, x = np.arange(d), np.empty_like(psi)
+    for lo, hi in chunk_ranges(0, path.npoints, d + 1):
+        bordered = np.zeros((hi - lo, d + 1, d + 1), dtype=complex)
+        bordered[:, :d, :d] = eval_batch(h, path.grid[lo:hi])
+        bordered[:, diagonal, diagonal] -= path.gammas[lo:hi, None]
+        bordered[:, :d, d], bordered[:, d, :d] = psi[lo:hi], psi[lo:hi].conj()
+        padded = np.pad(rhs[lo:hi], ((0, 0), (0, 1)))[..., None]  # mu's row: 0
+        x[lo:hi] = np.linalg.solve(bordered, padded)[:, :d, 0]
+    return x
 
 
 def gauge_residual(path: EigenPath) -> float:
-    """max_j |<Psi'(s_j), Psi(s_j)>|; near zero certifies the gauge."""
-    d1 = path_derivatives(path)
-    inner = np.einsum("ij,ij->i", d1.conj(), path.states)
-    return float(np.abs(inner).max())
+    """(npoints - 1) max_j |Im<g_{j-1}, g_j>|, in the units of <Psi', Psi>:
+    rounding in the tracker's gauge, which makes each overlap real and
+    nonnegative; states turned by e^{i theta(s)} read about max |theta'|."""
+    overlaps = np.einsum("ij,ij->i", path.states[:-1].conj(), path.states[1:])
+    return float((path.npoints - 1) * np.abs(overlaps.imag).max())
 
 
 __all__ = [

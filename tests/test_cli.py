@@ -216,21 +216,43 @@ def test_proof_check_one_step_last_block(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["verify", "sweep", "proof-check"])
 @pytest.mark.parametrize("total_time", [math.nan, math.inf, -math.inf])
 def test_non_finite_time_is_a_config_error(tmp_path, capsys, command, total_time):
+    # refused at the CLI, naming the field
     config = {"instance": LZ, "delta": 1, "case": "special", "grid_size": 129}
-    message = "T_override must be finite"
+    message = "field 'T_override' must be a finite number"
     if command == "verify":
         config["T_override"] = total_time
     elif command == "sweep":
-        # refused at the CLI, naming the sweep's own field
         config["T_values"] = [5.0, total_time]
         message = "field 'T_values[1]' must be a finite number >= 0"
     else:
         config = {"instance": LZ, "delta": 1, "L": 256, "T": total_time}
-        message = "positive finite delta and T"
+        message = "field 'T' must be a finite number"
     code, out, err = _run(tmp_path, capsys, command, config)
     assert code == cli.EXIT_CONFIG
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "command, config, field",
+    [
+        ("verify", {"instance": LZ, "delta": 1, "T_override": 10**400}, "T_override"),
+        ("sweep", {"instance": LZ, "delta": 1, "T_values": [5.0, 10**400]},
+         "T_values[1]"),
+        ("proof-check", {"instance": LZ, "delta": 1, "L": 256, "T": 10**400}, "T"),
+        ("simulate", {"instance": LZ, "T": 10**400, "L": 256}, "T"),
+    ],
+)
+def test_integer_too_large_for_a_float_is_a_config_error(
+    tmp_path, capsys, monkeypatch, command, config, field
+):
+    # JSON integers are unbounded; one that overflows a float is refused
+    # while the config is read, with no traceback
+    monkeypatch.setattr(InstanceSpec, "build", None)
+    code, out, err = _run(tmp_path, capsys, command, config)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err.startswith(f"config error: field '{field}' must be a finite number")
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 import adialab as al
-from adialab import _linalg, proofcheck
+from adialab import _linalg, proofcheck, spectral, theorem
 from adialab.errors import (
     AdialabError,
     DomainError,
@@ -213,40 +213,47 @@ class TestConfig:
         )
 
 
+def taylor_entry(h, path, cfg, shifted_norms):
+    """The Taylor entry of ``path``, a path of ``h`` at cfg.L + 1 points."""
+    x = al.path_derivatives(h, path)
+    return check_error_vector_taylor(al.error_vectors(path), x, cfg, shifted_norms)
+
+
 class TestTaylorForm:
     def test_constant_path_trivially_passes(self, const_instance):
-        path = al.track_eigenpath(const_instance, 513)
-        entry = check_error_vector_taylor(
-            path, [al.track_eigenpath(const_instance, n + 1) for n in (64, 128, 256)]
+        path, cfg, _, shifted_norms, *_ = _shifted_context(
+            const_instance, 512, total_time=100.0
         )
+        entry = taylor_entry(const_instance, path, cfg, shifted_norms)
         assert entry.passed
-        assert entry.measured == math.inf  # residuals at roundoff
+        assert entry.measured == entry.bound == 0.0
 
     def test_landau_zener_residual_quarters_on_doubling(self, lz):
-        from adialab.proofcheck import _taylor_residual
+        residuals = []
+        for L in (1024, 2048):
+            path, cfg, _, shifted_norms, *_ = _shifted_context(lz, L, total_time=1e6)
+            residuals.append(taylor_entry(lz, path, cfg, shifted_norms).measured)
+        assert 3.0 <= residuals[0] / residuals[1] <= 5.0
 
-        r1 = _taylor_residual(al.track_eigenpath(lz, 1025))
-        r2 = _taylor_residual(al.track_eigenpath(lz, 2049))
-        assert 3.0 <= r1 / r2 <= 5.0
-
-    def test_rotation_path_remainder_closed_form(self):
-        # constant-speed rotation: the chord and central-difference tangent
-        # cancel exactly inside, leaving the one-sided boundary remainder
-        # sin(d)(1 - cos(d)) with d the per-step angle; exponent 3 >= 1.7
-        from adialab.proofcheck import _taylor_residual
-
-        from conftest import rotating_two_level
-
-        inst = rotating_two_level(np.pi / 2.0)
-        path = al.track_eigenpath(inst, 1025)
-        step_angle = (np.pi / 4.0) / 1024
-        oracle = np.sin(step_angle) * (1.0 - np.cos(step_angle))
-        assert _taylor_residual(path) == pytest.approx(oracle, rel=1e-3)
-        entry = check_error_vector_taylor(
-            path, [al.track_eigenpath(inst, n + 1) for n in (128, 256, 512, 1024)]
-        )
+    def test_landau_zener_residual_closed_form(self, lz):
+        # the ground state is real and turns by theta(s) = atan2(s, 1 - s)/2
+        # in a plane, so w_j = -sin(theta_j - theta_{j-1}) e_j and x_j =
+        # theta'(s_j) e_j for the unit e_j orthogonal to it: the residual is
+        # |theta'(s_j)/L - sin(theta_j - theta_{j-1})|
+        L = 1024
+        path, cfg, _, shifted_norms, *_ = _shifted_context(lz, L, total_time=1e6)
+        s = path.grid
+        theta = 0.5 * np.arctan2(s, 1.0 - s)
+        speed = 1.0 / (2.0 * ((1.0 - s) ** 2 + s**2))
+        oracle = np.abs(speed[1:] / L - np.sin(np.diff(theta))).max()
+        entry = taylor_entry(lz, path, cfg, shifted_norms)
+        assert entry.measured == pytest.approx(oracle, rel=1e-6)
+        b1, beta = proofcheck._path_constants(cfg, shifted_norms)
+        eps = 2.0 / 3.0 * (b1 / L) ** 2
+        assert entry.bound == beta / (2.0 * L**2) * (1.0 + eps)
+        assert entry.slack == proofcheck.LEMMA_SLACK
+        assert entry.note == f"eps_L={eps:.3e}"
         assert entry.passed
-        assert entry.measured == pytest.approx(3.0, abs=0.3)
 
 
 class TestDriftChecks:
@@ -452,6 +459,26 @@ class TestFiniteLLemmas:
             drifts = lag_drifts(w, ks)
             bounds = ks * (all_k.bound / worst)  # the bound is linear in k
             assert (drifts <= bounds * (1.0 + 1e-12)).all(), L
+            checked += 1
+        assert checked > 0
+
+    def test_error_vector_taylor_below_finite_l_bound(self, make, refused):
+        # max_j ||w_j + x_j/L|| <= beta/(2L^2)(1 + eps_L), with no slack, at
+        # every L the frame accepts and at 1024, lambda taken as in the
+        # drift test; an L whose floor is not positive is skipped
+        checked = 0
+        frames = [*small_frames(make, refused), (1024, al.zero_frame(make(), 1025))]
+        for L, frame in frames:
+            n1 = frame.norms_shifted.norm_H1
+            g = frame.path.gap_values
+            evals = np.linalg.eigvalsh(frame.h.affine.diff)
+            floor = (g[:-1] + g[1:] - (evals[-1] - evals[0]) / L) / 2.0
+            lam = min(frame.lam, floor.min())
+            if lam <= 0.0:
+                continue
+            cfg = ProofCheckConfig(L, 1e12, 1.0, n1, lam)
+            entry = taylor_entry(frame.h, frame.path, cfg, frame.norms_shifted)
+            assert entry.measured <= entry.bound, L
             checked += 1
         assert checked > 0
 
@@ -674,16 +701,12 @@ class TestGaugeEntry:
 
 class TestCheckEntry:
     def test_the_rule_at_its_edges(self):
-        # a "<=" entry's edge is bound (1 + slack); a ">=" entry compares
-        # with the bound alone
+        # an entry's edge is bound (1 + slack)
         edge = 1.0 * (1.0 + 0.05)
         for measured, want in ((edge, True), (math.nextafter(edge, 2.0), False)):
             assert proofcheck.CheckEntry("x", measured, 1.0, 0.05).passed is want
-        for measured in (1.0, math.nextafter(1.0, 0.0)):
-            entry = proofcheck.CheckEntry("x", measured, 1.0, 0.5, direction=">=")
-            assert entry.passed is (measured >= 1.0)
-        # neither a flag nor a fitted remainder can be passed in
-        for field_name in ("passed", "allowance"):
+        # neither a flag, a fitted remainder nor a direction can be passed in
+        for field_name in ("passed", "allowance", "direction"):
             with pytest.raises(TypeError, match=field_name):
                 proofcheck.CheckEntry("x", 0.0, 1.0, **{field_name: 0.0})
 
@@ -705,8 +728,19 @@ class TestRunProofcheck:
         payload = report.to_dict()
         json.dumps(payload)
         rows = report.csv_rows()
-        assert rows[0] == "name,measured,bound,slack,direction,passed,note"
+        assert rows[0] == "name,measured,bound,slack,passed,note"
         assert len(rows) == len(report.entries) + 1
+
+    def test_csv_cells_follow_to_dict(self):
+        # the header is to_dict's keys; numbers are reprs, flags lowercase,
+        # and a comma in a note becomes ";"
+        entries = (
+            proofcheck.CheckEntry("a", 0.1, 1.0, 0.05, "k=1, j=2"),
+            proofcheck.CheckEntry("b", 2.0, 1.0),
+        )
+        rows = proofcheck.ProofReport(entries).csv_rows()
+        assert rows[0].split(",") == list(entries[0].to_dict())
+        assert rows[1:] == ["a,0.1,1.0,0.05,true,k=1; j=2", "b,2.0,1.0,0.0,false,"]
 
     def test_shifted_norms_match_per_matrix_path(self, lz, grover2):
         # norms_shifted are those of the frame's instance shifted along the
@@ -729,20 +763,24 @@ class TestRunProofcheck:
             cfg = ProofCheckConfig(L, total_time, delta, want.norm_H1, path.gap)
             assert report.metadata["Delta"] == cfg.Delta
 
-    def test_excited_rank_is_tracked_at_every_fit_length(self, monkeypatch):
+    def test_the_path_is_tracked_once(self, monkeypatch):
         # transverse_ising(3)'s top state, rank 7 of 8, is rank 2 of its
         # three-dimensional V: the report echoes the requested rank, and
-        # the fit paths track V's
+        # zero_frame tracks V's branch once, at L + 1 points; no check
+        # tracks another path
         inst = al.transverse_ising(3)
-        ranks, track = [], proofcheck.track_eigenpath
-        monkeypatch.setattr(
-            proofcheck, "track_eigenpath",
-            lambda h, n, rank: ranks.append((h.dim, rank)) or track(h, n, rank),
-        )
+        calls, track = [], spectral.track_eigenpath
+
+        def counting(h, n, rank=0):
+            calls.append((h.dim, n, rank))
+            return track(h, n, rank)
+
+        for module in (theorem, proofcheck):
+            monkeypatch.setattr(module, "track_eigenpath", counting)
         report = al.run_proofcheck(inst, L=1024, delta=1.0, total_time=100.0, rank=7)
         assert report.metadata["rank"] == 7
         assert report.metadata["evolved_dim"] == 3
-        assert ranks == [(3, 2)] * len(proofcheck.DEFAULT_FIT_LENGTHS)
+        assert calls == [(3, 1025, 2)]
         assert report.metadata["lambda"] == al.zero_frame(inst, 1025, rank=7).lam
 
     def test_step_unitaries_stream_once(self, lz, monkeypatch):
@@ -768,17 +806,14 @@ class TestRunProofcheck:
 
     @pytest.mark.parametrize("inst, total_time", [("lz", None), ("grover2", 2000.0)])
     def test_every_flag_follows_the_one_rule(self, inst, total_time, request):
-        # passed is measured <= bound (1 + slack), or measured >= bound for
-        # an exponent; no entry carries a fitted remainder
+        # passed is measured <= bound (1 + slack); no entry carries a
+        # fitted remainder
         L = 8192
         report = al.run_proofcheck(
             request.getfixturevalue(inst), L=L, delta=1.0, total_time=total_time
         )
         for e in report.entries:
-            if e.direction == ">=":
-                rule = e.measured >= e.bound
-            else:
-                rule = e.measured <= e.bound * (1.0 + e.slack)
+            rule = e.measured <= e.bound * (1.0 + e.slack)
             assert e.passed == rule == e.to_dict()["passed"], e.name
             assert not hasattr(e, "allowance"), e.name
 
@@ -844,8 +879,8 @@ class TestRunProofcheck:
             al.run_proofcheck(broken, L=4096, delta=0.5, total_time=14071.0)
 
     def test_small_step_counts_report_or_raise_typed_errors(self, lz, grover2):
-        # L >= 2 is the drift check's domain; the Taylor fit paths do not
-        # depend on L.  Below 256 each run gives a report or a typed error
+        # L >= 2 is the drift check's domain.  Below 256 each run gives a
+        # report or a typed error
         # (Delta > L, a per-step phase above pi/2, an under-resolved grid),
         # never an IndexError
         reported = set()

@@ -4,8 +4,12 @@ The continuous evolution is represented only as the large-L limit of the
 ordered product U_{L-1} ... U_1 U_0 of step unitaries
 U_j = exp(i (T/L) H(j/L)), with the paper's +i in the exponent;
 convergence is certified by step doubling: the L/2-step product on the
-same grid must agree with the L-step product.  L starts where a step's
-phase (T/L)||H|| is at most pi/4; after a failed level it jumps by the
+same grid must agree with the L-step product.  A step's scalar part only
+turns the global phase, which the phase-invariant distance does not see,
+so L starts where a step's eigenphase differences (T/L)(lambda_i -
+lambda_k) are at most pi/2, from a bound on the spread lambda_max -
+lambda_min of H(s); on the L/2-step level they are then at most pi, half
+the 2 pi at which they alias.  After a failed level L jumps by the
 power of two that the O(1/L) error of that level predicts.  The L/2-step
 product comes at no extra exponential, because its step j is
 exp(i (2T/L) H(2j/L)) = U_{2j}^2.  Step unitaries are exact spectral
@@ -96,21 +100,27 @@ def _guarded(psi: np.ndarray, L: int) -> np.ndarray:
     return psi / nrm
 
 
-def _initial_steps(total_time: float, norm_H: float, step_ceiling: int) -> int:
-    """ceil(4 T ||H|| / pi), at least 1, rounded up to even: the first L tried.
+def _initial_steps(total_time: float, spread: float, step_ceiling: int) -> int:
+    """ceil(2 T S / pi), at least 2, rounded up to even: the first L tried,
+    for S >= sup_s lambda_max(H(s)) - lambda_min(H(s)).
 
-    A step's phase (T/L)||H|| is then at most pi/4, so the L/2-step
-    comparison's phase stays within pi/2, the no-aliasing limit that
-    ``run_proofcheck`` enforces too.  Step doubling decides the rest.
-    Raises FeasibilityError, naming the largest feasible T, if that L
-    exceeds ``step_ceiling`` or 4 T ||H|| / pi overflows to infinity.
+    A step's eigenphase differences (T/L)(lambda_i - lambda_k) are then at
+    most pi/2, so the L/2-step comparison's stay within pi: half the 2 pi
+    at which two eigenphases alias, and a coarse product could agree with
+    a fine one by accident.  Step doubling decides the rest.  Any
+    Hermitian H has spread <= 2||H||, so S = 2 sup ||H|| is always a valid
+    bound.  Raises FeasibilityError, naming the largest feasible T, if
+    that L exceeds ``step_ceiling`` or 2 T S / pi overflows to infinity.
     """
-    steps = 4.0 * total_time * norm_H / math.pi
+    steps = 2.0 * total_time * spread / math.pi
     if steps < math.inf:
         steps = max(2, 2 * math.ceil(steps / 2.0))
     if steps > step_ceiling:
-        # the largest T whose even-rounded initial step count fits
-        feasible = (step_ceiling - step_ceiling % 2) * math.pi / (4.0 * norm_H)
+        # the largest T whose even-rounded initial step count fits, cut
+        # (not rounded) to the six digits shown, so the T named fits too
+        feasible = (step_ceiling - step_ceiling % 2) * math.pi / (2.0 * spread)
+        unit = 10.0 ** (math.floor(math.log10(feasible)) - 5)
+        feasible = math.floor(feasible * (1.0 - 1e-12) / unit) * unit
         raise FeasibilityError(
             f"T={total_time:.6g} needs {steps} initial steps, beyond the "
             f"ceiling {step_ceiling}; largest feasible T is about "
@@ -173,10 +183,16 @@ def evolve_adaptive(
     total_time: float,
     disc_tol: float,
     *,
-    norm_H: float,
+    spread: float,
     step_ceiling: int = DEFAULT_STEP_CEILING,
 ) -> EvolutionResult:
-    """Raise L from ceil(4 T ||H|| / pi), rounded up to even, until converged.
+    """Raise L from ceil(2 T S / pi), rounded up to even, until converged.
+
+    S = ``spread`` bounds sup_s lambda_max(H(s)) - lambda_min(H(s)), so the
+    first level's eigenphase differences stay within pi/2 per step and
+    within pi on its L/2-step comparison, half the 2 pi at which they
+    alias (``_initial_steps``); a caller that knows only sup ||H(s)|| passes
+    twice it.
 
     Each level runs one ``evolve_discrete`` pass at L, which also yields the
     L/2-step final state on the same grid.  The first L at which the
@@ -188,8 +204,7 @@ def evolve_adaptive(
     FeasibilityError, naming the largest feasible T, if the first L already
     exceeds the ceiling, and NonConvergenceError once even 2L would.
     DomainError is raised for a non-finite T, for a disc_tol that is not
-    positive and finite, and for a norm_H, the sup of ||H(s)||, that is
-    negative or not finite.
+    positive and finite, and for a spread that is negative or not finite.
     """
     if not 0.0 < disc_tol < math.inf:
         raise DomainError(f"disc_tol must be positive and finite, got {disc_tol}")
@@ -198,9 +213,9 @@ def evolve_adaptive(
             f"total_time must be positive and finite, got {total_time}"
         )
     require_count(step_ceiling, "step_ceiling", 2)  # the smallest level
-    if not 0.0 <= norm_H < math.inf:
-        raise DomainError(f"norm_H must be finite and >= 0, got {norm_H}")
-    L = _initial_steps(total_time, norm_H, step_ceiling)
+    if not 0.0 <= spread < math.inf:
+        raise DomainError(f"spread must be finite and >= 0, got {spread}")
+    L = _initial_steps(total_time, spread, step_ceiling)
     while L <= step_ceiling:
         result = evolve_discrete(h, psi0, EvolutionConfig(total_time, L))
         distance = distance_phase_invariant(result.half_state, result.final_state)

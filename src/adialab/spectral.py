@@ -108,23 +108,38 @@ def _ambiguous(overlaps: np.ndarray) -> np.ndarray:
     return np.abs(overlaps) ** 2 <= 0.5
 
 
+def _weyl_cells(
+    h: TimeDependentHamiltonian, grid: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell floor and ceiling of a quantity that is Lipschitz in s with
+    constant spread(D) = lambda_max(D) - lambda_min(D), from its ``values``
+    at the ``grid`` points.  H moves by (s - s_j) D plus a multiple of I,
+    so by Weyl every sorted eigenvalue moves within (s - s_j) [lambda_min(D),
+    lambda_max(D)]: a gap between sorted ranks, and the spread of the
+    spectrum, are such quantities.  On the cell [s_j, s_{j+1}] of width w
+    they stay within (v_j + v_{j+1} -+ spread(D) w) / 2.  ``DomainError``
+    unless ``h`` has an ``AffineRecord``."""
+    levels = np.linalg.eigvalsh(_record(h, "the Weyl cell bounds").diff)
+    middle = 0.5 * (values[:-1] + values[1:])
+    reach = 0.5 * (levels[-1] - levels[0]) * np.diff(grid)
+    return middle - reach, middle + reach
+
+
 def _rank_change(
     h: TimeDependentHamiltonian, rank: int, best: int, cell: tuple, ends: np.ndarray
 ) -> GapCollapseError | UnderResolvedGridError:
     """The error for a best overlap at rank k = ``best`` on the cell
-    (s_a, s_b) with spectra ``ends``.  With an ``AffineRecord``, H moves by
-    (s - s_a) D plus a multiple of I, so by Weyl the gap g from rank r to
-    its neighbour on k's side obeys min g >= (g(s_a) + g(s_b) - spread(D)
-    (s_b - s_a)) / 2, spread(D) = lambda_max(D) - lambda_min(D).  Above
-    1e-8 max ||H|| the levels cannot meet: UnderResolvedGridError.  Else,
-    and without a record, the branch crossed: GapCollapseError."""
+    (s_a, s_b) with spectra ``ends``.  With an ``AffineRecord``, the gap g
+    from rank r to its neighbour on k's side stays above its Weyl floor
+    (``_weyl_cells``).  Above 1e-8 max ||H|| the levels cannot meet:
+    UnderResolvedGridError.  Else, and without a record, the branch
+    crossed: GapCollapseError."""
     s_a, s_b = cell
     side = rank + 1 if best > rank else rank - 1
     where = f"between s={s_a:.6g} and s={s_b:.6g}"
     if h.affine is not None:
-        levels = np.linalg.eigvalsh(h.affine.diff)
         gaps = np.abs(ends[:, side] - ends[:, rank])
-        floor = 0.5 * (gaps.sum() - (levels[-1] - levels[0]) * (s_b - s_a))
+        floor = _weyl_cells(h, np.array(cell), gaps)[0][0]
         if floor > DEGENERACY_RTOL * np.abs(ends).max():
             return UnderResolvedGridError(
                 f"best overlap moves from rank {rank} to rank {best} {where}, but the "

@@ -8,7 +8,8 @@ with C = 1e5 from an instance's raw norms, or with C = 1000 in the
 zero-eigenvalue frame H~(s) = H(s) - gamma(s) I that
 ``shift_to_zero_eigenvalue`` produces.  ``zero_frame`` builds every input
 once: it tracks the branch, shifts it and measures the norms of H and H~;
-its ``ZeroFrame`` holds them, with lambda the path's gap.  ``verify``
+its ``ZeroFrame`` holds them, with lambda the path's gap and a ceiling on
+the spread of H's spectrum, the evolution's step floor.  ``verify``
 evolves a frame adaptively for the prescribed time and compares against
 the tracked endpoint in both the phase-invariant and the gauge-fixed
 metric, so a sweep over T reuses one frame.
@@ -60,6 +61,7 @@ from .spectral import (
     DEFAULT_GRID,
     DEGENERACY_RTOL,
     EigenPath,
+    _weyl_cells,
     check_branch,
     track_eigenpath,
 )
@@ -189,6 +191,10 @@ class ZeroFrame:
     (see ``zero_frame``); its dimension is the verdict's ``evolved_dim``.
     ``invariance_residual`` is V's residual r when ``h`` is P^H H P, else 0:
     by Duhamel, T r bounds the distance from the full evolution.
+    ``spread`` bounds sup_s lambda_max(H(s)) - lambda_min(H(s)) in that
+    space, which H~ shares: the largest of the per-cell Weyl ceilings
+    (``spectral._weyl_cells``) on the path's spectra.  It is ``verify``'s
+    step floor and is echoed nowhere.
     """
 
     h: TimeDependentHamiltonian
@@ -197,6 +203,7 @@ class ZeroFrame:
     norms: NormBundle
     norms_shifted: NormBundle
     invariance_residual: float
+    spread: float
 
     @property
     def lam(self) -> float:
@@ -241,7 +248,8 @@ def zero_frame(
     gamma'' on both sides of every grid point, so it is the Lipschitz
     constant of H~'.  ||H~|| is a per-cell bound from its spectrum at the grid
     points: subtracting a real scalar times I only translates a spectrum,
-    so that is the tracked path's minus gamma.  No derivative matrix is
+    so that is the tracked path's minus gamma.  The frame's ``spread`` is
+    read off the same spectra, once per frame.  No derivative matrix is
     formed.  Postconditions: the tracked states are null vectors of H~ at
     every path grid point (``IntegrityError`` otherwise), and the shifted
     norms obey ||H~'|| <= 2||H'|| and ||H~''|| <= 2||H''|| +
@@ -264,6 +272,8 @@ def zero_frame(
     base_norms = norm_bundle(h)
     gammas = path.gammas  # the spline of gamma takes these values at its knots
     shifted_norms = norm_bundle(shifted, spectrum=path.eigenvalues - gammas[:, None])
+    spreads = path.eigenvalues[:, -1] - path.eigenvalues[:, 0]
+    spread = float(_weyl_cells(h, path.grid, spreads)[1].max())
 
     n1, n2 = base_norms.norm_H1, base_norms.norm_H2
     for label, measured, rule, bound in (
@@ -277,7 +287,7 @@ def zero_frame(
                 f"beyond 5% slack: the spline of gamma overshoots on "
                 f"grid_size={path.npoints} points; refine the grid"
             )
-    return ZeroFrame(h, path, shifted, base_norms, shifted_norms, residual)
+    return ZeroFrame(h, path, shifted, base_norms, shifted_norms, residual, spread)
 
 
 @dataclass(frozen=True)
@@ -334,9 +344,11 @@ def verify(
 
     The gap and the norms are the frame's, so one ``zero_frame`` serves
     any number of runs.  The evolution runs in the frame's space, from the
-    gauge-fixed initial state, with the frame's sup ||H~|| as its step
-    floor and disc_tol = delta/100 unless overridden (positive and
-    finite), so discretization noise stays two orders below the claim
+    gauge-fixed initial state, with the frame's ``spread`` as its step
+    floor (``evolve_adaptive``: eigenphase differences within pi/2 per
+    step, and within pi on the L/2-step comparison level, half the 2 pi at
+    which they alias) and disc_tol = delta/100 unless overridden (positive
+    and finite), so discretization noise stays two orders below the claim
     under test.  If T r exceeds disc_tol/100 for the frame's invariance
     residual r, or the required step count exceeds ``step_ceiling``, the
     run refuses up front (``FeasibilityError``) and reports the largest T
@@ -369,7 +381,7 @@ def verify(
             psi0,
             t_used,
             disc_tol,
-            norm_H=frame.norms_shifted.norm_H,
+            spread=frame.spread,
             step_ceiling=step_ceiling,
         )
         final, l_used = result.final_state, result.L_used

@@ -15,7 +15,7 @@ COUNT_ENTRY_POINTS = {
     "run_proofcheck L": lambda v: al.run_proofcheck(al.landau_zener(), v, 1.0, 100.0),
     "rank": lambda v: al.track_eigenpath(al.landau_zener(), 65, v),
     "step_ceiling": lambda v: al.evolve_adaptive(
-        al.landau_zener(), [1.0, 0.0], 1.0, 1e-3, norm_H=1.0, step_ceiling=v
+        al.landau_zener(), [1.0, 0.0], 1.0, 1e-3, spread=2.0, step_ceiling=v
     ),
     "grid_size": lambda v: al.track_eigenpath(al.landau_zener(), v),
 }

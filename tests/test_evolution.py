@@ -23,9 +23,9 @@ def _ground(h, s=0.0):
     return np.linalg.eigh(al.eval_batch(h, [s])[0])[1][:, 0].astype(complex)
 
 
-def _norm_H(h):
-    """sup_s ||H(s)||, the norm_H that evolve_adaptive takes."""
-    return al.norm_bundle(h).norm_H
+def _spread(h):
+    """2 sup_s ||H(s)||: a bound on H's spread, the one evolve_adaptive takes."""
+    return 2.0 * al.norm_bundle(h).norm_H
 
 
 def _step(h, j, cfg):
@@ -215,7 +215,7 @@ class TestEvolveAdaptive:
     def test_zero_hamiltonian_converges_immediately(self):
         zero = al.affine_hamiltonian(np.zeros((2, 2)), np.zeros((2, 2)))
         psi0 = np.array([1.0, 0.0], dtype=complex)
-        result = al.evolve_adaptive(zero, psi0, 10.0, 1e-6, norm_H=_norm_H(zero))
+        result = al.evolve_adaptive(zero, psi0, 10.0, 1e-6, spread=_spread(zero))
         # L_start = 1 rounds up to 2, and the 1-step vs 2-step comparison
         # inside that one pass already agrees
         assert result.L_used == 2
@@ -223,23 +223,23 @@ class TestEvolveAdaptive:
 
     def test_constant_hamiltonian_first_comparison(self, const_instance):
         psi0 = np.array([1.0, 0.0], dtype=complex)
-        norm_H = _norm_H(const_instance)
-        result = al.evolve_adaptive(const_instance, psi0, 2.0, 1e-8, norm_H=norm_H)
+        spread = _spread(const_instance)
+        result = al.evolve_adaptive(const_instance, psi0, 2.0, 1e-8, spread=spread)
         assert al.distance_phase_invariant(result.final_state, psi0) < 1e-12
 
     def test_landau_zener_t1000_step_budget(self, lz):
         psi0 = _ground(lz)
-        result = al.evolve_adaptive(lz, psi0, 1000.0, 1e-4, norm_H=_norm_H(lz))
+        result = al.evolve_adaptive(lz, psi0, 1000.0, 1e-4, spread=_spread(lz))
         assert result.L_used <= 2**22
 
     def test_returned_state_is_within_tolerance_of_finer_grid(
         self, lz, grover2, grover3, monkeypatch
     ):
-        # (instance, psi0, T, disc_tol, ||H||): two raw frames, then the five
-        # verify-evolve benchmark jobs in verify's shifted frame at their
-        # pinned T with verify's disc_tol = delta/100 = 0.01
+        # (instance, psi0, T, disc_tol, spread bound): two raw frames, then
+        # the five verify-evolve benchmark jobs in verify's shifted frame at
+        # their pinned T with verify's disc_tol = delta/100 = 0.01
         cases = [
-            (inst, _ground(inst), total_time, 1e-3, _norm_H(inst))
+            (inst, _ground(inst), total_time, 1e-3, _spread(inst))
             for inst, total_time in ((lz, 1000.0), (grover3, 2000.0))
         ]
         for inst, total_time in (
@@ -250,15 +250,15 @@ class TestEvolveAdaptive:
             (al.random_interpolation(16, seed=1), 50.0),
         ):
             frame = al.zero_frame(inst, 1025)
-            psi0, norm_H = frame.path.states[0], frame.norms_shifted.norm_H
-            cases.append((frame.shifted, psi0, total_time, 1e-2, norm_H))
+            psi0, spread = frame.path.states[0], 2.0 * frame.norms_shifted.norm_H
+            cases.append((frame.shifted, psi0, total_time, 1e-2, spread))
 
         levels = _logged_levels(monkeypatch)
-        for inst, psi0, total_time, disc_tol, norm_H in cases:
+        for inst, psi0, total_time, disc_tol, spread in cases:
             levels.clear()
-            result = al.evolve_adaptive(inst, psi0, total_time, disc_tol, norm_H=norm_H)
-            # the first level's step phase is within pi/4
-            assert total_time * norm_H / levels[0] <= math.pi / 4.0
+            result = al.evolve_adaptive(inst, psi0, total_time, disc_tol, spread=spread)
+            # the first level's eigenphase differences are within pi/2
+            assert total_time * spread / levels[0] <= math.pi / 2.0
             finer = al.evolve_discrete(
                 inst, psi0, al.EvolutionConfig(total_time, 4 * result.L_used)
             )
@@ -271,7 +271,7 @@ class TestEvolveAdaptive:
         # reach 652,288, the predicted jump d/k < 1e-6 (k = 512) needs 2
         levels = _logged_levels(monkeypatch)
         psi0 = _ground(lz)
-        result = al.evolve_adaptive(lz, psi0, 1000.0, 1e-6, norm_H=_norm_H(lz))
+        result = al.evolve_adaptive(lz, psi0, 1000.0, 1e-6, spread=_spread(lz))
         assert result.L_used == 652_288
         assert levels == [1_274, 652_288]
 
@@ -280,7 +280,7 @@ class TestEvolveAdaptive:
         levels.clear()
         with pytest.raises(NonConvergenceError, match="163072"):
             al.evolve_adaptive(
-                lz, psi0, 1000.0, 1e-6, norm_H=_norm_H(lz), step_ceiling=100_000
+                lz, psi0, 1000.0, 1e-6, spread=_spread(lz), step_ceiling=100_000
             )
         assert levels == [1_274, 81_536]
 
@@ -288,49 +288,52 @@ class TestEvolveAdaptive:
         psi0 = _ground(lz)
         with pytest.raises(NonConvergenceError):
             al.evolve_adaptive(
-                lz, psi0, 100.0, 1e-13, norm_H=_norm_H(lz), step_ceiling=4096
+                lz, psi0, 100.0, 1e-13, spread=_spread(lz), step_ceiling=4096
             )
 
     def test_first_level_beyond_ceiling_is_infeasible(self, lz, monkeypatch):
-        # landau_zener at T = 1000 (||H|| = 1) starts at L = 1,274: a lower
-        # ceiling is refused before any level runs, naming T = 1,272 pi / 4
+        # landau_zener at T = 1000 (spread bound 2) starts at L = 1,274: a
+        # lower ceiling is refused before any level runs, naming
+        # T = 1,272 pi / 4 = 999.02646 cut to six digits, not rounded up to
+        # 999.027, whose first level would be 1,274 again
         monkeypatch.setattr(al.evolution, "evolve_discrete", None)
         with pytest.raises(FeasibilityError, match="1274 initial steps") as err:
             al.evolve_adaptive(
-                lz, _ground(lz), 1000.0, 1e-4, norm_H=_norm_H(lz), step_ceiling=1_273
+                lz, _ground(lz), 1000.0, 1e-4, spread=_spread(lz), step_ceiling=1_273
             )
-        assert f"about {1_272 * math.pi / 4.0:.6g}" in str(err.value)
+        assert "largest feasible T is about 999.026" in str(err.value)
+        assert evolution._initial_steps(999.026, _spread(lz), 1_273) == 1_272
 
     def test_overflowing_initial_step_count_is_infeasible(self, lz, monkeypatch):
-        # 4 T ||H|| / pi overflows to infinity for this finite T: refused
-        # before any level runs, naming the largest T the ceiling allows
+        # 2 T S / pi overflows to infinity for this finite T: refused
+        # before any level runs, naming the largest T the ceiling allows:
+        # 2^30 pi / 40 = 84,331,485.65, cut to six digits
         monkeypatch.setattr(al.evolution, "evolve_discrete", None)
-        feasible = 2**30 * math.pi / 40.0
         with pytest.raises(FeasibilityError) as err:
-            al.evolve_adaptive(lz, _ground(lz), 1e308, 1e-4, norm_H=10.0)
-        assert f"largest feasible T is about {feasible:.6g}" in str(err.value)
+            al.evolve_adaptive(lz, _ground(lz), 1e308, 1e-4, spread=20.0)
+        assert "largest feasible T is about 8.43314e+07" in str(err.value)
 
     def test_tolerance_validation(self, lz):
         # an infinite disc_tol would accept the first level unchecked
         for disc_tol in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(DomainError, match="positive and finite, got"):
-                al.evolve_adaptive(lz, _ground(lz), 1.0, disc_tol, norm_H=_norm_H(lz))
+                al.evolve_adaptive(lz, _ground(lz), 1.0, disc_tol, spread=_spread(lz))
         # every level has L >= 2; a zero Hamiltonian needs exactly 2 steps
         zero = al.affine_hamiltonian(np.zeros((2, 2)), np.zeros((2, 2)))
         psi0 = np.array([1.0, 0.0], dtype=complex)
         with pytest.raises(DomainError, match="step_ceiling"):
             al.evolve_adaptive(
-                zero, psi0, 1.0, 1e-6, norm_H=_norm_H(zero), step_ceiling=1
+                zero, psi0, 1.0, 1e-6, spread=_spread(zero), step_ceiling=1
             )
 
     def test_non_finite_inputs_are_domain_errors(self, lz):
         psi0 = _ground(lz)
         for total_time in (math.inf, math.nan):
             with pytest.raises(DomainError, match="total_time"):
-                al.evolve_adaptive(lz, psi0, total_time, 1e-4, norm_H=_norm_H(lz))
-        for norm_H in (math.nan, math.inf, -1.0):
-            with pytest.raises(DomainError, match="norm_H"):
-                al.evolve_adaptive(lz, psi0, 1.0, 1e-4, norm_H=norm_H)
+                al.evolve_adaptive(lz, psi0, total_time, 1e-4, spread=_spread(lz))
+        for spread in (math.nan, math.inf, -1.0):
+            with pytest.raises(DomainError, match="spread"):
+                al.evolve_adaptive(lz, psi0, 1.0, 1e-4, spread=spread)
 
 
 class TestDistances:

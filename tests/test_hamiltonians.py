@@ -336,8 +336,8 @@ class TestUncertifiedInstance:
         assert np.abs(path.gap_values - 2.0).max() <= 1e-12
         psi0 = path.states[0]
         stepped = al.evolve_discrete(inst, psi0, al.EvolutionConfig(50.0, 4096))
-        # ||H(s)|| = 1 for every s
-        adaptive = al.evolve_adaptive(inst, psi0, 50.0, 1e-4, norm_H=1.0)
+        # ||H(s)|| = 1 and spread(H(s)) = 2 for every s
+        adaptive = al.evolve_adaptive(inst, psi0, 50.0, 1e-4, spread=2.0)
         for state in (stepped.final_state, adaptive.final_state):
             assert al.distance_phase_invariant(state, path.states[-1]) < 0.05
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -348,11 +349,11 @@ class TestVerify:
             al.verify(lz_frame, delta=0.5, T_override=1e12, step_ceiling=2**20)
 
     def test_feasibility_counts_the_even_rounded_step_count(self, lz_frame):
-        # T = 100.03 gives an odd ceil(4 T ||H~|| / pi) = 255, which evolution
-        # rounds up to 256: a ceiling of 255 must be refused up front
-        total_time = 100.03
-        norm_H = lz_frame.norms_shifted.norm_H
-        l_start = math.ceil(4.0 * total_time * norm_H / math.pi)
+        # T = 200.03 gives an odd ceil(2 T S / pi) = 255 for the frame's
+        # spread bound S, which evolution rounds up to 256: a ceiling of 255
+        # must be refused up front
+        total_time = 200.03
+        l_start = math.ceil(2.0 * total_time * lz_frame.spread / math.pi)
         assert l_start % 2 == 1
         with pytest.raises(FeasibilityError, match="feasible"):
             al.verify(lz_frame, delta=0.5, T_override=total_time, step_ceiling=l_start)
@@ -362,7 +363,7 @@ class TestVerify:
         assert verdict.L_used == l_start + 1
 
     def test_overflowing_time_is_infeasible(self, lz):
-        # 4 T ||H~|| / pi overflows for T = 1e308 (||H~|| = 2)
+        # 2 T S / pi overflows for T = 1e308 (spread bound S about 2)
         with pytest.raises(FeasibilityError, match="largest feasible T"):
             al.verify(al.zero_frame(lz, 65), delta=0.5, T_override=1e308)
 
@@ -410,6 +411,99 @@ class TestVerify:
         assert "passed" not in fields
         with pytest.raises(TypeError, match="passed"):
             al.TheoremVerdict(passed=False, **fields)
+
+
+SPREAD_CASES = [
+    # (instance, ranks): grover's top level at s = 0 is (d-1)-fold degenerate
+    pytest.param(al.landau_zener(), (0, 1), id="landau_zener"),
+    *(pytest.param(al.grover(n), (0,), id=f"grover({n})") for n in range(2, 6)),
+    *(
+        pytest.param(
+            al.random_interpolation(dim, seed=1), (0, dim - 1),
+            id=f"random_interpolation({dim},1)",
+        )
+        for dim in (8, 16, 32)
+    ),
+    pytest.param(al.transverse_ising(4), (0, 15), id="transverse_ising(4)"),
+]
+
+
+def _sampled_spread(record, samples):
+    """max over ``samples`` uniform points of lambda_max - lambda_min of
+    record.h0 + s (record.h1 - record.h0), by ``eigvalsh`` in chunks."""
+    s_values, widest = np.linspace(0.0, 1.0, samples), 0.0
+    for chunk in np.array_split(s_values, -(-samples // 4096)):
+        mats = record.h0 + chunk[:, None, None] * (record.h1 - record.h0)
+        evals = np.linalg.eigvalsh(mats)
+        widest = max(widest, float((evals[:, -1] - evals[:, 0]).max()))
+    return widest
+
+
+class TestSpreadFloor:
+    """The frame's spread ceiling S, verify's step floor."""
+
+    @pytest.mark.parametrize("inst, ranks", SPREAD_CASES)
+    def test_ceiling_bounds_the_sampled_spread(self, inst, ranks):
+        # S is at least the spread of 2^16 + 1 samples of the frame's H, and
+        # above it by at most its Weyl reach spread(D) h / 2 plus the
+        # samples' own spacing; S / 2 never exceeds ||H~||, so no branch's
+        # first level rises above the old ceil(4 T ||H~|| / pi)
+        samples = 2**16 + 1
+        sampled = {}
+        for rank in ranks:
+            for grid_size in (257, 1025):
+                frame = al.zero_frame(inst, grid_size, rank)
+                record = frame.h.affine
+                key = (record.h0.tobytes(), record.h1.tobytes())
+                if key not in sampled:
+                    sampled[key] = _sampled_spread(record, samples)
+                widest = sampled[key]
+                d_levels = np.linalg.eigvalsh(record.h1 - record.h0)
+                reach = 0.5 * (d_levels[-1] - d_levels[0])
+                slack = reach * (1.0 / (grid_size - 1) + 1.0 / (samples - 1))
+                label = (inst.name, rank, grid_size)
+                assert widest <= frame.spread <= widest + slack + 1e-12, label
+                assert frame.spread / 2.0 <= frame.norms_shifted.norm_H, label
+
+    def test_verify_evolve_distances_match_a_16x_product(self):
+        # the five verify-evolve benchmark jobs (delta = 1, special case,
+        # disc_tol 0.01): each distance at the spread floor's L_used is
+        # within disc_tol of the same product at 16 L_used
+        for inst, total_time in (
+            (al.landau_zener(), 3517.7669463760512),
+            (al.grover(2), 2e4),
+            (al.grover(3), 2e3),
+            (al.random_interpolation(8, seed=1), 200.0),
+            (al.random_interpolation(16, seed=1), 50.0),
+        ):
+            frame = al.zero_frame(inst)
+            verdict = al.verify(frame, 1.0, case="special", T_override=total_time)
+            assert verdict.L_used >= 2.0 * total_time * frame.spread / math.pi
+            psi0, target = frame.path.states[[0, -1]]
+            finer = al.evolve_discrete(
+                frame.shifted, psi0, al.EvolutionConfig(total_time, 16 * verdict.L_used)
+            )
+            fine = al.distance_phase_invariant(finer.final_state, target)
+            assert abs(verdict.distance_phase_invariant - fine) <= verdict.disc_tol, (
+                inst.name
+            )
+
+    @pytest.mark.parametrize("ceiling", [255, 1_273, 4_096])
+    def test_named_feasible_time_is_feasible(self, lz_frame, grover3, ceiling):
+        # the T that a refusal names passes the up-front ceiling check (its
+        # first level is accepted at disc_tol 1), and 1.01 times it does not
+        for frame in (lz_frame, al.zero_frame(grover3, 257)):
+            with pytest.raises(FeasibilityError, match="initial steps") as info:
+                al.verify(frame, 1.0, T_override=1e9, step_ceiling=ceiling)
+            named = float(
+                re.search(r"largest feasible T is about (\S+)$", str(info.value))[1]
+            )
+            verdict = al.verify(
+                frame, 1.0, T_override=named, disc_tol=1.0, step_ceiling=ceiling
+            )
+            assert ceiling - 2 <= verdict.L_used <= ceiling
+            with pytest.raises(FeasibilityError, match="initial steps"):
+                al.verify(frame, 1.0, T_override=1.01 * named, step_ceiling=ceiling)
 
 
 def _full_space_run(inst, total_time, steps):
@@ -559,7 +653,7 @@ class TestInvariantSubspace:
         assert f"about {1e-14 / residual:.6g}" in str(info.value)
 
     def test_unpinned_grover3(self, grover3):
-        # the theorem's own T (3.8e5) needs 483,752 steps; in V they are 2 x 2
+        # the theorem's own T (3.8e5) needs 241,780 steps; in V they are 2 x 2
         verdict = al.verify(al.zero_frame(grover3), 1.0, case="special")
         assert verdict.T_used == verdict.T_required
         assert verdict.evolved_dim == 2

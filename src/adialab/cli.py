@@ -1,9 +1,8 @@
 """Batch experiment runner over the library.
 
-Subcommands: verify, sweep, gap-scan, proof-check, simulate.  verify,
-sweep and proof-check run in the space of the instance's ``zero_frame``
-(its ``evolved_dim``); gap-scan and simulate track the full space.  Runs
-are described by a JSON config file.  Each command's handler, default
+Subcommands: verify, sweep, gap-scan, proof-check, simulate.  Each builds
+one ``zero_frame`` and runs in its space (its ``evolved_dim``).  Runs are
+described by a JSON config file.  Each command's handler, default
 ``--format`` and config fields, with every field's accepted types and its
 default, live in one table, ``_COMMANDS``.  Unknown fields are rejected
 with the offending field named, every field is type-checked (an integer is
@@ -37,7 +36,7 @@ from .evolution import (
 )
 from .problems import InstanceSpec
 from .proofcheck import run_proofcheck
-from .spectral import DEFAULT_GRID, track_eigenpath
+from .spectral import DEFAULT_GRID
 from .theorem import verify, zero_frame
 
 EXIT_PASS = 0
@@ -88,7 +87,7 @@ def _load_config(path: str, command: str) -> tuple[dict, dict]:
 def _check(key: str, value, rule) -> None:
     """Refuse ``value`` unless it passes ``rule``: a tuple of accepted types,
     which no bool passes, or a function that checks the value itself.  A
-    number must also be finite as a float (a JSON integer may overflow it)."""
+    number, integer or not, must also be finite as a float."""
     if not isinstance(rule, tuple):
         rule(value)
     elif not isinstance(value, rule) or isinstance(value, bool):
@@ -96,7 +95,7 @@ def _check(key: str, value, rule) -> None:
             f"field {key!r} has type {type(value).__name__}, "
             f"expected {'/'.join(k.__name__ for k in rule)}"
         )
-    elif rule is _NUMBER and not abs(value) <= _FLOAT_MAX:
+    elif isinstance(value, _NUMBER) and not abs(value) <= _FLOAT_MAX:
         raise ConfigError(f"field {key!r} must be a finite number, got {value!r}")
 
 
@@ -181,14 +180,16 @@ def cmd_sweep(args, data: dict, cfg: dict) -> int:
 
 
 def cmd_gap_scan(args, data: dict, cfg: dict) -> int:
-    path = track_eigenpath(InstanceSpec(**cfg["instance"]).build(), cfg["grid_size"])
+    frame = zero_frame(InstanceSpec(**cfg["instance"]).build(), cfg["grid_size"])
+    path = frame.path
     if args.format == "json":
         payload = {
             "grid": path.grid.tolist(),
             "gap_values": path.gap_values.tolist(),
-            "lambda_min": path.gap,
+            "lambda_min": frame.lam,
             "argmin_s": float(path.grid[path.gap_values.argmin()]),
             "gammas": path.gammas.tolist(),
+            "evolved_dim": frame.h.dim,
             "config": data,
         }
         _write(args.out, _dump_json(payload))
@@ -221,6 +222,8 @@ def cmd_proof_check(args, data: dict, cfg: dict) -> int:
 
 
 def cmd_simulate(args, data: dict, cfg: dict) -> int:
+    """Snapshot distances to the frame's path in its space V: within T r of
+    the full space's for V's invariance residual r, and gated on nothing."""
     if args.format == "json":
         raise ConfigError("simulate emits CSV snapshots; use --format csv")
     h = InstanceSpec(**cfg["instance"]).build()
@@ -238,8 +241,9 @@ def cmd_simulate(args, data: dict, cfg: dict) -> int:
         fits = -(-max(cells, 1) // period) * period + 1
         raise ConfigError(f"grid_size {grid_size} misses a snapshot; {fits} holds all")
 
-    path = track_eigenpath(h, grid_size)
-    result = evolve_discrete(h, path.states[0], evolution)
+    frame = zero_frame(h, grid_size)
+    path = frame.path
+    result = evolve_discrete(frame.h, path.states[0], evolution)
     rows = []
     for step, state in result.snapshots:
         idx = step * cells // steps

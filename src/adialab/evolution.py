@@ -24,6 +24,7 @@ in its frame's, whose 2 x 2 Grover steps take ``expm_i_hermitian``'s closed form
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,10 +108,10 @@ def _initial_steps(total_time: float, spread: float, step_ceiling: int) -> int:
     A step's eigenphase differences (T/L)(lambda_i - lambda_k) are then at
     most pi/2, so the L/2-step comparison's stay within pi: half the 2 pi
     at which two eigenphases alias, and a coarse product could agree with
-    a fine one by accident.  Step doubling decides the rest.  Any
-    Hermitian H has spread <= 2||H||, so S = 2 sup ||H|| is always a valid
-    bound.  Raises FeasibilityError, naming the largest feasible T, if
-    that L exceeds ``step_ceiling`` or 2 T S / pi overflows to infinity.
+    a fine one by accident.  Step doubling decides the rest.  ``verify``
+    passes the sup itself, and S = 2 sup ||H|| always bounds it.  Raises
+    FeasibilityError, naming the largest feasible T, if that L exceeds
+    ``step_ceiling`` (at most the largest float) or 2 T S / pi overflows.
     """
     steps = 2.0 * total_time * spread / math.pi
     if steps < math.inf:
@@ -118,7 +119,8 @@ def _initial_steps(total_time: float, spread: float, step_ceiling: int) -> int:
     if steps > step_ceiling:
         # the largest T whose even-rounded initial step count fits, cut
         # (not rounded) to the six digits shown, so the T named fits too
-        feasible = (step_ceiling - step_ceiling % 2) * math.pi / (2.0 * spread)
+        ceiling = min(step_ceiling - step_ceiling % 2, sys.float_info.max)
+        feasible = ceiling / (2.0 * spread) * math.pi
         unit = 10.0 ** (math.floor(math.log10(feasible)) - 5)
         feasible = math.floor(feasible * (1.0 - 1e-12) / unit) * unit
         raise FeasibilityError(
@@ -188,10 +190,11 @@ def evolve_adaptive(
 ) -> EvolutionResult:
     """Raise L from ceil(2 T S / pi), rounded up to even, until converged.
 
-    S = ``spread`` bounds sup_s lambda_max(H(s)) - lambda_min(H(s)), so the
-    first level's eigenphase differences stay within pi/2 per step and
-    within pi on its L/2-step comparison, half the 2 pi at which they
-    alias (``_initial_steps``); a caller that knows only sup ||H(s)|| passes
+    S = ``spread`` is, or bounds, sup_s lambda_max(H(s)) - lambda_min(H(s))
+    (``theorem.verify`` passes the exact sup), so the first level's
+    eigenphase differences stay within pi/2 per step and within pi on its
+    L/2-step comparison, half the 2 pi at which they alias
+    (``_initial_steps``); a caller that knows only sup ||H(s)|| passes
     twice it.
 
     Each level runs one ``evolve_discrete`` pass at L, which also yields the

@@ -110,19 +110,17 @@ def _ambiguous(overlaps: np.ndarray) -> np.ndarray:
 
 def _weyl_cells(
     h: TimeDependentHamiltonian, grid: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell floor and ceiling of a quantity that is Lipschitz in s with
-    constant spread(D) = lambda_max(D) - lambda_min(D), from its ``values``
-    at the ``grid`` points.  H moves by (s - s_j) D plus a multiple of I,
-    so by Weyl every sorted eigenvalue moves within (s - s_j) [lambda_min(D),
-    lambda_max(D)]: a gap between sorted ranks, and the spread of the
-    spectrum, are such quantities.  On the cell [s_j, s_{j+1}] of width w
-    they stay within (v_j + v_{j+1} -+ spread(D) w) / 2.  ``DomainError``
+) -> np.ndarray:
+    """Per-cell floor of a gap between sorted ranks, from its ``values`` at
+    the ``grid`` points.  H moves by (s - s_j) D plus a multiple of I, so
+    by Weyl every sorted eigenvalue moves within (s - s_j) [lambda_min(D),
+    lambda_max(D)], and the gap is Lipschitz in s with constant spread(D) =
+    lambda_max(D) - lambda_min(D).  On the cell [s_j, s_{j+1}] of width w
+    it stays above (v_j + v_{j+1} - spread(D) w) / 2.  ``DomainError``
     unless ``h`` has an ``AffineRecord``."""
     levels = np.linalg.eigvalsh(_record(h, "the Weyl cell bounds").diff)
-    middle = 0.5 * (values[:-1] + values[1:])
     reach = 0.5 * (levels[-1] - levels[0]) * np.diff(grid)
-    return middle - reach, middle + reach
+    return 0.5 * (values[:-1] + values[1:]) - reach
 
 
 def _rank_change(
@@ -139,7 +137,7 @@ def _rank_change(
     where = f"between s={s_a:.6g} and s={s_b:.6g}"
     if h.affine is not None:
         gaps = np.abs(ends[:, side] - ends[:, rank])
-        floor = _weyl_cells(h, np.array(cell), gaps)[0][0]
+        floor = _weyl_cells(h, np.array(cell), gaps)[0]
         if floor > DEGENERACY_RTOL * np.abs(ends).max():
             return UnderResolvedGridError(
                 f"best overlap moves from rank {rank} to rank {best} {where}, but the "

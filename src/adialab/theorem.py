@@ -8,7 +8,7 @@ with C = 1e5 from an instance's raw norms, or with C = 1000 in the
 zero-eigenvalue frame H~(s) = H(s) - gamma(s) I that
 ``shift_to_zero_eigenvalue`` produces.  ``zero_frame`` builds every input
 once: it tracks the branch, shifts it and measures the norms of H and H~;
-its ``ZeroFrame`` holds them, with lambda the path's gap and a ceiling on
+its ``ZeroFrame`` holds them, with lambda the path's gap and the sup of
 the spread of H's spectrum, the evolution's step floor.  ``verify``
 evolves a frame adaptively for the prescribed time and compares against
 the tracked endpoint in both the phase-invariant and the gauge-fixed
@@ -61,7 +61,6 @@ from .spectral import (
     DEFAULT_GRID,
     DEGENERACY_RTOL,
     EigenPath,
-    _weyl_cells,
     check_branch,
     track_eigenpath,
 )
@@ -191,10 +190,10 @@ class ZeroFrame:
     (see ``zero_frame``); its dimension is the verdict's ``evolved_dim``.
     ``invariance_residual`` is V's residual r when ``h`` is P^H H P, else 0:
     by Duhamel, T r bounds the distance from the full evolution.
-    ``spread`` bounds sup_s lambda_max(H(s)) - lambda_min(H(s)) in that
-    space, which H~ shares: the largest of the per-cell Weyl ceilings
-    (``spectral._weyl_cells``) on the path's spectra.  It is ``verify``'s
-    step floor and is echoed nowhere.
+    ``spread`` is sup_s lambda_max(H(s)) - lambda_min(H(s)) in that space,
+    which H~ shares.  H is affine, so lambda_max is convex in s and
+    lambda_min concave: it is the larger spread of the path's spectra at
+    s = 0 and s = 1.  It is ``verify``'s step floor and is echoed nowhere.
     """
 
     h: TimeDependentHamiltonian
@@ -248,11 +247,11 @@ def zero_frame(
     gamma'' on both sides of every grid point, so it is the Lipschitz
     constant of H~'.  ||H~|| is a per-cell bound from its spectrum at the grid
     points: subtracting a real scalar times I only translates a spectrum,
-    so that is the tracked path's minus gamma.  The frame's ``spread`` is
-    read off the same spectra, once per frame.  No derivative matrix is
-    formed.  Postconditions: the tracked states are null vectors of H~ at
-    every path grid point (``IntegrityError`` otherwise), and the shifted
-    norms obey ||H~'|| <= 2||H'|| and ||H~''|| <= 2||H''|| +
+    so that is the tracked path's minus gamma.  The frame's exact
+    ``spread`` is read off the same spectra's endpoints.  No derivative
+    matrix is formed.  Postconditions: the tracked states are null vectors
+    of H~ at every path grid point (``IntegrityError`` otherwise), and the
+    shifted norms obey ||H~'|| <= 2||H'|| and ||H~''|| <= 2||H''|| +
     4||H'||^2/lambda within 5% slack.  The true gamma obeys both; a spline
     on too few points overshoots them between its knots (grover(5) at 3
     points does), which raises ``UnderResolvedGridError`` naming
@@ -272,8 +271,7 @@ def zero_frame(
     base_norms = norm_bundle(h)
     gammas = path.gammas  # the spline of gamma takes these values at its knots
     shifted_norms = norm_bundle(shifted, spectrum=path.eigenvalues - gammas[:, None])
-    spreads = path.eigenvalues[:, -1] - path.eigenvalues[:, 0]
-    spread = float(_weyl_cells(h, path.grid, spreads)[1].max())
+    spread = float(np.ptp(path.eigenvalues[[0, -1]], axis=1).max())
 
     n1, n2 = base_norms.norm_H1, base_norms.norm_H2
     for label, measured, rule, bound in (

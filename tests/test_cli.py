@@ -120,9 +120,9 @@ def test_gap_scan_json_and_csv(tmp_path, capsys):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_transverse_ising_verifies_in_its_sector(tmp_path, capsys, n):
-    # the full-space tracker meets the doubly degenerate ground space at
-    # s = 1; the evolution from H0's ground state stays in the even sector,
-    # whose gap stays open, and verify runs there
+    # the full space's ground space turns doubly degenerate at s = 1; the
+    # evolution from H0's ground state stays in the even sector, whose gap
+    # stays open, and verify and gap-scan both run there
     instance = {"kind": "transverse_ising", "params": {"n": n}}
     config = {"instance": instance, "delta": 1, "case": "special", "T_override": 50.0}
     code, out, _ = _run(tmp_path, capsys, "verify", config)
@@ -136,15 +136,18 @@ def test_transverse_ising_verifies_in_its_sector(tmp_path, capsys, n):
     sector = basis.T @ (record.h0 + grid * record.diff) @ basis
     levels = np.linalg.eigvalsh(sector)
     assert abs(payload["lambda"] - (levels[:, 1] - levels[:, 0]).min()) <= 1e-10
-    code, out, err = _run(tmp_path, capsys, "gap-scan", {"instance": instance})
-    assert code == cli.EXIT_NUMERICAL
-    assert out == "" and "degenerate" in err
+    code, out, _ = _run(tmp_path, capsys, "gap-scan", {"instance": instance},
+                        "--format", "json")
+    scan = json.loads(out)
+    assert code == cli.EXIT_PASS
+    assert scan["lambda_min"] == payload["lambda"]
+    assert scan["evolved_dim"] == payload["evolved_dim"]
 
 
 def test_gap_scan_of_a_degenerate_endpoint_fails(tmp_path, capsys):
-    # transverse_ising's classical end s = 1 has a doubly degenerate ground
-    # space, and the tracker's per-point check is the scan's only one
-    config = {"instance": {"kind": "transverse_ising", "params": {"n": 2}},
+    # a constant instance with equal levels is degenerate at s = 0, in V as
+    # in the full space, and the frame refuses its branch
+    config = {"instance": {"kind": "constant", "params": {"diagonal": [1.0, 1.0]}},
               "grid_size": 129}
     code, out, err = _run(tmp_path, capsys, "gap-scan", config)
     assert code == cli.EXIT_NUMERICAL
@@ -241,6 +244,18 @@ def test_non_finite_time_is_a_config_error(tmp_path, capsys, command, total_time
          "T_values[1]"),
         ("proof-check", {"instance": LZ, "delta": 1, "L": 256, "T": 10**400}, "T"),
         ("simulate", {"instance": LZ, "T": 10**400, "L": 256}, "T"),
+        ("gap-scan", {"instance": LZ, "grid_size": 10**400}, "grid_size"),
+        ("verify", {"instance": LZ, "delta": 1, "grid_size": 10**400}, "grid_size"),
+        ("verify", {"instance": LZ, "delta": 1, "step_ceiling": 10**400},
+         "step_ceiling"),
+        ("sweep", {"instance": LZ, "delta": 1, "T_values": [5.0],
+                   "step_ceiling": -(10**400)}, "step_ceiling"),
+        ("proof-check", {"instance": LZ, "delta": 1, "L": 10**400}, "L"),
+        ("simulate", {"instance": LZ, "T": 10.0, "L": 10**400}, "L"),
+        ("simulate", {"instance": LZ, "T": 10.0, "L": 256, "snapshot_stride": 10**400},
+         "snapshot_stride"),
+        ("simulate", {"instance": LZ, "T": 10.0, "L": 256, "grid_size": 10**400},
+         "grid_size"),
     ],
 )
 def test_integer_too_large_for_a_float_is_a_config_error(
@@ -323,6 +338,80 @@ def test_simulate_compares_each_snapshot_with_the_path_at_its_s(tmp_path, capsys
     assert "grid_size 1025 misses a snapshot; 1101 holds all" in err
 
 
+def _full_space_gap_scan(spec: dict, grid_size: int) -> tuple[dict, str]:
+    """gap-scan's JSON payload and CSV text from the full space's tracker,
+    as the command wrote them before it read the frame."""
+    path = adialab.track_eigenpath(InstanceSpec(**spec).build(), grid_size)
+    payload = {
+        "grid": path.grid.tolist(),
+        "gap_values": path.gap_values.tolist(),
+        "lambda_min": path.gap,
+        "argmin_s": float(path.grid[path.gap_values.argmin()]),
+        "gammas": path.gammas.tolist(),
+    }
+    rows = [
+        f"{s!r},{g!r},{gap!r}"
+        for s, g, gap in zip(payload["grid"], payload["gammas"], payload["gap_values"])
+    ]
+    return payload, "\n".join(["s,gamma,gap", *rows]) + "\n"
+
+
+def _full_space_simulate(spec: dict, total_time: float, steps: int, stride: int,
+                         grid_size: int) -> str:
+    """simulate's CSV from the full space's evolution and tracker, as the
+    command wrote it before it read the frame."""
+    h = InstanceSpec(**spec).build()
+    path = adialab.track_eigenpath(h, grid_size)
+    result = adialab.evolve_discrete(
+        h, path.states[0], adialab.EvolutionConfig(total_time, steps, stride)
+    )
+    rows = []
+    for step, state in result.snapshots:
+        idx = step * (grid_size - 1) // steps
+        dist = adialab.distance_phase_invariant(state, path.states[idx])
+        rows.append(f"{step},{step / steps!r},{dist!r},{float(path.gammas[idx])!r}")
+    return "\n".join(["step,s,distance_to_path,gamma", *rows]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "spec, dim",
+    [(LZ, 2), ({"kind": "random_interpolation", "params": {"dim": 8, "seed": 1}}, 8)],
+    ids=["landau_zener", "random_interpolation(8,1)"],
+)
+def test_gap_scan_and_simulate_match_the_full_space_where_v_is_whole(
+    tmp_path, capsys, spec, dim
+):
+    # V is the whole space, so the frame keeps H: byte for byte the full
+    # space's outputs, apart from gap-scan's added evolved_dim
+    config = {"instance": spec, "grid_size": 257}
+    want, want_csv = _full_space_gap_scan(spec, 257)
+    code, out, _ = _run(tmp_path, capsys, "gap-scan", config, "--format", "json")
+    assert code == cli.EXIT_PASS
+    assert out == json.dumps({**want, "config": config, "evolved_dim": dim},
+                             sort_keys=True) + "\n"
+    _, csv_text, _ = _run(tmp_path, capsys, "gap-scan", config)
+    assert csv_text == want_csv
+    config = {"instance": spec, "T": 50.0, "L": 1000, "snapshot_stride": 10,
+              "grid_size": 1001}
+    code, out, _ = _run(tmp_path, capsys, "simulate", config)
+    assert code == cli.EXIT_PASS
+    assert out == _full_space_simulate(spec, 50.0, 1000, 10, 1001)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_simulate_in_v_matches_the_full_space(tmp_path, capsys, n):
+    # grover(n) evolves in its two-level V, whose residual is at rounding
+    # level: every row within 1e-12 of the full space's
+    spec = {"kind": "grover", "params": {"n": n}}
+    config = {"instance": spec, "T": 200.0, "L": 4000, "snapshot_stride": 40}
+    code, out, _ = _run(tmp_path, capsys, "simulate", config)
+    assert code == cli.EXIT_PASS
+    header, rows = _csv_rows(out)
+    want_header, want = _csv_rows(_full_space_simulate(spec, 200.0, 4000, 40, 1101))
+    assert header == want_header and len(rows) == len(want) == 101
+    assert np.abs(np.array(rows) - np.array(want)).max() <= 1e-12
+
+
 def test_simulate_has_no_sign_convention_field(tmp_path, capsys):
     # the step unitaries carry the paper's +i, with no switch
     config = {"instance": LZ, "T": 10.0, "L": 200, "sign_convention": "paper_plus"}
@@ -333,11 +422,17 @@ def test_simulate_has_no_sign_convention_field(tmp_path, capsys):
 
 
 def test_each_command_builds_its_instance_once(tmp_path, capsys, monkeypatch):
-    builds = []
+    # and exactly one zero_frame: the CLI's one route to the tracker
+    builds, frames = [], []
     original = InstanceSpec.build
     monkeypatch.setattr(
         InstanceSpec, "build", lambda spec: builds.append(spec.kind) or original(spec)
     )
+    for module in (cli, proofcheck):
+        monkeypatch.setattr(
+            module, "zero_frame",
+            lambda *args, build=module.zero_frame: frames.append(args) or build(*args),
+        )
     configs = {
         "verify": {"instance": LZ, "delta": 1, "T_override": 5.0, "grid_size": 129},
         "sweep": {"instance": LZ, "delta": 1, "T_values": [5.0], "grid_size": 129},
@@ -347,9 +442,12 @@ def test_each_command_builds_its_instance_once(tmp_path, capsys, monkeypatch):
     }
     for command, config in configs.items():
         builds.clear()
+        frames.clear()
         code, _, err = _run(tmp_path, capsys, command, config)
         assert code in (cli.EXIT_PASS, cli.EXIT_CLAIM_FAILED), (command, err)
         assert builds == ["landau_zener"], command
+        assert len(frames) == 1, command
+    assert not hasattr(cli, "track_eigenpath")
 
 
 def test_seed_flag_is_gone(tmp_path):

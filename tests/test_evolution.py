@@ -313,6 +313,17 @@ class TestEvolveAdaptive:
             al.evolve_adaptive(lz, _ground(lz), 1e308, 1e-4, spread=20.0)
         assert "largest feasible T is about 8.43314e+07" in str(err.value)
 
+    def test_ceiling_beyond_float_range_is_infeasible(self, lz, monkeypatch):
+        # the same overflow under a ceiling of 10^400, which no float holds:
+        # a typed refusal, not OverflowError, naming the T whose step count
+        # is the largest float, 1.79769e308 pi / 40 = 1.41190e307
+        monkeypatch.setattr(al.evolution, "evolve_discrete", None)
+        with pytest.raises(FeasibilityError) as err:
+            al.evolve_adaptive(
+                lz, _ground(lz), 1e308, 1e-4, spread=20.0, step_ceiling=10**400
+            )
+        assert str(err.value).endswith("largest feasible T is about 1.4119e+307")
+
     def test_tolerance_validation(self, lz):
         # an infinite disc_tol would accept the first level unchecked
         for disc_tol in (0.0, -1.0, math.nan, math.inf):
